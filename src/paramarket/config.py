@@ -7,6 +7,7 @@ the bundled example configs.
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .broker import GainKind
@@ -68,7 +69,12 @@ def _layer_set(raw: str):
 
 
 def _step_size(raw: str):
-    return None if raw == "auto" else float(raw)
+    if raw == "auto":
+        return None
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("expected 'auto' or a finite value > 0")
+    return value
 
 
 def parse_config(text: str) -> MarketConfig:

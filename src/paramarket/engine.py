@@ -55,6 +55,7 @@ __all__ = [
     "LinearBrokerEngine",
     "MlpBrokerEngine",
     "build_market",
+    "policy_fields",
     "run_round",
     "run_simulation",
     "run_prepared_simulation",
@@ -596,8 +597,11 @@ def _parse_init(init: str, rng: np.random.Generator, dim: int) -> np.ndarray:
     raise ValueError(f"unknown init {init!r}")
 
 
-def _auto_step_size(task: LinearTask, loss_spec: LossSpec) -> float:
-    # 0.9 / L with L the smoothness constant of the configured training loss.
+def _linear_step_size(spec: AgentSpec, task: LinearTask, loss_spec: LossSpec) -> float:
+    # The configured step, else 0.9 / L with L the smoothness constant of the
+    # configured training loss.
+    if spec.step_size is not None:
+        return spec.step_size
     lam = gram_lambda_max(task.data)
     if loss_spec is LossSpec.MEAN_PER_SAMPLE:
         lam /= task.data.n_samples
@@ -619,6 +623,19 @@ def _imbalanced_subset(
             keep.append(rng.choice(idx, size=k, replace=False))
     order = np.sort(np.concatenate(keep))
     return LabeledDataset(data.inputs[order], data.labels[order])
+
+
+def policy_fields(cfg: MarketConfig, spec: AgentSpec) -> dict:
+    """The AgentState fields an agent's policy fixes: policy, start_round, decision.
+
+    Every other field depends only on the market's draws, so states built for
+    one config take another config's policies by replacing just these.
+    """
+    return {
+        "policy": spec.policy,
+        "start_round": max(cfg.trade_start, 1) + spec.policy.delay,
+        "decision": spec.decision,
+    }
 
 
 def build_market(cfg: MarketConfig, rng: np.random.Generator):
@@ -650,32 +667,39 @@ def _build_linear_market(cfg: MarketConfig, agents: tuple, rng: np.random.Genera
         tasks[spec.agent_id] = synthesize_task(
             dim, spec.n_samples, spec.noise_variance, truth, rng
         )
+    # Step sizes draw nothing; resolving them before the broker set exists
+    # keeps the Gram matrices out of the build's memory peak.
+    steps = {
+        spec.agent_id: _linear_step_size(spec, tasks[spec.agent_id], cfg.loss_spec)
+        for spec in agents
+    }
 
-    # The broker holds validation samples from every agent's distribution.
+    # The broker holds validation samples from every agent's distribution,
+    # drawn block by block straight into one array.
     per_agent = cfg.broker.n_samples // len(agents)
-    xs, ys = [], []
+    inputs = np.empty((cfg.broker.n_samples, dim))
+    labels = np.empty(cfg.broker.n_samples)
+    lo = 0
     for i, spec in enumerate(agents):
         n = per_agent + (cfg.broker.n_samples % len(agents) if i == 0 else 0)
-        block = synthesize_task(dim, n, cfg.broker.noise_variance, truths[spec.agent_id], rng)
-        xs.append(block.data.inputs)
-        ys.append(block.data.labels)
-    broker_data = LabeledDataset(np.vstack(xs), np.concatenate(ys))
+        block = synthesize_task(
+            dim, n, cfg.broker.noise_variance, truths[spec.agent_id], rng, out=inputs[lo:lo + n]
+        )
+        labels[lo:lo + n] = block.data.labels
+        lo += n
+    broker_data = LabeledDataset(inputs, labels)
 
     init = ParameterVector(_parse_init(cfg.init, rng, dim))
-    states = []
-    for spec in agents:
-        step = spec.step_size or _auto_step_size(tasks[spec.agent_id], cfg.loss_spec)
-        states.append(
-            AgentState(
-                agent_id=spec.agent_id,
-                params=init,
-                model=LinearModel(tasks[spec.agent_id], step, cfg.loss_spec),
-                policy=spec.policy,
-                start_round=max(cfg.trade_start, 1) + spec.policy.delay,
-                n_samples=spec.n_samples,
-                decision=spec.decision,
-            )
+    states = tuple(
+        AgentState(
+            agent_id=spec.agent_id,
+            params=init,
+            model=LinearModel(tasks[spec.agent_id], steps[spec.agent_id], cfg.loss_spec),
+            n_samples=spec.n_samples,
+            **policy_fields(cfg, spec),
         )
+        for spec in agents
+    )
 
     shared_truth = all(
         np.array_equal(truths[a.agent_id].values, truths[agents[0].agent_id].values)
@@ -689,7 +713,7 @@ def _build_linear_market(cfg: MarketConfig, agents: tuple, rng: np.random.Genera
         a.agent_id: empirical_loss(truths[a.agent_id], broker_data, cfg.loss_spec)
         for a in agents
     }
-    return tuple(states), broker_engine, truth_loss
+    return states, broker_engine, truth_loss
 
 
 def _build_mlp_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator):
@@ -701,26 +725,25 @@ def _build_mlp_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator
         tasks[a.agent_id] = _imbalanced_subset(full, a.favored_classes, a.deprived_fraction, rng)
     broker_data = mlp_mod.two_moons(cfg.broker.n_samples, spec.data_noise, rng)
 
-    states = []
-    for a in agents:
-        init = mlp_mod.MlpParams.random_init(sizes, rng)
-        step = a.step_size or 0.1
-        states.append(
-            AgentState(
-                agent_id=a.agent_id,
-                params=init,
-                model=MlpModel(tasks[a.agent_id], step, mlp_mod.TaskKind.CLASSIFICATION),
-                policy=a.policy,
-                start_round=max(cfg.trade_start, 1) + a.policy.delay,
-                n_samples=a.n_samples,
-                decision=a.decision,
-            )
+    states = tuple(
+        AgentState(
+            agent_id=a.agent_id,
+            params=mlp_mod.MlpParams.random_init(sizes, rng),
+            model=MlpModel(
+                tasks[a.agent_id],
+                0.1 if a.step_size is None else a.step_size,
+                mlp_mod.TaskKind.CLASSIFICATION,
+            ),
+            n_samples=a.n_samples,
+            **policy_fields(cfg, a),
         )
+        for a in agents
+    )
     broker_engine = MlpBrokerEngine(
         broker_data, mlp_mod.TaskKind.CLASSIFICATION, spec.layer_set, spec.align_sweeps
     )
     truth_loss = {a.agent_id: 0.0 for a in agents}
-    return tuple(states), broker_engine, truth_loss
+    return states, broker_engine, truth_loss
 
 
 def _config_echo(cfg: MarketConfig) -> dict:
@@ -764,9 +787,7 @@ def _config_echo(cfg: MarketConfig) -> dict:
 
 def run_simulation(cfg: MarketConfig) -> MarketLog:
     """Run the configured market for its full horizon; deterministic given the seed."""
-    rng = np.random.default_rng(cfg.seed)
-    states, broker_engine, truth_loss = build_market(cfg, rng)
-    return run_prepared_simulation(cfg, states, broker_engine, truth_loss)
+    return run_prepared_simulation(cfg, *build_market(cfg, np.random.default_rng(cfg.seed)))
 
 
 def run_prepared_simulation(

@@ -23,10 +23,11 @@ from .engine import (
     MarketLog,
     Policy,
     PolicyKind,
-    _auto_step_size,
+    _linear_step_size,
     _parse_init,
+    build_market,
+    policy_fields,
     run_prepared_simulation,
-    run_simulation,
 )
 from .linear import LinearTask, synthesize_task
 
@@ -50,9 +51,23 @@ def never_trade_variant(cfg: MarketConfig) -> MarketConfig:
     return replace(cfg, agents=agents, pricing=False)
 
 
+def _run_pair(cfg: MarketConfig, states: tuple, broker_engine, truth_loss: dict) -> tuple:
+    # The twin reuses the market's build; only the policy fields change.
+    twin_cfg = never_trade_variant(cfg)
+    specs = {a.agent_id: a for a in twin_cfg.agents}
+    twin_states = tuple(replace(st, **policy_fields(twin_cfg, specs[st.agent_id])) for st in states)
+    log = run_prepared_simulation(cfg, states, broker_engine, truth_loss)
+    twin = run_prepared_simulation(twin_cfg, twin_states, broker_engine, truth_loss)
+    return log, twin
+
+
 def run_with_twin(cfg: MarketConfig) -> tuple:
-    """Run the market and its matched out-of-market twin."""
-    return run_simulation(cfg), run_simulation(never_trade_variant(cfg))
+    """Run the market and its matched out-of-market twin on one market build.
+
+    The logs equal those of ``run_simulation(cfg)`` and
+    ``run_simulation(never_trade_variant(cfg))``.
+    """
+    return _run_pair(cfg, *build_market(cfg, np.random.default_rng(cfg.seed)))
 
 
 def relative_improvement(log: MarketLog, twin: MarketLog, metric: str = "broker_loss") -> dict:
@@ -142,30 +157,22 @@ def _endowment_logs(base: MarketConfig, fraction: float, seed: int) -> tuple:
             noise,
         )
 
-    def build_states(cfg_variant: MarketConfig) -> tuple:
-        states = []
-        for spec in sorted(cfg_variant.agents, key=lambda a: a.agent_id):
-            task = tasks[spec.agent_id]
-            step = spec.step_size or _auto_step_size(task, cfg_variant.loss_spec)
-            states.append(
-                AgentState(
-                    agent_id=spec.agent_id,
-                    params=init,
-                    model=LinearModel(task, step, cfg_variant.loss_spec),
-                    policy=spec.policy,
-                    start_round=max(cfg_variant.trade_start, 1) + spec.policy.delay,
-                    n_samples=k,
-                    decision=spec.decision,
-                )
-            )
-        return tuple(states)
-
+    states = tuple(
+        AgentState(
+            agent_id=spec.agent_id,
+            params=init,
+            model=LinearModel(
+                tasks[spec.agent_id],
+                _linear_step_size(spec, tasks[spec.agent_id], cfg.loss_spec),
+                cfg.loss_spec,
+            ),
+            n_samples=k,
+            **policy_fields(cfg, spec),
+        )
+        for spec in agents
+    )
     broker_engine = LinearBrokerEngine(broker_task.data, cfg.loss_spec, cfg.gain_kind, theta)
-    truth_loss = {a.agent_id: 0.0 for a in agents}
-    twin_cfg = never_trade_variant(cfg)
-    log = run_prepared_simulation(cfg, build_states(cfg), broker_engine, truth_loss)
-    twin = run_prepared_simulation(twin_cfg, build_states(twin_cfg), broker_engine, truth_loss)
-    return log, twin
+    return _run_pair(cfg, states, broker_engine, {a.agent_id: 0.0 for a in agents})
 
 
 def _run_cell(args) -> SweepRow:

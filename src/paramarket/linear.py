@@ -2,7 +2,7 @@
 
 Covers task generation (standard-normal designs with optional Gaussian label
 noise), squared parameter-estimation error, eigen-extremes of the Gram matrix
-by power / inverse-power iteration, and the condition-number interval that
+by a direct symmetric eigen-solve, and the condition-number interval that
 relates an agent's post-merge loss to its pre-merge loss.
 """
 
@@ -23,10 +23,6 @@ __all__ = [
     "spectrum",
     "loss_ratio_bounds",
 ]
-
-_ITER_TOL = 1e-10
-_MAX_ITERS = 10_000
-
 
 class SingularityError(ValueError):
     """The Gram matrix X^T X is not positive definite."""
@@ -61,17 +57,20 @@ def synthesize_task(
     noise_variance: float,
     theta_star: ParameterVector,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> LinearTask:
     """Draw an i.i.d. standard-normal design and label it with ``theta_star``.
 
     Labels are ``X theta_star`` plus zero-mean Gaussian noise of the given
     variance; with variance 0 the true parameters fit the data exactly.
-    Deterministic given the generator state.
+    Deterministic given the generator state. The design is drawn into
+    ``out`` (a C-contiguous n-by-dim float64 array, frozen afterwards) when
+    given; the draws are the same either way.
     """
     if dim < 1 or n < 1:
         raise ValueError(f"need dim >= 1 and n >= 1, got dim={dim}, n={n}")
     theta_star.require_dimension(dim, "theta_star vs requested dim")
-    x = rng.standard_normal((n, dim))
+    x = rng.standard_normal((n, dim), out=out)
     y = x @ theta_star.values
     if noise_variance > 0:
         y = y + np.sqrt(noise_variance) * rng.standard_normal(n)
@@ -85,51 +84,28 @@ def estimation_error(params: ParameterVector, theta_star: ParameterVector) -> fl
     return float(d @ d)
 
 
-def _power_iteration(matvec, dim: int, tol: float) -> tuple[float, np.ndarray]:
-    # Deterministic seeded start; the residual test below is scale-aware.
-    v = np.random.default_rng(0).standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_MAX_ITERS):
-        w = matvec(v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise SingularityError("power iteration hit the null space")
-        lam = float(v @ w)
-        v = w / norm
-        residual = np.linalg.norm(matvec(v) - lam * v)
-        if residual <= tol * max(abs(lam), 1.0):
-            break
-    return lam, v
+def gram_lambda_max(data: LabeledDataset) -> float:
+    """Largest eigenvalue of X^T X.
 
-
-def gram_lambda_max(data: LabeledDataset, tol: float = _ITER_TOL) -> float:
-    """Largest eigenvalue of X^T X, via power iteration in product form."""
-    x = data.inputs
-    lam, _ = _power_iteration(lambda v: x.T @ (x @ v), data.dimension, tol)
-    return lam
-
-
-def spectrum(data: LabeledDataset, tol: float = _ITER_TOL) -> SpectrumSummary:
-    """Eigen-extremes of X^T X and the condition number rho = lambda_max / lambda_min.
-
-    lambda_max comes from power iteration on the Gram matrix; lambda_min from
-    inverse iteration through a Cholesky factor. Raises SingularityError when
-    the Gram matrix is not positive definite (for instance when n < d).
+    X X^T has the same nonzero eigenvalues, so the smaller of the two Gram
+    matrices is formed and only its top eigenvalue is solved for.
     """
     x = data.inputs
-    gram = x.T @ x
-    lam_max, _ = _power_iteration(lambda v: gram @ v, data.dimension, tol)
-    try:
-        chol = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularityError(f"Gram matrix is not positive definite: {exc}") from exc
+    gram = x @ x.T if data.n_samples < data.dimension else x.T @ x
+    top = gram.shape[0] - 1
+    return float(scipy.linalg.eigvalsh(gram, subset_by_index=[top, top])[0])
 
-    def inv_matvec(v: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(chol, v)
 
-    _, vec = _power_iteration(inv_matvec, data.dimension, tol)
-    lam_min = float(vec @ (gram @ vec))
+def spectrum(data: LabeledDataset) -> SpectrumSummary:
+    """Eigen-extremes of X^T X and the condition number rho = lambda_max / lambda_min.
+
+    Both extremes come from one symmetric eigen-solve of the Gram matrix.
+    Raises SingularityError when the Gram matrix is numerically singular (for
+    instance when n < d).
+    """
+    x = data.inputs
+    eigs = scipy.linalg.eigvalsh(x.T @ x)
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     if lam_min <= 1e-12 * lam_max:
         raise SingularityError(
             f"smallest eigenvalue {lam_min:.3e} is below tolerance; matrix treated as singular"

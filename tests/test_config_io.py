@@ -167,6 +167,15 @@ class TestCli:
         assert r.returncode == 2, r.stderr
         assert "[market] rounds" in r.stderr
 
+    @pytest.mark.parametrize("value", ["0", "-0.1", "nan"])
+    def test_invalid_step_size_exit_code_and_diagnostic(self, tmp_path, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MINIMAL.replace("n = 40", f"n = 40\nstep_size = {value}"), encoding="utf-8")
+        r = run_cli("simulate", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "[agent a] step_size:" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = tmp_path / "div.cfg"
         # Both agents must blow up: a lone diverging agent gets rescued by

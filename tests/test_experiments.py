@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,15 @@ import pytest
 
 from paramarket.broker import GainKind
 from paramarket.config import load_config, load_sweep
-from paramarket.engine import AgentSpec, BrokerSpec, MarketConfig, run_simulation
+from paramarket.engine import (
+    AgentSpec,
+    BrokerSpec,
+    MarketConfig,
+    MlpMarketSpec,
+    Policy,
+    PolicyKind,
+    run_simulation,
+)
 from paramarket.experiments import (
     never_trade_variant,
     relative_improvement,
@@ -13,6 +22,7 @@ from paramarket.experiments import (
     run_with_twin,
     spearman,
 )
+from paramarket.io import curves_csv, summary_dict, trades_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -35,6 +45,49 @@ class TestTwins:
         log, twin = run_with_twin(small_cfg())
         assert twin.trades == []
         assert log.curves[0].broker_loss == twin.curves[0].broker_loss
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            MarketConfig(
+                seed=3,
+                rounds=20,
+                gain_kind=GainKind.ERROR_RATIO,
+                agents=(
+                    AgentSpec("a", dim=30, n_samples=20, policy=Policy(PolicyKind.ASYNCHRONOUS, 4)),
+                    AgentSpec("b", dim=30, n_samples=45, noise_variance=0.4),
+                ),
+                broker=BrokerSpec(n_samples=901),
+                pricing=True,
+                trade_start=2,
+            ),
+            MarketConfig(
+                seed=1,
+                rounds=6,
+                gain_kind=GainKind.LOSS_DIFFERENCE,
+                agents=(
+                    AgentSpec("a", dim=0, n_samples=120, step_size=0.5, favored_classes=(0,),
+                              deprived_fraction=0.2),
+                    AgentSpec("b", dim=0, n_samples=120, step_size=0.5, favored_classes=(1,),
+                              deprived_fraction=0.2),
+                ),
+                broker=BrokerSpec(n_samples=200),
+                model="mlp",
+                mlp=MlpMarketSpec(hidden=(8, 8)),
+            ),
+        ],
+        ids=["linear-priced-async", "mlp"],
+    )
+    def test_shared_build_matches_separate_runs(self, cfg):
+        pair = run_with_twin(cfg)
+        separate = (run_simulation(cfg), run_simulation(never_trade_variant(cfg)))
+        assert pair[0].trades, "the market run should trade"
+        for shared, alone in zip(pair, separate):
+            assert trades_csv(shared).encode() == trades_csv(alone).encode()
+            assert curves_csv(shared).encode() == curves_csv(alone).encode()
+            assert json.dumps(summary_dict(shared), sort_keys=True) == json.dumps(
+                summary_dict(alone), sort_keys=True
+            )
 
     def test_never_trade_variant_clears_decisions(self):
         cfg = never_trade_variant(small_cfg())

@@ -28,6 +28,15 @@ class TestSynthesizeTask:
         np.testing.assert_array_equal(t1.data.inputs, t2.data.inputs)
         np.testing.assert_array_equal(t1.data.labels, t2.data.labels)
 
+    def test_out_buffer_receives_the_same_draws(self):
+        theta = pv(1.0, -1.0, 0.5)
+        fresh = synthesize_task(3, 15, 0.3, theta, np.random.default_rng(42))
+        buffer = np.zeros((20, 3))
+        task = synthesize_task(3, 15, 0.3, theta, np.random.default_rng(42), out=buffer[5:])
+        np.testing.assert_array_equal(buffer[5:], fresh.data.inputs)
+        np.testing.assert_array_equal(task.data.labels, fresh.data.labels)
+        assert not buffer[:5].any()
+
     def test_endowment_shape(self):
         theta = ParameterVector(np.zeros(1000))
         task = synthesize_task(1000, 500, 0.5, theta, np.random.default_rng(1))
@@ -80,10 +89,12 @@ class TestSpectrum:
             assert s.rho == pytest.approx(eigs[-1] / eigs[0], rel=1e-6)
 
     def test_lambda_max_product_form_agrees(self):
+        # Tall, wide and square designs, and a single sample.
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((40, 10))
-        lam = gram_lambda_max(LabeledDataset(x, np.zeros(40)))
-        assert lam == pytest.approx(np.linalg.eigvalsh(x.T @ x)[-1], rel=1e-8)
+        for n, d in ((40, 10), (10, 40), (25, 25), (1, 12), (1, 1)):
+            x = rng.standard_normal((n, d))
+            lam = gram_lambda_max(LabeledDataset(x, np.zeros(n)))
+            assert lam == pytest.approx(np.linalg.eigvalsh(x.T @ x)[-1], rel=1e-12), (n, d)
 
     def test_singular_gram_raises(self):
         x = np.random.default_rng(8).standard_normal((3, 5))  # n < d

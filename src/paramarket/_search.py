@@ -24,8 +24,8 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-6) -> tuple[floa
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = f(d)
-    x = a if f(a) <= f(b) else b
-    return x, f(x)
+    fa, fb = f(a), f(b)
+    return (a, fa) if fa <= fb else (b, fb)
 
 
 def grid_then_golden(

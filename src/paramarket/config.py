@@ -77,6 +77,23 @@ def _step_size(raw: str):
     return value
 
 
+def _noise(raw: str) -> float:
+    value = float(raw)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError("expected a finite value >= 0")
+    return value
+
+
+def _count(minimum: int, why: str = ""):
+    def cast(raw: str) -> int:
+        value = int(raw)
+        if value < minimum:
+            raise ValueError(f"expected an integer >= {minimum}{why}")
+        return value
+
+    return cast
+
+
 def parse_config(text: str) -> MarketConfig:
     """Parse config text; raises ConfigError with a section/key diagnostic."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -96,6 +113,8 @@ def parse_config(text: str) -> MarketConfig:
     agent_sections = [s for s in parser.sections() if s.startswith("agent ")]
     if len(agent_sections) < 2:
         raise ConfigError("agent <id>", "-", "need at least two [agent <id>] sections")
+    linear = model == "linear"
+    min_n = 1 if linear else 2  # two_moons draws a point of each class
     agents = []
     for section in sorted(agent_sections):
         agent_id = section.split(" ", 1)[1].strip()
@@ -105,9 +124,9 @@ def parse_config(text: str) -> MarketConfig:
         agents.append(
             AgentSpec(
                 agent_id=agent_id,
-                dim=a("dim", int, required=(model == "linear"), default=0),
-                n_samples=a("n", int, required=True),
-                noise_variance=a("noise", float, default=0.0),
+                dim=a("dim", _count(1) if linear else int, required=linear, default=0),
+                n_samples=a("n", _count(min_n), required=True),
+                noise_variance=a("noise", _noise, default=0.0),
                 policy=a("policy", Policy.parse, default=Policy.parse("trade-when-beneficial")),
                 step_size=a("step_size", _step_size, default=None),
                 theta_offset=a("theta_offset", float, default=0.0),
@@ -119,9 +138,11 @@ def parse_config(text: str) -> MarketConfig:
     if not parser.has_section("broker"):
         raise ConfigError("broker", "-", "missing [broker] section")
     b = _reader(parser, "broker")
+    # A linear broker draws at least one validation sample per agent.
+    broker_min = _count(len(agents), " (one per agent)") if linear else _count(min_n)
     broker = BrokerSpec(
-        n_samples=b("n", int, required=True),
-        noise_variance=b("noise", float, default=0.0),
+        n_samples=b("n", broker_min, required=True),
+        noise_variance=b("noise", _noise, default=0.0),
     )
 
     mlp_spec = None
@@ -131,7 +152,7 @@ def parse_config(text: str) -> MarketConfig:
             hidden=m("hidden", _int_tuple, default=(16, 16, 16)),
             input_dim=m("input_dim", int, default=2),
             n_classes=m("classes", int, default=2),
-            data_noise=m("data_noise", float, default=0.15),
+            data_noise=m("data_noise", _noise, default=0.15),
             layer_set=m("layer_set", _layer_set, default=None),
             align_sweeps=m("align_sweeps", int, default=10),
         )

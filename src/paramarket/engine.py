@@ -398,7 +398,7 @@ class MlpRoundView:
     def __init__(self, engine: MlpBrokerEngine, dots: dict):
         self.engine = engine
         self.dots = dots
-        self._final = {}
+        self._final = {}  # (buyer, seller, weight) -> (merged net, its broker loss)
 
     def dot_loss(self, u: str) -> float:
         return self.engine.loss(self.dots[u])
@@ -416,7 +416,7 @@ class MlpRoundView:
 
         weight, loss_after = optimize_merge_weight_searched(loss_at)
         merged = mlp_mod.subset_merge(self.dots[buyer], aligned, layers, weight)
-        self._final[(buyer, seller, weight)] = merged
+        self._final[(buyer, seller, weight)] = merged, loss_after
         return MergeProposal(
             weight=weight,
             merged=merged,
@@ -429,13 +429,13 @@ class MlpRoundView:
         return GainReport(GainKind.LOSS_DIFFERENCE, value, trade_beneficial=value > 0.0)
 
     def merged_params(self, buyer: str, seller: str, weight: float):
-        return self._final[(buyer, seller, weight)]
+        return self._final[(buyer, seller, weight)][0]
 
     def final_loss(self, agent: str, chosen: tuple | None) -> float:
         if chosen is None:
             return self.dot_loss(agent)
         seller, weight = chosen
-        return self.engine.loss(self._final[(agent, seller, weight)])
+        return self._final[(agent, seller, weight)][1]
 
 
 def _is_trade_round(cfg: MarketConfig, round_index: int) -> bool:

@@ -237,8 +237,17 @@ def linear_assignment(cost: np.ndarray) -> np.ndarray:
     """Exact minimum-cost assignment with a deterministic tie rule.
 
     Returns ``perm`` with row ``i`` assigned to column ``perm[i]``. Among all
-    optimal assignments the lexicographically smallest permutation is
-    returned, so a flat (all-ties) cost matrix yields the identity.
+    assignments within ``1e-9 * max(1, |best|)`` of the optimum the
+    lexicographically smallest permutation is returned, so a flat (all-ties)
+    cost matrix yields the identity.
+
+    One SciPy solve gives an optimal assignment. Shortest paths in its
+    residual graph (the dual view of the problem) then give, for every edge
+    (i, j), the cost of the cheapest assignment that uses it. Rows are placed
+    in order, each at the smallest column that still completes a near-optimal
+    assignment, and only edges whose cheapest assignment is near-optimal are
+    tried. A lone such column is taken as is; several are checked in
+    ascending order by solving the remaining rows exactly.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -249,27 +258,53 @@ def linear_assignment(cost: np.ndarray) -> np.ndarray:
     rows, cols = linear_sum_assignment(c)
     best = float(c[rows, cols].sum())
     tol = 1e-9 * max(1.0, abs(best))
+    # Only near-optimal edges can qualify. The slack (twice the tolerance plus
+    # a bound on the rounding of n-term path sums) keeps every column that the
+    # exact check below would accept.
+    rounding = 4.0 * n * n * np.finfo(np.float64).eps * float(np.abs(c).max(initial=0.0))
+    tight = _forcing_costs(c, cols) <= 2.0 * tol + rounding
 
     perm = np.empty(n, dtype=np.intp)
     remaining = list(range(n))
     prefix = 0.0
     for i in range(n):
-        for j in remaining:  # ascending: first feasible column is the lex choice
-            rest = [k for k in remaining if k != j]
-            if rest:
-                sub = c[np.ix_(range(i + 1, n), rest)]
-                r, s = linear_sum_assignment(sub)
-                tail = float(sub[r, s].sum())
-            else:
-                tail = 0.0
-            if prefix + c[i, j] + tail <= best + tol:
-                perm[i] = j
-                prefix += c[i, j]
-                remaining.remove(j)
-                break
-        else:  # pragma: no cover - the optimal column always qualifies
-            raise AssertionError("assignment refinement failed to place a row")
+        candidates = [j for j in remaining if tight[i, j]]
+        if len(candidates) == 1:  # some column always qualifies, so this one does
+            j = candidates[0]
+        else:
+            for j in candidates:  # ascending: first feasible column is the lex choice
+                rest = [k for k in remaining if k != j]
+                if rest:
+                    sub = c[i + 1 :][:, rest]
+                    r, s = linear_sum_assignment(sub)
+                    tail = float(sub[r, s].sum())
+                else:
+                    tail = 0.0
+                if prefix + c[i, j] + tail <= best + tol:
+                    break
+            else:  # pragma: no cover - the optimal column always qualifies
+                raise AssertionError("assignment refinement failed to place a row")
+        perm[i] = j
+        prefix += c[i, j]
+        remaining.remove(j)
     return perm
+
+
+def _forcing_costs(c: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Extra cost, over the optimal assignment ``cols``, of the cheapest one using each edge.
+
+    Moving row ``i`` from column ``cols[i]`` to ``j`` costs
+    ``w[i, j] = c[i, j] - c[i, cols[i]]`` and frees ``cols[i]``. So edge (i, j)
+    costs its own move plus the cheapest chain of moves from ``j`` back to
+    ``cols[i]``: a shortest path in the graph on columns whose edge ``cols[k]
+    -> j`` weighs ``w[k, j]``. Optimality rules out negative cycles, so
+    Floyd-Warshall gives all such paths; the assigned edges cost 0.
+    """
+    w = c - c[np.arange(c.shape[0]), cols][:, None]
+    dist = w[np.argsort(cols)]  # row a: the moves of the row holding column a
+    for k in range(c.shape[0]):
+        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+    return w + dist[:, cols].T
 
 
 def matching_objective(
@@ -288,12 +323,17 @@ def matching_objective(
 
 def _descend(
     reference: MlpParams, candidate: MlpParams, sweeps: int, order: list
-) -> tuple[LayerPermutations, list]:
+) -> list:
+    """One coordinate descent in the given layer order.
+
+    Returns the permutations before the first update and after every update;
+    the last entry is the result.
+    """
     hidden = reference.hidden_sizes
     perms = [np.arange(h, dtype=np.intp) for h in hidden]
     in_ident = np.arange(reference.layer_sizes[0], dtype=np.intp)
     out_ident = np.arange(reference.layer_sizes[-1], dtype=np.intp)
-    trace = [matching_objective(reference, candidate, LayerPermutations(tuple(perms)))]
+    states = [LayerPermutations(tuple(perms))]
     for _ in range(sweeps):
         changed = False
         for i in order:
@@ -306,10 +346,25 @@ def _descend(
             if not np.array_equal(new_p, perms[i]):
                 changed = True
             perms[i] = new_p
-            trace.append(matching_objective(reference, candidate, LayerPermutations(tuple(perms))))
+            states.append(LayerPermutations(tuple(perms)))
         if not changed:
             break
-    return LayerPermutations(tuple(perms)), trace
+    return states
+
+
+def _descents(reference: MlpParams, candidate: MlpParams, sweeps: int) -> tuple:
+    """Forward descent states and backward ones (None below two hidden layers)."""
+    if not reference.same_architecture(candidate):
+        raise ValueError(
+            f"architecture mismatch: {reference.layer_sizes} vs {candidate.layer_sizes}"
+        )
+    if sweeps < 1:
+        raise ValueError(f"need at least one sweep, got {sweeps}")
+    n_hidden = len(reference.hidden_sizes)
+    forward = _descend(reference, candidate, sweeps, list(range(n_hidden)))
+    if n_hidden < 2:
+        return forward, None
+    return forward, _descend(reference, candidate, sweeps, list(range(n_hidden - 1, -1, -1)))
 
 
 def align_with_trace(
@@ -324,26 +379,27 @@ def align_with_trace(
     descents run (first-to-last and last-to-first) and the one ending at the
     higher matching objective wins; ties keep the forward result.
     """
-    if not reference.same_architecture(candidate):
-        raise ValueError(
-            f"architecture mismatch: {reference.layer_sizes} vs {candidate.layer_sizes}"
-        )
-    if sweeps < 1:
-        raise ValueError(f"need at least one sweep, got {sweeps}")
-    n_hidden = len(reference.hidden_sizes)
-    forward = _descend(reference, candidate, sweeps, list(range(n_hidden)))
-    if n_hidden < 2:
-        return forward
-    backward = _descend(reference, candidate, sweeps, list(range(n_hidden - 1, -1, -1)))
-    return backward if backward[1][-1] > forward[1][-1] else forward
+    forward, backward = _descents(reference, candidate, sweeps)
+    result = forward[-1], [matching_objective(reference, candidate, p) for p in forward]
+    if backward is not None:
+        trace = [matching_objective(reference, candidate, p) for p in backward]
+        if trace[-1] > result[1][-1]:
+            result = backward[-1], trace
+    return result
 
 
 def weight_matching_alignment(
     reference: MlpParams, candidate: MlpParams, sweeps: int = 10
 ) -> LayerPermutations:
-    """Permutations re-indexing the candidate's hidden units to match the reference."""
-    perms, _ = align_with_trace(reference, candidate, sweeps)
-    return perms
+    """Permutations re-indexing the candidate's hidden units to match the reference.
+
+    The result of `align_with_trace`, scoring only the final state of each descent.
+    """
+    forward, backward = _descents(reference, candidate, sweeps)
+    if backward is None:
+        return forward[-1]
+    f, b = (matching_objective(reference, candidate, states[-1]) for states in (forward, backward))
+    return backward[-1] if b > f else forward[-1]
 
 
 def apply_permutation(params: MlpParams, perms: LayerPermutations) -> MlpParams:

@@ -34,6 +34,8 @@ noise = 0.3
 n = 300
 """
 
+MINIMAL_MLP = MINIMAL.replace("gain_kind = error-ratio", "gain_kind = loss-difference\nmodel = mlp")
+
 
 class TestConfigParsing:
     def test_minimal_config_and_defaults(self):
@@ -66,6 +68,26 @@ class TestConfigParsing:
         text = MINIMAL[: MINIMAL.index("[agent b]")] + "\n[broker]\nn = 300\n"
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize("value", ["nan", "-0.5", "inf"])
+    @pytest.mark.parametrize(
+        "section, key, text",
+        [
+            ("agent b", "noise", MINIMAL.replace("noise = 0.3", "noise = {}")),
+            ("broker", "noise", MINIMAL + "noise = {}\n"),
+            ("mlp", "data_noise", MINIMAL_MLP + "\n[mlp]\ndata_noise = {}\n"),
+        ],
+    )
+    def test_noise_must_be_finite_and_non_negative(self, section, key, text, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.format(value))
+        assert (err.value.section, err.value.key) == (section, key)
+
+    @pytest.mark.parametrize("old, section", [("n = 40", "agent a"), ("n = 300", "broker")])
+    def test_mlp_sample_counts_need_two_points(self, old, section):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL_MLP.replace(old, "n = 1", 1))
+        assert (err.value.section, err.value.key) == (section, "n")
 
     def test_bundled_configs_all_parse(self):
         for name in os.listdir(CONFIGS):
@@ -174,6 +196,22 @@ class TestCli:
         r = run_cli("simulate", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert r.returncode == 2, r.stderr
         assert "[agent a] step_size:" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize(
+        "old, new, diagnostic",
+        [
+            ("n = 40", "n = 0", "[agent a] n:"),
+            ("dim = 8", "dim = 0", "[agent a] dim:"),
+            ("n = 300", "n = 1", "[broker] n:"),
+        ],
+    )
+    def test_invalid_count_exit_code_and_diagnostic(self, tmp_path, old, new, diagnostic):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MINIMAL.replace(old, new, 1), encoding="utf-8")
+        r = run_cli("simulate", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert diagnostic in r.stderr
         assert "Traceback" not in r.stderr
 
     def test_divergence_exit_code(self, tmp_path):

@@ -2,7 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from paramarket import mlp
 from paramarket.core import DimensionMismatchError, LabeledDataset, empirical_loss, ParameterVector
 from paramarket.mlp import (
     LayerPermutations,
@@ -113,6 +117,25 @@ class TestFlatten:
             MlpParams.unflatten(np.zeros(7), (2, 3, 1))
 
 
+def per_column_assignment(cost):
+    # Reference tie rule: place rows in order, each at the smallest column for
+    # which an exact solve of the remaining rows stays within the tolerance.
+    best = float(cost[linear_sum_assignment(cost)].sum())
+    tol = 1e-9 * max(1.0, abs(best))
+    n, remaining, prefix, perm = len(cost), list(range(len(cost))), 0.0, []
+    for i in range(n):
+        for j in remaining:
+            rest = [k for k in remaining if k != j]
+            sub = cost[np.ix_(range(i + 1, n), rest)]
+            tail = float(sub[linear_sum_assignment(sub)].sum()) if rest else 0.0
+            if prefix + cost[i, j] + tail <= best + tol:
+                perm.append(j)
+                prefix += cost[i, j]
+                remaining.remove(j)
+                break
+    return perm
+
+
 class TestLinearAssignment:
     def test_flat_costs_give_identity(self):
         np.testing.assert_array_equal(linear_assignment(np.zeros((4, 4))), [0, 1, 2, 3])
@@ -141,6 +164,48 @@ class TestLinearAssignment:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             linear_assignment(np.zeros((2, 3)))
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        ),
+        st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_lexicographically_smallest_optimum(self, rows, scale):
+        # Small integers make many exact ties; the reference sums them exactly.
+        n = len(rows)
+        perms = list(itertools.permutations(range(n)))  # lexicographic order
+        totals = [sum(rows[i][p[i]] for i in range(n)) for p in perms]
+        want = perms[totals.index(min(totals))]
+        np.testing.assert_array_equal(linear_assignment(np.array(rows, dtype=float) * scale), want)
+
+    def test_matches_per_column_reference_on_ties(self):
+        rng = np.random.default_rng(21)
+        for t in range(60):
+            n = int(rng.integers(7, 17))
+            if t % 3 == 0:  # duplicated rows
+                cost = rng.integers(-2, 3, (n // 2, n))[rng.integers(0, n // 2, n)]
+            elif t % 3 == 1:  # rank one
+                cost = np.outer(rng.integers(-2, 3, n), rng.integers(-2, 3, n))
+            else:
+                cost = rng.integers(-1, 2, (n, n))
+            cost = cost * 10.0 ** float(rng.integers(-6, 7))
+            np.testing.assert_array_equal(linear_assignment(cost), per_column_assignment(cost))
+
+    def test_generic_matrix_takes_one_solve(self, monkeypatch):
+        calls = []
+
+        def counted(c):
+            calls.append(c.shape)
+            return linear_sum_assignment(c)
+
+        monkeypatch.setattr(mlp, "linear_sum_assignment", counted)
+        cost = np.random.default_rng(3).standard_normal((16, 16))
+        linear_assignment(cost)
+        assert calls == [(16, 16)]
 
 
 class TestAlignment:
@@ -173,6 +238,25 @@ class TestAlignment:
     def test_architecture_mismatch_rejected(self):
         with pytest.raises(ValueError, match="architecture"):
             weight_matching_alignment(random_net((2, 8, 2), 1), random_net((2, 9, 2), 1))
+
+    def test_entry_points_agree(self):
+        backward_won = False
+        for sizes in [(2, 8, 2), (2, 8, 8, 2), (2, 6, 6, 6, 2)]:
+            for seed in range(4):
+                a, b = random_net(sizes, seed), random_net(sizes, 1000 + seed)
+                perms, trace = align_with_trace(a, b)
+                got = weight_matching_alignment(a, b)
+                for p, q in zip(got.perms, perms.perms):
+                    np.testing.assert_array_equal(p, q)
+                forward, backward = mlp._descents(a, b, 10)
+                winner = forward
+                if backward is not None and trace[-1] != matching_objective(a, b, forward[-1]):
+                    winner, backward_won = backward, True
+                # One entry per update plus the initial one; every sweep updates each layer.
+                assert len(trace) == len(winner)
+                assert (len(trace) - 1) % len(sizes[1:-1]) == 0
+                assert trace == [matching_objective(a, b, p) for p in winner]
+        assert backward_won
 
 
 class TestApplyPermutation:

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from ._search import grid_then_golden
-from .core import DivergenceError, LabeledDataset, LossSpec, ParameterVector, empirical_loss, merge
+from .core import DivergenceError, ParameterVector
 from .linear import estimation_error
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "GainReport",
     "MergeProposal",
     "optimal_weight_from_residuals",
-    "optimize_merge_weight",
     "optimize_merge_weight_searched",
     "gain_loss_difference",
     "gain_error_ratio",
@@ -89,31 +88,6 @@ def optimal_weight_from_residuals(buyer_residual: np.ndarray, delta_pred: np.nda
     return min(max(nu, WEIGHT_FLOOR), 1.0)
 
 
-def optimize_merge_weight(
-    buyer_dot: ParameterVector,
-    seller_dot: ParameterVector,
-    broker_data: LabeledDataset,
-    spec: LossSpec = LossSpec.SUM_OF_SQUARES,
-) -> MergeProposal:
-    """Pick the merge weight in (0, 1] minimizing the broker's empirical loss.
-
-    Both supported loss conventions are quadratic along the merge path, so the
-    weight comes from the exact closed form rather than a search.
-    """
-    seller_dot.require_dimension(buyer_dot.dimension, "seller vs buyer parameters")
-    buyer_dot.require_dimension(broker_data.dimension, "parameters vs broker data")
-    residual = broker_data.inputs @ buyer_dot.values - broker_data.labels
-    delta_pred = broker_data.inputs @ (seller_dot.values - buyer_dot.values)
-    weight = optimal_weight_from_residuals(residual, delta_pred)
-    merged = merge(buyer_dot, seller_dot, weight)
-    return MergeProposal(
-        weight=weight,
-        merged=merged,
-        broker_loss_before=empirical_loss(buyer_dot, broker_data, spec),
-        broker_loss_after=empirical_loss(merged, broker_data, spec),
-    )
-
-
 def optimize_merge_weight_searched(
     loss_at_weight,
     tol: float = 1e-6,
@@ -127,14 +101,9 @@ def optimize_merge_weight_searched(
     return grid_then_golden(loss_at_weight, WEIGHT_FLOOR, 1.0, tol=tol)
 
 
-def gain_loss_difference(
-    dot: ParameterVector,
-    merged: ParameterVector,
-    broker_data: LabeledDataset,
-    spec: LossSpec = LossSpec.SUM_OF_SQUARES,
-) -> GainReport:
-    """Gain-from-trade as broker loss before the merge minus after."""
-    value = empirical_loss(dot, broker_data, spec) - empirical_loss(merged, broker_data, spec)
+def gain_loss_difference(proposal: MergeProposal) -> GainReport:
+    """Gain-from-trade as the proposal's broker loss before the merge minus after."""
+    value = proposal.broker_loss_before - proposal.broker_loss_after
     return GainReport(GainKind.LOSS_DIFFERENCE, value, trade_beneficial=value > 0.0)
 
 

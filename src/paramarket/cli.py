@@ -195,6 +195,13 @@ def _cmd_align_demo(args) -> int:
     return 0 if exact else 1
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="paramarket", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -208,11 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run an ablation sweep config")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--out", default="out")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_bounds = sub.add_parser("bounds-check", help="randomized soundness audit of trade bounds")
-    p_bounds.add_argument("--trials", type=int, default=10000)
+    p_bounds.add_argument("--trials", type=_positive_int, default=10000)
     p_bounds.add_argument("--seed", type=int, default=0)
     p_bounds.add_argument("--out", default=None)
     p_bounds.set_defaults(func=_cmd_bounds_check)

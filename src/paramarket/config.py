@@ -64,8 +64,24 @@ def _int_tuple(raw: str) -> tuple:
     return tuple(int(v) for v in raw.split(",") if v.strip() != "")
 
 
-def _layer_set(raw: str):
-    return None if raw.strip() == "all" else _int_tuple(raw)
+def _widths(raw: str) -> tuple:
+    widths = _int_tuple(raw)
+    if any(w < 1 for w in widths):
+        raise ValueError("expected comma-separated hidden widths >= 1")
+    return widths
+
+
+def _layer_set(n_hidden: int):
+    # A net with n hidden layers has weight layers 0..n.
+    def cast(raw: str):
+        if raw.strip() == "all":
+            return None
+        layers = _int_tuple(raw)
+        if not layers or not all(0 <= i <= n_hidden for i in layers):
+            raise ValueError(f"expected 'all' or a non-empty list of layer indices in [0, {n_hidden}]")
+        return layers
+
+    return cast
 
 
 def _step_size(raw: str):
@@ -94,15 +110,32 @@ def _count(minimum: int, why: str = ""):
     return cast
 
 
-def parse_config(text: str) -> MarketConfig:
-    """Parse config text; raises ConfigError with a section/key diagnostic."""
+def _input_dim(raw: str) -> int:
+    if int(raw) != 2:
+        raise ValueError("expected 2: two_moons supplies two features")
+    return 2
+
+
+def _fraction(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value <= 1.0:
+        raise ValueError("expected a fraction in (0, 1]")
+    return value
+
+
+def _read(text: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError("-", "-", f"unparsable config: {exc}") from exc
+    return parser
 
+
+def parse_config(text: str) -> MarketConfig:
+    """Parse config text; raises ConfigError with a section/key diagnostic."""
+    parser = _read(text)
     if not parser.has_section("market"):
         raise ConfigError("market", "-", "missing [market] section")
     market = _reader(parser, "market")
@@ -147,14 +180,15 @@ def parse_config(text: str) -> MarketConfig:
 
     mlp_spec = None
     if model == "mlp":
-        m = _reader(parser, "mlp") if parser.has_section("mlp") else _reader_empty()
+        m = _reader(parser, "mlp")
+        hidden = m("hidden", _widths, default=(16, 16, 16))
         mlp_spec = MlpMarketSpec(
-            hidden=m("hidden", _int_tuple, default=(16, 16, 16)),
-            input_dim=m("input_dim", int, default=2),
-            n_classes=m("classes", int, default=2),
+            hidden=hidden,
+            input_dim=m("input_dim", _input_dim, default=2),
+            n_classes=m("classes", _count(2), default=2),
             data_noise=m("data_noise", _noise, default=0.15),
-            layer_set=m("layer_set", _layer_set, default=None),
-            align_sweeps=m("align_sweeps", int, default=10),
+            layer_set=m("layer_set", _layer_set(len(hidden)), default=None),
+            align_sweeps=m("align_sweeps", _count(1), default=10),
         )
 
     try:
@@ -180,27 +214,19 @@ def parse_config(text: str) -> MarketConfig:
         raise ConfigError("market", "-", str(exc)) from exc
 
 
-def _reader_empty():
-    def get(key, cast, default=None, required=False):
-        if required:
-            raise ConfigError("mlp", key, "required key is missing")
-        return default
-
-    return get
-
-
 def load_config(path: str) -> MarketConfig:
     with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())
 
 
-_SWEEP_AXES = ("distance", "endowment", "frequency", "start", "layers")
+# Cell parser per sweep axis; the layers axis checks cells against the base net.
+_SWEEP_CELLS = {"distance": float, "endowment": _fraction, "frequency": _count(1), "start": _count(0)}
+_SWEEP_AXES = (*_SWEEP_CELLS, "layers")
 
 
 def parse_sweep(text: str) -> SweepSpec:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    parser.read_string(text)
+    """Parse a sweep config: its base market plus one [sweep] axis."""
+    parser = _read(text)
     if not parser.has_section("sweep"):
         raise ConfigError("sweep", "-", "missing [sweep] section")
     s = _reader(parser, "sweep")
@@ -211,16 +237,21 @@ def parse_sweep(text: str) -> SweepSpec:
     cells = tuple(v.strip() for v in raw_values.split("|") if v.strip() != "")
     if not cells:
         raise ConfigError("sweep", "values", "no cells given (separate cells with '|')")
-    if axis == "layers":
-        values = tuple(_layer_set(c) for c in cells)
-    elif axis in ("frequency", "start"):
-        values = tuple(int(c) for c in cells)
+    seeds = s("seeds", _count(1), default=5)
+    base = parse_config(text)
+    if axis != "layers":
+        cell = _SWEEP_CELLS[axis]
+    elif base.mlp is None:
+        raise ConfigError("sweep", "axis", "the layers axis needs an mlp market (model = mlp)")
     else:
-        values = tuple(float(c) for c in cells)
-    seeds = s("seeds", int, default=5)
-    if seeds < 1:
-        raise ConfigError("sweep", "seeds", f"need at least one seed, got {seeds}")
-    return SweepSpec(axis=axis, values=values, seeds=seeds, base=parse_config(text))
+        cell = _layer_set(len(base.mlp.hidden))
+    values = []
+    for raw in cells:
+        try:
+            values.append(cell(raw))
+        except ValueError as exc:
+            raise ConfigError("sweep", "values", f"cannot parse cell {raw!r}: {exc}") from exc
+    return SweepSpec(axis=axis, values=tuple(values), seeds=seeds, base=base)
 
 
 def load_sweep(path: str) -> SweepSpec:

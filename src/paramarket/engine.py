@@ -8,6 +8,13 @@ mode the seller answers with a virtual valuation built from the trade bounds
 and the broker settles at the midpoint, in collaborative mode the merge ships
 for free. Baseline policies (never trade, always trade, fixed-weight
 averaging) and per-agent start delays slot into the same loop.
+
+The broker engine opens one round view per round over the agents'
+post-step parameters. The view offers ``dot_loss`` and ``merged_loss`` (broker
+loss before and along a merge), ``propose`` (the merge at the searched
+weight, or at a fixed one for fedavg) and ``gain``. The ``MergeProposal`` a
+buyer settles on is the merge that ships: its ``merged`` parameters and
+``broker_loss_after`` become the agent's new state and curve row.
 """
 
 import math
@@ -25,6 +32,7 @@ from .broker import (
     PerfectMergeError,
     fedavg_weight,
     gain_error_ratio,
+    gain_loss_difference,
     optimal_weight_from_residuals,
     optimize_merge_weight_searched,
 )
@@ -110,7 +118,7 @@ class DecisionContext:
 
 
 def default_decision(ctx: DecisionContext) -> bool:
-    if ctx.policy.kind is PolicyKind.ALWAYS_TRADE:
+    if ctx.policy.kind in (PolicyKind.ALWAYS_TRADE, PolicyKind.FEDAVG):
         return True
     if ctx.policy.kind is PolicyKind.NEVER_TRADE:
         return False
@@ -341,9 +349,11 @@ class LinearRoundView:
         r = (1.0 - weight) * self._resid[buyer] + weight * self._resid[seller]
         return self._resid_loss(r)
 
-    def propose(self, buyer: str, seller: str) -> MergeProposal:
+    def propose(self, buyer: str, seller: str, weight: float | None = None) -> MergeProposal:
+        """Merge at the loss-minimizing weight, or at ``weight`` when one is fixed."""
         rb = self._resid[buyer]
-        weight = optimal_weight_from_residuals(rb, self._resid[seller] - rb)
+        if weight is None:
+            weight = optimal_weight_from_residuals(rb, self._resid[seller] - rb)
         merged = merge(self.dots[buyer], self.dots[seller], weight)
         return MergeProposal(
             weight=weight,
@@ -354,21 +364,11 @@ class LinearRoundView:
 
     def gain(self, buyer: str, proposal: MergeProposal) -> GainReport:
         if self.engine.gain_kind is GainKind.LOSS_DIFFERENCE:
-            value = proposal.broker_loss_before - proposal.broker_loss_after
-            return GainReport(GainKind.LOSS_DIFFERENCE, value, trade_beneficial=value > 0.0)
+            return gain_loss_difference(proposal)
         try:
             return gain_error_ratio(self.dots[buyer], proposal.merged, self.engine.truth)
         except PerfectMergeError:
             return GainReport(GainKind.ERROR_RATIO, math.inf, trade_beneficial=True)
-
-    def merged_params(self, buyer: str, seller: str, weight: float) -> ParameterVector:
-        return merge(self.dots[buyer], self.dots[seller], weight)
-
-    def final_loss(self, agent: str, chosen: tuple | None) -> float:
-        if chosen is None:
-            return self.dot_loss(agent)
-        seller, weight = chosen
-        return self.merged_loss(agent, seller, weight)
 
 
 class MlpBrokerEngine:
@@ -398,7 +398,6 @@ class MlpRoundView:
     def __init__(self, engine: MlpBrokerEngine, dots: dict):
         self.engine = engine
         self.dots = dots
-        self._final = {}  # (buyer, seller, weight) -> (merged net, its broker loss)
 
     def dot_loss(self, u: str) -> float:
         return self.engine.loss(self.dots[u])
@@ -415,27 +414,15 @@ class MlpRoundView:
             return eng.loss(mlp_mod.subset_merge(self.dots[buyer], aligned, layers, w))
 
         weight, loss_after = optimize_merge_weight_searched(loss_at)
-        merged = mlp_mod.subset_merge(self.dots[buyer], aligned, layers, weight)
-        self._final[(buyer, seller, weight)] = merged, loss_after
         return MergeProposal(
             weight=weight,
-            merged=merged,
+            merged=mlp_mod.subset_merge(self.dots[buyer], aligned, layers, weight),
             broker_loss_before=self.dot_loss(buyer),
             broker_loss_after=loss_after,
         )
 
     def gain(self, buyer: str, proposal: MergeProposal) -> GainReport:
-        value = proposal.broker_loss_before - proposal.broker_loss_after
-        return GainReport(GainKind.LOSS_DIFFERENCE, value, trade_beneficial=value > 0.0)
-
-    def merged_params(self, buyer: str, seller: str, weight: float):
-        return self._final[(buyer, seller, weight)][0]
-
-    def final_loss(self, agent: str, chosen: tuple | None) -> float:
-        if chosen is None:
-            return self.dot_loss(agent)
-        seller, weight = chosen
-        return self._final[(agent, seller, weight)][1]
+        return gain_loss_difference(proposal)
 
 
 def _is_trade_round(cfg: MarketConfig, round_index: int) -> bool:
@@ -479,104 +466,94 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
     active = {
         s.agent_id: trading and round_index >= s.start_round for s in states
     }
+    fedavg = states[0].policy.kind is PolicyKind.FEDAVG
 
     records: list[TradeRecord] = []
-    chosen: dict = {s.agent_id: None for s in states}  # (seller, weight) when a merge ships
+    chosen: dict = {s.agent_id: None for s in states}  # the MergeProposal that ships
+    evaluated: dict = {}  # (buyer, seller) -> (proposal, gain)
 
-    if states[0].policy.kind is PolicyKind.FEDAVG:
-        if trading:
-            a, b = states
-            for st, other in ((a, b), (b, a)):
-                w = fedavg_weight(st.n_samples, other.n_samples)
-                # The fixed-weight merge always ships; the logged gain is the
-                # realized broker-loss difference, beneficial or not.
-                value = view.dot_loss(st.agent_id) - view.merged_loss(st.agent_id, other.agent_id, w)
-                gain = GainReport(GainKind.LOSS_DIFFERENCE, value, trade_beneficial=value > 0.0)
-                chosen[st.agent_id] = (other.agent_id, w)
-                records.append(
-                    TradeRecord(round_index, st.agent_id, other.agent_id, w, gain,
-                                None, None, 0.0, True)
-                )
-    else:
-        proposals: dict = {}
-        gains: dict = {}
-
-        def evaluate(buyer: str, seller: str):
-            if (buyer, seller) not in proposals:
+    def evaluate(buyer: str, seller: str):
+        if (buyer, seller) not in evaluated:
+            if fedavg:
+                # Fixed data-share weight, no search; the logged gain is the
+                # realized broker-loss difference whatever the configured kind.
+                w = fedavg_weight(by_id[buyer].n_samples, by_id[seller].n_samples)
+                p = view.propose(buyer, seller, w)
+                evaluated[(buyer, seller)] = p, gain_loss_difference(p)
+            else:
                 p = view.propose(buyer, seller)
-                proposals[(buyer, seller)] = p
-                gains[(buyer, seller)] = view.gain(buyer, p)
-            return proposals[(buyer, seller)], gains[(buyer, seller)]
+                evaluated[(buyer, seller)] = p, view.gain(buyer, p)
+        return evaluated[(buyer, seller)]
 
-        for st in states:
-            u = st.agent_id
-            if not active[u] or st.policy.kind is PolicyKind.NEVER_TRADE:
-                continue
-            sellers = [v for v in by_id if v != u and active[v]]
-            if not sellers:
-                continue
-            evaluated = [(v, *evaluate(u, v)) for v in sorted(sellers)]
-            # Target the seller offering the largest gain; ties take the lowest id.
-            seller, proposal, gain = min(evaluated, key=lambda e: (-e[2].value, e[0]))
-            decide = st.decision or default_decision
-            wants = decide(DecisionContext(round_index, gain, proposal.weight, st.policy))
-            if not wants:
-                records.append(
-                    TradeRecord(round_index, u, seller, proposal.weight, gain,
-                                None, None, None, False)
-                )
-                continue
-            if not cfg.pricing:
-                chosen[u] = (seller, proposal.weight)
-                records.append(
-                    TradeRecord(round_index, u, seller, proposal.weight, gain,
-                                None, None, 0.0, True)
-                )
-                continue
-            # Competitive settlement: the buyer bids its gain; the seller asks
-            # the virtual valuation built from its own reverse gain and both
-            # quoted weights, never from the buyer's numbers.
-            buyer_valuation = gain.value
-            _, reverse_gain = evaluate(seller, u)
-            if math.isfinite(reverse_gain.value):
-                if cfg.seller_pricing == "lower-bound":
-                    seller_valuation = buyer_gain_bounds(
-                        reverse_gain.value, proposals[(seller, u)].weight, proposal.weight
-                    ).lower
-                else:
-                    seller_valuation = seller_virtual_valuation(
-                        reverse_gain.value, proposals[(seller, u)].weight, proposal.weight
-                    )
-            else:
-                # Measure-zero corner: the seller's own merge hit the truth
-                # exactly, so its reverse gain carries no information.
-                seller_valuation = buyer_valuation if math.isfinite(buyer_valuation) else 0.0
-            if math.isfinite(buyer_valuation):
-                payment = settle(buyer_valuation, seller_valuation)
-            else:
-                # Unbounded bid (perfect merge for the buyer): buy at the ask.
-                payment = seller_valuation
-            executed = payment is not None
-            if executed:
-                chosen[u] = (seller, proposal.weight)
-                cum_payments[u] -= payment
-                cum_payments[seller] += payment
+    for st in states:
+        u = st.agent_id
+        if not active[u] or st.policy.kind is PolicyKind.NEVER_TRADE:
+            continue
+        sellers = [v for v in by_id if v != u and active[v]]
+        if not sellers:
+            continue
+        offers = [(v, *evaluate(u, v)) for v in sorted(sellers)]
+        # Target the seller offering the largest gain; ties take the lowest id.
+        seller, proposal, gain = min(offers, key=lambda e: (-e[2].value, e[0]))
+        decide = st.decision or default_decision
+        wants = decide(DecisionContext(round_index, gain, proposal.weight, st.policy))
+        if not wants:
             records.append(
                 TradeRecord(round_index, u, seller, proposal.weight, gain,
-                            buyer_valuation, seller_valuation,
-                            payment if executed else None, executed)
+                            None, None, None, False)
             )
+            continue
+        if not cfg.pricing:
+            chosen[u] = proposal
+            records.append(
+                TradeRecord(round_index, u, seller, proposal.weight, gain,
+                            None, None, 0.0, True)
+            )
+            continue
+        # Competitive settlement: the buyer bids its gain; the seller asks
+        # the virtual valuation built from its own reverse gain and both
+        # quoted weights, never from the buyer's numbers.
+        buyer_valuation = gain.value
+        reverse, reverse_gain = evaluate(seller, u)
+        if math.isfinite(reverse_gain.value):
+            if cfg.seller_pricing == "lower-bound":
+                seller_valuation = buyer_gain_bounds(
+                    reverse_gain.value, reverse.weight, proposal.weight
+                ).lower
+            else:
+                seller_valuation = seller_virtual_valuation(
+                    reverse_gain.value, reverse.weight, proposal.weight
+                )
+        else:
+            # Measure-zero corner: the seller's own merge hit the truth
+            # exactly, so its reverse gain carries no information.
+            seller_valuation = buyer_valuation if math.isfinite(buyer_valuation) else 0.0
+        if math.isfinite(buyer_valuation):
+            payment = settle(buyer_valuation, seller_valuation)
+        else:
+            # Unbounded bid (perfect merge for the buyer): buy at the ask.
+            payment = seller_valuation
+        executed = payment is not None
+        if executed:
+            chosen[u] = proposal
+            cum_payments[u] -= payment
+            cum_payments[seller] += payment
+        records.append(
+            TradeRecord(round_index, u, seller, proposal.weight, gain,
+                        buyer_valuation, seller_valuation,
+                        payment if executed else None, executed)
+        )
 
     new_states = []
     rows = []
     for st in states:
         u = st.agent_id
-        if chosen[u] is None:
-            final = dots[u]
+        shipped = chosen[u]
+        if shipped is None:
+            final, broker_loss = dots[u], view.dot_loss(u)
         else:
-            final = view.merged_params(u, *chosen[u])
+            final, broker_loss = shipped.merged, shipped.broker_loss_after
         new_states.append(replace(st, params=final))
-        broker_loss = view.final_loss(u, chosen[u])
         own_loss = st.model.own_loss(final)
         dot_own = st.model.own_loss(dots[u])
         if not (math.isfinite(broker_loss) and math.isfinite(own_loss)):

@@ -140,29 +140,20 @@ def myerson_price_numeric(prior: PriorDistribution, tol: float = 1e-10) -> float
     return price
 
 
-def seller_virtual_valuation(
-    gain_a: float,
-    alpha: float,
-    beta: float,
-    prior_kind: PriorKind = PriorKind.UNIFORM,
-) -> float:
+def seller_virtual_valuation(gain_a: float, alpha: float, beta: float) -> float:
     """Seller's estimate of the buyer's willingness to pay.
 
     Boxes the buyer's gain with `buyer_gain_bounds`, then prices it: a finite
-    interval gets the Bayesian-optimal price under a prior on the interval
-    (clamped back into it); an unbounded interval falls back to its lower
-    endpoint, the only certain part of the estimate.
+    interval gets the Bayesian-optimal price under a uniform prior on the
+    interval (clamped back into it); an unbounded interval falls back to its
+    lower endpoint, the only certain part of the estimate.
     """
     b = buyer_gain_bounds(gain_a, alpha, beta)
     if math.isinf(b.upper):
         return b.lower
     if b.upper - b.lower <= 0.0:
         return b.lower
-    if prior_kind is PriorKind.UNIFORM:
-        price = myerson_price(PriorDistribution.uniform(b.lower, b.upper))
-    else:
-        # Exponential prior calibrated so its mean sits at the interval midpoint.
-        price = myerson_price(PriorDistribution.exponential(2.0 / (b.lower + b.upper)))
+    price = myerson_price(PriorDistribution.uniform(b.lower, b.upper))
     return min(max(price, b.lower), b.upper)
 
 

@@ -6,19 +6,37 @@ from hypothesis import strategies as st
 from paramarket.broker import (
     WEIGHT_FLOOR,
     GainKind,
+    MergeProposal,
     PerfectMergeError,
     fedavg_weight,
     gain_error_ratio,
     gain_loss_difference,
-    optimize_merge_weight,
     optimize_merge_weight_searched,
 )
 from paramarket.core import LabeledDataset, LossSpec, ParameterVector, empirical_loss, merge
+from paramarket.engine import LinearBrokerEngine
 from paramarket.linear import synthesize_task
 
 
 def pv(*values):
     return ParameterVector(np.array(values, dtype=float))
+
+
+def propose(buyer, seller, data):
+    """The linear broker's try-before-purchase merge on sum-of-squares loss."""
+    engine = LinearBrokerEngine(data, LossSpec.SUM_OF_SQUARES, GainKind.LOSS_DIFFERENCE, None)
+    return engine.begin_round({"buyer": buyer, "seller": seller}).propose("buyer", "seller")
+
+
+def loss_difference(dot, merged, data):
+    """Loss-difference gain of replacing ``dot`` by ``merged`` on sum-of-squares loss."""
+    proposal = MergeProposal(
+        weight=1.0,
+        merged=merged,
+        broker_loss_before=empirical_loss(dot, data, LossSpec.SUM_OF_SQUARES),
+        broker_loss_after=empirical_loss(merged, data, LossSpec.SUM_OF_SQUARES),
+    )
+    return gain_loss_difference(proposal)
 
 
 class TestOptimizeMergeWeight:
@@ -27,20 +45,20 @@ class TestOptimizeMergeWeight:
         truth = ParameterVector(rng.standard_normal(5))
         task = synthesize_task(5, 40, 0.0, truth, rng)
         buyer = ParameterVector(truth.values + rng.standard_normal(5))
-        p = optimize_merge_weight(buyer, truth, task.data)
+        p = propose(buyer, truth, task.data)
         assert p.weight == 1.0
         assert p.broker_loss_after == pytest.approx(0.0, abs=1e-18)
 
     def test_closed_form_hand_value(self):
         data = LabeledDataset(np.array([[1.0]]), np.array([1.0]))
-        p = optimize_merge_weight(pv(0.0), pv(2.0), data)
+        p = propose(pv(0.0), pv(2.0), data)
         assert p.weight == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_allclose(p.merged.values, [1.0])
         assert p.broker_loss_after == pytest.approx(0.0, abs=1e-18)
 
     def test_degenerate_identical_parties(self):
         data = LabeledDataset(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]))
-        p = optimize_merge_weight(pv(3.0), pv(3.0), data)
+        p = propose(pv(3.0), pv(3.0), data)
         assert p.weight == WEIGHT_FLOOR
         assert p.broker_loss_after == pytest.approx(p.broker_loss_before, rel=1e-9)
 
@@ -51,7 +69,7 @@ class TestOptimizeMergeWeight:
             task = synthesize_task(4, 30, 0.1, truth, rng)
             buyer = ParameterVector(rng.standard_normal(4))
             seller = ParameterVector(rng.standard_normal(4))
-            p = optimize_merge_weight(buyer, seller, task.data)
+            p = propose(buyer, seller, task.data)
             for nu in np.arange(1e-3, 1.0 + 1e-12, 1e-3):
                 grid_loss = empirical_loss(merge(buyer, seller, float(nu)), task.data)
                 assert p.broker_loss_after <= grid_loss + 1e-9 * (1 + grid_loss)
@@ -62,7 +80,7 @@ class TestOptimizeMergeWeight:
         task = synthesize_task(3, 20, 0.0, truth, rng)
         buyer = ParameterVector(rng.standard_normal(3))
         seller = ParameterVector(rng.standard_normal(3))
-        p = optimize_merge_weight(buyer, seller, task.data)
+        p = propose(buyer, seller, task.data)
         assert p.broker_loss_after <= empirical_loss(merge(buyer, seller, 0.5), task.data)
 
     def test_searched_variant_matches_quadratic_optimum(self):
@@ -71,7 +89,7 @@ class TestOptimizeMergeWeight:
         task = synthesize_task(3, 25, 0.0, truth, rng)
         buyer = ParameterVector(rng.standard_normal(3))
         seller = ParameterVector(rng.standard_normal(3))
-        closed = optimize_merge_weight(buyer, seller, task.data)
+        closed = propose(buyer, seller, task.data)
         searched_w, searched_loss = optimize_merge_weight_searched(
             lambda w: empirical_loss(merge(buyer, seller, w), task.data)
         )
@@ -82,15 +100,15 @@ class TestOptimizeMergeWeight:
 class TestGains:
     def test_loss_difference_zero_for_identical(self):
         data = LabeledDataset(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]))
-        g = gain_loss_difference(pv(0.0), pv(0.0), data)
+        g = loss_difference(pv(0.0), pv(0.0), data)
         assert g.value == 0.0 and not g.trade_beneficial
 
     def test_loss_difference_hand_value_and_antisymmetry(self):
         data = LabeledDataset(np.array([[1.0]]), np.array([0.0]))
         dot, merged = pv(np.sqrt(5.0)), pv(np.sqrt(2.0))
-        g = gain_loss_difference(dot, merged, data)
+        g = loss_difference(dot, merged, data)
         assert g.value == pytest.approx(3.0, rel=1e-12) and g.trade_beneficial
-        g_back = gain_loss_difference(merged, dot, data)
+        g_back = loss_difference(merged, dot, data)
         assert g_back.value == pytest.approx(-g.value, rel=1e-12)
 
     def test_error_ratio_values(self):
@@ -113,7 +131,7 @@ class TestGains:
         for _ in range(200):
             dot = ParameterVector(star.values + rng.standard_normal(6))
             merged = ParameterVector(star.values + rng.standard_normal(6))
-            diff = gain_loss_difference(dot, merged, data)
+            diff = loss_difference(dot, merged, data)
             ratio = gain_error_ratio(dot, merged, star)
             assert diff.trade_beneficial == ratio.trade_beneficial
 
@@ -141,6 +159,6 @@ class TestFedavgWeight:
             buyer = ParameterVector(rng.standard_normal(4))
             seller = ParameterVector(rng.standard_normal(4))
             w = fedavg_weight(int(rng.integers(1, 500)), int(rng.integers(1, 500)))
-            p = optimize_merge_weight(buyer, seller, task.data)
+            p = propose(buyer, seller, task.data)
             fixed = empirical_loss(merge(buyer, seller, w), task.data)
             assert p.broker_loss_after <= fixed + 1e-12 * (1 + fixed)

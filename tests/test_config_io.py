@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paramarket.broker import GainKind
 from paramarket.config import ConfigError, load_config, load_sweep, parse_config, parse_sweep
@@ -35,6 +37,21 @@ n = 300
 """
 
 MINIMAL_MLP = MINIMAL.replace("gain_kind = error-ratio", "gain_kind = loss-difference\nmodel = mlp")
+
+BUNDLED = sorted(CONFIGS.glob("*.cfg"))
+
+# Replacement values for one key: corner cases of every value kind the schema
+# has, plus arbitrary numbers and single-line text.
+MUTATED_VALUES = st.one_of(
+    st.sampled_from([
+        "", "0", "-1", "1", "2", "7", "0.5", "1.5", "-0.5", "nan", "inf", "1e400",
+        "all", "0,1", "0,0", "4,x", "3 | x", "0 | 1", "on", "off", "auto",
+        "asynchronous:-1", "asynchronous:x", "fedavg", "normal:x", "mlp", "layers",
+    ]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12),
+)
 
 
 class TestConfigParsing:
@@ -88,6 +105,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL_MLP.replace(old, "n = 1", 1))
         assert (err.value.section, err.value.key) == (section, "n")
+
+    def test_mlp_bounds_accept_their_edges(self):
+        cfg = parse_config(MINIMAL_MLP + "\n[mlp]\nhidden = 4,4\nlayer_set = 0,2\nclasses = 2\nalign_sweeps = 1\n")
+        assert cfg.mlp.hidden == (4, 4) and cfg.mlp.layer_set == (0, 2)
+        assert parse_config(MINIMAL_MLP + "\n[mlp]\nhidden =\nlayer_set = 0\n").mlp.layer_set == (0,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_bundled_config_parses_or_raises_config_error(self, data):
+        path = data.draw(st.sampled_from(BUNDLED), label="config")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        keyed = [i for i, line in enumerate(lines) if "=" in line and not line.startswith((";", "["))]
+        i = data.draw(st.sampled_from(keyed), label="line")
+        lines[i] = lines[i].split("=", 1)[0] + "= " + data.draw(MUTATED_VALUES, label="value")
+        text = "\n".join(lines) + "\n"
+        parse = parse_sweep if "\n[sweep]" in text else parse_config
+        try:
+            parse(text)
+        except ConfigError:
+            pass
 
     def test_bundled_configs_all_parse(self):
         for name in os.listdir(CONFIGS):
@@ -213,6 +250,65 @@ class TestCli:
         assert r.returncode == 2, r.stderr
         assert diagnostic in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("align_sweeps", "0"),
+            ("align_sweeps", "-1"),
+            ("classes", "1"),
+            ("input_dim", "3"),
+            ("hidden", "0,4"),
+            ("layer_set", "3"),
+            ("layer_set", ""),
+        ],
+    )
+    def test_invalid_mlp_key_exit_code_and_diagnostic(self, tmp_path, key, value):
+        mlp = {"hidden": "4,4", key: value}
+        section = "".join(f"{k} = {v}\n" for k, v in mlp.items())
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MINIMAL_MLP + "\n[mlp]\n" + section, encoding="utf-8")
+        r = run_cli("simulate", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert f"[mlp] {key}:" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize(
+        "text, diagnostic",
+        [
+            ("[market\nseed = 1\n", "unparsable config"),
+            (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 3 | x\n", "[sweep] values:"),
+            (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 0\n", "[sweep] values:"),
+            (MINIMAL + "\n[sweep]\naxis = endowment\nvalues = 0.5 | 0\n", "[sweep] values:"),
+            (MINIMAL + "\n[sweep]\naxis = endowment\nvalues = 1.5\n", "[sweep] values:"),
+            (MINIMAL + "\n[sweep]\naxis = layers\nvalues = all\n", "[sweep] axis:"),
+            (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 0 | 4\n", "[sweep] values:"),
+        ],
+        ids=["unparsable", "non-numeric-cell", "zero-frequency", "zero-endowment",
+             "endowment-above-one", "layers-on-linear", "layer-out-of-range"],
+    )
+    def test_invalid_sweep_exit_code_and_diagnostic(self, tmp_path, text, diagnostic):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text, encoding="utf-8")
+        r = run_cli("sweep", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert diagnostic in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (("bounds-check", "--trials", "-5"), "--trials"),
+            (("bounds-check", "--trials", "0"), "--trials"),
+            (("sweep", str(CONFIGS / "frequency_sweep.cfg"), "--jobs", "0"), "--jobs"),
+        ],
+        ids=["negative-trials", "zero-trials", "zero-jobs"],
+    )
+    def test_counts_in_flags_must_be_positive(self, tmp_path, args, flag):
+        r = run_cli(*args, "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert f"argument {flag}:" in r.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = tmp_path / "div.cfg"

@@ -213,7 +213,20 @@ class TestBaselines:
             ),
             broker=BrokerSpec(n_samples=800),
         )
-        log = run_simulation(cfg)
+        from paramarket.broker import fedavg_weight
+        from paramarket.engine import LinearBrokerEngine, run_prepared_simulation
+
+        states, base, truth = build_market(cfg, np.random.default_rng(cfg.seed))
+        views = []
+
+        class Recording(LinearBrokerEngine):
+            def begin_round(self, dots):
+                views.append(super().begin_round(dots))
+                return views[-1]
+
+        engine = Recording(base.data, base.loss_spec, cfg.gain_kind, base.truth)
+        log = run_prepared_simulation(cfg, states, engine, truth)
+        assert log.trades == run_simulation(cfg).trades
         by_round = defaultdict(dict)
         for row in log.curves:
             by_round[row.round_index][row.agent] = row.broker_loss
@@ -222,6 +235,17 @@ class TestBaselines:
                 assert losses["a"] == pytest.approx(losses["b"], rel=1e-12)
         weights = {r.merge_weight for r in log.trades if r.buyer == "a"}
         assert weights == {30 / 120}
+        # Every round merges both ways at the fixed weight, free of charge; the
+        # logged gain is the realized broker-loss difference at that weight.
+        assert len(log.trades) == 2 * cfg.rounds
+        n = {"a": 90, "b": 30}
+        for r in log.trades:
+            assert r.indicator and r.payment == 0.0
+            assert r.gain.kind is GainKind.LOSS_DIFFERENCE
+            view = views[r.round_index - 1]
+            w = fedavg_weight(n[r.buyer], n[r.seller])
+            assert r.merge_weight == w
+            assert r.gain.value == view.dot_loss(r.buyer) - view.merged_loss(r.buyer, r.seller, w)
 
     def test_always_trade_buys_even_without_benefit(self):
         log = run_simulation(linear_cfg(policies=(ALWAYS, ALWAYS), rounds=10))

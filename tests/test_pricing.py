@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from paramarket.bounds import buyer_gain_bounds
 from paramarket.pricing import (
     PriorDistribution,
-    PriorKind,
     ValuationQuadruple,
     cobb_douglas_revenue,
     myerson_price,
@@ -122,11 +121,6 @@ class TestSellerVirtualValuation:
             bounds = buyer_gain_bounds(g, a, be)
             assert bounds.lower <= v
             assert math.isinf(bounds.upper) or v <= bounds.upper
-
-    def test_exponential_prior_variant_prices_midpoint(self):
-        b = buyer_gain_bounds(4.0, 0.9, 0.9)
-        v = seller_virtual_valuation(4.0, 0.9, 0.9, prior_kind=PriorKind.EXPONENTIAL)
-        assert v == pytest.approx((b.lower + b.upper) / 2.0, rel=1e-12)
 
 
 class TestSettle:

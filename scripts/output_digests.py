@@ -1,11 +1,11 @@
 """Print the sha256 of every deterministic run output, for before/after diffs.
 
-For each bundled config (sweep configs contribute their base market) plus two
-fedavg variants, runs the market and its never-trade twin through
-``experiments.run_with_twin`` and prints one line per output: config, run
-(market or twin), artifact (trades_csv, curves_csv, summary_dict JSON) and
-digest. A refactor that must not change results gives identical output on
-both commits:
+For each bundled config (sweep configs contribute their base market), every
+layer set of the layer-subset sweep and two fedavg variants, runs the market
+and its never-trade twin through ``experiments.run_with_twin`` and prints one
+line per output: config, run (market or twin), artifact (trades_csv,
+curves_csv, summary_dict JSON) and digest. A refactor that must not change
+results gives identical output on both commits:
 
     PYTHONPATH=src python scripts/output_digests.py > after.txt
 """
@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from paramarket.broker import GainKind
-from paramarket.config import load_config
+from paramarket.config import load_config, load_sweep
 from paramarket.experiments import run_with_twin
 from paramarket.io import curves_csv, summary_dict, trades_csv
 
@@ -27,6 +27,11 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def _markets():
     for path in sorted(CONFIGS.glob("*.cfg")):
         yield path.stem, load_config(str(path))
+    layers = load_sweep(str(CONFIGS / "mlp_subset_sweep.cfg"))
+    for layer_set in layers.values:
+        label = "all" if layer_set is None else ",".join(map(str, layer_set))
+        mlp = replace(layers.base.mlp, layer_set=layer_set)
+        yield f"mlp_subset_sweep[{label}]", replace(layers.base, mlp=mlp)
     fedavg = load_config(str(CONFIGS / "fedavg.cfg"))
     yield "fedavg+loss-difference", replace(fedavg, gain_kind=GainKind.LOSS_DIFFERENCE)
     yield "fedavg+start3-every2", replace(fedavg, trade_start=3, trade_every=2)

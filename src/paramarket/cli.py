@@ -12,6 +12,7 @@ failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -136,16 +137,7 @@ def _cmd_bounds_check(args) -> int:
 
 def _cmd_price(args) -> int:
     if args.prior:
-        kind, _, params = args.prior.partition(":")
-        if kind == "uniform":
-            lo, hi = (float(v) for v in params.split(","))
-            prior = PriorDistribution.uniform(lo, hi)
-        elif kind == "exponential":
-            prior = PriorDistribution.exponential(float(params))
-        else:
-            print(f"unknown prior kind {kind!r}; use uniform:lo,hi or exponential:rate", file=sys.stderr)
-            return 2
-        print(f"myerson_price={io_mod.fmt(myerson_price(prior))}")
+        print(f"myerson_price={io_mod.fmt(myerson_price(args.prior))}")
         return 0
     q = ValuationQuadruple(
         v_a_self=args.va_self, v_b_of_a=args.vb_of_a, v_b_self=args.vb_self, v_a_of_b=args.va_of_b
@@ -206,6 +198,33 @@ def _int_at_least(minimum: int):
     return cast
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw}")
+    return value
+
+
+_finite_float.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
+def _prior(raw: str) -> PriorDistribution:
+    kind, _, params = raw.partition(":")
+    try:
+        values = [float(v) for v in params.split(",")]
+        if all(map(math.isfinite, values)):
+            if kind == "uniform" and len(values) == 2:
+                return PriorDistribution.uniform(*values)
+            if kind == "exponential" and len(values) == 1:
+                return PriorDistribution.exponential(values[0])
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"invalid prior {raw!r}; use uniform:lo,hi with finite 0 <= lo <= hi "
+        "or exponential:rate with a finite rate > 0"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="paramarket", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -229,11 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=_cmd_bounds_check)
 
     p_price = sub.add_parser("price", help="evaluate a valuation quadruple or a prior")
-    p_price.add_argument("--prior", default=None, help="uniform:lo,hi or exponential:rate")
-    p_price.add_argument("--va-self", type=float, default=0.0, dest="va_self")
-    p_price.add_argument("--vb-of-a", type=float, default=0.0, dest="vb_of_a")
-    p_price.add_argument("--vb-self", type=float, default=0.0, dest="vb_self")
-    p_price.add_argument("--va-of-b", type=float, default=0.0, dest="va_of_b")
+    p_price.add_argument("--prior", type=_prior, default=None, help="uniform:lo,hi or exponential:rate")
+    p_price.add_argument("--va-self", type=_finite_float, default=0.0, dest="va_self")
+    p_price.add_argument("--vb-of-a", type=_finite_float, default=0.0, dest="vb_of_a")
+    p_price.add_argument("--vb-self", type=_finite_float, default=0.0, dest="vb_self")
+    p_price.add_argument("--va-of-b", type=_finite_float, default=0.0, dest="va_of_b")
     p_price.set_defaults(func=_cmd_price)
 
     p_align = sub.add_parser("align-demo", help="permuted-clone alignment demonstration")

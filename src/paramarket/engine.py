@@ -10,9 +10,12 @@ for free. Baseline policies (never trade, always trade, fixed-weight
 averaging) and per-agent start delays slot into the same loop.
 
 The broker engine opens one round view per round over the agents'
-post-step parameters. The view offers ``dot_loss`` and ``merged_loss`` (broker
-loss before and along a merge), ``propose`` (the merge at the searched
-weight, or at a fixed one for fedavg) and ``gain``. The ``MergeProposal`` a
+post-step parameters. Every view offers ``dot_loss`` (broker loss before a
+merge, computed once per agent per round), ``propose`` (the merge at the
+searched weight, or at a fixed one for fedavg) and ``gain``. The linear view
+also offers ``merged_loss`` along a merge, from cached residuals; the mlp
+view scores each searched weight on the merge path (``mlp.merge_path_loss``)
+and builds a network only for the merge it proposes. The ``MergeProposal`` a
 buyer settles on is the merge that ships: its ``merged`` parameters and
 ``broker_loss_after`` become the agent's new state and curve row.
 """
@@ -398,9 +401,10 @@ class MlpRoundView:
     def __init__(self, engine: MlpBrokerEngine, dots: dict):
         self.engine = engine
         self.dots = dots
+        self._dot_loss = {u: engine.loss(p) for u, p in dots.items()}
 
     def dot_loss(self, u: str) -> float:
-        return self.engine.loss(self.dots[u])
+        return self._dot_loss[u]
 
     def propose(self, buyer: str, seller: str) -> MergeProposal:
         eng = self.engine
@@ -409,10 +413,7 @@ class MlpRoundView:
         )
         aligned = mlp_mod.apply_permutation(self.dots[seller], perms)
         layers = eng.layer_set or tuple(range(self.dots[buyer].n_layers))
-
-        def loss_at(w: float) -> float:
-            return eng.loss(mlp_mod.subset_merge(self.dots[buyer], aligned, layers, w))
-
+        loss_at = mlp_mod.merge_path_loss(self.dots[buyer], aligned, layers, eng.data, eng.task_kind)
         weight, loss_after = optimize_merge_weight_searched(loss_at)
         return MergeProposal(
             weight=weight,

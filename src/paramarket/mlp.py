@@ -30,6 +30,7 @@ __all__ = [
     "matching_objective",
     "apply_permutation",
     "subset_merge",
+    "merge_path_loss",
     "two_moons",
 ]
 
@@ -37,6 +38,11 @@ __all__ = [
 class TaskKind(Enum):
     REGRESSION = "regression"
     CLASSIFICATION = "classification"
+
+
+def _check_finite(i: int, w: np.ndarray, b: np.ndarray) -> None:
+    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        raise ValueError(f"layer {i} contains non-finite entries")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -66,8 +72,7 @@ class MlpParams:
                 raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} do not agree")
             if i > 0 and w.shape[1] != ws[i - 1].shape[0]:
                 raise DimensionMismatchError(ws[i - 1].shape[0], w.shape[1], f"layer {i} fan-in")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {i} contains non-finite entries")
+            _check_finite(i, w, b)
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "biases", bs)
 
@@ -152,16 +157,26 @@ def _frozen_perm(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def mlp_forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
-    """Outputs of the net on a batch of row-vector inputs."""
+def _checked_inputs(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if x.shape[1] != params.layer_sizes[0]:
         raise DimensionMismatchError(params.layer_sizes[0], x.shape[1], "input features")
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    return x
+
+
+def _chain(x: np.ndarray, weights, biases, n_relu: int) -> np.ndarray:
+    """Run consecutive layers over ``x``; the first ``n_relu`` outputs pass a ReLU."""
+    for i, (w, b) in enumerate(zip(weights, biases)):
         x = x @ w.T + b
-        if i < params.n_layers - 1:
+        if i < n_relu:
             x = np.maximum(x, 0.0)
     return x
+
+
+def mlp_forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
+    """Outputs of the net on a batch of row-vector inputs."""
+    x = _checked_inputs(params, inputs)
+    return _chain(x, params.weights, params.biases, params.n_layers - 1)
 
 
 def _softmax_log(z: np.ndarray) -> np.ndarray:
@@ -177,16 +192,27 @@ def mlp_forward_loss(params: MlpParams, data: LabeledDataset, task_kind: TaskKin
     cross-entropy against integer class labels.
     """
     out = mlp_forward(params, data.inputs)
+    return _output_loss(out, _loss_targets(data.labels, out.shape[1], task_kind), task_kind)
+
+
+def _loss_targets(labels: np.ndarray, n_out: int, task_kind: TaskKind) -> np.ndarray:
+    """The labels `_output_loss` scores against, checked against ``n_out`` output units."""
     if task_kind is TaskKind.REGRESSION:
-        if out.shape[1] != 1:
-            raise DimensionMismatchError(1, out.shape[1], "regression output units")
-        r = out[:, 0] - data.labels
+        if n_out != 1:
+            raise DimensionMismatchError(1, n_out, "regression output units")
+        return labels
+    classes = labels.astype(np.intp)
+    if classes.min() < 0 or classes.max() >= n_out:
+        raise ValueError(f"class labels must lie in [0, {n_out - 1}]")
+    return classes
+
+
+def _output_loss(out: np.ndarray, targets: np.ndarray, task_kind: TaskKind) -> float:
+    if task_kind is TaskKind.REGRESSION:
+        r = out[:, 0] - targets
         return float(r @ r)
-    classes = data.labels.astype(np.intp)
-    if classes.min() < 0 or classes.max() >= out.shape[1]:
-        raise ValueError(f"class labels must lie in [0, {out.shape[1] - 1}]")
     logp = _softmax_log(out)
-    return float(-logp[np.arange(len(classes)), classes].mean())
+    return float(-logp[np.arange(len(targets)), targets].mean())
 
 
 def mlp_loss_gradients(params: MlpParams, data: LabeledDataset, task_kind: TaskKind):
@@ -435,6 +461,51 @@ def subset_merge(
     A layer's weight matrix and bias travel together. The full layer set
     reproduces an ordinary whole-network merge.
     """
+    layers = _merge_layers(buyer, seller_aligned, layer_set)
+    _check_weight(weight)
+    ws, bs = list(buyer.weights), list(buyer.biases)
+    for i in layers:
+        ws[i], bs[i] = _blend(buyer, seller_aligned, i, weight)
+    return MlpParams(tuple(ws), tuple(bs))
+
+
+def merge_path_loss(
+    buyer: MlpParams,
+    seller_aligned: MlpParams,
+    layer_set,
+    data: LabeledDataset,
+    task_kind: TaskKind,
+):
+    """Loss along a subset merge path, scored without building merged nets.
+
+    Returns ``loss_at(weight)``, equal bit for bit to ``mlp_forward_loss(
+    subset_merge(buyer, seller_aligned, layer_set, weight), data, task_kind)``
+    and raising the same errors. Everything that does not depend on the
+    weight is done once: the architecture, layer-set, input and label checks,
+    and the forward pass through the buyer layers before the first merged one.
+    Each call blends only the merged layers and runs the layers from there on.
+    """
+    layers = _merge_layers(buyer, seller_aligned, layer_set)
+    x = _checked_inputs(buyer, data.inputs)
+    targets = _loss_targets(data.labels, buyer.layer_sizes[-1], task_kind)
+    first = layers[0]
+    head = _chain(x, buyer.weights[:first], buyer.biases[:first], first)
+    n_relu = buyer.n_layers - 1 - first
+
+    def loss_at(weight: float) -> float:
+        _check_weight(weight)
+        ws, bs = list(buyer.weights[first:]), list(buyer.biases[first:])
+        for i in layers:
+            w, b = _blend(buyer, seller_aligned, i, weight)
+            _check_finite(i, w, b)
+            ws[i - first], bs[i - first] = w, b
+        return _output_loss(_chain(head, ws, bs, n_relu), targets, task_kind)
+
+    return loss_at
+
+
+def _merge_layers(buyer: MlpParams, seller_aligned: MlpParams, layer_set) -> list:
+    """Sorted indices of a non-empty layer set of two nets of one architecture."""
     if not buyer.same_architecture(seller_aligned):
         raise ValueError(
             f"architecture mismatch: {buyer.layer_sizes} vs {seller_aligned.layer_sizes}"
@@ -444,18 +515,20 @@ def subset_merge(
         raise ValueError("layer set must be non-empty")
     if layers[0] < 0 or layers[-1] >= buyer.n_layers:
         raise ValueError(f"layer indices {layers} out of range for {buyer.n_layers} layers")
+    return layers
+
+
+def _check_weight(weight: float) -> None:
     if not (0.0 < weight <= 1.0):
         raise ValueError(f"merge weight must lie in (0, 1], got {weight}")
-    chosen = set(layers)
-    ws, bs = [], []
-    for i in range(buyer.n_layers):
-        if i in chosen:
-            ws.append((1.0 - weight) * buyer.weights[i] + weight * seller_aligned.weights[i])
-            bs.append((1.0 - weight) * buyer.biases[i] + weight * seller_aligned.biases[i])
-        else:
-            ws.append(buyer.weights[i])
-            bs.append(buyer.biases[i])
-    return MlpParams(tuple(ws), tuple(bs))
+
+
+def _blend(buyer: MlpParams, seller_aligned: MlpParams, i: int, weight: float) -> tuple:
+    """Layer ``i``'s weight matrix and bias at ``weight`` along the merge path."""
+    return (
+        (1.0 - weight) * buyer.weights[i] + weight * seller_aligned.weights[i],
+        (1.0 - weight) * buyer.biases[i] + weight * seller_aligned.biases[i],
+    )
 
 
 def two_moons(n: int, noise: float, rng: np.random.Generator) -> LabeledDataset:

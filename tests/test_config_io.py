@@ -491,6 +491,28 @@ class TestCli:
         r = run_cli("price", "--prior", "exponential:4", cwd=tmp_path)
         assert "myerson_price=0.25" in r.stdout
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (("--prior", "uniform:3,0"), "--prior"),
+            (("--prior", "uniform:x"), "--prior"),
+            (("--prior", "uniform:1"), "--prior"),
+            (("--prior", "exponential:-1"), "--prior"),
+            (("--prior", "exponential:"), "--prior"),
+            (("--va-self", "nan"), "--va-self"),
+            (("--vb-of-a", "inf"), "--vb-of-a"),
+            (("--vb-self=-inf",), "--vb-self"),
+            (("--va-of-b", "nan"), "--va-of-b"),
+        ],
+        ids=["uniform-reversed", "uniform-text", "uniform-one-bound", "exponential-negative",
+             "exponential-empty", "va-self-nan", "vb-of-a-inf", "vb-self-minus-inf", "va-of-b-nan"],
+    )
+    def test_invalid_price_input_exit_code_and_diagnostic(self, tmp_path, args, flag):
+        r = run_cli("price", *args, cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert f"argument {flag}:" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_align_demo(self, tmp_path):
         r = run_cli("align-demo", "--seed", "3", "--width", "8", "--out", str(tmp_path), cwd=tmp_path)
         assert r.returncode == 0, r.stderr

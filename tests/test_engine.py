@@ -253,6 +253,32 @@ class TestBaselines:
         assert bought, "always-trade should execute some non-beneficial merges"
 
 
+class TestMlpRoundView:
+    def test_dot_loss_is_computed_once_per_agent_per_round(self):
+        from paramarket.engine import MlpBrokerEngine, run_round
+
+        cfg = MarketConfig(
+            seed=3, rounds=1, gain_kind=GainKind.LOSS_DIFFERENCE,
+            agents=(AgentSpec("a", 0, 40), AgentSpec("b", 0, 40)),
+            broker=BrokerSpec(60), model="mlp", mlp=MlpMarketSpec(hidden=(4, 4)),
+        )
+        states, base, _ = build_market(cfg, np.random.default_rng(cfg.seed))
+        calls = []
+
+        class Counting(MlpBrokerEngine):
+            def loss(self, params):
+                calls.append(params)
+                return super().loss(params)
+
+        engine = Counting(base.data, base.task_kind, base.layer_set, base.align_sweeps)
+        _, records, rows = run_round(states, engine, cfg, 1)
+        # Both agents searched a merge with the other; each broker loss
+        # before a merge was computed once, whatever shipped.
+        assert [(r.buyer, r.seller) for r in records] == [("a", "b"), ("b", "a")]
+        assert len(calls) == 2
+        assert len(rows) == 2
+
+
 class TestMarketOutcomes:
     def test_both_agents_beat_their_twins(self):
         log, twin = run_with_twin(linear_cfg(rounds=40))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from paramarket import mlp
+from paramarket.broker import WEIGHT_FLOOR
 from paramarket.core import DimensionMismatchError, LabeledDataset, empirical_loss, ParameterVector
 from paramarket.mlp import (
     LayerPermutations,
@@ -16,6 +17,7 @@ from paramarket.mlp import (
     apply_permutation,
     linear_assignment,
     matching_objective,
+    merge_path_loss,
     mlp_forward,
     mlp_forward_loss,
     mlp_loss_gradients,
@@ -321,6 +323,61 @@ class TestSubsetMerge:
             subset_merge(a, b, {5}, 0.5)
         with pytest.raises(ValueError):
             subset_merge(a, b, set(), 0.5)
+
+
+class TestMergePathLoss:
+    # The 33 points of the broker's grid scan over [WEIGHT_FLOOR, 1], plus 1.
+    WEIGHTS = [WEIGHT_FLOOR + (1.0 - WEIGHT_FLOOR) * i / 32 for i in range(33)] + [1.0]
+    SUBSETS = [s for k in range(1, 5) for s in itertools.combinations(range(4), k)]
+
+    @staticmethod
+    def pair(kind):
+        n_out = 1 if kind is TaskKind.REGRESSION else 3
+        sizes = (2, 6, 5, 4, n_out)
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((50, 2))
+        labels = rng.standard_normal(50) if kind is TaskKind.REGRESSION else rng.integers(0, 3, 50)
+        return random_net(sizes, 41), random_net(sizes, 42), LabeledDataset(x, labels.astype(float))
+
+    @pytest.mark.parametrize("kind", list(TaskKind))
+    def test_equals_loss_of_built_merge_bit_for_bit(self, kind):
+        buyer, seller, data = self.pair(kind)
+        assert len(self.SUBSETS) == 15
+        for layers in self.SUBSETS:
+            loss_at = merge_path_loss(buyer, seller, layers, data, kind)
+            for w in self.WEIGHTS:
+                expected = mlp_forward_loss(subset_merge(buyer, seller, layers, w), data, kind)
+                assert loss_at(w) == expected, (layers, w)
+
+    @staticmethod
+    def raised(fn):
+        with pytest.raises(Exception) as info:
+            fn()
+        return type(info.value), str(info.value)
+
+    def test_errors_match_the_built_merge(self):
+        buyer, seller, data = self.pair(TaskKind.CLASSIFICATION)
+        kind = TaskKind.CLASSIFICATION
+        narrow = LabeledDataset(np.ones((5, 3)), np.zeros(5))
+        # A blend of two validated nets stays finite, so the non-finite check
+        # needs a seller whose arrays changed after validation.
+        broken = random_net((2, 6, 5, 4, 3), 44)
+        object.__setattr__(broken, "biases", broken.biases[:2] + (np.full(4, np.inf),) + broken.biases[3:])
+        cases = [(buyer, seller, (0, 1), data, kind, w) for w in (0.0, -0.5, 1.5, float("nan"))]
+        cases += [
+            (buyer, seller, (), data, kind, 0.5),
+            (buyer, seller, (4,), data, kind, 0.5),
+            (buyer, seller, (-1, 2), data, kind, 0.5),
+            (buyer, random_net((2, 6, 5, 5, 3), 43), (3,), data, kind, 0.5),
+            (buyer, seller, (1,), narrow, kind, 0.5),
+            (buyer, seller, (2,), LabeledDataset(data.inputs, data.labels + 1.0), kind, 0.5),
+            (buyer, seller, (2,), LabeledDataset(data.inputs, data.labels - 1.0), kind, 0.5),
+            (buyer, seller, (0,), data, TaskKind.REGRESSION, 0.5),
+            (buyer, broken, (1, 2), data, kind, 0.5),
+        ]
+        for b, s, layers, d, k, w in cases:
+            expected = self.raised(lambda: mlp_forward_loss(subset_merge(b, s, layers, w), d, k))
+            assert self.raised(lambda: merge_path_loss(b, s, layers, d, k)(w)) == expected
 
 
 class TestTwoMoons:

@@ -8,6 +8,12 @@ curves_csv, summary_dict JSON) and digest. A refactor that must not change
 results gives identical output on both commits:
 
     PYTHONPATH=src python scripts/output_digests.py > after.txt
+
+Market-name prefixes as arguments keep only the markets whose name starts
+with one of them, for a quicker check of one path; with none, every market
+runs. For example, the neural merge path alone:
+
+    PYTHONPATH=src python scripts/output_digests.py mlp_subset_sweep
 """
 
 import hashlib
@@ -41,8 +47,12 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def main() -> int:
+def main(prefixes) -> int:
+    matched = False
     for name, cfg in _markets():
+        if prefixes and not name.startswith(tuple(prefixes)):
+            continue
+        matched = True
         for run, log in zip(("market", "twin"), run_with_twin(cfg)):
             summary = json.dumps(summary_dict(log), indent=2, sort_keys=True)
             for artifact, text in (("trades_csv", trades_csv(log)),
@@ -50,8 +60,11 @@ def main() -> int:
                                    ("summary_dict", summary)):
                 print(f"{name} {run} {artifact} {_digest(text)}")
             sys.stdout.flush()
+    if not matched:
+        print(f"no market name starts with any of {prefixes}", file=sys.stderr)
+        return 2
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -5,26 +5,35 @@ import math
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_min(f, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:
+def golden_section_min(
+    f, lo: float, hi: float, tol: float = 1e-6, f_lo: float | None = None, f_hi: float | None = None
+) -> tuple[float, float]:
     """Minimize a unimodal scalar function on [lo, hi].
 
     Returns (argmin, value). The bracket is shrunk until its width is at most
     ``tol``; ties inside the bracket resolve toward the smaller argument.
+    ``f_lo`` and ``f_hi``, when given, are ``f(lo)`` and ``f(hi)``. The values
+    at the bracket ends move along with them, so ``f`` is evaluated at the
+    final ends only where no value is known yet.
     """
     a, b = float(lo), float(hi)
+    fa, fb = f_lo, f_hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
         if fc <= fd:
-            b, d, fd = d, c, fc
+            b, fb, d, fd = d, fd, c, fc
             c = b - _INVPHI * (b - a)
             fc = f(c)
         else:
-            a, c, fc = c, d, fd
+            a, fa, c, fc = c, fc, d, fd
             d = a + _INVPHI * (b - a)
             fd = f(d)
-    fa, fb = f(a), f(b)
+    if fa is None:
+        fa = f(a)
+    if fb is None:
+        fb = f(b)
     return (a, fa) if fa <= fb else (b, fb)
 
 
@@ -35,15 +44,14 @@ def grid_then_golden(
 
     Robust for losses that are not unimodal on the interval. The returned value
     never exceeds the loss at any probed grid point; among grid ties the
-    smallest argument wins.
+    smallest argument wins. The refinement reuses the grid values at its bracket ends.
     """
     n = max(grid_points, 3)
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     fs = [f(x) for x in xs]
     k = min(range(n), key=lambda i: (fs[i], xs[i]))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, n - 1)]
-    x, fx = golden_section_min(f, a, b, tol)
+    a, b = max(k - 1, 0), min(k + 1, n - 1)
+    x, fx = golden_section_min(f, xs[a], xs[b], tol, fs[a], fs[b])
     if fs[k] < fx or (fs[k] == fx and xs[k] < x):
         return xs[k], fs[k]
     return x, fx

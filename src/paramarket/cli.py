@@ -265,8 +265,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUATION_FLAGS = ("--va-self", "--vb-of-a", "--vb-self", "--va-of-b")
+
+
+def _is_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_signed_values(argv: list) -> list:
+    """Join each valuation flag to a following number that starts with ``-``.
+
+    argparse reads a separate word such as ``-1e5`` or ``-inf`` as an option
+    unless it looks like a plain negative number, so ``--vb-self -1e5`` would
+    end in ``expected one argument``. Written as ``--vb-self=-1e5``, the value
+    reaches the flag's finite-number check. Abbreviated flags are joined too;
+    words after ``--`` are left as they are.
+    """
+    out = []
+    for k, word in enumerate(argv):
+        if word == "--":
+            return out + argv[k:]
+        flag = out[-1] if out else ""
+        if (
+            flag.startswith("--v")
+            and any(f.startswith(flag) for f in _VALUATION_FLAGS)
+            and word.startswith("-")
+            and _is_number(word)
+        ):
+            out[-1] = f"{flag}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_signed_values(argv))
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -8,6 +8,7 @@ assignment on inner-product similarities. Re-indexing never changes the
 function the net computes, which is what makes post-alignment merging safe.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -88,26 +89,6 @@ class MlpParams:
     def hidden_sizes(self) -> tuple:
         return self.layer_sizes[1:-1]
 
-    def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
-
-    @classmethod
-    def unflatten(cls, vector: np.ndarray, layer_sizes) -> "MlpParams":
-        vector = np.asarray(vector, dtype=np.float64)
-        ws, bs, k = [], [], 0
-        for h_in, h_out in itertools.pairwise(layer_sizes):
-            ws.append(vector[k : k + h_out * h_in].reshape(h_out, h_in))
-            k += h_out * h_in
-            bs.append(vector[k : k + h_out])
-            k += h_out
-        if k != vector.size:
-            raise ValueError(f"vector of size {vector.size} does not fit layer sizes {tuple(layer_sizes)}")
-        return cls(tuple(ws), tuple(bs))
-
     @classmethod
     def random_init(cls, layer_sizes, rng: np.random.Generator) -> "MlpParams":
         """He-style scaled Gaussian init."""
@@ -144,12 +125,6 @@ class LayerPermutations:
     def identity(cls, hidden_sizes) -> "LayerPermutations":
         return cls(tuple(np.arange(h, dtype=np.intp) for h in hidden_sizes))
 
-    def inverse(self) -> "LayerPermutations":
-        return LayerPermutations(tuple(np.argsort(p) for p in self.perms))
-
-    def is_identity(self) -> bool:
-        return all(np.array_equal(p, np.arange(p.size)) for p in self.perms)
-
 
 def _frozen_perm(p: np.ndarray) -> np.ndarray:
     p = np.ascontiguousarray(p, dtype=np.intp)
@@ -180,7 +155,10 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def _softmax_log(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    # The row maximum folded over the few output columns: max is exact, so this
+    # equals z.max(axis=1) bit for bit without the cost of a row reduction. The
+    # sum stays a row reduction, which a column fold matches only below 8 columns.
+    z = z - functools.reduce(np.maximum, z.T)[:, None]
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
@@ -359,25 +337,40 @@ def _descend(
 
     Returns the permutations before the first update and after every update;
     the last entry is the result.
+
+    A layer's similarity matrix depends only on the permutations of its two
+    neighbours, and the assignment is a deterministic function of it. So a
+    layer is re-solved only while it is stale: before its first solve, and
+    after a neighbour's permutation changed. Any other update would repeat
+    the previous solve of that layer bit for bit and return the permutation it
+    already holds; it is skipped, and its unchanged state is still recorded,
+    so the states and the early stop are those of a descent that solves every
+    update.
     """
     hidden = reference.hidden_sizes
     perms = [np.arange(h, dtype=np.intp) for h in hidden]
     in_ident = np.arange(reference.layer_sizes[0], dtype=np.intp)
     out_ident = np.arange(reference.layer_sizes[-1], dtype=np.intp)
     states = [LayerPermutations(tuple(perms))]
+    stale = set(range(len(hidden)))
     for _ in range(sweeps):
         changed = False
         for i in order:
-            prev = perms[i - 1] if i > 0 else in_ident
-            nxt = perms[i + 1] if i + 1 < len(hidden) else out_ident
-            sim = reference.weights[i] @ candidate.weights[i][:, prev].T
-            sim += np.outer(reference.biases[i], candidate.biases[i])
-            sim += reference.weights[i + 1].T @ candidate.weights[i + 1][nxt, :]
-            new_p = linear_assignment(-sim)
-            if not np.array_equal(new_p, perms[i]):
+            moved = False
+            if i in stale:
+                stale.discard(i)
+                prev = perms[i - 1] if i > 0 else in_ident
+                nxt = perms[i + 1] if i + 1 < len(hidden) else out_ident
+                sim = reference.weights[i] @ candidate.weights[i][:, prev].T
+                sim += np.outer(reference.biases[i], candidate.biases[i])
+                sim += reference.weights[i + 1].T @ candidate.weights[i + 1][nxt, :]
+                new_p = linear_assignment(-sim)
+                moved = not np.array_equal(new_p, perms[i])
+            if moved:
                 changed = True
-            perms[i] = new_p
-            states.append(LayerPermutations(tuple(perms)))
+                perms[i] = new_p
+                stale.update(j for j in (i - 1, i + 1) if 0 <= j < len(hidden))
+            states.append(LayerPermutations(tuple(perms)) if moved else states[-1])
         if not changed:
             break
     return states
@@ -482,8 +475,15 @@ def merge_path_loss(
     subset_merge(buyer, seller_aligned, layer_set, weight), data, task_kind)``
     and raising the same errors. Everything that does not depend on the
     weight is done once: the architecture, layer-set, input and label checks,
-    and the forward pass through the buyer layers before the first merged one.
-    Each call blends only the merged layers and runs the layers from there on.
+    the forward pass through the buyer layers before the first merged one,
+    and packing each net's merged weights and biases into one flat array.
+
+    Each call blends the two flat arrays in one pass, checks them with one
+    finiteness test and runs the layers from the first merged one, reading
+    the merged layers as reshaped slices. The blend is elementwise, so every
+    entry gets the same two products and sum as in a per-layer blend. Only
+    when the finiteness test fails are the layers checked one by one, which
+    raises the per-layer error for the first bad layer.
     """
     layers = _merge_layers(buyer, seller_aligned, layer_set)
     x = _checked_inputs(buyer, data.inputs)
@@ -491,13 +491,25 @@ def merge_path_loss(
     first = layers[0]
     head = _chain(x, buyer.weights[:first], buyer.biases[:first], first)
     n_relu = buyer.n_layers - 1 - first
+    flat_b, flat_s = (
+        np.concatenate([a for i in layers for a in (net.weights[i].ravel(), net.biases[i])])
+        for net in (buyer, seller_aligned)
+    )
+    spans, end = [], 0  # layer i: weights at flat[start:mid], bias at flat[mid:end]
+    for i in layers:
+        start, mid = end, end + buyer.weights[i].size
+        end = mid + buyer.biases[i].size
+        spans.append((i, buyer.weights[i].shape, start, mid, end))
 
     def loss_at(weight: float) -> float:
         _check_weight(weight)
+        flat = (1.0 - weight) * flat_b + weight * flat_s
+        merged = [(i, flat[start:mid].reshape(shape), flat[mid:end]) for i, shape, start, mid, end in spans]
+        if not np.isfinite(flat).all():
+            for i, w, b in merged:
+                _check_finite(i, w, b)
         ws, bs = list(buyer.weights[first:]), list(buyer.biases[first:])
-        for i in layers:
-            w, b = _blend(buyer, seller_aligned, i, weight)
-            _check_finite(i, w, b)
+        for i, w, b in merged:
             ws[i - first], bs[i - first] = w, b
         return _output_loss(_chain(head, ws, bs, n_relu), targets, task_kind)
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from paramarket import broker
 from paramarket.broker import (
     WEIGHT_FLOOR,
     GainKind,
@@ -16,6 +19,8 @@ from paramarket.broker import (
 from paramarket.core import LabeledDataset, LossSpec, ParameterVector, empirical_loss, merge
 from paramarket.engine import LinearBrokerEngine
 from paramarket.linear import synthesize_task
+
+from _helpers import reference_grid_then_golden
 
 
 def pv(*values):
@@ -95,6 +100,41 @@ class TestOptimizeMergeWeight:
         )
         assert searched_loss == pytest.approx(closed.broker_loss_after, rel=1e-6, abs=1e-12)
         assert searched_w == pytest.approx(closed.weight, abs=1e-4)
+
+
+class TestSearchReusesGridValues:
+    # Losses that are not unimodal on [WEIGHT_FLOOR, 1]: several minima, a
+    # minimum at either end, a step, flat ties and a kink between grid points.
+    LOSSES = {
+        "wavy": lambda w: math.sin(23.0 * w) + 0.3 * w,
+        "two-wells": lambda w: min((w - 0.2) ** 2, (w - 0.8) ** 2 + 1e-3),
+        "floor-end": lambda w: w * w + 0.05 * math.cos(40.0 * w),
+        "top-end": lambda w: -w + 0.02 * math.sin(60.0 * w),
+        "step": lambda w: 1.0 if w < 0.37 else 0.5 + (w - 0.6) ** 2,
+        "flat": lambda w: 2.0,
+        "kink": lambda w: abs(w - 0.4123) + 0.1 * math.sin(17.0 * w),
+    }
+
+    @staticmethod
+    def counted(loss):
+        calls = []
+
+        def f(w):
+            calls.append(w)
+            return loss(w)
+
+        return f, calls
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_same_result_with_two_evaluations_fewer(self, monkeypatch, name):
+        f, calls = self.counted(self.LOSSES[name])
+        got = optimize_merge_weight_searched(f)
+        n_got = len(calls)
+        calls.clear()
+        monkeypatch.setattr(broker, "grid_then_golden", reference_grid_then_golden)
+        want = optimize_merge_weight_searched(f)
+        assert got == want
+        assert n_got == len(calls) - 2
 
 
 class TestGains:

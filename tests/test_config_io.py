@@ -513,6 +513,25 @@ class TestCli:
         assert f"argument {flag}:" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("flag", ["--va-self", "--vb-of-a", "--vb-self", "--va-of-b", "--vb-s"])
+    def test_price_flag_takes_a_separate_negative_number(self, tmp_path, flag):
+        # argparse reads "-1e5" as an option unless it follows its flag in one word.
+        r = run_cli("price", flag, "-1e5", cwd=tmp_path)
+        joined = run_cli("price", f"{flag}=-1e5", cwd=tmp_path)
+        assert r.returncode == 0 and joined.returncode == 0, r.stderr + joined.stderr
+        assert r.stdout == joined.stdout
+        assert "nash_price_difference=" in r.stdout
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--va-self", "-inf"), ("--vb-of-a", "-nan"), ("--vb-self", "-inf"), ("--va-of-b", "-Infinity")],
+    )
+    def test_separate_negative_non_finite_price_value_is_named(self, tmp_path, flag, value):
+        r = run_cli("price", flag, value, cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert f"argument {flag}: expected a finite number, got {value}" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_align_demo(self, tmp_path):
         r = run_cli("align-demo", "--seed", "3", "--width", "8", "--out", str(tmp_path), cwd=tmp_path)
         assert r.returncode == 0, r.stderr

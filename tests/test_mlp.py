@@ -26,6 +26,8 @@ from paramarket.mlp import (
     weight_matching_alignment,
 )
 
+from _helpers import flatten, inverse, is_identity, unflatten
+
 
 def random_net(sizes, seed):
     return MlpParams.random_init(sizes, np.random.default_rng(seed))
@@ -82,6 +84,15 @@ class TestForwardLoss:
         with pytest.raises(DimensionMismatchError):
             mlp_forward_loss(net, data, TaskKind.REGRESSION)
 
+    def test_log_softmax_equals_the_row_reduction_version(self):
+        rng = np.random.default_rng(30)
+        for n_out in range(1, 13):
+            z = rng.standard_normal((40, n_out)) * 10.0 ** rng.integers(-3, 4, (40, 1))
+            z[0, -1] = 1e300
+            want = z - z.max(axis=1, keepdims=True)
+            want = want - np.log(np.exp(want).sum(axis=1, keepdims=True))
+            np.testing.assert_array_equal(mlp._softmax_log(z), want)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
         cases = [
@@ -95,15 +106,15 @@ class TestForwardLoss:
             analytic = np.concatenate(
                 [np.concatenate([dw.ravel(), db]) for dw, db in zip(d_ws, d_bs)]
             )
-            flat = net.flatten()
+            flat = flatten(net)
             eps = 1e-6
             for i in rng.choice(flat.size, size=25, replace=False):
                 up, down = flat.copy(), flat.copy()
                 up[i] += eps
                 down[i] -= eps
                 fd = (
-                    mlp_forward_loss(MlpParams.unflatten(up, sizes), data, kind)
-                    - mlp_forward_loss(MlpParams.unflatten(down, sizes), data, kind)
+                    mlp_forward_loss(unflatten(up, sizes), data, kind)
+                    - mlp_forward_loss(unflatten(down, sizes), data, kind)
                 ) / (2 * eps)
                 assert analytic[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -111,12 +122,12 @@ class TestForwardLoss:
 class TestFlatten:
     def test_round_trip(self):
         net = random_net((2, 5, 3, 2), 6)
-        rebuilt = MlpParams.unflatten(net.flatten(), net.layer_sizes)
+        rebuilt = unflatten(flatten(net), net.layer_sizes)
         assert nets_equal(net, rebuilt)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            MlpParams.unflatten(np.zeros(7), (2, 3, 1))
+            unflatten(np.zeros(7), (2, 3, 1))
 
 
 def per_column_assignment(cost):
@@ -223,7 +234,7 @@ class TestAlignment:
     def test_identical_nets_get_identity(self):
         net = random_net((2, 8, 8, 2), 8)
         perms = weight_matching_alignment(net, net)
-        assert perms.is_identity()
+        assert is_identity(perms)
 
     def test_planted_permutation_recovered(self):
         for seed in range(5):
@@ -232,7 +243,7 @@ class TestAlignment:
             clone = apply_permutation(net, planted)
             perms = weight_matching_alignment(net, clone)
             assert nets_equal(apply_permutation(clone, perms), net)
-            for got, want in zip(perms.perms, planted.inverse().perms):
+            for got, want in zip(perms.perms, inverse(planted).perms):
                 np.testing.assert_array_equal(got, want)
 
     def test_objective_no_worse_than_identity(self):
@@ -270,6 +281,101 @@ class TestAlignment:
         assert backward_won
 
 
+def reference_descend(reference, candidate, sweeps, order):
+    # The descent that re-solves every update, also when neither neighbour of
+    # the layer moved since its last solve.
+    hidden = reference.hidden_sizes
+    perms = [np.arange(h, dtype=np.intp) for h in hidden]
+    in_ident = np.arange(reference.layer_sizes[0], dtype=np.intp)
+    out_ident = np.arange(reference.layer_sizes[-1], dtype=np.intp)
+    states = [LayerPermutations(tuple(perms))]
+    for _ in range(sweeps):
+        changed = False
+        for i in order:
+            prev = perms[i - 1] if i > 0 else in_ident
+            nxt = perms[i + 1] if i + 1 < len(hidden) else out_ident
+            sim = reference.weights[i] @ candidate.weights[i][:, prev].T
+            sim += np.outer(reference.biases[i], candidate.biases[i])
+            sim += reference.weights[i + 1].T @ candidate.weights[i + 1][nxt, :]
+            new_p = mlp.linear_assignment(-sim)
+            if not np.array_equal(new_p, perms[i]):
+                changed = True
+            perms[i] = new_p
+            states.append(LayerPermutations(tuple(perms)))
+        if not changed:
+            break
+    return states
+
+
+class TestDescentSkip:
+    @staticmethod
+    def pairs():
+        for n_hidden in range(1, 5):
+            sizes = (2, *[7] * n_hidden, 3)
+            for seed in range(3):
+                net = random_net(sizes, 60 + seed)
+                yield net, random_net(sizes, 70 + seed)
+                yield net, apply_permutation(net, random_perms(net, 80 + seed))
+
+    @staticmethod
+    def alignments(a, b, sweeps):
+        perms, trace = align_with_trace(a, b, sweeps)
+        return weight_matching_alignment(a, b, sweeps).perms, perms.perms, trace
+
+    @pytest.mark.parametrize("sweeps", [1, 2, 10])
+    def test_alignment_equals_the_descent_that_solves_every_update(self, monkeypatch, sweeps):
+        for a, b in self.pairs():
+            got = self.alignments(a, b, sweeps)
+            with monkeypatch.context() as m:
+                m.setattr(mlp, "_descend", reference_descend)
+                want = self.alignments(a, b, sweeps)
+            for got_perms, want_perms in zip(got[:2], want[:2]):
+                assert len(got_perms) == len(want_perms)
+                for p, q in zip(got_perms, want_perms):
+                    np.testing.assert_array_equal(p, q)
+            assert len(got[2]) == len(want[2])
+            assert got[2] == want[2]
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def count(c):
+            calls.append(c.shape)
+            return linear_assignment(c)
+
+        monkeypatch.setattr(mlp, "linear_assignment", count)
+        return calls
+
+    def test_sweep_without_a_moved_neighbour_makes_no_call(self, monkeypatch):
+        # One hidden layer has no neighbours: the first sweep moves it to the
+        # planted permutation's inverse and the second repeats that solve.
+        net = random_net((2, 8, 2), 90)
+        clone = apply_permutation(net, random_perms(net, 91))
+        calls = self.counted(monkeypatch)
+        states = mlp._descend(net, clone, 10, [0])
+        assert len(calls) == 1
+        assert len(states) == 3 and states[2] is states[1]
+        assert not is_identity(states[1])
+        calls.clear()
+        assert len(reference_descend(net, clone, 10, [0])) == 3
+        assert len(calls) == 2
+
+    def test_only_layers_next_to_a_moved_one_are_solved_again(self, monkeypatch):
+        net = random_net((2, 8, 8, 8, 2), 96)
+        clone = apply_permutation(net, random_perms(net, 97))
+        calls = self.counted(monkeypatch)
+        states = mlp._descend(net, clone, 10, [0, 1, 2])
+        # Sweep 1 moves all three layers. In sweep 2 layers 0 and 1 are solved
+        # again, since a neighbour moved after their last solve, and stay put.
+        # Layer 1 moved before layer 2's solve, so layer 2 is not solved.
+        assert len(states) == 7
+        assert len(calls) == 5
+        calls.clear()
+        assert len(reference_descend(net, clone, 10, [0, 1, 2])) == 7
+        assert len(calls) == 6
+
+
 class TestApplyPermutation:
     def test_identity_is_noop(self):
         net = random_net((2, 6, 6, 2), 13)
@@ -288,7 +394,7 @@ class TestApplyPermutation:
     def test_round_trip_through_inverse(self):
         net = random_net((2, 7, 7, 2), 17)
         perms = random_perms(net, 18)
-        back = apply_permutation(apply_permutation(net, perms), perms.inverse())
+        back = apply_permutation(apply_permutation(net, perms), inverse(perms))
         assert nets_equal(back, net)
 
     def test_width_mismatch_rejected(self):
@@ -301,8 +407,8 @@ class TestSubsetMerge:
     def test_all_layers_equals_full_merge(self):
         a, b = random_net((2, 5, 5, 2), 20), random_net((2, 5, 5, 2), 21)
         merged = subset_merge(a, b, range(a.n_layers), 0.3)
-        flat = 0.7 * a.flatten() + 0.3 * b.flatten()
-        np.testing.assert_allclose(merged.flatten(), flat, atol=1e-15)
+        flat = 0.7 * flatten(a) + 0.3 * flatten(b)
+        np.testing.assert_allclose(flatten(merged), flat, atol=1e-15)
 
     def test_full_weight_single_layer_replacement(self):
         a, b = random_net((2, 5, 2), 22), random_net((2, 5, 2), 23)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paramarket import pricing
 from paramarket.bounds import buyer_gain_bounds
 from paramarket.pricing import (
     PriorDistribution,
@@ -16,6 +17,8 @@ from paramarket.pricing import (
     seller_virtual_valuation,
     settle,
 )
+
+from _helpers import reference_golden_section_min
 
 finite_vals = st.floats(min_value=-100.0, max_value=100.0)
 
@@ -89,6 +92,14 @@ class TestMyersonPrice:
             closed = myerson_price(prior)
             numeric = myerson_price_numeric(prior)
             assert numeric == pytest.approx(closed, rel=1e-6, abs=1e-7)
+
+    def test_numeric_prices_unchanged_by_carried_end_values(self, monkeypatch):
+        priors = [PriorDistribution.uniform(0.0, 3.0), PriorDistribution.uniform(1.5, 1.6)]
+        priors += [PriorDistribution.uniform(2.0, 9.0), PriorDistribution.exponential(0.3)]
+        priors += [PriorDistribution.exponential(4.0), PriorDistribution.exponential(17.0)]
+        got = [myerson_price_numeric(prior) for prior in priors]
+        monkeypatch.setattr(pricing, "golden_section_min", reference_golden_section_min)
+        assert got == [myerson_price_numeric(prior) for prior in priors]
 
     def test_invalid_priors_rejected(self):
         with pytest.raises(ValueError):

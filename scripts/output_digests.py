@@ -4,25 +4,35 @@ For each bundled config (sweep configs contribute their base market), every
 layer set of the layer-subset sweep and two fedavg variants, runs the market
 and its never-trade twin through ``experiments.run_with_twin`` and prints one
 line per output: config, run (market or twin), artifact (trades_csv,
-curves_csv, summary_dict JSON) and digest. A refactor that must not change
+curves_csv, summary_dict JSON) and digest. It then runs ``paramarket.cli``
+into a temporary directory (``sweep`` on each bundled sweep config with its
+seeds cut to 2, ``bounds-check --trials 2000`` and ``align-demo``) and prints
+the exit code and the digest of every file the command wrote, under names
+such as ``cli:sweep:endowment_sweep``. A refactor that must not change
 results gives identical output on both commits:
 
     PYTHONPATH=src python scripts/output_digests.py > after.txt
 
 Market-name prefixes as arguments keep only the markets whose name starts
 with one of them, for a quicker check of one path; with none, every market
-runs. For example, the neural merge path alone:
+runs. For example, the neural merge path alone, or the CLI files alone:
 
     PYTHONPATH=src python scripts/output_digests.py mlp_subset_sweep
+    PYTHONPATH=src python scripts/output_digests.py cli:
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import re
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 from paramarket.broker import GainKind
+from paramarket.cli import main as cli_main
 from paramarket.config import load_config, load_sweep
 from paramarket.experiments import run_with_twin
 from paramarket.io import curves_csv, summary_dict, trades_csv
@@ -43,14 +53,28 @@ def _markets():
     yield "fedavg+start3-every2", replace(fedavg, trade_start=3, trade_every=2)
 
 
+def _cli_commands(tmp: Path):
+    """(name, argv without --out) per CLI run; sweep configs get 2 seeds."""
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        text = path.read_text(encoding="utf-8")
+        if "[sweep]" not in text:
+            continue
+        cut = tmp / path.name
+        cut.write_text(re.sub(r"(?m)^seeds\s*=.*$", "seeds = 2", text), encoding="utf-8")
+        yield f"cli:sweep:{path.stem}", ["sweep", str(cut)]
+    yield "cli:bounds-check", ["bounds-check", "--trials", "2000"]
+    yield "cli:align-demo", ["align-demo"]
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def main(prefixes) -> int:
+    wanted = lambda name: not prefixes or name.startswith(tuple(prefixes))  # noqa: E731
     matched = False
     for name, cfg in _markets():
-        if prefixes and not name.startswith(tuple(prefixes)):
+        if not wanted(name):
             continue
         matched = True
         for run, log in zip(("market", "twin"), run_with_twin(cfg)):
@@ -59,6 +83,19 @@ def main(prefixes) -> int:
                                    ("curves_csv", curves_csv(log)),
                                    ("summary_dict", summary)):
                 print(f"{name} {run} {artifact} {_digest(text)}")
+            sys.stdout.flush()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, argv in _cli_commands(tmp):
+            if not wanted(name):
+                continue
+            matched = True
+            out = tmp / "out" / name.replace(":", "_")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main([*argv, "--out", str(out)])
+            print(f"{name} cli exit_code {code}")
+            for path in sorted(out.iterdir()):
+                print(f"{name} cli {path.name} {_digest(path.read_text(encoding='utf-8'))}")
             sys.stdout.flush()
     if not matched:
         print(f"no market name starts with any of {prefixes}", file=sys.stderr)

@@ -11,7 +11,6 @@ failure.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -64,45 +63,11 @@ def _cmd_sweep(args) -> int:
     spec = load_sweep(args.config)
     if spec.axis == "layers":
         report = layer_subset_table(spec.base, list(spec.values), spec.seeds, jobs=args.jobs)
-        lines = ["layer_set," + ",".join(sorted(next(iter(report["table"].values()))))]
-        for label, perf in report["table"].items():
-            lines.append(label.replace(",", ";") + "," + ",".join(io_mod.fmt(perf[u]) for u in sorted(perf)))
-        io_mod.atomic_write_text(os.path.join(args.out, "layer_table.csv"), "\n".join(lines) + "\n")
-        io_mod.atomic_write_text(
-            os.path.join(args.out, "layer_winners.json"),
-            json.dumps(report["winners"], indent=2, sort_keys=True) + "\n",
-        )
+        io_mod.write_layer_outputs(report, args.out)
         print(f"wrote layer table for {len(report['table'])} layer sets to {args.out}")
         return 0
-
     result = run_sweep(spec.base, spec.axis, spec.values, spec.seeds, jobs=args.jobs)
-    agents = sorted(result.rows[0].improvement_broker)
-    header = "cell,axis,value,seed," + ",".join(
-        [f"improvement_broker_{u}" for u in agents]
-        + [f"improvement_error_{u}" for u in agents]
-        + [f"final_broker_{u}" for u in agents]
-    )
-    lines = [header]
-    for r in result.rows:
-        lines.append(
-            ",".join(
-                [str(r.cell), r.axis, str(r.value), str(r.seed)]
-                + [io_mod.fmt(r.improvement_broker[u]) for u in agents]
-                + [io_mod.fmt(r.improvement_error[u]) for u in agents]
-                + [io_mod.fmt(r.final_broker[u]) for u in agents]
-            )
-        )
-    io_mod.atomic_write_text(os.path.join(args.out, "sweep.csv"), "\n".join(lines) + "\n")
-
-    agg_lines = ["value," + ",".join(f"mean_improvement_error_{u},std_improvement_error_{u}" for u in agents)]
-    for cell, value in enumerate(spec.values):
-        rows = [r for r in result.rows if r.cell == cell]
-        cols = []
-        for u in agents:
-            vals = [r.improvement_error[u] for r in rows]
-            cols += [io_mod.fmt(float(np.mean(vals))), io_mod.fmt(float(np.std(vals)))]
-        agg_lines.append(f"{value}," + ",".join(cols))
-    io_mod.atomic_write_text(os.path.join(args.out, "sweep_aggregate.csv"), "\n".join(agg_lines) + "\n")
+    io_mod.write_sweep_outputs(result, args.out)
     print(f"wrote {len(result.rows)} sweep rows to {args.out}")
     return 0
 
@@ -110,24 +75,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_bounds_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     report = soundness_sweep(args.trials, rng)
-    lines = ["trial,scenario,realized,lower,upper,gain_a,alpha,beta"]
-    for v in report.violations:
-        lines.append(
-            ",".join(
-                [
-                    str(v["trial"]),
-                    v["scenario"],
-                    io_mod.fmt(v["realized"]),
-                    io_mod.fmt(v["lower"]),
-                    io_mod.fmt(v["upper"]),
-                    io_mod.fmt(v["gain_a"]),
-                    io_mod.fmt(v["alpha"]),
-                    io_mod.fmt(v["beta"]),
-                ]
-            )
-        )
     if args.out:
-        io_mod.atomic_write_text(os.path.join(args.out, "bounds_violations.csv"), "\n".join(lines) + "\n")
+        path = os.path.join(args.out, "bounds_violations.csv")
+        io_mod.atomic_write_text(path, io_mod.violations_csv(report.violations))
     print(
         f"trials={report.trials} violations={len(report.violations)} "
         f"lower_clamped={report.lower_clamp_count} unbounded_upper={report.unbounded_upper_count}"
@@ -169,7 +119,7 @@ def _cmd_align_demo(args) -> int:
     print(f"planted permutation recovered exactly: {exact}")
 
     layers = tuple(range(net.n_layers))
-    lines = ["weight,loss_aligned,loss_unaligned"]
+    points = []
     for w in np.linspace(0.0, 1.0, args.points):
         w = float(w)
         if w == 0.0:
@@ -177,8 +127,8 @@ def _cmd_align_demo(args) -> int:
         else:
             la = mlp_forward_loss(subset_merge(net, recovered, layers, w), data, TaskKind.CLASSIFICATION)
             lu = mlp_forward_loss(subset_merge(net, clone, layers, w), data, TaskKind.CLASSIFICATION)
-        lines.append(f"{io_mod.fmt(w)},{io_mod.fmt(la)},{io_mod.fmt(lu)}")
-    curve = "\n".join(lines) + "\n"
+        points.append((w, la, lu))
+    curve = io_mod.csv_text(io_mod.ALIGN_DEMO_HEADER, points)
     if args.out:
         io_mod.atomic_write_text(os.path.join(args.out, "align_demo.csv"), curve)
         print(f"wrote interpolation curve to {os.path.join(args.out, 'align_demo.csv')}")

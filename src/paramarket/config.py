@@ -130,6 +130,15 @@ def _count(minimum: int, why: str = ""):
     return cast
 
 
+def _choice(*options: str):
+    def cast(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected one of {', '.join(options)}")
+        return raw
+
+    return cast
+
+
 def _input_dim(raw: str) -> int:
     if int(raw) != 2:
         raise ValueError("expected 2: two_moons supplies two features")
@@ -159,7 +168,7 @@ def parse_config(text: str) -> MarketConfig:
     if not parser.has_section("market"):
         raise ConfigError("market", "-", "missing [market] section")
     market = _reader(parser, "market")
-    model = market("model", str, default="linear")
+    model = market("model", _choice("linear", "mlp"), default="linear")
     gain_kind = market("gain_kind", GainKind, required=True)
     loss = market("loss", LossSpec, default=LossSpec.MEAN_PER_SAMPLE)
 
@@ -214,14 +223,16 @@ def parse_config(text: str) -> MarketConfig:
     try:
         return MarketConfig(
             seed=market("seed", _count(0), required=True),
-            rounds=market("rounds", int, required=True),
+            rounds=market("rounds", _count(1), required=True),
             gain_kind=gain_kind,
             agents=tuple(agents),
             broker=broker,
-            trade_every=market("trade_every", int, default=1),
-            trade_start=market("trade_start", int, default=1),
+            trade_every=market("trade_every", _count(1), default=1),
+            trade_start=market("trade_start", _count(0), default=1),
             pricing=market("pricing", _bool, default=False),
-            seller_pricing=market("seller_pricing", str, default="myerson"),
+            seller_pricing=market(
+                "seller_pricing", _choice("myerson", "lower-bound"), default="myerson"
+            ),
             loss_spec=loss,
             init=market("init", _init, default="zeros"),
             convergence_epsilon=market("convergence_epsilon", _positive, default=None),

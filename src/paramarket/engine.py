@@ -556,7 +556,7 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
             final, broker_loss = shipped.merged, shipped.broker_loss_after
         new_states.append(replace(st, params=final))
         own_loss = st.model.own_loss(final)
-        dot_own = st.model.own_loss(dots[u])
+        dot_own = own_loss if final is dots[u] else st.model.own_loss(dots[u])
         if not (math.isfinite(broker_loss) and math.isfinite(own_loss)):
             raise DivergenceError(f"non-finite loss for agent {u}", round_index)
         rows.append(
@@ -573,17 +573,6 @@ def _parse_init(init: str, rng: np.random.Generator, dim: int) -> np.ndarray:
         scale = float(init.split(":", 1)[1]) if ":" in init else 1.0
         return scale * rng.standard_normal(dim)
     raise ValueError(f"unknown init {init!r}")
-
-
-def _linear_step_size(spec: AgentSpec, task: LinearTask, loss_spec: LossSpec) -> float:
-    # The configured step, else 0.9 / L with L the smoothness constant of the
-    # configured training loss.
-    if spec.step_size is not None:
-        return spec.step_size
-    lam = gram_lambda_max(task.data)
-    if loss_spec is LossSpec.MEAN_PER_SAMPLE:
-        lam /= task.data.n_samples
-    return 0.9 / (2.0 * lam)
 
 
 def _imbalanced_subset(
@@ -647,10 +636,7 @@ def _build_linear_market(cfg: MarketConfig, agents: tuple, rng: np.random.Genera
         )
     # Step sizes draw nothing; resolving them before the broker set exists
     # keeps the Gram matrices out of the build's memory peak.
-    steps = {
-        spec.agent_id: _linear_step_size(spec, tasks[spec.agent_id], cfg.loss_spec)
-        for spec in agents
-    }
+    models = linear_models(cfg, agents, tasks)
 
     # The broker holds validation samples from every agent's distribution,
     # drawn block by block straight into one array.
@@ -668,12 +654,48 @@ def _build_linear_market(cfg: MarketConfig, agents: tuple, rng: np.random.Genera
     broker_data = LabeledDataset(inputs, labels)
 
     init = ParameterVector(_parse_init(cfg.init, rng, dim))
+    return linear_market(cfg, agents, models, init, broker_data, truths)
+
+
+def linear_models(cfg: MarketConfig, agents: tuple, tasks: dict) -> dict:
+    """Each agent's training backend on its drawn task; draws nothing.
+
+    The step is the configured one, else 0.9 / L with L the smoothness
+    constant of the configured training loss.
+    """
+    models = {}
+    for spec in agents:
+        task = tasks[spec.agent_id]
+        step = spec.step_size
+        if step is None:
+            lam = gram_lambda_max(task.data)
+            if cfg.loss_spec is LossSpec.MEAN_PER_SAMPLE:
+                lam /= task.data.n_samples
+            step = 0.9 / (2.0 * lam)
+        models[spec.agent_id] = LinearModel(task, step, cfg.loss_spec)
+    return models
+
+
+def linear_market(
+    cfg: MarketConfig,
+    agents: tuple,
+    models: dict,
+    init: ParameterVector,
+    broker_data: LabeledDataset,
+    truths: dict,
+):
+    """Assemble a linear market from its drawn parts; draws nothing.
+
+    Every agent starts at ``init`` with the model from `linear_models`; its
+    sample count is its task's. Returns (states, broker_engine,
+    truth_broker_loss) as `build_market` does.
+    """
     states = tuple(
         AgentState(
             agent_id=spec.agent_id,
             params=init,
-            model=LinearModel(tasks[spec.agent_id], steps[spec.agent_id], cfg.loss_spec),
-            n_samples=spec.n_samples,
+            model=models[spec.agent_id],
+            n_samples=models[spec.agent_id].task.data.n_samples,
             **policy_fields(cfg, spec),
         )
         for spec in agents
@@ -757,7 +779,12 @@ def _config_echo(cfg: MarketConfig) -> dict:
             "n_classes": cfg.mlp.n_classes,
             "data_noise": cfg.mlp.data_noise,
             "layer_set": list(cfg.mlp.layer_set) if cfg.mlp.layer_set else "all",
+            "align_sweeps": cfg.mlp.align_sweeps,
         }
+        for a in cfg.agents:
+            echo["agents"][a.agent_id].update(
+                favored=list(a.favored_classes), deprived_fraction=a.deprived_fraction
+            )
     if cfg.convergence_epsilon is not None:
         echo["convergence_epsilon"] = cfg.convergence_epsilon
     return echo

@@ -14,16 +14,14 @@ import numpy as np
 
 from .core import LabeledDataset, ParameterVector
 from .engine import (
-    AgentState,
-    LinearBrokerEngine,
-    LinearModel,
     MarketConfig,
     MarketLog,
     Policy,
     PolicyKind,
-    _linear_step_size,
     _parse_init,
     build_market,
+    linear_market,
+    linear_models,
     policy_fields,
     run_prepared_simulation,
 )
@@ -98,13 +96,12 @@ class SweepResult:
     axis: str
     rows: tuple
 
-    def mean_improvement(self, agent_id: str, metric: str = "error") -> list:
-        """(value, mean improvement) per cell, ordered by cell id."""
-        field = "improvement_error" if metric == "error" else "improvement_broker"
+    def cells(self) -> list:
+        """(value, rows) per cell, ordered by cell id; each cell's rows by seed."""
         cells: dict = {}
-        for row in self.rows:
-            cells.setdefault(row.cell, (row.value, []))[1].append(getattr(row, field)[agent_id])
-        return [(v, float(np.mean(imps))) for _, (v, imps) in sorted(cells.items())]
+        for row in sorted(self.rows, key=lambda r: (r.cell, r.seed)):
+            cells.setdefault(row.cell, (row.value, []))[1].append(row)
+        return list(cells.values())
 
 
 def _cell_config(base: MarketConfig, axis: str, value) -> MarketConfig:
@@ -153,23 +150,9 @@ def _endowment_logs(base: MarketConfig, fraction: float, seed: int) -> tuple:
             theta,
             noise,
         )
-
-    states = tuple(
-        AgentState(
-            agent_id=spec.agent_id,
-            params=init,
-            model=LinearModel(
-                tasks[spec.agent_id],
-                _linear_step_size(spec, tasks[spec.agent_id], cfg.loss_spec),
-                cfg.loss_spec,
-            ),
-            n_samples=k,
-            **policy_fields(cfg, spec),
-        )
-        for spec in agents
-    )
-    broker_engine = LinearBrokerEngine(broker_task.data, cfg.loss_spec, cfg.gain_kind, theta)
-    return _run_pair(cfg, states, broker_engine, {a.agent_id: 0.0 for a in agents})
+    models = linear_models(cfg, agents, tasks)
+    truths = {a.agent_id: theta for a in agents}
+    return _run_pair(cfg, *linear_market(cfg, agents, models, init, broker_task.data, truths))
 
 
 def _run_cell(args) -> SweepRow:
@@ -221,18 +204,14 @@ def layer_subset_table(base: MarketConfig, layer_sets, seeds: int, jobs: int = 1
         raise ValueError("layer subset comparison needs an mlp market config")
     result = run_sweep(base, "layers", list(layer_sets), seeds, jobs=jobs)
     label = lambda v: "all" if v is None else ",".join(map(str, v))  # noqa: E731
-    table = {}
-    for cell, value in enumerate(layer_sets):
-        rows = [r for r in result.rows if r.cell == cell]
+    table, per_seed = {}, {}
+    for value, rows in result.cells():
         agents = rows[0].improvement_broker.keys()
         table[label(value)] = {
             u: float(np.mean([r.improvement_broker[u] for r in rows])) for u in agents
         }
-    winners = {}
-    for seed_off in range(seeds):
-        per_set = {}
-        for cell, value in enumerate(layer_sets):
-            row = next(r for r in result.rows if r.cell == cell and r.seed == base.seed + seed_off)
-            per_set[label(value)] = float(np.mean(list(row.improvement_broker.values())))
-        winners[base.seed + seed_off] = max(sorted(per_set), key=lambda k: per_set[k])
+        for r in rows:
+            mean = float(np.mean(list(r.improvement_broker.values())))
+            per_seed.setdefault(r.seed, {})[label(value)] = mean
+    winners = {seed: max(sorted(sets), key=sets.__getitem__) for seed, sets in per_seed.items()}
     return {"table": table, "winners": winners}

@@ -1,8 +1,12 @@
-"""File emitters with pinned schemas: trades.csv, curves.csv, summary.json.
+"""File emitters with pinned schemas for every artifact paramarket writes.
 
-All outputs are UTF-8 with LF line endings and 17-significant-digit decimals,
-written atomically (temp file in the target directory, then rename), so a
-rerun with the same seed produces byte-identical files.
+``simulate`` writes trades.csv, curves.csv and summary.json; ``sweep`` writes
+sweep.csv and sweep_aggregate.csv, or layer_table.csv and layer_winners.json
+on the layers axis; ``bounds-check`` and ``align-demo`` write
+bounds_violations.csv and align_demo.csv. All outputs are UTF-8 with LF line
+endings and 17-significant-digit decimals, written atomically (temp file in
+the target directory, then rename), so a rerun with the same seed produces
+byte-identical files.
 """
 
 import json
@@ -10,17 +14,29 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
 from .engine import MarketLog, convergence_metrics
 
 __all__ = [
     "TRADES_HEADER",
     "CURVES_HEADER",
+    "VIOLATIONS_HEADER",
+    "ALIGN_DEMO_HEADER",
     "fmt",
     "atomic_write_text",
+    "csv_text",
+    "json_text",
     "trades_csv",
     "curves_csv",
+    "sweep_csv",
+    "sweep_aggregate_csv",
+    "layer_table_csv",
+    "violations_csv",
     "summary_dict",
     "write_run_outputs",
+    "write_sweep_outputs",
+    "write_layer_outputs",
 ]
 
 TRADES_HEADER = (
@@ -28,6 +44,8 @@ TRADES_HEADER = (
     "buyer_valuation,seller_valuation,payment,indicator"
 )
 CURVES_HEADER = "round,agent,broker_loss,own_loss,est_error,cum_payment"
+VIOLATIONS_HEADER = "trial,scenario,realized,lower,upper,gain_a,alpha,beta"
+ALIGN_DEMO_HEADER = "weight,loss_aligned,loss_unaligned"
 
 
 def fmt(value) -> str:
@@ -57,45 +75,70 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def trades_csv(log: MarketLog) -> str:
-    lines = [TRADES_HEADER]
-    for r in log.trades:
-        lines.append(
-            ",".join(
-                (
-                    str(r.round_index),
-                    r.buyer,
-                    r.seller,
-                    fmt(r.merge_weight),
-                    r.gain.kind.value,
-                    fmt(r.gain.value),
-                    fmt(r.gain.trade_beneficial),
-                    fmt(r.buyer_valuation),
-                    fmt(r.seller_valuation),
-                    fmt(r.payment),
-                    fmt(r.indicator),
-                )
-            )
-        )
+def csv_text(header: str, rows) -> str:
+    """The header line, then one line per row with every field through `fmt`."""
+    lines = [header]
+    lines.extend(",".join(map(fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def trades_csv(log: MarketLog) -> str:
+    return csv_text(TRADES_HEADER, (
+        (r.round_index, r.buyer, r.seller, r.merge_weight, r.gain.kind.value, r.gain.value,
+         r.gain.trade_beneficial, r.buyer_valuation, r.seller_valuation, r.payment, r.indicator)
+        for r in log.trades
+    ))
 
 
 def curves_csv(log: MarketLog) -> str:
-    lines = [CURVES_HEADER]
-    for row in log.curves:
-        lines.append(
-            ",".join(
-                (
-                    str(row.round_index),
-                    row.agent,
-                    fmt(row.broker_loss),
-                    fmt(row.own_loss),
-                    fmt(row.est_error),
-                    fmt(row.cum_payment),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(CURVES_HEADER, (
+        (row.round_index, row.agent, row.broker_loss, row.own_loss, row.est_error, row.cum_payment)
+        for row in log.curves
+    ))
+
+
+def sweep_csv(result) -> str:
+    """One row per (cell, seed); ``value`` keeps ``str`` (`fmt(0.2)` has 17 digits)."""
+    agents = sorted(result.rows[0].improvement_broker)
+    names = ("improvement_broker", "improvement_error", "final_broker")
+    header = ",".join(["cell,axis,value,seed", *(f"{n}_{u}" for n in names for u in agents)])
+    return csv_text(header, (
+        (r.cell, r.axis, str(r.value), r.seed,
+         *(getattr(r, n)[u] for n in names for u in agents))
+        for r in result.rows
+    ))
+
+
+def sweep_aggregate_csv(result) -> str:
+    """Mean and standard deviation of each agent's error improvement per cell."""
+    agents = sorted(result.rows[0].improvement_broker)
+    stats = [f"{s}_improvement_error_{u}" for u in agents for s in ("mean", "std")]
+    header = ",".join(["value", *stats])
+    rows = []
+    for value, cell in result.cells():
+        row = [str(value)]
+        for u in agents:
+            vals = [r.improvement_error[u] for r in cell]
+            row += [float(np.mean(vals)), float(np.std(vals))]
+        rows.append(row)
+    return csv_text(header, rows)
+
+
+def layer_table_csv(table: dict) -> str:
+    """Mean broker-loss improvement per layer set (``;`` separates its layers)."""
+    agents = sorted(next(iter(table.values())))
+    return csv_text(",".join(["layer_set", *agents]), (
+        (label.replace(",", ";"), *(perf[u] for u in sorted(perf))) for label, perf in table.items()
+    ))
+
+
+def violations_csv(violations) -> str:
+    keys = VIOLATIONS_HEADER.split(",")
+    return csv_text(VIOLATIONS_HEADER, ([v[k] for k in keys] for v in violations))
 
 
 def summary_dict(log: MarketLog) -> dict:
@@ -131,7 +174,17 @@ def write_run_outputs(log: MarketLog, out_dir: str) -> dict:
     }
     atomic_write_text(paths["trades"], trades_csv(log))
     atomic_write_text(paths["curves"], curves_csv(log))
-    atomic_write_text(
-        paths["summary"], json.dumps(summary_dict(log), indent=2, sort_keys=True) + "\n"
-    )
+    atomic_write_text(paths["summary"], json_text(summary_dict(log)))
     return paths
+
+
+def write_sweep_outputs(result, out_dir: str) -> None:
+    """Emit ``sweep.csv`` and ``sweep_aggregate.csv`` of a `SweepResult`."""
+    atomic_write_text(os.path.join(out_dir, "sweep.csv"), sweep_csv(result))
+    atomic_write_text(os.path.join(out_dir, "sweep_aggregate.csv"), sweep_aggregate_csv(result))
+
+
+def write_layer_outputs(report: dict, out_dir: str) -> None:
+    """Emit ``layer_table.csv`` and ``layer_winners.json`` of a `layer_subset_table` report."""
+    atomic_write_text(os.path.join(out_dir, "layer_table.csv"), layer_table_csv(report["table"]))
+    atomic_write_text(os.path.join(out_dir, "layer_winners.json"), json_text(report["winners"]))

@@ -121,10 +121,6 @@ class LayerPermutations:
             checked.append(_frozen_perm(p))
         object.__setattr__(self, "perms", tuple(checked))
 
-    @classmethod
-    def identity(cls, hidden_sizes) -> "LayerPermutations":
-        return cls(tuple(np.arange(h, dtype=np.intp) for h in hidden_sizes))
-
 
 def _frozen_perm(p: np.ndarray) -> np.ndarray:
     p = np.ascontiguousarray(p, dtype=np.intp)

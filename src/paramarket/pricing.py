@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._search import golden_section_min
 from .bounds import buyer_gain_bounds
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "nash_price_difference",
     "cobb_douglas_revenue",
     "myerson_price",
-    "myerson_price_numeric",
     "seller_virtual_valuation",
     "settle",
 ]
@@ -63,12 +61,6 @@ class PriorDistribution:
                 return 0.0 if p < self.lo else 1.0
             return min(max((p - self.lo) / (self.hi - self.lo), 0.0), 1.0)
         return 1.0 - math.exp(-self.rate * max(p, 0.0))
-
-    def pdf(self, p: float) -> float:
-        if self.kind is PriorKind.UNIFORM:
-            inside = self.lo <= p <= self.hi and self.hi > self.lo
-            return 1.0 / (self.hi - self.lo) if inside else 0.0
-        return self.rate * math.exp(-self.rate * p) if p >= 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -125,19 +117,6 @@ def myerson_price(prior: PriorDistribution) -> float:
             return prior.lo
         return max(prior.hi / 2.0, prior.lo)
     return 1.0 / prior.rate
-
-
-def myerson_price_numeric(prior: PriorDistribution, tol: float = 1e-10) -> float:
-    """Golden-section maximizer of expected revenue; cross-check for the closed forms."""
-    if prior.kind is PriorKind.UNIFORM:
-        if prior.hi == prior.lo:
-            return prior.lo
-        lo, hi = prior.lo, prior.hi
-    else:
-        lo, hi = 0.0, 20.0 / prior.rate
-    revenue = lambda p: -p * (1.0 - prior.cdf(p))  # noqa: E731
-    price, _ = golden_section_min(revenue, lo, hi, tol=tol * max(hi - lo, 1.0))
-    return price
 
 
 def seller_virtual_valuation(gain_a: float, alpha: float, beta: float) -> float:

@@ -1,4 +1,4 @@
-"""Statistics, parameter views and reference searches that only the tests use."""
+"""Statistics, parameter views, prior densities and reference searches that only the tests use."""
 
 import itertools
 import math
@@ -6,7 +6,9 @@ import math
 import numpy as np
 from scipy import stats
 
+from paramarket._search import golden_section_min
 from paramarket.mlp import LayerPermutations, MlpParams
+from paramarket.pricing import PriorDistribution, PriorKind
 
 
 def spearman(xs, ys) -> float:
@@ -44,6 +46,31 @@ def inverse(perms: LayerPermutations) -> LayerPermutations:
 
 def is_identity(perms: LayerPermutations) -> bool:
     return all(np.array_equal(p, np.arange(p.size)) for p in perms.perms)
+
+
+def identity_perms(hidden_sizes) -> LayerPermutations:
+    return LayerPermutations(tuple(np.arange(h, dtype=np.intp) for h in hidden_sizes))
+
+
+def pdf(prior: PriorDistribution, p: float) -> float:
+    """Density of the prior at ``p``."""
+    if prior.kind is PriorKind.UNIFORM:
+        inside = prior.lo <= p <= prior.hi and prior.hi > prior.lo
+        return 1.0 / (prior.hi - prior.lo) if inside else 0.0
+    return prior.rate * math.exp(-prior.rate * p) if p >= 0 else 0.0
+
+
+def myerson_price_numeric(prior: PriorDistribution, tol: float = 1e-10) -> float:
+    """Golden-section maximizer of expected revenue; cross-check for the closed forms."""
+    if prior.kind is PriorKind.UNIFORM:
+        if prior.hi == prior.lo:
+            return prior.lo
+        lo, hi = prior.lo, prior.hi
+    else:
+        lo, hi = 0.0, 20.0 / prior.rate
+    revenue = lambda p: -p * (1.0 - prior.cdf(p))  # noqa: E731
+    price, _ = golden_section_min(revenue, lo, hi, tol=tol * max(hi - lo, 1.0))
+    return price
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

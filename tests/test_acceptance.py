@@ -54,11 +54,10 @@ from paramarket.pricing import (
     ValuationQuadruple,
     cobb_douglas_revenue,
     myerson_price,
-    myerson_price_numeric,
     nash_price_difference,
 )
 
-from _helpers import spearman
+from _helpers import myerson_price_numeric, spearman
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -290,7 +289,10 @@ def test_10_related_task_sweep():
     spec = load_sweep(CONFIGS / "related_tasks_sweep.cfg")
     assert len(spec.values) == 10
     result = run_sweep(spec.base, spec.axis, spec.values, seeds=20)
-    pairs = result.mean_improvement("a", metric="error")
+    pairs = [
+        (value, float(np.mean([r.improvement_error["a"] for r in rows])))
+        for value, rows in result.cells()
+    ]
     rho = spearman([p[0] for p in pairs], [p[1] for p in pairs])
     max_at_zero = max(pairs, key=lambda p: p[1])[0] == 0.0
     passed = rho <= -0.8 and max_at_zero

@@ -1,4 +1,5 @@
 
+import math
 import os
 import subprocess
 import sys
@@ -8,11 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paramarket import cli
 from paramarket.broker import GainKind
 from paramarket.config import ConfigError, load_config, load_sweep, parse_config, parse_sweep
 from paramarket.core import LossSpec
 from paramarket.engine import PolicyKind, run_simulation
-from paramarket.io import CURVES_HEADER, TRADES_HEADER, curves_csv, fmt, summary_dict, trades_csv
+from paramarket.experiments import layer_subset_table
+from paramarket.io import (
+    CURVES_HEADER,
+    TRADES_HEADER,
+    VIOLATIONS_HEADER,
+    curves_csv,
+    fmt,
+    json_text,
+    layer_table_csv,
+    summary_dict,
+    trades_csv,
+    violations_csv,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -189,6 +203,41 @@ class TestFormatting:
         assert set(s["agents"]) == {"a", "b"}
         assert s["config"]["seed"] == 9
         assert "final_broker_loss" in s["agents"]["a"]
+
+    def test_summary_echoes_the_mlp_only_keys(self):
+        echo = summary_dict(run_simulation(parse_config(SMALL_MLP)))["config"]
+        assert echo["mlp"]["align_sweeps"] == 2
+        assert echo["agents"]["a"]["favored"] == [0]
+        assert echo["agents"]["a"]["deprived_fraction"] == 0.5
+        assert echo["agents"]["b"]["favored"] == []
+        assert echo["agents"]["b"]["deprived_fraction"] == 1.0
+        linear = summary_dict(run_simulation(parse_config(MINIMAL)))["config"]
+        assert "mlp" not in linear
+        assert not {"favored", "deprived_fraction"} & set(linear["agents"]["a"])
+
+    def test_violations_csv_rows(self):
+        v = {"trial": 3, "scenario": "buy-sell", "realized": 0.1, "lower": 0.2,
+             "upper": math.inf, "gain_a": 1 / 3, "alpha": 0.5, "beta": 1.0}
+        assert violations_csv([v]) == (
+            VIOLATIONS_HEADER + "\n"
+            "3,buy-sell,0.10000000000000001,0.20000000000000001,inf,0.33333333333333331,0.5,1\n"
+        )
+
+    def test_layers_sweep_files_hold_the_io_encodings(self, tmp_path):
+        text = SMALL_MLP + "\n[sweep]\naxis = layers\nvalues = 2 | 0,1 | all\nseeds = 2\n"
+        (tmp_path / "sw.cfg").write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["sweep", str(tmp_path / "sw.cfg"), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["layer_table.csv", "layer_winners.json"]
+        spec = parse_sweep(text)
+        report = layer_subset_table(spec.base, list(spec.values), spec.seeds)
+        table = (out / "layer_table.csv").read_bytes()
+        assert table == layer_table_csv(report["table"]).encode("utf-8")
+        assert (out / "layer_winners.json").read_bytes() == json_text(report["winners"]).encode("utf-8")
+        lines = table.decode("utf-8").splitlines()
+        assert lines[0] == "layer_set,a,b"
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "0;1", "all"]
+        assert sorted(report["winners"]) == [4, 5]
 
 
 def run_python(*args, cwd):
@@ -429,10 +478,17 @@ class TestCli:
             (MINIMAL_MLP, "n = 20", "n = 20\ndeprived_fraction = nan", "[agent b] deprived_fraction:"),
             (MINIMAL_MLP, "n = 20", "n = 20\ndeprived_fraction = 0", "[agent b] deprived_fraction:"),
             (MINIMAL_MLP, "n = 20", "n = 20\ndeprived_fraction = 1.5", "[agent b] deprived_fraction:"),
+            (MINIMAL, "rounds = 12", "rounds = 0", "[market] rounds:"),
+            (MINIMAL, "rounds = 12", "rounds = 12\ntrade_every = 0", "[market] trade_every:"),
+            (MINIMAL, "rounds = 12", "rounds = 12\ntrade_start = -1", "[market] trade_start:"),
+            (MINIMAL, "rounds = 12", "rounds = 12\nseller_pricing = foo", "[market] seller_pricing:"),
+            (MINIMAL, "rounds = 12", "rounds = 12\nmodel = foo", "[market] model:"),
         ],
         ids=["seed-negative", "init-empty", "init-x", "init-normal-x", "init-normal-nan",
              "epsilon-zero", "epsilon-negative", "epsilon-inf", "offset-under-error-ratio",
-             "offset-negative", "deprived-nan", "deprived-zero", "deprived-above-one"],
+             "offset-negative", "deprived-nan", "deprived-zero", "deprived-above-one",
+             "rounds-zero", "trade-every-zero", "trade-start-negative", "seller-pricing-foo",
+             "model-foo"],
     )
     def test_invalid_market_or_agent_key_exit_code_and_diagnostic(
         self, tmp_path, base, old, new, diagnostic

@@ -26,7 +26,7 @@ from paramarket.mlp import (
     weight_matching_alignment,
 )
 
-from _helpers import flatten, inverse, is_identity, unflatten
+from _helpers import flatten, identity_perms, inverse, is_identity, unflatten
 
 
 def random_net(sizes, seed):
@@ -249,7 +249,7 @@ class TestAlignment:
     def test_objective_no_worse_than_identity(self):
         a, b = random_net((2, 10, 10, 2), 9), random_net((2, 10, 10, 2), 10)
         perms = weight_matching_alignment(a, b)
-        identity = LayerPermutations.identity(a.hidden_sizes)
+        identity = identity_perms(a.hidden_sizes)
         assert matching_objective(a, b, perms) >= matching_objective(a, b, identity) - 1e-12
 
     def test_objective_trace_monotone(self):
@@ -379,7 +379,7 @@ class TestDescentSkip:
 class TestApplyPermutation:
     def test_identity_is_noop(self):
         net = random_net((2, 6, 6, 2), 13)
-        out = apply_permutation(net, LayerPermutations.identity(net.hidden_sizes))
+        out = apply_permutation(net, identity_perms(net.hidden_sizes))
         assert nets_equal(out, net)
 
     def test_function_preserved_on_random_inputs(self):

@@ -28,19 +28,10 @@ from .engine import (
     PolicyKind,
     TradeRecord,
     convergence_metrics,
-    geometric_decay_check,
     run_round,
     run_simulation,
 )
-from .linear import (
-    LinearTask,
-    SingularityError,
-    SpectrumSummary,
-    estimation_error,
-    loss_ratio_bounds,
-    spectrum,
-    synthesize_task,
-)
+from .linear import LinearTask, estimation_error, synthesize_task
 from .pricing import (
     PriorDistribution,
     ValuationQuadruple,
@@ -74,8 +65,6 @@ __all__ = [
     "Policy",
     "PolicyKind",
     "PriorDistribution",
-    "SingularityError",
-    "SpectrumSummary",
     "TradeRecord",
     "ValuationQuadruple",
     "cobb_douglas_revenue",
@@ -85,9 +74,7 @@ __all__ = [
     "fedavg_weight",
     "gain_error_ratio",
     "gain_loss_difference",
-    "geometric_decay_check",
     "gradient_step",
-    "loss_ratio_bounds",
     "merge",
     "myerson_price",
     "nash_price_difference",
@@ -95,7 +82,6 @@ __all__ = [
     "run_simulation",
     "seller_virtual_valuation",
     "settle",
-    "spectrum",
     "synthesize_task",
     "__version__",
 ]

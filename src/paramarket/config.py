@@ -2,8 +2,9 @@
 
 The format is INI-style with one ``[market]`` section, one ``[broker]``
 section, one ``[agent <id>]`` section per agent, and optional ``[mlp]`` and
-``[sweep]`` sections. Keys are case-sensitive. See README for the schema and
-the bundled example configs.
+``[sweep]`` sections. Keys are case-sensitive; any other section, and any key
+the parser does not read, is an error. See README for the schema and the
+bundled example configs.
 """
 
 import configparser
@@ -36,8 +37,9 @@ class SweepSpec:
     base: MarketConfig
 
 
-def _reader(parser: configparser.ConfigParser, section: str):
+def _reader(parser: configparser.ConfigParser, section: str, read: set):
     def get(key: str, cast, default=None, required: bool = False):
+        read.add((section, key))
         if not parser.has_option(section, key):
             if required:
                 raise ConfigError(section, key, "required key is missing")
@@ -80,6 +82,16 @@ def _layer_set(n_hidden: int):
         if not layers or not all(0 <= i <= n_hidden for i in layers):
             raise ValueError(f"expected 'all' or a non-empty list of layer indices in [0, {n_hidden}]")
         return layers
+
+    return cast
+
+
+def _favored(n_classes: int):
+    def cast(raw: str) -> tuple:
+        favored = _int_tuple(raw)
+        if not all(0 <= c < n_classes for c in favored):
+            raise ValueError(f"expected class indices in [0, {n_classes - 1}]")
+        return favored
 
     return cast
 
@@ -159,15 +171,26 @@ def _read(text: str) -> configparser.ConfigParser:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError("-", "-", f"unparsable config: {exc}") from exc
+    for section in parser.sections():
+        if section not in ("market", "broker", "mlp", "sweep") and not section.startswith("agent "):
+            raise ConfigError(section, "-", "unknown section")
     return parser
+
+
+def _reject_unread(parser: configparser.ConfigParser, read: set, sections) -> None:
+    for section in sections:
+        for key in parser.options(section):
+            if (section, key) not in read:
+                raise ConfigError(section, key, "unknown key")
 
 
 def parse_config(text: str) -> MarketConfig:
     """Parse config text; raises ConfigError with a section/key diagnostic."""
     parser = _read(text)
+    read = set()
     if not parser.has_section("market"):
         raise ConfigError("market", "-", "missing [market] section")
-    market = _reader(parser, "market")
+    market = _reader(parser, "market", read)
     model = market("model", _choice("linear", "mlp"), default="linear")
     gain_kind = market("gain_kind", GainKind, required=True)
     loss = market("loss", LossSpec, default=LossSpec.MEAN_PER_SAMPLE)
@@ -177,39 +200,10 @@ def parse_config(text: str) -> MarketConfig:
         raise ConfigError("agent <id>", "-", "need at least two [agent <id>] sections")
     linear = model == "linear"
     min_n = 1 if linear else 2  # two_moons draws a point of each class
-    agents = []
-    for section in sorted(agent_sections):
-        agent_id = section.split(" ", 1)[1].strip()
-        if not agent_id:
-            raise ConfigError(section, "-", "empty agent id")
-        a = _reader(parser, section)
-        agents.append(
-            AgentSpec(
-                agent_id=agent_id,
-                dim=a("dim", _count(1) if linear else int, required=linear, default=0),
-                n_samples=a("n", _count(min_n), required=True),
-                noise_variance=a("noise", _non_negative, default=0.0),
-                policy=a("policy", Policy.parse, default=Policy.parse("trade-when-beneficial")),
-                step_size=a("step_size", _step_size, default=None),
-                theta_offset=a("theta_offset", _theta_offset(gain_kind), default=0.0),
-                favored_classes=a("favored", _int_tuple, default=()),
-                deprived_fraction=a("deprived_fraction", _fraction, default=1.0),
-            )
-        )
-
-    if not parser.has_section("broker"):
-        raise ConfigError("broker", "-", "missing [broker] section")
-    b = _reader(parser, "broker")
-    # A linear broker draws at least one validation sample per agent.
-    broker_min = _count(len(agents), " (one per agent)") if linear else _count(min_n)
-    broker = BrokerSpec(
-        n_samples=b("n", broker_min, required=True),
-        noise_variance=b("noise", _non_negative, default=0.0),
-    )
 
     mlp_spec = None
-    if model == "mlp":
-        m = _reader(parser, "mlp")
+    if not linear:
+        m = _reader(parser, "mlp", read)
         hidden = m("hidden", _widths, default=(16, 16, 16))
         mlp_spec = MlpMarketSpec(
             hidden=hidden,
@@ -220,8 +214,40 @@ def parse_config(text: str) -> MarketConfig:
             align_sweeps=m("align_sweeps", _count(1), default=10),
         )
 
+    agents = []
+    for section in sorted(agent_sections):
+        agent_id = section.split(" ", 1)[1].strip()
+        if not agent_id:
+            raise ConfigError(section, "-", "empty agent id")
+        a = _reader(parser, section, read)
+        agents.append(
+            AgentSpec(
+                agent_id=agent_id,
+                dim=a("dim", _count(1) if linear else int, required=linear, default=0),
+                n_samples=a("n", _count(min_n), required=True),
+                noise_variance=a("noise", _non_negative, default=0.0),
+                policy=a("policy", Policy.parse, default=Policy.parse("trade-when-beneficial")),
+                step_size=a("step_size", _step_size, default=None),
+                theta_offset=a("theta_offset", _theta_offset(gain_kind), default=0.0),
+                favored_classes=a(
+                    "favored", _int_tuple if linear else _favored(mlp_spec.n_classes), default=()
+                ),
+                deprived_fraction=a("deprived_fraction", _fraction, default=1.0),
+            )
+        )
+
+    if not parser.has_section("broker"):
+        raise ConfigError("broker", "-", "missing [broker] section")
+    b = _reader(parser, "broker", read)
+    # A linear broker draws at least one validation sample per agent.
+    broker_min = _count(len(agents), " (one per agent)") if linear else _count(min_n)
+    broker = BrokerSpec(
+        n_samples=b("n", broker_min, required=True),
+        noise_variance=b("noise", _non_negative, default=0.0),
+    )
+
     try:
-        return MarketConfig(
+        cfg = MarketConfig(
             seed=market("seed", _count(0), required=True),
             rounds=market("rounds", _count(1), required=True),
             gain_kind=gain_kind,
@@ -243,6 +269,9 @@ def parse_config(text: str) -> MarketConfig:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("market", "-", str(exc)) from exc
+    # The [sweep] keys are left to parse_sweep.
+    _reject_unread(parser, read, [s for s in parser.sections() if s != "sweep"])
+    return cfg
 
 
 def load_config(path: str) -> MarketConfig:
@@ -257,11 +286,12 @@ _SWEEP_AXES = ("distance", *_SWEEP_CELLS, "layers")
 
 
 def parse_sweep(text: str) -> SweepSpec:
-    """Parse a sweep config: its base market plus one [sweep] axis."""
+    """Parse a sweep config: its base market plus one [sweep] axis of distinct cells."""
     parser = _read(text)
     if not parser.has_section("sweep"):
         raise ConfigError("sweep", "-", "missing [sweep] section")
-    s = _reader(parser, "sweep")
+    read = set()
+    s = _reader(parser, "sweep", read)
     axis = s("axis", str, required=True)
     if axis not in _SWEEP_AXES:
         raise ConfigError("sweep", "axis", f"expected one of {_SWEEP_AXES}, got {axis!r}")
@@ -271,6 +301,7 @@ def parse_sweep(text: str) -> SweepSpec:
         raise ConfigError("sweep", "values", "no cells given (separate cells with '|')")
     seeds = s("seeds", _count(1), default=5)
     base = parse_config(text)
+    _reject_unread(parser, read, ["sweep"])
     if axis == "distance":
         cell = _theta_offset(base.gain_kind)
     elif axis != "layers":
@@ -279,12 +310,18 @@ def parse_sweep(text: str) -> SweepSpec:
         raise ConfigError("sweep", "axis", "the layers axis needs an mlp market (model = mlp)")
     else:
         cell = _layer_set(len(base.mlp.hidden))
-    values = []
+    values, seen = [], {}
     for raw in cells:
         try:
-            values.append(cell(raw))
+            value = cell(raw)
         except ValueError as exc:
             raise ConfigError("sweep", "values", f"cannot parse cell {raw!r}: {exc}") from exc
+        # Layer sets are equal when they name the same layers; all names every layer.
+        key = frozenset(value or range(len(base.mlp.hidden) + 1)) if axis == "layers" else value
+        if key in seen:
+            raise ConfigError("sweep", "values", f"cell {raw!r} repeats cell {seen[key]!r}")
+        seen[key] = raw
+        values.append(value)
     return SweepSpec(axis=axis, values=tuple(values), seeds=seeds, base=base)
 
 

@@ -46,10 +46,15 @@ class DivergenceError(ArithmeticError):
         super().__init__(message)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _frozen(a: np.ndarray, dtype) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def _check_weight(weight: float) -> None:
+    if not (0.0 < weight <= 1.0):
+        raise ValueError(f"merge weight must lie in (0, 1], got {weight}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +69,7 @@ class ParameterVector:
             raise ValueError(f"parameters must be a non-empty 1-D vector, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("parameters contain non-finite entries")
-        object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "values", _frozen(v, np.float64))
 
     @property
     def dimension(self) -> int:
@@ -91,8 +96,8 @@ class LabeledDataset:
             raise DimensionMismatchError(x.shape[0], y.shape[0], "label count vs input rows")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("dataset contains non-finite entries")
-        object.__setattr__(self, "inputs", _frozen(x))
-        object.__setattr__(self, "labels", _frozen(y))
+        object.__setattr__(self, "inputs", _frozen(x, np.float64))
+        object.__setattr__(self, "labels", _frozen(y, np.float64))
 
     @property
     def n_samples(self) -> int:
@@ -168,6 +173,5 @@ def merge(buyer: ParameterVector, seller: ParameterVector, weight: float) -> Par
     the buyer's parameters outright.
     """
     seller.require_dimension(buyer.dimension, "seller vs buyer parameters")
-    if not (0.0 < weight <= 1.0):
-        raise ValueError(f"merge weight must lie in (0, 1], got {weight}")
+    _check_weight(weight)
     return ParameterVector((1.0 - weight) * buyer.values + weight * seller.values)

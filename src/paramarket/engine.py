@@ -54,7 +54,6 @@ from .pricing import seller_virtual_valuation, settle
 __all__ = [
     "PolicyKind",
     "Policy",
-    "DecisionContext",
     "AgentSpec",
     "BrokerSpec",
     "MlpMarketSpec",
@@ -71,8 +70,6 @@ __all__ = [
     "run_simulation",
     "run_prepared_simulation",
     "convergence_metrics",
-    "geometric_decay_check",
-    "DecayReport",
 ]
 
 
@@ -105,27 +102,15 @@ class Policy:
         return Policy(PolicyKind(text))
 
 
-@dataclass(frozen=True)
-class DecisionContext:
-    """Everything a buying decision may look at.
+def wants_to_buy(policy: Policy, gain: GainReport) -> bool:
+    """Whether a buyer asks for the merge on offer.
 
-    Deliberately excludes the counterparty's gain report: the broker reveals
-    gains confidentially, so a decision sees its own gain and the weight it
-    would purchase at, nothing else.
+    Sees only the buyer's own policy and gain: the broker reports gains
+    confidentially, so the counterparty's gain never reaches the decision.
     """
-
-    round_index: int
-    gain: GainReport
-    merge_weight: float
-    policy: Policy
-
-
-def default_decision(ctx: DecisionContext) -> bool:
-    if ctx.policy.kind in (PolicyKind.ALWAYS_TRADE, PolicyKind.FEDAVG):
-        return True
-    if ctx.policy.kind is PolicyKind.NEVER_TRADE:
+    if policy.kind is PolicyKind.NEVER_TRADE:
         return False
-    return ctx.gain.trade_beneficial
+    return policy.kind in (PolicyKind.ALWAYS_TRADE, PolicyKind.FEDAVG) or gain.trade_beneficial
 
 
 @dataclass(frozen=True)
@@ -141,7 +126,6 @@ class AgentSpec:
     theta_offset: float = 0.0  # distance of this agent's truth from the shared base
     favored_classes: tuple = ()  # mlp only: classes kept in full
     deprived_fraction: float = 1.0  # mlp only: fraction kept of the other classes
-    decision: object = None  # test hook; None uses the policy default
 
 
 @dataclass(frozen=True)
@@ -225,7 +209,6 @@ class AgentState:
     policy: Policy
     start_round: int
     n_samples: int
-    decision: object = None
 
 
 @dataclass(frozen=True)
@@ -263,11 +246,8 @@ class MarketLog:
     truth_broker_loss: dict
     gain_kind: GainKind
 
-    def agent_curves(self, agent_id: str) -> list:
-        return [r for r in self.curves if r.agent == agent_id]
-
     def final_row(self, agent_id: str) -> CurveRow:
-        return self.agent_curves(agent_id)[-1]
+        return next(r for r in reversed(self.curves) if r.agent == agent_id)
 
 
 class LinearModel:
@@ -496,9 +476,7 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
         offers = [(v, *evaluate(u, v)) for v in sorted(sellers)]
         # Target the seller offering the largest gain; ties take the lowest id.
         seller, proposal, gain = min(offers, key=lambda e: (-e[2].value, e[0]))
-        decide = st.decision or default_decision
-        wants = decide(DecisionContext(round_index, gain, proposal.weight, st.policy))
-        if not wants:
+        if not wants_to_buy(st.policy, gain):
             records.append(
                 TradeRecord(round_index, u, seller, proposal.weight, gain,
                             None, None, None, False)
@@ -593,7 +571,7 @@ def _imbalanced_subset(
 
 
 def policy_fields(cfg: MarketConfig, spec: AgentSpec) -> dict:
-    """The AgentState fields an agent's policy fixes: policy, start_round, decision.
+    """The AgentState fields an agent's policy fixes: policy and start_round.
 
     Every other field depends only on the market's draws, so states built for
     one config take another config's policies by replacing just these.
@@ -601,7 +579,6 @@ def policy_fields(cfg: MarketConfig, spec: AgentSpec) -> dict:
     return {
         "policy": spec.policy,
         "start_round": max(cfg.trade_start, 1) + spec.policy.delay,
-        "decision": spec.decision,
     }
 
 
@@ -845,78 +822,8 @@ def convergence_metrics(log: MarketLog, epsilon: float) -> dict:
     for u in log.agent_ids:
         base = log.truth_broker_loss.get(u, 0.0)
         out[u] = None
-        for row in log.agent_curves(u):
-            if row.broker_loss - base <= epsilon:
+        for row in log.curves:
+            if row.agent == u and row.broker_loss - base <= epsilon:
                 out[u] = row.round_index
                 break
     return out
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Per-round geometric decay audit for an always-buying linear agent."""
-
-    applicable: bool
-    reason: str
-    agent_id: str | None = None
-    rounds_checked: int = 0
-    max_round_factor: float | None = None  # max loss_t / loss_{t-1} over trade rounds
-    max_merge_factor: float | None = None  # max loss(merged) / loss(post-step) over trade rounds
-    max_bound_ratio: float | None = None  # max observed factor relative to rho / gain_t
-    violations: tuple = ()
-
-
-def geometric_decay_check(
-    log: MarketLog, rho: float, agent_id: str | None = None, slack: float = 1e-9
-) -> DecayReport:
-    """Verify the per-trade-round contraction of an agent's own-data loss.
-
-    Every executed trade must satisfy ``loss_t / loss_{t-1} <= rho / gain_t +
-    slack`` (and the merge step alone ``loss_t / dot_loss_t <= rho / gain_t +
-    slack``); with a perfectly conditioned design the merge factor equals the
-    reciprocal gain exactly. Not applicable to loss-difference logs or logs
-    without executed trades.
-    """
-    if log.gain_kind is not GainKind.ERROR_RATIO:
-        return DecayReport(False, "decay audit needs the error-ratio gain")
-    traders = sorted({r.buyer for r in log.trades if r.indicator})
-    if not traders:
-        return DecayReport(False, "no executed trades in the log")
-    if agent_id is None:
-        if len(traders) > 1:
-            return DecayReport(False, f"several agents traded ({traders}); pass agent_id")
-        agent_id = traders[0]
-    gain_by_round = {
-        r.round_index: r.gain.value for r in log.trades if r.buyer == agent_id and r.indicator
-    }
-    rows = {r.round_index: r for r in log.agent_curves(agent_id)}
-    violations = []
-    max_round_factor = max_merge_factor = max_bound_ratio = 0.0
-    checked = 0
-    for t, gain in sorted(gain_by_round.items()):
-        prev, cur = rows.get(t - 1), rows.get(t)
-        if prev is None or cur is None or prev.own_loss <= 0.0 or not math.isfinite(gain):
-            continue
-        checked += 1
-        bound = rho / gain
-        round_factor = cur.own_loss / prev.own_loss
-        merge_factor = cur.own_loss / cur.dot_own_loss if cur.dot_own_loss > 0 else math.inf
-        max_round_factor = max(max_round_factor, round_factor)
-        max_merge_factor = max(max_merge_factor, merge_factor)
-        max_bound_ratio = max(max_bound_ratio, round_factor / bound, merge_factor / bound)
-        if round_factor > bound + slack or merge_factor > bound + slack:
-            violations.append(
-                {"round": t, "round_factor": round_factor, "merge_factor": merge_factor, "bound": bound}
-            )
-    if checked == 0:
-        return DecayReport(False, "no checkable trade rounds", agent_id=agent_id)
-    return DecayReport(
-        True,
-        "ok" if not violations else f"{len(violations)} violations",
-        agent_id=agent_id,
-        rounds_checked=checked,
-        max_round_factor=max_round_factor,
-        max_merge_factor=max_merge_factor,
-        max_bound_ratio=max_bound_ratio,
-        violations=tuple(violations),
-    )

@@ -40,9 +40,7 @@ __all__ = [
 
 def never_trade_variant(cfg: MarketConfig) -> MarketConfig:
     """Same market, same draws, but nobody ever buys."""
-    agents = tuple(
-        replace(a, policy=Policy(PolicyKind.NEVER_TRADE), decision=None) for a in cfg.agents
-    )
+    agents = tuple(replace(a, policy=Policy(PolicyKind.NEVER_TRADE)) for a in cfg.agents)
     return replace(cfg, agents=agents, pricing=False)
 
 

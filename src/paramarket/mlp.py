@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DimensionMismatchError, LabeledDataset
+from .core import DimensionMismatchError, LabeledDataset, _check_weight, _frozen
 
 __all__ = [
     "TaskKind",
@@ -27,7 +27,6 @@ __all__ = [
     "mlp_gradient_step",
     "linear_assignment",
     "weight_matching_alignment",
-    "align_with_trace",
     "matching_objective",
     "apply_permutation",
     "subset_merge",
@@ -46,12 +45,6 @@ def _check_finite(i: int, w: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"layer {i} contains non-finite entries")
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class MlpParams:
     """Layered weights and biases of a rectifier network.
@@ -64,8 +57,8 @@ class MlpParams:
     biases: tuple
 
     def __post_init__(self):
-        ws = tuple(_frozen(np.atleast_2d(w)) for w in self.weights)
-        bs = tuple(_frozen(np.atleast_1d(b)) for b in self.biases)
+        ws = tuple(_frozen(np.atleast_2d(w), np.float64) for w in self.weights)
+        bs = tuple(_frozen(np.atleast_1d(b), np.float64) for b in self.biases)
         if not ws or len(ws) != len(bs):
             raise ValueError("need equally many weight matrices and bias vectors")
         for i, (w, b) in enumerate(zip(ws, bs)):
@@ -118,14 +111,8 @@ class LayerPermutations:
             p = np.asarray(p, dtype=np.intp)
             if sorted(p.tolist()) != list(range(p.size)):
                 raise ValueError(f"hidden layer {i}: not a permutation of 0..{p.size - 1}")
-            checked.append(_frozen_perm(p))
+            checked.append(_frozen(p, np.intp))
         object.__setattr__(self, "perms", tuple(checked))
-
-
-def _frozen_perm(p: np.ndarray) -> np.ndarray:
-    p = np.ascontiguousarray(p, dtype=np.intp)
-    p.setflags(write=False)
-    return p
 
 
 def _checked_inputs(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
@@ -328,52 +315,54 @@ def matching_objective(
 
 def _descend(
     reference: MlpParams, candidate: MlpParams, sweeps: int, order: list
-) -> list:
-    """One coordinate descent in the given layer order.
-
-    Returns the permutations before the first update and after every update;
-    the last entry is the result.
+) -> LayerPermutations:
+    """One coordinate descent in the given layer order; returns its final permutations.
 
     A layer's similarity matrix depends only on the permutations of its two
     neighbours, and the assignment is a deterministic function of it. So a
     layer is re-solved only while it is stale: before its first solve, and
     after a neighbour's permutation changed. Any other update would repeat
     the previous solve of that layer bit for bit and return the permutation it
-    already holds; it is skipped, and its unchanged state is still recorded,
-    so the states and the early stop are those of a descent that solves every
-    update.
+    already holds, so the result and the early stop are those of a descent
+    that solves every update.
     """
     hidden = reference.hidden_sizes
     perms = [np.arange(h, dtype=np.intp) for h in hidden]
     in_ident = np.arange(reference.layer_sizes[0], dtype=np.intp)
     out_ident = np.arange(reference.layer_sizes[-1], dtype=np.intp)
-    states = [LayerPermutations(tuple(perms))]
     stale = set(range(len(hidden)))
     for _ in range(sweeps):
         changed = False
         for i in order:
-            moved = False
-            if i in stale:
-                stale.discard(i)
-                prev = perms[i - 1] if i > 0 else in_ident
-                nxt = perms[i + 1] if i + 1 < len(hidden) else out_ident
-                sim = reference.weights[i] @ candidate.weights[i][:, prev].T
-                sim += np.outer(reference.biases[i], candidate.biases[i])
-                sim += reference.weights[i + 1].T @ candidate.weights[i + 1][nxt, :]
-                new_p = linear_assignment(-sim)
-                moved = not np.array_equal(new_p, perms[i])
-            if moved:
+            if i not in stale:
+                continue
+            stale.discard(i)
+            prev = perms[i - 1] if i > 0 else in_ident
+            nxt = perms[i + 1] if i + 1 < len(hidden) else out_ident
+            sim = reference.weights[i] @ candidate.weights[i][:, prev].T
+            sim += np.outer(reference.biases[i], candidate.biases[i])
+            sim += reference.weights[i + 1].T @ candidate.weights[i + 1][nxt, :]
+            new_p = linear_assignment(-sim)
+            if not np.array_equal(new_p, perms[i]):
                 changed = True
                 perms[i] = new_p
                 stale.update(j for j in (i - 1, i + 1) if 0 <= j < len(hidden))
-            states.append(LayerPermutations(tuple(perms)) if moved else states[-1])
         if not changed:
             break
-    return states
+    return LayerPermutations(tuple(perms))
 
 
-def _descents(reference: MlpParams, candidate: MlpParams, sweeps: int) -> tuple:
-    """Forward descent states and backward ones (None below two hidden layers)."""
+def weight_matching_alignment(
+    reference: MlpParams, candidate: MlpParams, sweeps: int = 10
+) -> LayerPermutations:
+    """Permutations re-indexing the candidate's hidden units to match the reference.
+
+    Each descent update re-solves one hidden layer's assignment holding the
+    others fixed; a sweep that changes nothing stops it early. The layer
+    order of the first sweep can decide which local optimum it lands in, so
+    a first-to-last and a last-to-first descent run, and the one ending at
+    the higher matching objective wins (ties keep the forward one).
+    """
     if not reference.same_architecture(candidate):
         raise ValueError(
             f"architecture mismatch: {reference.layer_sizes} vs {candidate.layer_sizes}"
@@ -383,43 +372,10 @@ def _descents(reference: MlpParams, candidate: MlpParams, sweeps: int) -> tuple:
     n_hidden = len(reference.hidden_sizes)
     forward = _descend(reference, candidate, sweeps, list(range(n_hidden)))
     if n_hidden < 2:
-        return forward, None
-    return forward, _descend(reference, candidate, sweeps, list(range(n_hidden - 1, -1, -1)))
-
-
-def align_with_trace(
-    reference: MlpParams, candidate: MlpParams, sweeps: int = 10
-) -> tuple[LayerPermutations, list]:
-    """Coordinate-descent weight matching; also returns the objective after every update.
-
-    Each update re-solves one hidden layer's assignment holding the others
-    fixed, so the objective trace is non-decreasing; a sweep that changes
-    nothing stops the descent early. The layer order of the first sweep can
-    decide which local optimum the descent lands in, so two deterministic
-    descents run (first-to-last and last-to-first) and the one ending at the
-    higher matching objective wins; ties keep the forward result.
-    """
-    forward, backward = _descents(reference, candidate, sweeps)
-    result = forward[-1], [matching_objective(reference, candidate, p) for p in forward]
-    if backward is not None:
-        trace = [matching_objective(reference, candidate, p) for p in backward]
-        if trace[-1] > result[1][-1]:
-            result = backward[-1], trace
-    return result
-
-
-def weight_matching_alignment(
-    reference: MlpParams, candidate: MlpParams, sweeps: int = 10
-) -> LayerPermutations:
-    """Permutations re-indexing the candidate's hidden units to match the reference.
-
-    The result of `align_with_trace`, scoring only the final state of each descent.
-    """
-    forward, backward = _descents(reference, candidate, sweeps)
-    if backward is None:
-        return forward[-1]
-    f, b = (matching_objective(reference, candidate, states[-1]) for states in (forward, backward))
-    return backward[-1] if b > f else forward[-1]
+        return forward
+    backward = _descend(reference, candidate, sweeps, list(range(n_hidden - 1, -1, -1)))
+    f, b = (matching_objective(reference, candidate, p) for p in (forward, backward))
+    return backward if b > f else forward
 
 
 def apply_permutation(params: MlpParams, perms: LayerPermutations) -> MlpParams:
@@ -524,11 +480,6 @@ def _merge_layers(buyer: MlpParams, seller_aligned: MlpParams, layer_set) -> lis
     if layers[0] < 0 or layers[-1] >= buyer.n_layers:
         raise ValueError(f"layer indices {layers} out of range for {buyer.n_layers} layers")
     return layers
-
-
-def _check_weight(weight: float) -> None:
-    if not (0.0 < weight <= 1.0):
-        raise ValueError(f"merge weight must lie in (0, 1], got {weight}")
 
 
 def _blend(buyer: MlpParams, seller_aligned: MlpParams, i: int, weight: float) -> tuple:

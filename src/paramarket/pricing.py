@@ -55,13 +55,6 @@ class PriorDistribution:
     def exponential(rate: float) -> "PriorDistribution":
         return PriorDistribution(PriorKind.EXPONENTIAL, rate=rate)
 
-    def cdf(self, p: float) -> float:
-        if self.kind is PriorKind.UNIFORM:
-            if self.hi == self.lo:
-                return 0.0 if p < self.lo else 1.0
-            return min(max((p - self.lo) / (self.hi - self.lo), 0.0), 1.0)
-        return 1.0 - math.exp(-self.rate * max(p, 0.0))
-
 
 @dataclass(frozen=True)
 class ValuationQuadruple:

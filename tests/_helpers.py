@@ -1,12 +1,17 @@
-"""Statistics, parameter views, prior densities and reference searches that only the tests use."""
+"""Statistics, parameter views, prior densities, reference searches and audits that only the tests use."""
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy import stats
 
 from paramarket._search import golden_section_min
+from paramarket.broker import GainKind
+from paramarket.core import LabeledDataset
+from paramarket.engine import MarketLog
 from paramarket.mlp import LayerPermutations, MlpParams
 from paramarket.pricing import PriorDistribution, PriorKind
 
@@ -52,6 +57,15 @@ def identity_perms(hidden_sizes) -> LayerPermutations:
     return LayerPermutations(tuple(np.arange(h, dtype=np.intp) for h in hidden_sizes))
 
 
+def cdf(prior: PriorDistribution, p: float) -> float:
+    """Distribution function of the prior at ``p``."""
+    if prior.kind is PriorKind.UNIFORM:
+        if prior.hi == prior.lo:
+            return 0.0 if p < prior.lo else 1.0
+        return min(max((p - prior.lo) / (prior.hi - prior.lo), 0.0), 1.0)
+    return 1.0 - math.exp(-prior.rate * max(p, 0.0))
+
+
 def pdf(prior: PriorDistribution, p: float) -> float:
     """Density of the prior at ``p``."""
     if prior.kind is PriorKind.UNIFORM:
@@ -68,7 +82,7 @@ def myerson_price_numeric(prior: PriorDistribution, tol: float = 1e-10) -> float
         lo, hi = prior.lo, prior.hi
     else:
         lo, hi = 0.0, 20.0 / prior.rate
-    revenue = lambda p: -p * (1.0 - prior.cdf(p))  # noqa: E731
+    revenue = lambda p: -p * (1.0 - cdf(prior, p))  # noqa: E731
     price, _ = golden_section_min(revenue, lo, hi, tol=tol * max(hi - lo, 1.0))
     return price
 
@@ -106,3 +120,118 @@ def reference_grid_then_golden(f, lo, hi, tol=1e-6, grid_points=33):
     if fs[k] < fx or (fs[k] == fx and xs[k] < x):
         return xs[k], fs[k]
     return x, fx
+
+
+class SingularityError(ValueError):
+    """The Gram matrix X^T X is not positive definite."""
+
+
+@dataclass(frozen=True)
+class SpectrumSummary:
+    """Extreme eigenvalues of X^T X and their ratio (the condition number)."""
+
+    lambda_max: float
+    lambda_min: float
+    rho: float
+
+
+def spectrum(data: LabeledDataset) -> SpectrumSummary:
+    """Eigen-extremes of X^T X and the condition number rho = lambda_max / lambda_min.
+
+    Raises SingularityError when the Gram matrix is numerically singular (for
+    instance when n < d).
+    """
+    x = data.inputs
+    eigs = scipy.linalg.eigvalsh(x.T @ x)
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+    if lam_min <= 1e-12 * lam_max:
+        raise SingularityError(
+            f"smallest eigenvalue {lam_min:.3e} is below tolerance; matrix treated as singular"
+        )
+    return SpectrumSummary(lambda_max=lam_max, lambda_min=lam_min, rho=lam_max / lam_min)
+
+
+def loss_ratio_bounds(gain: float, rho: float, loss_before: float) -> tuple[float, float]:
+    """Interval for the post-merge loss given the gain ratio and condition number.
+
+    For a noiseless linear task the loss is the Gram-weighted squared distance
+    to the true parameters, so a merge whose estimation-error ratio is ``gain``
+    lands within ``[loss_before / (rho * gain), rho * loss_before / gain]``.
+    """
+    if not gain > 0:
+        raise ValueError(f"gain ratio must be positive, got {gain}")
+    if not rho >= 1:
+        raise ValueError(f"condition number must be >= 1, got {rho}")
+    if loss_before < 0:
+        raise ValueError(f"loss must be non-negative, got {loss_before}")
+    return loss_before / (rho * gain), rho * loss_before / gain
+
+
+@dataclass(frozen=True)
+class DecayReport:
+    """Per-round geometric decay audit for an always-buying linear agent."""
+
+    applicable: bool
+    reason: str
+    agent_id: str | None = None
+    rounds_checked: int = 0
+    max_round_factor: float | None = None  # max loss_t / loss_{t-1} over trade rounds
+    max_merge_factor: float | None = None  # max loss(merged) / loss(post-step) over trade rounds
+    max_bound_ratio: float | None = None  # max observed factor relative to rho / gain_t
+    violations: tuple = ()
+
+
+def geometric_decay_check(
+    log: MarketLog, rho: float, agent_id: str | None = None, slack: float = 1e-9
+) -> DecayReport:
+    """Verify the per-trade-round contraction of an agent's own-data loss.
+
+    Every executed trade must satisfy ``loss_t / loss_{t-1} <= rho / gain_t +
+    slack`` (and the merge step alone ``loss_t / dot_loss_t <= rho / gain_t +
+    slack``); with a perfectly conditioned design the merge factor equals the
+    reciprocal gain exactly. Not applicable to loss-difference logs or logs
+    without executed trades.
+    """
+    if log.gain_kind is not GainKind.ERROR_RATIO:
+        return DecayReport(False, "decay audit needs the error-ratio gain")
+    traders = sorted({r.buyer for r in log.trades if r.indicator})
+    if not traders:
+        return DecayReport(False, "no executed trades in the log")
+    if agent_id is None:
+        if len(traders) > 1:
+            return DecayReport(False, f"several agents traded ({traders}); pass agent_id")
+        agent_id = traders[0]
+    gain_by_round = {
+        r.round_index: r.gain.value for r in log.trades if r.buyer == agent_id and r.indicator
+    }
+    rows = {r.round_index: r for r in log.curves if r.agent == agent_id}
+    violations = []
+    max_round_factor = max_merge_factor = max_bound_ratio = 0.0
+    checked = 0
+    for t, gain in sorted(gain_by_round.items()):
+        prev, cur = rows.get(t - 1), rows.get(t)
+        if prev is None or cur is None or prev.own_loss <= 0.0 or not math.isfinite(gain):
+            continue
+        checked += 1
+        bound = rho / gain
+        round_factor = cur.own_loss / prev.own_loss
+        merge_factor = cur.own_loss / cur.dot_own_loss if cur.dot_own_loss > 0 else math.inf
+        max_round_factor = max(max_round_factor, round_factor)
+        max_merge_factor = max(max_merge_factor, merge_factor)
+        max_bound_ratio = max(max_bound_ratio, round_factor / bound, merge_factor / bound)
+        if round_factor > bound + slack or merge_factor > bound + slack:
+            violations.append(
+                {"round": t, "round_factor": round_factor, "merge_factor": merge_factor, "bound": bound}
+            )
+    if checked == 0:
+        return DecayReport(False, "no checkable trade rounds", agent_id=agent_id)
+    return DecayReport(
+        True,
+        "ok" if not violations else f"{len(violations)} violations",
+        agent_id=agent_id,
+        rounds_checked=checked,
+        max_round_factor=max_round_factor,
+        max_merge_factor=max_merge_factor,
+        max_bound_ratio=max_bound_ratio,
+        violations=tuple(violations),
+    )

@@ -24,7 +24,6 @@ from paramarket.engine import (
     PolicyKind,
     build_market,
     convergence_metrics,
-    geometric_decay_check,
     run_prepared_simulation,
     run_simulation,
 )
@@ -36,7 +35,6 @@ from paramarket.experiments import (
     run_with_twin,
 )
 from paramarket.io import curves_csv, trades_csv
-from paramarket.linear import spectrum
 from paramarket.mlp import (
     LayerPermutations,
     MlpParams,
@@ -57,7 +55,7 @@ from paramarket.pricing import (
     nash_price_difference,
 )
 
-from _helpers import myerson_price_numeric, spearman
+from _helpers import geometric_decay_check, myerson_price_numeric, spearman, spectrum
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

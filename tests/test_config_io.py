@@ -428,9 +428,15 @@ class TestCli:
             (MINIMAL + "\n[sweep]\naxis = endowment\nvalues = 1.5\n", "[sweep] values:"),
             (MINIMAL + "\n[sweep]\naxis = layers\nvalues = all\n", "[sweep] axis:"),
             (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 0 | 4\n", "[sweep] values:"),
+            (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 2 | all | 2\n", "[sweep] values:"),
+            (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 2,3 | 3,2\n", "[sweep] values:"),
+            (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 0,1,2,3 | all\n", "[sweep] values:"),
+            (MINIMAL + "\n[sweep]\naxis = endowment\nvalues = 0.5 | 0.50\n", "[sweep] values:"),
+            (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 2\nseed = 3\n", "[sweep] seed: unknown key"),
         ],
         ids=["unparsable", "non-numeric-cell", "zero-frequency", "zero-endowment",
-             "endowment-above-one", "layers-on-linear", "layer-out-of-range"],
+             "endowment-above-one", "layers-on-linear", "layer-out-of-range", "repeated-layer-cell",
+             "reordered-layer-cell", "all-as-a-list", "repeated-endowment", "unknown-sweep-key"],
     )
     def test_invalid_sweep_exit_code_and_diagnostic(self, tmp_path, text, diagnostic):
         bad = tmp_path / "bad.cfg"
@@ -483,12 +489,22 @@ class TestCli:
             (MINIMAL, "rounds = 12", "rounds = 12\ntrade_start = -1", "[market] trade_start:"),
             (MINIMAL, "rounds = 12", "rounds = 12\nseller_pricing = foo", "[market] seller_pricing:"),
             (MINIMAL, "rounds = 12", "rounds = 12\nmodel = foo", "[market] model:"),
+            (MINIMAL_MLP, "n = 20", "n = 20\nfavored = 2", "[agent b] favored:"),
+            (MINIMAL_MLP, "n = 20", "n = 20\nfavored = 7", "[agent b] favored:"),
+            (MINIMAL_MLP, "n = 20", "n = 20\nfavored = -1", "[agent b] favored:"),
+            (MINIMAL, "rounds = 12", "rounds = 12\ntrade_evry = 5", "[market] trade_evry: unknown key"),
+            (MINIMAL, "n = 20", "n = 20\nfavoured = 0", "[agent b] favoured: unknown key"),
+            (MINIMAL, "n = 300", "n = 300\nnosie = 0.1", "[broker] nosie: unknown key"),
+            (MINIMAL, "[broker]", "[agnt c]\ndim = 8\nn = 5\n\n[broker]", "[agnt c] -: unknown section"),
+            (MINIMAL, "n = 300", "n = 300\n\n[mlp]\nhidden = 4", "[mlp] hidden: unknown key"),
         ],
         ids=["seed-negative", "init-empty", "init-x", "init-normal-x", "init-normal-nan",
              "epsilon-zero", "epsilon-negative", "epsilon-inf", "offset-under-error-ratio",
              "offset-negative", "deprived-nan", "deprived-zero", "deprived-above-one",
              "rounds-zero", "trade-every-zero", "trade-start-negative", "seller-pricing-foo",
-             "model-foo"],
+             "model-foo", "favored-two-classes", "favored-seven", "favored-negative",
+             "unknown-market-key", "unknown-agent-key", "unknown-broker-key", "unknown-section",
+             "mlp-section-on-linear"],
     )
     def test_invalid_market_or_agent_key_exit_code_and_diagnostic(
         self, tmp_path, base, old, new, diagnostic

@@ -1,8 +1,12 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paramarket
 from paramarket.core import (
     DimensionMismatchError,
     LabeledDataset,
@@ -164,3 +168,12 @@ class TestMerge:
             mixed = empirical_loss(merge(a, b, nu), data)
             chord = (1 - nu) * empirical_loss(a, data) + nu * empirical_loss(b, data)
             assert mixed <= chord + 1e-9 * (1 + chord)
+
+
+@pytest.mark.parametrize(
+    "name", ["paramarket"] + [f"paramarket.{m.name}" for m in pkgutil.iter_modules(paramarket.__path__)]
+)
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names undefined {missing}"

@@ -1,26 +1,28 @@
 import dataclasses
+import inspect
 
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from paramarket import engine
 from paramarket.broker import GainKind
 from paramarket.core import DivergenceError, LossSpec
 from paramarket.engine import (
     AgentSpec,
     BrokerSpec,
-    DecisionContext,
     MarketConfig,
     MlpMarketSpec,
     Policy,
     PolicyKind,
     build_market,
     convergence_metrics,
-    geometric_decay_check,
     run_simulation,
 )
 from paramarket.experiments import never_trade_variant, relative_improvement, run_with_twin
+
+from _helpers import geometric_decay_check
 
 BENEFICIAL = Policy(PolicyKind.TRADE_WHEN_BENEFICIAL)
 NEVER = Policy(PolicyKind.NEVER_TRADE)
@@ -36,7 +38,6 @@ def linear_cfg(
     noise_b=0.5,
     trade_every=1,
     trade_start=1,
-    decisions=(None, None),
     seller_pricing="myerson",
 ):
     return MarketConfig(
@@ -44,10 +45,8 @@ def linear_cfg(
         rounds=rounds,
         gain_kind=gain,
         agents=(
-            AgentSpec("a", dim=24, n_samples=100, noise_variance=0.0,
-                      policy=policies[0], decision=decisions[0]),
-            AgentSpec("b", dim=24, n_samples=36, noise_variance=noise_b,
-                      policy=policies[1], decision=decisions[1]),
+            AgentSpec("a", dim=24, n_samples=100, noise_variance=0.0, policy=policies[0]),
+            AgentSpec("b", dim=24, n_samples=36, noise_variance=noise_b, policy=policies[1]),
         ),
         broker=BrokerSpec(n_samples=1500),
         pricing=pricing,
@@ -186,20 +185,23 @@ class TestPricingRounds:
 
 
 class TestConfidentiality:
-    def test_decision_sees_only_own_gain_and_weight(self):
+    def test_decision_sees_only_own_gain_and_weight(self, monkeypatch):
+        assert list(inspect.signature(engine.wants_to_buy).parameters) == ["policy", "gain"]
         seen = []
 
-        def spy(ctx):
-            seen.append(ctx)
-            return ctx.gain.trade_beneficial
+        def spy(policy, gain):
+            seen.append(gain)
+            return decide(policy, gain)
 
-        log = run_simulation(linear_cfg(decisions=(spy, spy)))
-        assert seen and len(log.trades) > 0
-        allowed = {"round_index", "gain", "merge_weight", "policy"}
-        assert {f.name for f in dataclasses.fields(DecisionContext)} == allowed
-        for ctx in seen:
-            assert 0.0 < ctx.merge_weight <= 1.0
-            assert ctx.gain.kind is GainKind.ERROR_RATIO
+        decide = engine.wants_to_buy
+        monkeypatch.setattr(engine, "wants_to_buy", spy)
+        log = run_simulation(linear_cfg())
+        # One decision per logged evaluation, each on the gain of its own trade.
+        assert seen and len(seen) == len(log.trades)
+        for gain, record in zip(seen, log.trades):
+            assert gain is record.gain
+            assert gain.kind is GainKind.ERROR_RATIO
+            assert 0.0 < record.merge_weight <= 1.0
 
 
 class TestBaselines:

@@ -91,9 +91,9 @@ class TestTwins:
                 summary_dict(alone), sort_keys=True
             )
 
-    def test_never_trade_variant_clears_decisions(self):
+    def test_never_trade_variant_never_buys(self):
         cfg = never_trade_variant(small_cfg())
-        assert all(a.decision is None for a in cfg.agents)
+        assert all(a.policy == Policy(PolicyKind.NEVER_TRADE) for a in cfg.agents)
         assert not cfg.pricing
 
     def test_relative_improvement_sign(self):

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from paramarket.core import LabeledDataset, LossSpec, ParameterVector, empirical_loss, merge
-from paramarket.linear import (
-    SingularityError,
-    estimation_error,
-    gram_lambda_max,
-    loss_ratio_bounds,
-    spectrum,
-    synthesize_task,
-)
+from paramarket.linear import estimation_error, gram_lambda_max, synthesize_task
+
+from _helpers import SingularityError, loss_ratio_bounds, spectrum
 
 
 def pv(*values):

@@ -17,7 +17,7 @@ from paramarket.pricing import (
 )
 
 import _helpers
-from _helpers import myerson_price_numeric, pdf, reference_golden_section_min
+from _helpers import cdf, myerson_price_numeric, pdf, reference_golden_section_min
 
 finite_vals = st.floats(min_value=-100.0, max_value=100.0)
 
@@ -77,7 +77,7 @@ class TestMyersonPrice:
     def test_fixed_point_identity_at_interior_optima(self):
         for prior in (PriorDistribution.uniform(0.0, 4.0), PriorDistribution.exponential(2.5)):
             p = myerson_price(prior)
-            hazard = (1.0 - prior.cdf(p)) / pdf(prior, p)
+            hazard = (1.0 - cdf(prior, p)) / pdf(prior, p)
             assert abs(p - hazard) <= 1e-9
 
     def test_numeric_solver_agrees_on_random_priors(self):

@@ -5,16 +5,13 @@ import math
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_min(
-    f, lo: float, hi: float, tol: float = 1e-6, f_lo: float | None = None, f_hi: float | None = None
-) -> tuple[float, float]:
+def golden_section_min(f, lo: float, hi: float, tol: float, f_lo: float, f_hi: float) -> tuple[float, float]:
     """Minimize a unimodal scalar function on [lo, hi].
 
     Returns (argmin, value). The bracket is shrunk until its width is at most
     ``tol``; ties inside the bracket resolve toward the smaller argument.
-    ``f_lo`` and ``f_hi``, when given, are ``f(lo)`` and ``f(hi)``. The values
-    at the bracket ends move along with them, so ``f`` is evaluated at the
-    final ends only where no value is known yet.
+    ``f_lo`` and ``f_hi`` are ``f(lo)`` and ``f(hi)``. The values at the
+    bracket ends move along with them, so ``f`` is never evaluated at an end.
     """
     a, b = float(lo), float(hi)
     fa, fb = f_lo, f_hi
@@ -30,23 +27,17 @@ def golden_section_min(
             a, fa, c, fc = c, fc, d, fd
             d = a + _INVPHI * (b - a)
             fd = f(d)
-    if fa is None:
-        fa = f(a)
-    if fb is None:
-        fb = f(b)
     return (a, fa) if fa <= fb else (b, fb)
 
 
-def grid_then_golden(
-    f, lo: float, hi: float, tol: float = 1e-6, grid_points: int = 33
-) -> tuple[float, float]:
-    """Coarse grid scan followed by golden-section refinement around the best cell.
+def grid_then_golden(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Scan of a 33-point grid followed by golden-section refinement around the best cell.
 
     Robust for losses that are not unimodal on the interval. The returned value
     never exceeds the loss at any probed grid point; among grid ties the
     smallest argument wins. The refinement reuses the grid values at its bracket ends.
     """
-    n = max(grid_points, 3)
+    n = 33
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     fs = [f(x) for x in xs]
     k = min(range(n), key=lambda i: (fs[i], xs[i]))

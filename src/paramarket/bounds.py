@@ -36,6 +36,11 @@ UNBOUNDED = math.inf
 # Denominators at or below this are reported as the +inf sentinel.
 _DEN_EPS = 1e-12
 
+# Audit dimension: the bounds use only norms, so any works; 8 keeps a trial cheap.
+AUDIT_DIM = 8
+# Relative slack on each interval end: bound and ratio round along different paths.
+AUDIT_REL_SLACK = 1e-9
+
 
 class TradeScenario(Enum):
     BUYER_GAIN = "buyer-gain"
@@ -164,27 +169,23 @@ class SoundnessReport:
         return not self.violations
 
 
-def soundness_sweep(
-    trials: int,
-    rng: np.random.Generator,
-    dim: int = 8,
-    rel_slack: float = 1e-9,
-) -> SoundnessReport:
+def soundness_sweep(trials: int, rng: np.random.Generator) -> SoundnessReport:
     """Construct random trade instances and check every bound family on them.
 
     Each trial draws true parameters, both agents' parameter estimates, and
     merge weights, then verifies that the realized buyer gain and all four
-    scenario ratios fall inside the corresponding computed intervals.
+    scenario ratios fall inside the corresponding computed intervals, up to
+    ``AUDIT_REL_SLACK``.
     """
     violations: list[dict] = []
     clamps = 0
     unbounded = 0
     for trial in range(trials):
-        theta_star = rng.standard_normal(dim)
+        theta_star = rng.standard_normal(AUDIT_DIM)
         scale_a = math.exp(rng.uniform(-2.0, 2.0))
         scale_b = math.exp(rng.uniform(-2.0, 2.0))
-        dot_a = theta_star + scale_a * rng.standard_normal(dim)
-        dot_b = theta_star + scale_b * rng.standard_normal(dim)
+        dot_a = theta_star + scale_a * rng.standard_normal(AUDIT_DIM)
+        dot_b = theta_star + scale_b * rng.standard_normal(AUDIT_DIM)
         alpha = rng.uniform(1e-3, 1.0)
         beta = rng.uniform(1e-3, 1.0)
 
@@ -207,7 +208,7 @@ def soundness_sweep(
         for bound, realized in checks:
             clamps += bound.lower_clamped
             unbounded += math.isinf(bound.upper)
-            if not bound.contains(realized, rel_slack):
+            if not bound.contains(realized, AUDIT_REL_SLACK):
                 violations.append(
                     {
                         "trial": trial,

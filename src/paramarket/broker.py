@@ -88,17 +88,14 @@ def optimal_weight_from_residuals(buyer_residual: np.ndarray, delta_pred: np.nda
     return min(max(nu, WEIGHT_FLOOR), 1.0)
 
 
-def optimize_merge_weight_searched(
-    loss_at_weight,
-    tol: float = 1e-6,
-) -> tuple[float, float]:
+def optimize_merge_weight_searched(loss_at_weight) -> tuple[float, float]:
     """Weight search for non-quadratic losses (neural merges).
 
     Grid scan over [WEIGHT_FLOOR, 1] followed by golden-section refinement;
     the result is never worse than any probed grid point, and grid ties break
-    toward the smaller weight.
+    toward the smaller weight. The refinement stops at a bracket of width 1e-6.
     """
-    return grid_then_golden(loss_at_weight, WEIGHT_FLOOR, 1.0, tol=tol)
+    return grid_then_golden(loss_at_weight, WEIGHT_FLOOR, 1.0, 1e-6)
 
 
 def gain_loss_difference(proposal: MergeProposal) -> GainReport:

@@ -26,7 +26,6 @@ from .experiments import layer_subset_table, run_sweep
 from .mlp import (
     LayerPermutations,
     MlpParams,
-    TaskKind,
     apply_permutation,
     mlp_forward_loss,
     subset_merge,
@@ -123,10 +122,10 @@ def _cmd_align_demo(args) -> int:
     for w in np.linspace(0.0, 1.0, args.points):
         w = float(w)
         if w == 0.0:
-            la = lu = mlp_forward_loss(net, data, TaskKind.CLASSIFICATION)
+            la = lu = mlp_forward_loss(net, data)
         else:
-            la = mlp_forward_loss(subset_merge(net, recovered, layers, w), data, TaskKind.CLASSIFICATION)
-            lu = mlp_forward_loss(subset_merge(net, clone, layers, w), data, TaskKind.CLASSIFICATION)
+            la = mlp_forward_loss(subset_merge(net, recovered, layers, w), data)
+            lu = mlp_forward_loss(subset_merge(net, clone, layers, w), data)
         points.append((w, la, lu))
     curve = io_mod.csv_text(io_mod.ALIGN_DEMO_HEADER, points)
     if args.out:
@@ -260,8 +259,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # a path that cannot be read or written, named in the message
+        print(f"path error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

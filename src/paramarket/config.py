@@ -79,8 +79,8 @@ def _layer_set(n_hidden: int):
         if raw.strip() == "all":
             return None
         layers = _int_tuple(raw)
-        if not layers or not all(0 <= i <= n_hidden for i in layers):
-            raise ValueError(f"expected 'all' or a non-empty list of layer indices in [0, {n_hidden}]")
+        if not layers or len(set(layers)) < len(layers) or not all(0 <= i <= n_hidden for i in layers):
+            raise ValueError(f"expected 'all' or a non-empty list of distinct layer indices in [0, {n_hidden}]")
         return layers
 
     return cast
@@ -274,9 +274,16 @@ def parse_config(text: str) -> MarketConfig:
     return cfg
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError("-", "-", f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_config(path: str) -> MarketConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(_read_file(path))
 
 
 # Cell parser per sweep axis; the distance and layers axes check cells against
@@ -326,5 +333,4 @@ def parse_sweep(text: str) -> SweepSpec:
 
 
 def load_sweep(path: str) -> SweepSpec:
-    with open(path, encoding="utf-8") as fh:
-        return parse_sweep(fh.read())
+    return parse_sweep(_read_file(path))

@@ -59,7 +59,10 @@ def _check_weight(weight: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ParameterVector:
-    """A flat real parameter set; the commodity that gets traded and merged."""
+    """A flat real parameter set; the commodity that gets traded and merged.
+
+    Takes ownership of a float64 C-contiguous array: it is frozen in place, not copied.
+    """
 
     values: np.ndarray
 
@@ -82,7 +85,10 @@ class ParameterVector:
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Design matrix plus labels: inputs is n-by-d, labels has length n."""
+    """Design matrix plus labels: inputs is n-by-d, labels has length n.
+
+    Takes ownership of its arrays like `ParameterVector`: a copy would hold a large design twice.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray

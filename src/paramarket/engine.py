@@ -271,16 +271,15 @@ class LinearModel:
 class MlpModel:
     """Per-agent training backend for a neural task."""
 
-    def __init__(self, data: LabeledDataset, step_size: float, task_kind: mlp_mod.TaskKind):
+    def __init__(self, data: LabeledDataset, step_size: float):
         self.data = data
         self.step_size = step_size
-        self.task_kind = task_kind
 
     def step(self, params):
-        return mlp_mod.mlp_gradient_step(params, self.data, self.step_size, self.task_kind)
+        return mlp_mod.mlp_gradient_step(params, self.data, self.step_size)
 
     def own_loss(self, params) -> float:
-        return mlp_mod.mlp_forward_loss(params, self.data, self.task_kind)
+        return mlp_mod.mlp_forward_loss(params, self.data)
 
     def est_error(self, params) -> float:
         return math.nan
@@ -355,17 +354,10 @@ class LinearRoundView:
 
 
 class MlpBrokerEngine:
-    """Broker over a held-out classification/regression set for neural agents."""
+    """Broker over a held-out classification set for neural agents."""
 
-    def __init__(
-        self,
-        data: LabeledDataset,
-        task_kind: mlp_mod.TaskKind,
-        layer_set: tuple | None,
-        align_sweeps: int = 10,
-    ):
+    def __init__(self, data: LabeledDataset, layer_set: tuple | None, align_sweeps: int):
         self.data = data
-        self.task_kind = task_kind
         self.layer_set = layer_set
         self.align_sweeps = align_sweeps
         self.gain_kind = GainKind.LOSS_DIFFERENCE
@@ -374,7 +366,7 @@ class MlpBrokerEngine:
         return MlpRoundView(self, dots)
 
     def loss(self, params) -> float:
-        return mlp_mod.mlp_forward_loss(params, self.data, self.task_kind)
+        return mlp_mod.mlp_forward_loss(params, self.data)
 
 
 class MlpRoundView:
@@ -393,7 +385,7 @@ class MlpRoundView:
         )
         aligned = mlp_mod.apply_permutation(self.dots[seller], perms)
         layers = eng.layer_set or tuple(range(self.dots[buyer].n_layers))
-        loss_at = mlp_mod.merge_path_loss(self.dots[buyer], aligned, layers, eng.data, eng.task_kind)
+        loss_at = mlp_mod.merge_path_loss(self.dots[buyer], aligned, layers, eng.data)
         weight, loss_after = optimize_merge_weight_searched(loss_at)
         return MergeProposal(
             weight=weight,
@@ -706,19 +698,13 @@ def _build_mlp_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator
         AgentState(
             agent_id=a.agent_id,
             params=mlp_mod.MlpParams.random_init(sizes, rng),
-            model=MlpModel(
-                tasks[a.agent_id],
-                0.1 if a.step_size is None else a.step_size,
-                mlp_mod.TaskKind.CLASSIFICATION,
-            ),
+            model=MlpModel(tasks[a.agent_id], 0.1 if a.step_size is None else a.step_size),
             n_samples=a.n_samples,
             **policy_fields(cfg, a),
         )
         for a in agents
     )
-    broker_engine = MlpBrokerEngine(
-        broker_data, mlp_mod.TaskKind.CLASSIFICATION, spec.layer_set, spec.align_sweeps
-    )
+    broker_engine = MlpBrokerEngine(broker_data, spec.layer_set, spec.align_sweeps)
     truth_loss = {a.agent_id: 0.0 for a in agents}
     return states, broker_engine, truth_loss
 

@@ -11,14 +11,12 @@ function the net computes, which is what makes post-alignment merging safe.
 import functools
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .core import DimensionMismatchError, LabeledDataset, _check_weight, _frozen
 
 __all__ = [
-    "TaskKind",
     "MlpParams",
     "LayerPermutations",
     "mlp_forward",
@@ -33,11 +31,6 @@ __all__ = [
     "merge_path_loss",
     "two_moons",
 ]
-
-
-class TaskKind(Enum):
-    REGRESSION = "regression"
-    CLASSIFICATION = "classification"
 
 
 def _check_finite(i: int, w: np.ndarray, b: np.ndarray) -> None:
@@ -145,38 +138,26 @@ def _softmax_log(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def mlp_forward_loss(params: MlpParams, data: LabeledDataset, task_kind: TaskKind) -> float:
-    """Training/evaluation loss of the net on a dataset.
-
-    Regression: total squared error against the scalar labels (single output
-    unit), mirroring the linear path. Classification: mean softmax
-    cross-entropy against integer class labels.
-    """
+def mlp_forward_loss(params: MlpParams, data: LabeledDataset) -> float:
+    """Mean softmax cross-entropy of the net against integer class labels."""
     out = mlp_forward(params, data.inputs)
-    return _output_loss(out, _loss_targets(data.labels, out.shape[1], task_kind), task_kind)
+    return _output_loss(out, _loss_targets(data.labels, out.shape[1]))
 
 
-def _loss_targets(labels: np.ndarray, n_out: int, task_kind: TaskKind) -> np.ndarray:
+def _loss_targets(labels: np.ndarray, n_out: int) -> np.ndarray:
     """The labels `_output_loss` scores against, checked against ``n_out`` output units."""
-    if task_kind is TaskKind.REGRESSION:
-        if n_out != 1:
-            raise DimensionMismatchError(1, n_out, "regression output units")
-        return labels
     classes = labels.astype(np.intp)
     if classes.min() < 0 or classes.max() >= n_out:
         raise ValueError(f"class labels must lie in [0, {n_out - 1}]")
     return classes
 
 
-def _output_loss(out: np.ndarray, targets: np.ndarray, task_kind: TaskKind) -> float:
-    if task_kind is TaskKind.REGRESSION:
-        r = out[:, 0] - targets
-        return float(r @ r)
+def _output_loss(out: np.ndarray, targets: np.ndarray) -> float:
     logp = _softmax_log(out)
     return float(-logp[np.arange(len(targets)), targets].mean())
 
 
-def mlp_loss_gradients(params: MlpParams, data: LabeledDataset, task_kind: TaskKind):
+def mlp_loss_gradients(params: MlpParams, data: LabeledDataset):
     """Backpropagated gradients of `mlp_forward_loss`: (dWs, dbs) lists."""
     x = data.inputs
     acts = [x]
@@ -189,15 +170,10 @@ def mlp_loss_gradients(params: MlpParams, data: LabeledDataset, task_kind: TaskK
         acts.append(h)
     out = acts[-1]
     n = x.shape[0]
-    if task_kind is TaskKind.REGRESSION:
-        grad_out = 2.0 * (out - data.labels[:, None])
-    else:
-        classes = data.labels.astype(np.intp)
-        p = np.exp(_softmax_log(out))
-        p[np.arange(n), classes] -= 1.0
-        grad_out = p / n
+    p = np.exp(_softmax_log(out))
+    p[np.arange(n), data.labels.astype(np.intp)] -= 1.0
     d_ws, d_bs = [], []
-    delta = grad_out
+    delta = p / n
     for i in range(params.n_layers - 1, -1, -1):
         d_ws.append(delta.T @ acts[i])
         d_bs.append(delta.sum(axis=0))
@@ -208,12 +184,10 @@ def mlp_loss_gradients(params: MlpParams, data: LabeledDataset, task_kind: TaskK
     return d_ws, d_bs
 
 
-def mlp_gradient_step(
-    params: MlpParams, data: LabeledDataset, step_size: float, task_kind: TaskKind
-) -> MlpParams:
+def mlp_gradient_step(params: MlpParams, data: LabeledDataset, step_size: float) -> MlpParams:
     if not step_size > 0:
         raise ValueError(f"step size must be positive, got {step_size}")
-    d_ws, d_bs = mlp_loss_gradients(params, data, task_kind)
+    d_ws, d_bs = mlp_loss_gradients(params, data)
     ws = tuple(w - step_size * dw for w, dw in zip(params.weights, d_ws))
     bs = tuple(b - step_size * db for b, db in zip(params.biases, d_bs))
     return MlpParams(ws, bs)
@@ -419,12 +393,11 @@ def merge_path_loss(
     seller_aligned: MlpParams,
     layer_set,
     data: LabeledDataset,
-    task_kind: TaskKind,
 ):
     """Loss along a subset merge path, scored without building merged nets.
 
     Returns ``loss_at(weight)``, equal bit for bit to ``mlp_forward_loss(
-    subset_merge(buyer, seller_aligned, layer_set, weight), data, task_kind)``
+    subset_merge(buyer, seller_aligned, layer_set, weight), data)``
     and raising the same errors. Everything that does not depend on the
     weight is done once: the architecture, layer-set, input and label checks,
     the forward pass through the buyer layers before the first merged one,
@@ -439,7 +412,7 @@ def merge_path_loss(
     """
     layers = _merge_layers(buyer, seller_aligned, layer_set)
     x = _checked_inputs(buyer, data.inputs)
-    targets = _loss_targets(data.labels, buyer.layer_sizes[-1], task_kind)
+    targets = _loss_targets(data.labels, buyer.layer_sizes[-1])
     first = layers[0]
     head = _chain(x, buyer.weights[:first], buyer.biases[:first], first)
     n_relu = buyer.n_layers - 1 - first
@@ -463,7 +436,7 @@ def merge_path_loss(
         ws, bs = list(buyer.weights[first:]), list(buyer.biases[first:])
         for i, w, b in merged:
             ws[i - first], bs[i - first] = w, b
-        return _output_loss(_chain(head, ws, bs, n_relu), targets, task_kind)
+        return _output_loss(_chain(head, ws, bs, n_relu), targets)
 
     return loss_at
 

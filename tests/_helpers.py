@@ -83,16 +83,16 @@ def myerson_price_numeric(prior: PriorDistribution, tol: float = 1e-10) -> float
     else:
         lo, hi = 0.0, 20.0 / prior.rate
     revenue = lambda p: -p * (1.0 - cdf(prior, p))  # noqa: E731
-    price, _ = golden_section_min(revenue, lo, hi, tol=tol * max(hi - lo, 1.0))
+    price, _ = golden_section_min(revenue, lo, hi, tol * max(hi - lo, 1.0), revenue(lo), revenue(hi))
     return price
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def reference_golden_section_min(f, lo, hi, tol=1e-6):
+def reference_golden_section_min(f, lo, hi, tol, *_end_values):
     # The golden-section search before it carried the values at the bracket
-    # ends: it evaluates both final ends again.
+    # ends: it ignores any it is given and evaluates both final ends again.
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -110,9 +110,9 @@ def reference_golden_section_min(f, lo, hi, tol=1e-6):
     return (a, fa) if fa <= fb else (b, fb)
 
 
-def reference_grid_then_golden(f, lo, hi, tol=1e-6, grid_points=33):
+def reference_grid_then_golden(f, lo, hi, tol):
     # The grid scan whose refinement re-evaluates the grid points at its ends.
-    n = max(grid_points, 3)
+    n = 33
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     fs = [f(x) for x in xs]
     k = min(range(n), key=lambda i: (fs[i], xs[i]))

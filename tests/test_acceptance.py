@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from paramarket.bounds import soundness_sweep
+from paramarket.bounds import AUDIT_REL_SLACK, soundness_sweep
 from paramarket.broker import GainKind
 from paramarket.config import load_config, load_sweep
 from paramarket.core import LossSpec
@@ -38,7 +38,6 @@ from paramarket.io import curves_csv, trades_csv
 from paramarket.mlp import (
     LayerPermutations,
     MlpParams,
-    TaskKind,
     apply_permutation,
     linear_assignment,
     mlp_forward,
@@ -94,8 +93,9 @@ def test_01_synthetic_linear_market():
 
 
 def test_02_buyer_gain_bound_soundness():
+    assert AUDIT_REL_SLACK == 1e-9
     start = time.perf_counter()
-    report = soundness_sweep(10_000, np.random.default_rng(2024), rel_slack=1e-9)
+    report = soundness_sweep(10_000, np.random.default_rng(2024))
     elapsed = time.perf_counter() - start
     buyer_violations = [v for v in report.violations if v["scenario"] == "buyer-gain"]
     passed = not buyer_violations and elapsed <= 5.0
@@ -108,7 +108,8 @@ def test_02_buyer_gain_bound_soundness():
 
 
 def test_03_scenario_lemma_soundness():
-    report = soundness_sweep(10_000, np.random.default_rng(31), rel_slack=1e-9)
+    assert AUDIT_REL_SLACK == 1e-9
+    report = soundness_sweep(10_000, np.random.default_rng(31))
     scenario_violations = [v for v in report.violations if v["scenario"] != "buyer-gain"]
     by_scenario = {s: 0 for s in ("no-buy-no-sell", "buy-no-sell", "no-buy-sell", "buy-sell")}
     for v in scenario_violations:
@@ -252,10 +253,7 @@ def test_08_permuted_clone_alignment():
         )
         recovered += exact
         merged = subset_merge(net, aligned, range(net.n_layers), 0.5)
-        gap = abs(
-            mlp_forward_loss(merged, data, TaskKind.CLASSIFICATION)
-            - mlp_forward_loss(net, data, TaskKind.CLASSIFICATION)
-        )
+        gap = abs(mlp_forward_loss(merged, data) - mlp_forward_loss(net, data))
         worst_loss_gap = max(worst_loss_gap, gap)
     passed = recovered == 20 and worst_loss_gap <= 1e-8 and worst_dev <= 1e-10
     verdict(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramarket import cli
+from paramarket import io as io_mod
 from paramarket.broker import GainKind
 from paramarket.config import ConfigError, load_config, load_sweep, parse_config, parse_sweep
 from paramarket.core import LossSpec
@@ -406,6 +407,7 @@ class TestCli:
             ("hidden", "0,4"),
             ("layer_set", "3"),
             ("layer_set", ""),
+            ("layer_set", "2,2"),
         ],
     )
     def test_invalid_mlp_key_exit_code_and_diagnostic(self, tmp_path, key, value):
@@ -431,12 +433,14 @@ class TestCli:
             (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 2 | all | 2\n", "[sweep] values:"),
             (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 2,3 | 3,2\n", "[sweep] values:"),
             (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 0,1,2,3 | all\n", "[sweep] values:"),
+            (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 1 | 2,2\n", "[sweep] values:"),
             (MINIMAL + "\n[sweep]\naxis = endowment\nvalues = 0.5 | 0.50\n", "[sweep] values:"),
             (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 2\nseed = 3\n", "[sweep] seed: unknown key"),
         ],
         ids=["unparsable", "non-numeric-cell", "zero-frequency", "zero-endowment",
              "endowment-above-one", "layers-on-linear", "layer-out-of-range", "repeated-layer-cell",
-             "reordered-layer-cell", "all-as-a-list", "repeated-endowment", "unknown-sweep-key"],
+             "reordered-layer-cell", "all-as-a-list", "repeated-index-in-cell", "repeated-endowment",
+             "unknown-sweep-key"],
     )
     def test_invalid_sweep_exit_code_and_diagnostic(self, tmp_path, text, diagnostic):
         bad = tmp_path / "bad.cfg"
@@ -542,6 +546,53 @@ class TestCli:
         r = run_cli("simulate", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert r.returncode == 3, r.stderr
         assert "round" in r.stderr
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_config_path_that_is_a_directory_exits_2(self, tmp_path, command):
+        r = run_cli(command, str(tmp_path), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert str(tmp_path) in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("simulate", str(CONFIGS / "never_trade.cfg")),
+            ("sweep", "sweep.cfg"),
+            ("bounds-check", "--trials", "10"),
+        ],
+        ids=["simulate", "sweep", "bounds-check"],
+    )
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_through_an_existing_file_exits_2(self, tmp_path, args, out):
+        (tmp_path / "sweep.cfg").write_text(
+            MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 2\nseeds = 1\n", encoding="utf-8"
+        )
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        r = run_cli(*args, "--out", out, cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert str(tmp_path / out) in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_unwritable_out_directory_exits_2(self, tmp_path, monkeypatch, capsys):
+        # Mode bits do not stop root, so the temporary-file call raises the
+        # error the system gives for a directory without write permission.
+        def denied(dir, **_):
+            raise PermissionError(13, "Permission denied", dir)
+
+        monkeypatch.setattr(io_mod.tempfile, "mkstemp", denied)
+        out = tmp_path / "locked"
+        assert cli.main(["bounds-check", "--trials", "10", "--out", str(out)]) == 2
+        assert f"Permission denied: '{out}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, command):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(MINIMAL.replace("seed = 9", "seed = 9 \xff").encode("latin-1"))
+        r = run_cli(command, str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert f"{bad} is not UTF-8" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_bounds_check_passes(self, tmp_path):
         r = run_cli("bounds-check", "--trials", "500", "--out", str(tmp_path), cwd=tmp_path)

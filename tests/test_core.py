@@ -37,6 +37,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             p.values[0] = 5.0
 
+    def test_float64_arrays_are_frozen_in_place_not_copied(self):
+        v, x, y = np.zeros(3), np.zeros((4, 3)), np.zeros(4)
+        data = LabeledDataset(x, y)
+        for passed, field in [(v, ParameterVector(v).values), (x, data.inputs), (y, data.labels)]:
+            assert np.shares_memory(passed, field)
+            assert not passed.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                passed[0] = 1.0
+
     def test_dataset_shape_validation(self):
         with pytest.raises(DimensionMismatchError):
             LabeledDataset(np.zeros((3, 2)), np.zeros(2))

@@ -272,7 +272,7 @@ class TestMlpRoundView:
                 calls.append(params)
                 return super().loss(params)
 
-        engine = Counting(base.data, base.task_kind, base.layer_set, base.align_sweeps)
+        engine = Counting(base.data, base.layer_set, base.align_sweeps)
         _, records, rows = run_round(states, engine, cfg, 1)
         # Both agents searched a merge with the other; each broker loss
         # before a merge was computed once, whatever shipped.

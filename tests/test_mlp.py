@@ -8,11 +8,10 @@ from scipy.optimize import linear_sum_assignment
 
 from paramarket import mlp
 from paramarket.broker import WEIGHT_FLOOR
-from paramarket.core import DimensionMismatchError, LabeledDataset, empirical_loss, ParameterVector
+from paramarket.core import DimensionMismatchError, LabeledDataset
 from paramarket.mlp import (
     LayerPermutations,
     MlpParams,
-    TaskKind,
     apply_permutation,
     linear_assignment,
     matching_objective,
@@ -57,20 +56,6 @@ def reference_forward(net, x):
 
 
 class TestForwardLoss:
-    def test_zero_weights_zero_labels_regression(self):
-        net = MlpParams((np.zeros((4, 2)), np.zeros((1, 4))), (np.zeros(4), np.zeros(1)))
-        data = LabeledDataset(np.ones((5, 2)), np.zeros(5))
-        assert mlp_forward_loss(net, data, TaskKind.REGRESSION) == 0.0
-
-    def test_single_linear_layer_matches_linear_loss(self):
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((1, 3))
-        net = MlpParams((w,), (np.zeros(1),))
-        data = LabeledDataset(rng.standard_normal((10, 3)), rng.standard_normal(10))
-        assert mlp_forward_loss(net, data, TaskKind.REGRESSION) == pytest.approx(
-            empirical_loss(ParameterVector(w[0]), data), rel=1e-12
-        )
-
     def test_forward_matches_slow_reference(self):
         rng = np.random.default_rng(1)
         net = random_net((3, 7, 5, 2), 2)
@@ -78,10 +63,10 @@ class TestForwardLoss:
         np.testing.assert_allclose(mlp_forward(net, x), reference_forward(net, x), atol=1e-10)
 
     def test_dimension_mismatch(self):
-        net = random_net((3, 4, 1), 3)
+        net = random_net((3, 4, 2), 3)
         data = LabeledDataset(np.ones((2, 2)), np.zeros(2))
         with pytest.raises(DimensionMismatchError):
-            mlp_forward_loss(net, data, TaskKind.REGRESSION)
+            mlp_forward_loss(net, data)
 
     def test_log_softmax_equals_the_row_reduction_version(self):
         rng = np.random.default_rng(30)
@@ -94,28 +79,21 @@ class TestForwardLoss:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
-        cases = [
-            (TaskKind.REGRESSION, (3, 6, 1), rng.standard_normal(12)),
-            (TaskKind.CLASSIFICATION, (3, 6, 4), rng.integers(0, 4, 12).astype(float)),
-        ]
-        for kind, sizes, labels in cases:
-            net = random_net(sizes, 5)
-            data = LabeledDataset(rng.standard_normal((12, 3)), labels)
-            d_ws, d_bs = mlp_loss_gradients(net, data, kind)
-            analytic = np.concatenate(
-                [np.concatenate([dw.ravel(), db]) for dw, db in zip(d_ws, d_bs)]
-            )
-            flat = flatten(net)
-            eps = 1e-6
-            for i in rng.choice(flat.size, size=25, replace=False):
-                up, down = flat.copy(), flat.copy()
-                up[i] += eps
-                down[i] -= eps
-                fd = (
-                    mlp_forward_loss(unflatten(up, sizes), data, kind)
-                    - mlp_forward_loss(unflatten(down, sizes), data, kind)
-                ) / (2 * eps)
-                assert analytic[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        sizes = (3, 6, 4)
+        net = random_net(sizes, 5)
+        data = LabeledDataset(rng.standard_normal((12, 3)), rng.integers(0, 4, 12).astype(float))
+        d_ws, d_bs = mlp_loss_gradients(net, data)
+        analytic = np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in zip(d_ws, d_bs)])
+        flat = flatten(net)
+        eps = 1e-6
+        for i in rng.choice(flat.size, size=25, replace=False):
+            up, down = flat.copy(), flat.copy()
+            up[i] += eps
+            down[i] -= eps
+            fd = (
+                mlp_forward_loss(unflatten(up, sizes), data) - mlp_forward_loss(unflatten(down, sizes), data)
+            ) / (2 * eps)
+            assert analytic[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 class TestFlatten:
@@ -440,22 +418,20 @@ class TestMergePathLoss:
     SUBSETS = [s for k in range(1, 5) for s in itertools.combinations(range(4), k)]
 
     @staticmethod
-    def pair(kind):
-        n_out = 1 if kind is TaskKind.REGRESSION else 3
-        sizes = (2, 6, 5, 4, n_out)
+    def pair():
+        sizes = (2, 6, 5, 4, 3)
         rng = np.random.default_rng(40)
         x = rng.standard_normal((50, 2))
-        labels = rng.standard_normal(50) if kind is TaskKind.REGRESSION else rng.integers(0, 3, 50)
+        labels = rng.integers(0, 3, 50)
         return random_net(sizes, 41), random_net(sizes, 42), LabeledDataset(x, labels.astype(float))
 
-    @pytest.mark.parametrize("kind", list(TaskKind))
-    def test_equals_loss_of_built_merge_bit_for_bit(self, kind):
-        buyer, seller, data = self.pair(kind)
+    def test_equals_loss_of_built_merge_bit_for_bit(self):
+        buyer, seller, data = self.pair()
         assert len(self.SUBSETS) == 15
         for layers in self.SUBSETS:
-            loss_at = merge_path_loss(buyer, seller, layers, data, kind)
+            loss_at = merge_path_loss(buyer, seller, layers, data)
             for w in self.WEIGHTS:
-                expected = mlp_forward_loss(subset_merge(buyer, seller, layers, w), data, kind)
+                expected = mlp_forward_loss(subset_merge(buyer, seller, layers, w), data)
                 assert loss_at(w) == expected, (layers, w)
 
     @staticmethod
@@ -465,28 +441,26 @@ class TestMergePathLoss:
         return type(info.value), str(info.value)
 
     def test_errors_match_the_built_merge(self):
-        buyer, seller, data = self.pair(TaskKind.CLASSIFICATION)
-        kind = TaskKind.CLASSIFICATION
+        buyer, seller, data = self.pair()
         narrow = LabeledDataset(np.ones((5, 3)), np.zeros(5))
         # A blend of two validated nets stays finite, so the non-finite check
         # needs a seller whose arrays changed after validation.
         broken = random_net((2, 6, 5, 4, 3), 44)
         object.__setattr__(broken, "biases", broken.biases[:2] + (np.full(4, np.inf),) + broken.biases[3:])
-        cases = [(buyer, seller, (0, 1), data, kind, w) for w in (0.0, -0.5, 1.5, float("nan"))]
+        cases = [(buyer, seller, (0, 1), data, w) for w in (0.0, -0.5, 1.5, float("nan"))]
         cases += [
-            (buyer, seller, (), data, kind, 0.5),
-            (buyer, seller, (4,), data, kind, 0.5),
-            (buyer, seller, (-1, 2), data, kind, 0.5),
-            (buyer, random_net((2, 6, 5, 5, 3), 43), (3,), data, kind, 0.5),
-            (buyer, seller, (1,), narrow, kind, 0.5),
-            (buyer, seller, (2,), LabeledDataset(data.inputs, data.labels + 1.0), kind, 0.5),
-            (buyer, seller, (2,), LabeledDataset(data.inputs, data.labels - 1.0), kind, 0.5),
-            (buyer, seller, (0,), data, TaskKind.REGRESSION, 0.5),
-            (buyer, broken, (1, 2), data, kind, 0.5),
+            (buyer, seller, (), data, 0.5),
+            (buyer, seller, (4,), data, 0.5),
+            (buyer, seller, (-1, 2), data, 0.5),
+            (buyer, random_net((2, 6, 5, 5, 3), 43), (3,), data, 0.5),
+            (buyer, seller, (1,), narrow, 0.5),
+            (buyer, seller, (2,), LabeledDataset(data.inputs, data.labels + 1.0), 0.5),
+            (buyer, seller, (2,), LabeledDataset(data.inputs, data.labels - 1.0), 0.5),
+            (buyer, broken, (1, 2), data, 0.5),
         ]
-        for b, s, layers, d, k, w in cases:
-            expected = self.raised(lambda: mlp_forward_loss(subset_merge(b, s, layers, w), d, k))
-            assert self.raised(lambda: merge_path_loss(b, s, layers, d, k)(w)) == expected
+        for b, s, layers, d, w in cases:
+            expected = self.raised(lambda: mlp_forward_loss(subset_merge(b, s, layers, w), d))
+            assert self.raised(lambda: merge_path_loss(b, s, layers, d)(w)) == expected
 
 
 class TestTwoMoons:

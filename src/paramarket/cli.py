@@ -42,12 +42,18 @@ from .pricing import (
 )
 
 
+def _make_out_dir(out: str) -> None:
+    # Before the run, so an --out that cannot be a directory fails at once.
+    os.makedirs(os.path.abspath(out), exist_ok=True)
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         from dataclasses import replace
 
         cfg = replace(cfg, seed=args.seed)
+    _make_out_dir(args.out)
     log = run_simulation(cfg)
     paths = io_mod.write_run_outputs(log, args.out)
     summary = io_mod.summary_dict(log)
@@ -60,6 +66,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_sweep(args.config)
+    _make_out_dir(args.out)
     if spec.axis == "layers":
         report = layer_subset_table(spec.base, list(spec.values), spec.seeds, jobs=args.jobs)
         io_mod.write_layer_outputs(report, args.out)

@@ -17,6 +17,7 @@ __all__ = [
     "ParameterVector",
     "LabeledDataset",
     "LossSpec",
+    "residual",
     "empirical_loss",
     "loss_gradient",
     "gradient_step",
@@ -121,17 +122,24 @@ class LossSpec(Enum):
     MEAN_PER_SAMPLE = "mean-per-sample"
 
 
+def residual(params: ParameterVector, data: LabeledDataset) -> np.ndarray:
+    """``X theta - Y``, which the squared loss and its gradient both start from."""
+    params.require_dimension(data.dimension, "parameters vs dataset columns")
+    return data.inputs @ params.values - data.labels
+
+
 def empirical_loss(
     params: ParameterVector,
     data: LabeledDataset,
     spec: LossSpec = LossSpec.SUM_OF_SQUARES,
+    resid: np.ndarray | None = None,
 ) -> float:
     """Squared-residual loss of a linear predictor on a dataset.
 
     SUM_OF_SQUARES returns ``||X theta - Y||^2``; MEAN_PER_SAMPLE divides by n.
+    ``resid`` is `residual` at ``params``, when the caller holds it already.
     """
-    params.require_dimension(data.dimension, "parameters vs dataset columns")
-    r = data.inputs @ params.values - data.labels
+    r = residual(params, data) if resid is None else resid
     loss = float(r @ r)
     if spec is LossSpec.MEAN_PER_SAMPLE:
         loss /= data.n_samples
@@ -142,10 +150,10 @@ def loss_gradient(
     params: ParameterVector,
     data: LabeledDataset,
     spec: LossSpec = LossSpec.SUM_OF_SQUARES,
+    resid: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of `empirical_loss` at ``params``: ``2 X^T (X theta - Y)``, scaled per the loss convention."""
-    params.require_dimension(data.dimension, "parameters vs dataset columns")
-    r = data.inputs @ params.values - data.labels
+    r = residual(params, data) if resid is None else resid
     g = 2.0 * (data.inputs.T @ r)
     if spec is LossSpec.MEAN_PER_SAMPLE:
         g /= data.n_samples
@@ -157,15 +165,17 @@ def gradient_step(
     data: LabeledDataset,
     step_size: float,
     spec: LossSpec = LossSpec.SUM_OF_SQUARES,
+    resid: np.ndarray | None = None,
 ) -> ParameterVector:
     """One plain gradient-descent update on the empirical loss.
 
-    Raises DivergenceError if the update overflows to non-finite values; the
-    market engine re-raises this with the offending round attached.
+    ``resid`` is passed on to `loss_gradient`. Raises DivergenceError if the
+    update overflows to non-finite values; the market engine re-raises this
+    with the offending round attached.
     """
     if not step_size > 0:
         raise ValueError(f"step size must be positive, got {step_size}")
-    g = loss_gradient(params, data, spec)
+    g = loss_gradient(params, data, spec, resid)
     new = params.values - step_size * g
     if not np.all(np.isfinite(new)):
         raise DivergenceError("gradient update produced non-finite parameters")

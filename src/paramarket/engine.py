@@ -47,6 +47,7 @@ from .core import (
     empirical_loss,
     gradient_step,
     merge,
+    residual,
 )
 from .linear import LinearTask, estimation_error, gram_lambda_max, synthesize_task
 from .pricing import seller_virtual_valuation, settle
@@ -251,18 +252,27 @@ class MarketLog:
 
 
 class LinearModel:
-    """Per-agent training backend for a linear task."""
+    """Per-agent training backend for a linear task.
+
+    Holds the residual of its latest `own_loss`: a round ends on the loss of
+    the parameters the next round steps from, so the step reuses it.
+    """
 
     def __init__(self, task: LinearTask, step_size: float, loss_spec: LossSpec):
         self.task = task
         self.step_size = step_size
         self.loss_spec = loss_spec
+        self._last = (None, None)  # (params, residual) of the latest own_loss
 
     def step(self, params: ParameterVector) -> ParameterVector:
-        return gradient_step(params, self.task.data, self.step_size, self.loss_spec)
+        last, r = self._last
+        return gradient_step(params, self.task.data, self.step_size, self.loss_spec,
+                             r if last is params else None)
 
     def own_loss(self, params: ParameterVector) -> float:
-        return empirical_loss(params, self.task.data, self.loss_spec)
+        r = residual(params, self.task.data)
+        self._last = (params, r)
+        return empirical_loss(params, self.task.data, self.loss_spec, r)
 
     def est_error(self, params: ParameterVector) -> float:
         return estimation_error(params, self.task.true_params)
@@ -288,8 +298,11 @@ class MlpModel:
 class LinearBrokerEngine:
     """Broker over a held-out linear validation set.
 
-    Round views cache each agent's predictions once, so every merge-path loss
-    in the round costs a vector combination instead of a matrix product.
+    Keeps only ``(A, t, b, c)`` with ``||X theta - y||^2 = ||A (theta - t) - b||^2 + c``:
+    ``(R, least-squares fit, 0, its squared residual)``, R the Cholesky factor
+    of ``X^T X``, when X has more rows than columns, else ``(X, 0, y, 0)``.
+    Round views hold each agent's residual once, so every merge-path loss in
+    the round is a vector combination instead of a matrix product.
     """
 
     def __init__(
@@ -301,35 +314,66 @@ class LinearBrokerEngine:
     ):
         if gain_kind is GainKind.ERROR_RATIO and truth is None:
             raise ValueError("error-ratio gain needs the true parameters")
-        self.data = data
         self.loss_spec = loss_spec
         self.gain_kind = gain_kind
         self.truth = truth
-        self._scale = 1.0 / data.n_samples if loss_spec is LossSpec.MEAN_PER_SAMPLE else 1.0
+        self._divisor = data.n_samples if loss_spec is LossSpec.MEAN_PER_SAMPLE else 1
+        self._a, self._t, self._b, self._c = _least_squares_form(data)
 
     def begin_round(self, dots: dict) -> "LinearRoundView":
         return LinearRoundView(self, dots)
 
+    def residual(self, params: ParameterVector) -> np.ndarray:
+        """``A (theta - t) - b``, linear in theta; the broker loss is its `resid_loss`."""
+        return self._a @ (params.values - self._t) - self._b
+
+    def resid_loss(self, r: np.ndarray) -> float:
+        return (float(r @ r) + self._c) / self._divisor
+
     def loss(self, params: ParameterVector) -> float:
-        return empirical_loss(params, self.data, self.loss_spec)
+        return self.resid_loss(self.residual(params))
+
+
+def _least_squares_form(data: LabeledDataset) -> tuple:
+    """`LinearBrokerEngine`'s form; ``(X, 0, y, 0)`` also when ``X^T X`` is not numerically positive definite."""
+    x, y = data.inputs, data.labels
+    if data.n_samples <= data.dimension:
+        return x, 0.0, y, 0.0
+    import scipy.linalg  # loaded on first use: importing paramarket loads no SciPy
+
+    # X^T X is symmetric, so its transpose is the same matrix in Fortran
+    # order, which LAPACK factors in place instead of copying.
+    try:
+        r = scipy.linalg.cholesky((x.T @ x).T, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return x, 0.0, y, 0.0
+
+    def normal_solve(rhs):  # (R^T R)^-1 rhs
+        w = scipy.linalg.solve_triangular(r, rhs, trans="T", check_finite=False)
+        return scipy.linalg.solve_triangular(r, w, check_finite=False)
+
+    # The normal equations square X's conditioning: one refinement step
+    # against X (corrected semi-normal equations) and the shift by t keep
+    # near-zero losses as accurate as X theta - y. c is summed directly, as
+    # ||y||^2 - ||R t||^2 cancels to noise when y fits exactly.
+    t = normal_solve(x.T @ y)
+    t += normal_solve(x.T @ (y - x @ t))
+    fit = y - x @ t
+    return r, t, 0.0, float(fit @ fit)
 
 
 class LinearRoundView:
     def __init__(self, engine: LinearBrokerEngine, dots: dict):
         self.engine = engine
         self.dots = dots
-        x, y = engine.data.inputs, engine.data.labels
-        self._resid = {u: x @ p.values - y for u, p in dots.items()}
-
-    def _resid_loss(self, r: np.ndarray) -> float:
-        return float(r @ r) * self.engine._scale
+        self._resid = {u: engine.residual(p) for u, p in dots.items()}
 
     def dot_loss(self, u: str) -> float:
-        return self._resid_loss(self._resid[u])
+        return self.engine.resid_loss(self._resid[u])
 
     def merged_loss(self, buyer: str, seller: str, weight: float) -> float:
         r = (1.0 - weight) * self._resid[buyer] + weight * self._resid[seller]
-        return self._resid_loss(r)
+        return self.engine.resid_loss(r)
 
     def propose(self, buyer: str, seller: str, weight: float | None = None) -> MergeProposal:
         """Merge at the loss-minimizing weight, or at ``weight`` when one is fixed."""
@@ -525,8 +569,9 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
         else:
             final, broker_loss = shipped.merged, shipped.broker_loss_after
         new_states.append(replace(st, params=final))
-        own_loss = st.model.own_loss(final)
-        dot_own = own_loss if final is dots[u] else st.model.own_loss(dots[u])
+        # The final parameters' loss comes last: the next round steps from them.
+        dot_own = st.model.own_loss(dots[u])
+        own_loss = dot_own if final is dots[u] else st.model.own_loss(final)
         if not (math.isfinite(broker_loss) and math.isfinite(own_loss)):
             raise DivergenceError(f"non-finite loss for agent {u}", round_index)
         rows.append(

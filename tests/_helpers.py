@@ -1,4 +1,4 @@
-"""Statistics, parameter views, prior densities, reference searches and audits that only the tests use."""
+"""Statistics, parameter views, prior densities, reference searches, a reference broker and audits that only the tests use."""
 
 import itertools
 import math
@@ -10,8 +10,8 @@ from scipy import stats
 
 from paramarket._search import golden_section_min
 from paramarket.broker import GainKind
-from paramarket.core import LabeledDataset
-from paramarket.engine import MarketLog
+from paramarket.core import LabeledDataset, LossSpec, empirical_loss
+from paramarket.engine import LinearRoundView, MarketLog
 from paramarket.mlp import LayerPermutations, MlpParams
 from paramarket.pricing import PriorDistribution, PriorKind
 
@@ -55,6 +55,33 @@ def is_identity(perms: LayerPermutations) -> bool:
 
 def identity_perms(hidden_sizes) -> LayerPermutations:
     return LayerPermutations(tuple(np.arange(h, dtype=np.intp) for h in hidden_sizes))
+
+
+class RawLinearBroker:
+    """The linear broker on its raw validation set: every residual is the n-vector ``X theta - y``.
+
+    Takes `LinearBrokerEngine`'s arguments and serves the same round views,
+    for checking the factored broker against.
+    """
+
+    def __init__(self, data: LabeledDataset, loss_spec: LossSpec, gain_kind: GainKind, truth):
+        self.data = data
+        self.loss_spec = loss_spec
+        self.gain_kind = gain_kind
+        self.truth = truth
+
+    def begin_round(self, dots: dict) -> LinearRoundView:
+        return LinearRoundView(self, dots)
+
+    def residual(self, params) -> np.ndarray:
+        return self.data.inputs @ params.values - self.data.labels
+
+    def resid_loss(self, r: np.ndarray) -> float:
+        loss = float(r @ r)
+        return loss / self.data.n_samples if self.loss_spec is LossSpec.MEAN_PER_SAMPLE else loss
+
+    def loss(self, params) -> float:
+        return empirical_loss(params, self.data, self.loss_spec)
 
 
 def cdf(prior: PriorDistribution, p: float) -> float:

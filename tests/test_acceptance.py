@@ -18,7 +18,6 @@ from paramarket.core import LossSpec
 from paramarket.engine import (
     AgentSpec,
     BrokerSpec,
-    LinearBrokerEngine,
     MarketConfig,
     Policy,
     PolicyKind,
@@ -301,15 +300,16 @@ def test_10_related_task_sweep():
     )
 
 
-class _RecordingBroker(LinearBrokerEngine):
-    """Wraps every try-before-purchase proposal to compare against the fixed half weight."""
+class _RecordingBroker:
+    """Wraps a built broker's every try-before-purchase proposal to compare against the fixed half weight."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, engine):
+        self.loss = engine.loss
+        self._begin_round = engine.begin_round
         self.events = []
 
     def begin_round(self, dots):
-        view = super().begin_round(dots)
+        view = self._begin_round(dots)
         inner = view.propose
 
         def propose(buyer, seller):
@@ -333,7 +333,7 @@ def test_11_broker_dominates_fixed_half_weight():
         broker=BrokerSpec(n_samples=2000),
     )
     states, base_engine, truth_loss = build_market(cfg, np.random.default_rng(cfg.seed))
-    engine = _RecordingBroker(base_engine.data, base_engine.loss_spec, cfg.gain_kind, base_engine.truth)
+    engine = _RecordingBroker(base_engine)
     run_prepared_simulation(cfg, states, engine, truth_loss)
     dominated = sum(1 for opt, half in engine.events if opt <= half)
     passed = engine.events and dominated == len(engine.events)

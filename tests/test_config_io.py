@@ -574,6 +574,25 @@ class TestCli:
         assert str(tmp_path / out) in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("simulate", str(CONFIGS / "paper_linear.cfg")),
+            ("sweep", str(CONFIGS / "related_tasks_sweep.cfg")),
+            ("sweep", str(CONFIGS / "mlp_subset_sweep.cfg")),
+        ],
+        ids=["simulate", "sweep", "layer-sweep"],
+    )
+    def test_out_through_an_existing_file_fails_before_the_run(self, tmp_path, monkeypatch, capsys, args):
+        def reached(*_, **__):
+            raise AssertionError("the run started")
+
+        for name in ("run_simulation", "run_sweep", "layer_subset_table"):
+            monkeypatch.setattr(cli, name, reached)
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        assert cli.main([*args, "--out", str(tmp_path / "taken" / "sub")]) == 2
+        assert "path error:" in capsys.readouterr().err
+
     def test_unwritable_out_directory_exits_2(self, tmp_path, monkeypatch, capsys):
         # Mode bits do not stop root, so the temporary-file call raises the
         # error the system gives for a directory without write permission.

@@ -2,16 +2,20 @@ import dataclasses
 import inspect
 
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from paramarket import engine
 from paramarket.broker import GainKind
-from paramarket.core import DivergenceError, LossSpec
+from paramarket.config import load_config, load_sweep
+from paramarket.core import DivergenceError, LabeledDataset, LossSpec, ParameterVector, empirical_loss
 from paramarket.engine import (
     AgentSpec,
     BrokerSpec,
+    LinearBrokerEngine,
     MarketConfig,
     MlpMarketSpec,
     Policy,
@@ -22,7 +26,9 @@ from paramarket.engine import (
 )
 from paramarket.experiments import never_trade_variant, relative_improvement, run_with_twin
 
-from _helpers import geometric_decay_check
+from _helpers import RawLinearBroker, geometric_decay_check
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BENEFICIAL = Policy(PolicyKind.TRADE_WHEN_BENEFICIAL)
 NEVER = Policy(PolicyKind.NEVER_TRADE)
@@ -120,6 +126,20 @@ class TestRoundSemantics:
         for r1, r2 in zip(log.curves, log2.curves):
             assert r1 == r2
 
+    @pytest.mark.parametrize("policy", [NEVER, ALWAYS])
+    def test_every_step_reuses_the_residual_of_the_last_own_loss(self, policy, monkeypatch):
+        reused = []
+
+        def step(params, data, step_size, spec, resid=None):
+            reused.append(resid is not None)
+            return gradient_step(params, data, step_size, spec, resid)
+
+        gradient_step = engine.gradient_step
+        monkeypatch.setattr(engine, "gradient_step", step)
+        cfg = linear_cfg(policies=(policy, policy), rounds=6)
+        run_simulation(cfg)
+        assert reused == [True] * (2 * cfg.rounds)
+
     def test_trade_frequency_rounds(self):
         log = run_simulation(linear_cfg(trade_every=7, rounds=20))
         assert {r.round_index for r in log.trades} <= {7, 14}
@@ -216,17 +236,16 @@ class TestBaselines:
             broker=BrokerSpec(n_samples=800),
         )
         from paramarket.broker import fedavg_weight
-        from paramarket.engine import LinearBrokerEngine, run_prepared_simulation
+        from paramarket.engine import run_prepared_simulation
 
-        states, base, truth = build_market(cfg, np.random.default_rng(cfg.seed))
+        states, engine, truth = build_market(cfg, np.random.default_rng(cfg.seed))
         views = []
 
-        class Recording(LinearBrokerEngine):
-            def begin_round(self, dots):
-                views.append(super().begin_round(dots))
-                return views[-1]
+        def begin_round(dots, inner=engine.begin_round):
+            views.append(inner(dots))
+            return views[-1]
 
-        engine = Recording(base.data, base.loss_spec, cfg.gain_kind, base.truth)
+        engine.begin_round = begin_round
         log = run_prepared_simulation(cfg, states, engine, truth)
         assert log.trades == run_simulation(cfg).trades
         by_round = defaultdict(dict)
@@ -253,6 +272,81 @@ class TestBaselines:
         log = run_simulation(linear_cfg(policies=(ALWAYS, ALWAYS), rounds=10))
         bought = [r for r in log.trades if r.indicator and not r.gain.trade_beneficial]
         assert bought, "always-trade should execute some non-beneficial merges"
+
+
+def bundled_linear(name: str) -> MarketConfig:
+    """A bundled linear config by file stem; a sweep gives its base market.
+
+    Every bundled broker set is noiseless, so ``noisy_broker`` adds a market
+    whose labels lie outside the span of the broker's inputs.
+    """
+    if name == "noisy_broker":
+        return dataclasses.replace(linear_cfg(pricing=True), broker=BrokerSpec(1500, noise_variance=0.3))
+    if name == "three_agents+pricing":
+        return dataclasses.replace(load_config(CONFIGS / "three_agents.cfg"), pricing=True)
+    if name.endswith("_sweep"):
+        return load_sweep(CONFIGS / f"{name}.cfg").base
+    return load_config(CONFIGS / f"{name}.cfg")
+
+
+class TestFactoredBroker:
+    @pytest.mark.parametrize(
+        "name",
+        ["pricing", "three_agents", "three_agents+pricing", "fedavg", "async",
+         "related_tasks_sweep", "endowment_sweep", "frequency_sweep", "start_sweep", "noisy_broker"],
+    )
+    def test_matches_the_raw_reference(self, name, monkeypatch):
+        cfg = bundled_linear(name)
+        factored = run_with_twin(cfg)
+        monkeypatch.setattr(engine, "LinearBrokerEngine", RawLinearBroker)
+        raw = run_with_twin(cfg)
+        for log, ref in zip(factored, raw):
+            key = lambda r: (r.round_index, r.buyer, r.seller, r.indicator)  # noqa: E731
+            assert list(map(key, log.trades)) == list(map(key, ref.trades))
+            assert [r.merge_weight for r in log.trades] == pytest.approx(
+                [r.merge_weight for r in ref.trades], rel=1e-8, abs=0.0)
+            assert [r.broker_loss for r in log.curves] == pytest.approx(
+                [r.broker_loss for r in ref.curves], rel=1e-8, abs=0.0)
+            # Balances cross zero, so they are compared on the scale of the
+            # run's largest balance.
+            scale = max(abs(r.cum_payment) for r in ref.curves)
+            assert [r.cum_payment for r in log.curves] == pytest.approx(
+                [r.cum_payment for r in ref.curves], rel=1e-8, abs=1e-8 * scale)
+
+    @staticmethod
+    def assert_raw_losses(data: LabeledDataset, rng):
+        for spec in LossSpec:
+            broker = LinearBrokerEngine(data, spec, GainKind.LOSS_DIFFERENCE, None)
+            dots = {u: ParameterVector(rng.standard_normal(data.dimension)) for u in "ab"}
+            view = broker.begin_round(dots)
+            for u, p in dots.items():
+                assert broker.loss(p) == empirical_loss(p, data, spec)
+                assert view.dot_loss(u) == empirical_loss(p, data, spec)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_broker_set_no_taller_than_wide_keeps_raw_losses(self, n):
+        rng = np.random.default_rng(3)
+        self.assert_raw_losses(LabeledDataset(rng.standard_normal((n, 12)), rng.standard_normal(n)), rng)
+
+    def test_singular_broker_set_keeps_raw_losses(self):
+        # Two all-ones columns over 16 rows: the Gram matrix is exact in floats
+        # and its second pivot is exactly zero, so the Cholesky factor raises.
+        rng = np.random.default_rng(4)
+        x = np.column_stack([np.ones(16), np.ones(16), rng.standard_normal(16)])
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cholesky(x.T @ x)
+        self.assert_raw_losses(LabeledDataset(x, rng.standard_normal(16)), rng)
+
+    def test_noiseless_loss_at_the_truth_stays_at_rounding_level(self):
+        # The least-squares residual is summed directly: ||y||^2 - ||R t||^2
+        # would leave cancellation noise near 1e-13 here.
+        rng = np.random.default_rng(5)
+        truth = ParameterVector(rng.standard_normal(10))
+        x = rng.standard_normal((400, 10))
+        broker = LinearBrokerEngine(
+            LabeledDataset(x, x @ truth.values), LossSpec.MEAN_PER_SAMPLE, GainKind.LOSS_DIFFERENCE, None
+        )
+        assert broker.loss(truth) < 1e-25
 
 
 class TestMlpRoundView:
@@ -297,28 +391,27 @@ class TestMarketOutcomes:
     def test_no_regret_merges_error_ratio_mode(self):
         # Every beneficial evaluation's merge weakly improves broker loss
         # (optimizer dominance over the weight interval).
-        from paramarket.engine import LinearBrokerEngine, build_market, run_prepared_simulation
+        from paramarket.engine import build_market, run_prepared_simulation
 
         cfg = linear_cfg(rounds=30)
-        states, base, truth = build_market(cfg, np.random.default_rng(cfg.seed))
+        states, engine, truth = build_market(cfg, np.random.default_rng(cfg.seed))
 
         events = []
 
-        class Recording(LinearBrokerEngine):
-            def begin_round(self, dots):
-                view = super().begin_round(dots)
-                inner_propose, inner_gain = view.propose, view.gain
+        def begin_round(dots, inner=engine.begin_round):
+            view = inner(dots)
+            inner_gain = view.gain
 
-                def gain(buyer, proposal):
-                    g = inner_gain(buyer, proposal)
-                    if g.trade_beneficial:
-                        events.append((proposal.broker_loss_before, proposal.broker_loss_after))
-                    return g
+            def gain(buyer, proposal):
+                g = inner_gain(buyer, proposal)
+                if g.trade_beneficial:
+                    events.append((proposal.broker_loss_before, proposal.broker_loss_after))
+                return g
 
-                view.gain = gain
-                return view
+            view.gain = gain
+            return view
 
-        engine = Recording(base.data, base.loss_spec, cfg.gain_kind, base.truth)
+        engine.begin_round = begin_round
         run_prepared_simulation(cfg, states, engine, truth)
         assert events
         for before, after in events:

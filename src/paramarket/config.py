@@ -3,8 +3,9 @@
 The format is INI-style with one ``[market]`` section, one ``[broker]``
 section, one ``[agent <id>]`` section per agent, and optional ``[mlp]`` and
 ``[sweep]`` sections. Keys are case-sensitive; any other section, and any key
-the parser does not read, is an error. See README for the schema and the
-bundled example configs.
+the parser does not read, is an error. Each market kind reads only the keys
+it acts on, so a linear-only key in a neural market (and the reverse) is an
+unknown key too. See README for the schema and the bundled example configs.
 """
 
 import configparser
@@ -151,12 +152,6 @@ def _choice(*options: str):
     return cast
 
 
-def _input_dim(raw: str) -> int:
-    if int(raw) != 2:
-        raise ValueError("expected 2: two_moons supplies two features")
-    return 2
-
-
 def _fraction(raw: str) -> float:
     value = float(raw)
     if not 0.0 < value <= 1.0:
@@ -191,14 +186,17 @@ def parse_config(text: str) -> MarketConfig:
     if not parser.has_section("market"):
         raise ConfigError("market", "-", "missing [market] section")
     market = _reader(parser, "market", read)
-    model = market("model", _choice("linear", "mlp"), default="linear")
+    linear = market("model", _choice("linear", "mlp"), default="linear") == "linear"
     gain_kind = market("gain_kind", GainKind, required=True)
-    loss = market("loss", LossSpec, default=LossSpec.MEAN_PER_SAMPLE)
+    # Keys only the linear market acts on.
+    linear_keys = dict(
+        loss_spec=market("loss", LossSpec, default=LossSpec.MEAN_PER_SAMPLE),
+        init=market("init", _init, default="zeros"),
+    ) if linear else {}
 
     agent_sections = [s for s in parser.sections() if s.startswith("agent ")]
     if len(agent_sections) < 2:
         raise ConfigError("agent <id>", "-", "need at least two [agent <id>] sections")
-    linear = model == "linear"
     min_n = 1 if linear else 2  # two_moons draws a point of each class
 
     mlp_spec = None
@@ -207,7 +205,6 @@ def parse_config(text: str) -> MarketConfig:
         hidden = m("hidden", _widths, default=(16, 16, 16))
         mlp_spec = MlpMarketSpec(
             hidden=hidden,
-            input_dim=m("input_dim", _input_dim, default=2),
             n_classes=m("classes", _count(2), default=2),
             data_noise=m("data_noise", _non_negative, default=0.15),
             layer_set=m("layer_set", _layer_set(len(hidden)), default=None),
@@ -220,19 +217,25 @@ def parse_config(text: str) -> MarketConfig:
         if not agent_id:
             raise ConfigError(section, "-", "empty agent id")
         a = _reader(parser, section, read)
+        if linear:
+            kind_keys = dict(
+                dim=a("dim", _count(1), required=True),
+                noise_variance=a("noise", _non_negative, default=0.0),
+                theta_offset=a("theta_offset", _theta_offset(gain_kind), default=0.0),
+            )
+        else:
+            kind_keys = dict(
+                dim=0,
+                favored_classes=a("favored", _favored(mlp_spec.n_classes), default=()),
+                deprived_fraction=a("deprived_fraction", _fraction, default=1.0),
+            )
         agents.append(
             AgentSpec(
                 agent_id=agent_id,
-                dim=a("dim", _count(1) if linear else int, required=linear, default=0),
                 n_samples=a("n", _count(min_n), required=True),
-                noise_variance=a("noise", _non_negative, default=0.0),
                 policy=a("policy", Policy.parse, default=Policy.parse("trade-when-beneficial")),
                 step_size=a("step_size", _step_size, default=None),
-                theta_offset=a("theta_offset", _theta_offset(gain_kind), default=0.0),
-                favored_classes=a(
-                    "favored", _int_tuple if linear else _favored(mlp_spec.n_classes), default=()
-                ),
-                deprived_fraction=a("deprived_fraction", _fraction, default=1.0),
+                **kind_keys,
             )
         )
 
@@ -243,7 +246,7 @@ def parse_config(text: str) -> MarketConfig:
     broker_min = _count(len(agents), " (one per agent)") if linear else _count(min_n)
     broker = BrokerSpec(
         n_samples=b("n", broker_min, required=True),
-        noise_variance=b("noise", _non_negative, default=0.0),
+        **({"noise_variance": b("noise", _non_negative, default=0.0)} if linear else {}),
     )
 
     try:
@@ -259,11 +262,9 @@ def parse_config(text: str) -> MarketConfig:
             seller_pricing=market(
                 "seller_pricing", _choice("myerson", "lower-bound"), default="myerson"
             ),
-            loss_spec=loss,
-            init=market("init", _init, default="zeros"),
             convergence_epsilon=market("convergence_epsilon", _positive, default=None),
-            model=model,
             mlp=mlp_spec,
+            **linear_keys,
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -309,6 +310,8 @@ def parse_sweep(text: str) -> SweepSpec:
     seeds = s("seeds", _count(1), default=5)
     base = parse_config(text)
     _reject_unread(parser, read, ["sweep"])
+    if axis in ("distance", "endowment") and base.mlp is not None:
+        raise ConfigError("sweep", "axis", f"the {axis} axis needs a linear market (model = linear)")
     if axis == "distance":
         cell = _theta_offset(base.gain_kind)
     elif axis != "layers":

@@ -9,14 +9,19 @@ and the broker settles at the midpoint, in collaborative mode the merge ships
 for free. Baseline policies (never trade, always trade, fixed-weight
 averaging) and per-agent start delays slot into the same loop.
 
+Every market setting lives in `MarketConfig`: the round loop reads each
+agent's policy and start round from it, and picks the gain rule once. Fedavg
+and loss-difference markets score a merge by its broker-loss difference,
+every other market by its estimation-error ratio against the broker's truth.
+
 The broker engine opens one round view per round over the agents'
 post-step parameters. Every view offers ``dot_loss`` (broker loss before a
-merge, computed once per agent per round), ``propose`` (the merge at the
-searched weight, or at a fixed one for fedavg) and ``gain``. The linear view
-also offers ``merged_loss`` along a merge, from cached residuals; the mlp
-view scores each searched weight on the merge path (``mlp.merge_path_loss``)
-and builds a network only for the merge it proposes. The ``MergeProposal`` a
-buyer settles on is the merge that ships: its ``merged`` parameters and
+merge, computed once per agent per round) and ``propose`` (the merge at the
+searched weight, or at a fixed one for fedavg). The linear view also offers
+``merged_loss`` along a merge, from cached residuals; the mlp view scores
+each searched weight on the merge path (``mlp.merge_path_loss``) and builds a
+network only for the merge it proposes. The ``MergeProposal`` a buyer settles
+on is the merge that ships: its ``merged`` parameters and
 ``broker_loss_after`` become the agent's new state and curve row.
 """
 
@@ -66,7 +71,6 @@ __all__ = [
     "LinearBrokerEngine",
     "MlpBrokerEngine",
     "build_market",
-    "policy_fields",
     "run_round",
     "run_simulation",
     "run_prepared_simulation",
@@ -119,12 +123,12 @@ class AgentSpec:
     """Declarative description of one agent; the engine builds state from it."""
 
     agent_id: str
-    dim: int
+    dim: int  # linear only
     n_samples: int
-    noise_variance: float = 0.0
+    noise_variance: float = 0.0  # linear only
     policy: Policy = Policy(PolicyKind.TRADE_WHEN_BENEFICIAL)
     step_size: float | None = None  # None: 0.9 / smoothness of the training loss
-    theta_offset: float = 0.0  # distance of this agent's truth from the shared base
+    theta_offset: float = 0.0  # linear only: distance of this agent's truth from the shared base
     favored_classes: tuple = ()  # mlp only: classes kept in full
     deprived_fraction: float = 1.0  # mlp only: fraction kept of the other classes
 
@@ -140,7 +144,6 @@ class MlpMarketSpec:
     """Network and data shape for neural markets."""
 
     hidden: tuple = (16, 16, 16)
-    input_dim: int = 2
     n_classes: int = 2
     data_noise: float = 0.15
     layer_set: tuple | None = None  # None trades every layer
@@ -160,8 +163,7 @@ class MarketConfig:
     loss_spec: LossSpec = LossSpec.MEAN_PER_SAMPLE
     init: str = "zeros"  # or "normal:<scale>"
     convergence_epsilon: float | None = None
-    model: str = "linear"  # or "mlp"
-    mlp: MlpMarketSpec | None = None
+    mlp: MlpMarketSpec | None = None  # None: a linear market
     # Seller-side ask in competitive rounds: the Bayesian-optimal price on the
     # gain interval, or its lower endpoint (trades settle whenever beneficial).
     seller_pricing: str = "myerson"
@@ -181,11 +183,7 @@ class MarketConfig:
         dims = {a.dim for a in self.agents}
         if self.model == "linear" and len(dims) != 1:
             raise ValueError(f"all agents must share one parameter dimension, got {sorted(dims)}")
-        if self.model not in ("linear", "mlp"):
-            raise ValueError(f"unknown model kind {self.model!r}")
         if self.model == "mlp":
-            if self.mlp is None:
-                object.__setattr__(self, "mlp", MlpMarketSpec())
             if self.gain_kind is not GainKind.LOSS_DIFFERENCE:
                 raise ValueError("neural markets have no known true parameters; use loss-difference gain")
             if self.pricing:
@@ -201,14 +199,16 @@ class MarketConfig:
             if len(self.agents) != 2 or self.pricing or self.model != "linear":
                 raise ValueError("fedavg baseline supports exactly two linear agents without pricing")
 
+    @property
+    def model(self) -> str:
+        return "linear" if self.mlp is None else "mlp"
+
 
 @dataclass(frozen=True, eq=False)
 class AgentState:
     agent_id: str
     params: object  # ParameterVector | MlpParams
     model: object  # backend with step / own_loss / est_error
-    policy: Policy
-    start_round: int
     n_samples: int
 
 
@@ -235,17 +235,16 @@ class CurveRow:
     own_loss: float
     est_error: float
     cum_payment: float
-    dot_own_loss: float  # own loss right after the gradient step, before any merge
 
 
 @dataclass
 class MarketLog:
-    config_echo: dict
+    config: MarketConfig
+    step_sizes: dict  # agent id -> the step size its model resolved to
     agent_ids: tuple
     curves: list
     trades: list
     truth_broker_loss: dict
-    gain_kind: GainKind
 
     def final_row(self, agent_id: str) -> CurveRow:
         return next(r for r in reversed(self.curves) if r.agent == agent_id)
@@ -305,18 +304,9 @@ class LinearBrokerEngine:
     the round is a vector combination instead of a matrix product.
     """
 
-    def __init__(
-        self,
-        data: LabeledDataset,
-        loss_spec: LossSpec,
-        gain_kind: GainKind,
-        truth: ParameterVector | None,
-    ):
-        if gain_kind is GainKind.ERROR_RATIO and truth is None:
-            raise ValueError("error-ratio gain needs the true parameters")
+    def __init__(self, data: LabeledDataset, loss_spec: LossSpec, truth: ParameterVector | None):
         self.loss_spec = loss_spec
-        self.gain_kind = gain_kind
-        self.truth = truth
+        self.truth = truth  # the shared true parameters the error-ratio gain compares against
         self._divisor = data.n_samples if loss_spec is LossSpec.MEAN_PER_SAMPLE else 1
         self._a, self._t, self._b, self._c = _least_squares_form(data)
 
@@ -388,14 +378,6 @@ class LinearRoundView:
             broker_loss_after=self.merged_loss(buyer, seller, weight),
         )
 
-    def gain(self, buyer: str, proposal: MergeProposal) -> GainReport:
-        if self.engine.gain_kind is GainKind.LOSS_DIFFERENCE:
-            return gain_loss_difference(proposal)
-        try:
-            return gain_error_ratio(self.dots[buyer], proposal.merged, self.engine.truth)
-        except PerfectMergeError:
-            return GainReport(GainKind.ERROR_RATIO, math.inf, trade_beneficial=True)
-
 
 class MlpBrokerEngine:
     """Broker over a held-out classification set for neural agents."""
@@ -404,7 +386,6 @@ class MlpBrokerEngine:
         self.data = data
         self.layer_set = layer_set
         self.align_sweeps = align_sweeps
-        self.gain_kind = GainKind.LOSS_DIFFERENCE
 
     def begin_round(self, dots: dict) -> "MlpRoundView":
         return MlpRoundView(self, dots)
@@ -438,19 +419,6 @@ class MlpRoundView:
             broker_loss_after=loss_after,
         )
 
-    def gain(self, buyer: str, proposal: MergeProposal) -> GainReport:
-        return gain_loss_difference(proposal)
-
-
-def _is_trade_round(cfg: MarketConfig, round_index: int) -> bool:
-    # Within the trading window every trade_every-th round is a market round,
-    # the first being trade_start + trade_every - 1. A frequency beyond the
-    # horizon therefore disables trading entirely.
-    start = max(cfg.trade_start, 1)
-    if round_index < start:
-        return False
-    return (round_index - start + 1) % cfg.trade_every == 0
-
 
 def run_round(
     states: tuple,
@@ -476,14 +444,21 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
     if cum_payments is None:
         cum_payments = {s.agent_id: 0.0 for s in states}
     by_id = {s.agent_id: s for s in states}
+    policy = {a.agent_id: a.policy for a in cfg.agents}
 
     dots = {s.agent_id: s.model.step(s.params) for s in states}
     view = broker.begin_round(dots)
-    trading = _is_trade_round(cfg, round_index)
-    active = {
-        s.agent_id: trading and round_index >= s.start_round for s in states
-    }
-    fedavg = states[0].policy.kind is PolicyKind.FEDAVG
+    # Within the trading window every trade_every-th round is a market round,
+    # the first being start + trade_every - 1, so a frequency beyond the
+    # horizon disables trading entirely. An agent joins its policy's delay
+    # after the window opens.
+    start = max(cfg.trade_start, 1)
+    trading = round_index >= start and (round_index - start + 1) % cfg.trade_every == 0
+    active = {u: trading and round_index >= start + policy[u].delay for u in by_id}
+    fedavg = cfg.agents[0].policy.kind is PolicyKind.FEDAVG
+    # A fedavg merge is logged with its realized broker-loss difference,
+    # whatever the configured kind.
+    loss_difference = fedavg or cfg.gain_kind is GainKind.LOSS_DIFFERENCE
 
     records: list[TradeRecord] = []
     chosen: dict = {s.agent_id: None for s in states}  # the MergeProposal that ships
@@ -491,20 +466,24 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
 
     def evaluate(buyer: str, seller: str):
         if (buyer, seller) not in evaluated:
-            if fedavg:
-                # Fixed data-share weight, no search; the logged gain is the
-                # realized broker-loss difference whatever the configured kind.
+            if fedavg:  # fixed data-share weight, no search
                 w = fedavg_weight(by_id[buyer].n_samples, by_id[seller].n_samples)
                 p = view.propose(buyer, seller, w)
-                evaluated[(buyer, seller)] = p, gain_loss_difference(p)
             else:
                 p = view.propose(buyer, seller)
-                evaluated[(buyer, seller)] = p, view.gain(buyer, p)
+            if loss_difference:
+                gain = gain_loss_difference(p)
+            else:
+                try:
+                    gain = gain_error_ratio(dots[buyer], p.merged, broker.truth)
+                except PerfectMergeError:
+                    gain = GainReport(GainKind.ERROR_RATIO, math.inf, trade_beneficial=True)
+            evaluated[(buyer, seller)] = p, gain
         return evaluated[(buyer, seller)]
 
     for st in states:
         u = st.agent_id
-        if not active[u] or st.policy.kind is PolicyKind.NEVER_TRADE:
+        if not active[u] or policy[u].kind is PolicyKind.NEVER_TRADE:
             continue
         sellers = [v for v in by_id if v != u and active[v]]
         if not sellers:
@@ -512,7 +491,7 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
         offers = [(v, *evaluate(u, v)) for v in sorted(sellers)]
         # Target the seller offering the largest gain; ties take the lowest id.
         seller, proposal, gain = min(offers, key=lambda e: (-e[2].value, e[0]))
-        if not wants_to_buy(st.policy, gain):
+        if not wants_to_buy(policy[u], gain):
             records.append(
                 TradeRecord(round_index, u, seller, proposal.weight, gain,
                             None, None, None, False)
@@ -569,14 +548,13 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
         else:
             final, broker_loss = shipped.merged, shipped.broker_loss_after
         new_states.append(replace(st, params=final))
-        # The final parameters' loss comes last: the next round steps from them.
-        dot_own = st.model.own_loss(dots[u])
-        own_loss = dot_own if final is dots[u] else st.model.own_loss(final)
+        # The round's one own loss, on the parameters the next round steps from.
+        own_loss = st.model.own_loss(final)
         if not (math.isfinite(broker_loss) and math.isfinite(own_loss)):
             raise DivergenceError(f"non-finite loss for agent {u}", round_index)
         rows.append(
             CurveRow(round_index, u, broker_loss, own_loss,
-                     st.model.est_error(final), cum_payments[u], dot_own)
+                     st.model.est_error(final), cum_payments[u])
         )
     return tuple(new_states), records, rows
 
@@ -607,24 +585,12 @@ def _imbalanced_subset(
     return LabeledDataset(data.inputs[order], data.labels[order])
 
 
-def policy_fields(cfg: MarketConfig, spec: AgentSpec) -> dict:
-    """The AgentState fields an agent's policy fixes: policy and start_round.
-
-    Every other field depends only on the market's draws, so states built for
-    one config take another config's policies by replacing just these.
-    """
-    return {
-        "policy": spec.policy,
-        "start_round": max(cfg.trade_start, 1) + spec.policy.delay,
-    }
-
-
 def build_market(cfg: MarketConfig, rng: np.random.Generator):
     """Synthesize tasks, broker data, and initial states from a config.
 
     Returns (states, broker_engine, truth_broker_loss). Draw order is fixed,
-    so two configs differing only in policies see identical tasks: that is
-    what makes out-of-market twin runs exactly matched.
+    so two configs differing only in policies see identical tasks; states
+    carry no policy, so a twin runs on the market's own states.
     """
     agents = tuple(sorted(cfg.agents, key=lambda a: a.agent_id))
     if cfg.model == "linear":
@@ -710,7 +676,6 @@ def linear_market(
             params=init,
             model=models[spec.agent_id],
             n_samples=models[spec.agent_id].task.data.n_samples,
-            **policy_fields(cfg, spec),
         )
         for spec in agents
     )
@@ -722,7 +687,7 @@ def linear_market(
     broker_truth = truths[agents[0].agent_id] if shared_truth else None
     if cfg.gain_kind is GainKind.ERROR_RATIO and broker_truth is None:
         raise ValueError("error-ratio gain needs one shared true parameter vector")
-    broker_engine = LinearBrokerEngine(broker_data, cfg.loss_spec, cfg.gain_kind, broker_truth)
+    broker_engine = LinearBrokerEngine(broker_data, cfg.loss_spec, broker_truth)
     truth_loss = {
         a.agent_id: empirical_loss(truths[a.agent_id], broker_data, cfg.loss_spec)
         for a in agents
@@ -732,7 +697,7 @@ def linear_market(
 
 def _build_mlp_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator):
     spec = cfg.mlp
-    sizes = (spec.input_dim, *spec.hidden, spec.n_classes)
+    sizes = (mlp_mod.MOONS_FEATURES, *spec.hidden, spec.n_classes)
     tasks = {}
     for a in agents:
         full = mlp_mod.two_moons(a.n_samples, spec.data_noise, rng)
@@ -745,57 +710,12 @@ def _build_mlp_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator
             params=mlp_mod.MlpParams.random_init(sizes, rng),
             model=MlpModel(tasks[a.agent_id], 0.1 if a.step_size is None else a.step_size),
             n_samples=a.n_samples,
-            **policy_fields(cfg, a),
         )
         for a in agents
     )
     broker_engine = MlpBrokerEngine(broker_data, spec.layer_set, spec.align_sweeps)
     truth_loss = {a.agent_id: 0.0 for a in agents}
     return states, broker_engine, truth_loss
-
-
-def _config_echo(cfg: MarketConfig) -> dict:
-    echo = {
-        "seed": cfg.seed,
-        "rounds": cfg.rounds,
-        "gain_kind": cfg.gain_kind.value,
-        "trade_every": cfg.trade_every,
-        "trade_start": cfg.trade_start,
-        "pricing": "on" if cfg.pricing else "off",
-        "seller_pricing": cfg.seller_pricing,
-        "loss": cfg.loss_spec.value,
-        "init": cfg.init,
-        "model": cfg.model,
-        "broker": {"n": cfg.broker.n_samples, "noise": cfg.broker.noise_variance},
-        "agents": {
-            a.agent_id: {
-                "dim": a.dim,
-                "n": a.n_samples,
-                "noise": a.noise_variance,
-                "policy": a.policy.kind.value
-                + (f":{a.policy.delay}" if a.policy.delay else ""),
-                "step_size": a.step_size if a.step_size is not None else "auto",
-                "theta_offset": a.theta_offset,
-            }
-            for a in cfg.agents
-        },
-    }
-    if cfg.model == "mlp":
-        echo["mlp"] = {
-            "hidden": list(cfg.mlp.hidden),
-            "input_dim": cfg.mlp.input_dim,
-            "n_classes": cfg.mlp.n_classes,
-            "data_noise": cfg.mlp.data_noise,
-            "layer_set": list(cfg.mlp.layer_set) if cfg.mlp.layer_set else "all",
-            "align_sweeps": cfg.mlp.align_sweeps,
-        }
-        for a in cfg.agents:
-            echo["agents"][a.agent_id].update(
-                favored=list(a.favored_classes), deprived_fraction=a.deprived_fraction
-            )
-    if cfg.convergence_epsilon is not None:
-        echo["convergence_epsilon"] = cfg.convergence_epsilon
-    return echo
 
 
 def run_simulation(cfg: MarketConfig) -> MarketLog:
@@ -807,23 +727,12 @@ def run_prepared_simulation(
     cfg: MarketConfig, states: tuple, broker_engine, truth_loss: dict
 ) -> MarketLog:
     """Market loop over pre-built states; entry point for custom endowments."""
-    echo = _config_echo(cfg)
-    echo["resolved_step_sizes"] = {s.agent_id: s.model.step_size for s in states}
     cum = {s.agent_id: 0.0 for s in states}
-
-    curves: list[CurveRow] = []
-    for st in states:
-        curves.append(
-            CurveRow(
-                0,
-                st.agent_id,
-                broker_engine.loss(st.params),
-                st.model.own_loss(st.params),
-                st.model.est_error(st.params),
-                0.0,
-                math.nan,
-            )
-        )
+    curves = [
+        CurveRow(0, st.agent_id, broker_engine.loss(st.params), st.model.own_loss(st.params),
+                 st.model.est_error(st.params), 0.0)
+        for st in states
+    ]
 
     trades: list[TradeRecord] = []
     for t in range(1, cfg.rounds + 1):
@@ -831,12 +740,12 @@ def run_prepared_simulation(
         trades.extend(records)
         curves.extend(rows)
     return MarketLog(
-        config_echo=echo,
+        config=cfg,
+        step_sizes={s.agent_id: s.model.step_size for s in states},
         agent_ids=tuple(s.agent_id for s in states),
         curves=curves,
         trades=trades,
         truth_broker_loss=truth_loss,
-        gain_kind=cfg.gain_kind,
     )
 
 

@@ -22,7 +22,6 @@ from .engine import (
     build_market,
     linear_market,
     linear_models,
-    policy_fields,
     run_prepared_simulation,
 )
 from .linear import LinearTask, synthesize_task
@@ -45,12 +44,9 @@ def never_trade_variant(cfg: MarketConfig) -> MarketConfig:
 
 
 def _run_pair(cfg: MarketConfig, states: tuple, broker_engine, truth_loss: dict) -> tuple:
-    # The twin reuses the market's build; only the policy fields change.
-    twin_cfg = never_trade_variant(cfg)
-    specs = {a.agent_id: a for a in twin_cfg.agents}
-    twin_states = tuple(replace(st, **policy_fields(twin_cfg, specs[st.agent_id])) for st in states)
+    # The twin runs on the market's own build; only its config's policies differ.
     log = run_prepared_simulation(cfg, states, broker_engine, truth_loss)
-    twin = run_prepared_simulation(twin_cfg, twin_states, broker_engine, truth_loss)
+    twin = run_prepared_simulation(never_trade_variant(cfg), states, broker_engine, truth_loss)
     return log, twin
 
 

@@ -16,7 +16,8 @@ import tempfile
 
 import numpy as np
 
-from .engine import MarketLog, convergence_metrics
+from .engine import MarketConfig, MarketLog, convergence_metrics
+from .mlp import MOONS_FEATURES
 
 __all__ = [
     "TRADES_HEADER",
@@ -141,6 +142,50 @@ def violations_csv(violations) -> str:
     return csv_text(VIOLATIONS_HEADER, ([v[k] for k in keys] for v in violations))
 
 
+def _config_echo(cfg: MarketConfig) -> dict:
+    echo = {
+        "seed": cfg.seed,
+        "rounds": cfg.rounds,
+        "gain_kind": cfg.gain_kind.value,
+        "trade_every": cfg.trade_every,
+        "trade_start": cfg.trade_start,
+        "pricing": "on" if cfg.pricing else "off",
+        "seller_pricing": cfg.seller_pricing,
+        "loss": cfg.loss_spec.value,
+        "init": cfg.init,
+        "model": cfg.model,
+        "broker": {"n": cfg.broker.n_samples, "noise": cfg.broker.noise_variance},
+        "agents": {
+            a.agent_id: {
+                "dim": a.dim,
+                "n": a.n_samples,
+                "noise": a.noise_variance,
+                "policy": a.policy.kind.value
+                + (f":{a.policy.delay}" if a.policy.delay else ""),
+                "step_size": a.step_size if a.step_size is not None else "auto",
+                "theta_offset": a.theta_offset,
+            }
+            for a in cfg.agents
+        },
+    }
+    if cfg.mlp is not None:
+        echo["mlp"] = {
+            "hidden": list(cfg.mlp.hidden),
+            "input_dim": MOONS_FEATURES,
+            "n_classes": cfg.mlp.n_classes,
+            "data_noise": cfg.mlp.data_noise,
+            "layer_set": list(cfg.mlp.layer_set) if cfg.mlp.layer_set else "all",
+            "align_sweeps": cfg.mlp.align_sweeps,
+        }
+        for a in cfg.agents:
+            echo["agents"][a.agent_id].update(
+                favored=list(a.favored_classes), deprived_fraction=a.deprived_fraction
+            )
+    if cfg.convergence_epsilon is not None:
+        echo["convergence_epsilon"] = cfg.convergence_epsilon
+    return echo
+
+
 def summary_dict(log: MarketLog) -> dict:
     agents = {}
     for u in log.agent_ids:
@@ -153,15 +198,17 @@ def summary_dict(log: MarketLog) -> dict:
             "executed_trades": sum(1 for r in log.trades if r.buyer == u and r.indicator),
             "declined_or_failed": sum(1 for r in log.trades if r.buyer == u and not r.indicator),
         }
+    config = _config_echo(log.config)
+    config["resolved_step_sizes"] = dict(log.step_sizes)
     out = {
-        "config": log.config_echo,
+        "config": config,
         "agents": agents,
         "total_trades_executed": sum(1 for r in log.trades if r.indicator),
         "rounds": max((r.round_index for r in log.curves), default=0),
     }
-    eps = log.config_echo.get("convergence_epsilon")
+    eps = log.config.convergence_epsilon
     if eps is not None:
-        out["convergence_rounds"] = convergence_metrics(log, float(eps))
+        out["convergence_rounds"] = convergence_metrics(log, eps)
     return out
 
 

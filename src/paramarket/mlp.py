@@ -29,8 +29,11 @@ __all__ = [
     "apply_permutation",
     "subset_merge",
     "merge_path_loss",
+    "MOONS_FEATURES",
     "two_moons",
 ]
+
+MOONS_FEATURES = 2  # input features of every `two_moons` point
 
 
 def _check_finite(i: int, w: np.ndarray, b: np.ndarray) -> None:
@@ -473,7 +476,7 @@ def two_moons(n: int, noise: float, rng: np.random.Generator) -> LabeledDataset:
     t1 = rng.uniform(0.0, np.pi, n1)
     x0 = np.column_stack([np.cos(t0), np.sin(t0)])
     x1 = np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)])
-    x = np.vstack([x0, x1]) + noise * rng.standard_normal((n, 2))
+    x = np.vstack([x0, x1]) + noise * rng.standard_normal((n, MOONS_FEATURES))
     y = np.concatenate([np.zeros(n0), np.ones(n1)])
     order = rng.permutation(n)
     return LabeledDataset(x[order], y[order])

@@ -64,10 +64,9 @@ class RawLinearBroker:
     for checking the factored broker against.
     """
 
-    def __init__(self, data: LabeledDataset, loss_spec: LossSpec, gain_kind: GainKind, truth):
+    def __init__(self, data: LabeledDataset, loss_spec: LossSpec, truth):
         self.data = data
         self.loss_spec = loss_spec
-        self.gain_kind = gain_kind
         self.truth = truth
 
     def begin_round(self, dots: dict) -> LinearRoundView:
@@ -208,18 +207,42 @@ class DecayReport:
     violations: tuple = ()
 
 
+def record_post_step_params(engine) -> list:
+    """Wrap a built broker's ``begin_round``; the returned list gains each round's post-step parameters."""
+    rounds = []
+    inner = engine.begin_round
+
+    def begin_round(dots):
+        rounds.append(dots)
+        return inner(dots)
+
+    engine.begin_round = begin_round
+    return rounds
+
+
+def post_step_losses(rounds: list, states, loss_spec: LossSpec) -> dict:
+    """Each linear agent's own loss right after its gradient step, keyed ``(round, agent)``."""
+    data = {s.agent_id: s.model.task.data for s in states}
+    return {
+        (t, u): empirical_loss(p, data[u], loss_spec)
+        for t, dots in enumerate(rounds, start=1)
+        for u, p in dots.items()
+    }
+
+
 def geometric_decay_check(
-    log: MarketLog, rho: float, agent_id: str | None = None, slack: float = 1e-9
+    log: MarketLog, rho: float, post_step: dict, agent_id: str | None = None, slack: float = 1e-9
 ) -> DecayReport:
     """Verify the per-trade-round contraction of an agent's own-data loss.
 
     Every executed trade must satisfy ``loss_t / loss_{t-1} <= rho / gain_t +
     slack`` (and the merge step alone ``loss_t / dot_loss_t <= rho / gain_t +
-    slack``); with a perfectly conditioned design the merge factor equals the
+    slack``, with ``dot_loss_t`` the `post_step_losses` entry of round t);
+    with a perfectly conditioned design the merge factor equals the
     reciprocal gain exactly. Not applicable to loss-difference logs or logs
     without executed trades.
     """
-    if log.gain_kind is not GainKind.ERROR_RATIO:
+    if log.config.gain_kind is not GainKind.ERROR_RATIO:
         return DecayReport(False, "decay audit needs the error-ratio gain")
     traders = sorted({r.buyer for r in log.trades if r.indicator})
     if not traders:
@@ -242,7 +265,8 @@ def geometric_decay_check(
         checked += 1
         bound = rho / gain
         round_factor = cur.own_loss / prev.own_loss
-        merge_factor = cur.own_loss / cur.dot_own_loss if cur.dot_own_loss > 0 else math.inf
+        dot_loss = post_step[t, agent_id]
+        merge_factor = cur.own_loss / dot_loss if dot_loss > 0 else math.inf
         max_round_factor = max(max_round_factor, round_factor)
         max_merge_factor = max(max_merge_factor, merge_factor)
         max_bound_ratio = max(max_bound_ratio, round_factor / bound, merge_factor / bound)

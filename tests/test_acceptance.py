@@ -53,7 +53,14 @@ from paramarket.pricing import (
     nash_price_difference,
 )
 
-from _helpers import geometric_decay_check, myerson_price_numeric, spearman, spectrum
+from _helpers import (
+    geometric_decay_check,
+    myerson_price_numeric,
+    post_step_losses,
+    record_post_step_params,
+    spearman,
+    spectrum,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -217,10 +224,12 @@ def test_07_linear_decay_factor():
         broker=BrokerSpec(n_samples=2000),
         loss_spec=LossSpec.SUM_OF_SQUARES,
     )
-    log = run_simulation(cfg)
-    states, _, _ = build_market(cfg, np.random.default_rng(cfg.seed))
+    states, engine, truth_loss = build_market(cfg, np.random.default_rng(cfg.seed))
+    rounds = record_post_step_params(engine)
+    log = run_prepared_simulation(cfg, states, engine, truth_loss)
     rho = spectrum(states[1].model.task.data).rho
-    report = geometric_decay_check(log, rho, "b", slack=1e-9)
+    post_step = post_step_losses(rounds, states, cfg.loss_spec)
+    report = geometric_decay_check(log, rho, post_step, "b", slack=1e-9)
     passed = report.applicable and not report.violations and report.rounds_checked == cfg.rounds
     verdict(
         7,
@@ -305,6 +314,7 @@ class _RecordingBroker:
 
     def __init__(self, engine):
         self.loss = engine.loss
+        self.truth = engine.truth
         self._begin_round = engine.begin_round
         self.events = []
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from paramarket import broker
 from paramarket.broker import (
     WEIGHT_FLOOR,
-    GainKind,
     MergeProposal,
     PerfectMergeError,
     fedavg_weight,
@@ -29,7 +28,7 @@ def pv(*values):
 
 def propose(buyer, seller, data):
     """The linear broker's try-before-purchase merge on sum-of-squares loss."""
-    engine = LinearBrokerEngine(data, LossSpec.SUM_OF_SQUARES, GainKind.LOSS_DIFFERENCE, None)
+    engine = LinearBrokerEngine(data, LossSpec.SUM_OF_SQUARES, None)
     return engine.begin_round({"buyer": buyer, "seller": seller}).propose("buyer", "seller")
 
 

@@ -51,7 +51,12 @@ noise = 0.3
 n = 300
 """
 
-MINIMAL_MLP = MINIMAL.replace("gain_kind = error-ratio", "gain_kind = loss-difference\nmodel = mlp")
+# The neural market reads no linear-only key, so its fixture drops dim and noise.
+MINIMAL_MLP = (
+    MINIMAL.replace("gain_kind = error-ratio", "gain_kind = loss-difference\nmodel = mlp")
+    .replace("dim = 8\n", "")
+    .replace("noise = 0.3\n", "")
+)
 
 BUNDLED = sorted(CONFIGS.glob("*.cfg"))
 
@@ -166,10 +171,7 @@ class TestConfigParsing:
             assert (err.value.section, err.value.key) == ("sweep", "values")
 
     def test_layer_axis_values(self):
-        spec = parse_sweep(
-            MINIMAL.replace("gain_kind = error-ratio", "gain_kind = loss-difference\nmodel = mlp")
-            + "\n[sweep]\naxis = layers\nvalues = 0,1 | all\nseeds = 2\n"
-        )
+        spec = parse_sweep(MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 0,1 | all\nseeds = 2\n")
         assert spec.values == ((0, 1), None)
 
 
@@ -436,11 +438,13 @@ class TestCli:
             (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 1 | 2,2\n", "[sweep] values:"),
             (MINIMAL + "\n[sweep]\naxis = endowment\nvalues = 0.5 | 0.50\n", "[sweep] values:"),
             (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 2\nseed = 3\n", "[sweep] seed: unknown key"),
+            (MINIMAL_MLP + "\n[sweep]\naxis = distance\nvalues = 0 | 0.5\n", "[sweep] axis:"),
+            (MINIMAL_MLP + "\n[sweep]\naxis = endowment\nvalues = 0.5 | 1\n", "[sweep] axis:"),
         ],
         ids=["unparsable", "non-numeric-cell", "zero-frequency", "zero-endowment",
              "endowment-above-one", "layers-on-linear", "layer-out-of-range", "repeated-layer-cell",
              "reordered-layer-cell", "all-as-a-list", "repeated-index-in-cell", "repeated-endowment",
-             "unknown-sweep-key"],
+             "unknown-sweep-key", "distance-on-mlp", "endowment-on-mlp"],
     )
     def test_invalid_sweep_exit_code_and_diagnostic(self, tmp_path, text, diagnostic):
         bad = tmp_path / "bad.cfg"
@@ -501,6 +505,14 @@ class TestCli:
             (MINIMAL, "n = 300", "n = 300\nnosie = 0.1", "[broker] nosie: unknown key"),
             (MINIMAL, "[broker]", "[agnt c]\ndim = 8\nn = 5\n\n[broker]", "[agnt c] -: unknown section"),
             (MINIMAL, "n = 300", "n = 300\n\n[mlp]\nhidden = 4", "[mlp] hidden: unknown key"),
+            (MINIMAL_MLP, "n = 20", "n = 20\ndim = 8", "[agent b] dim: unknown key"),
+            (MINIMAL_MLP, "n = 20", "n = 20\nnoise = 3.0", "[agent b] noise: unknown key"),
+            (MINIMAL_MLP, "n = 20", "n = 20\ntheta_offset = 0", "[agent b] theta_offset: unknown key"),
+            (MINIMAL_MLP, "n = 300", "n = 300\nnoise = 0.0", "[broker] noise: unknown key"),
+            (MINIMAL_MLP, "rounds = 12", "rounds = 12\ninit = zeros", "[market] init: unknown key"),
+            (MINIMAL_MLP, "rounds = 12", "rounds = 12\nloss = sum-of-squares", "[market] loss: unknown key"),
+            (MINIMAL, "n = 20", "n = 20\nfavored = 0", "[agent b] favored: unknown key"),
+            (MINIMAL, "n = 20", "n = 20\ndeprived_fraction = 0.5", "[agent b] deprived_fraction: unknown key"),
         ],
         ids=["seed-negative", "init-empty", "init-x", "init-normal-x", "init-normal-nan",
              "epsilon-zero", "epsilon-negative", "epsilon-inf", "offset-under-error-ratio",
@@ -508,7 +520,9 @@ class TestCli:
              "rounds-zero", "trade-every-zero", "trade-start-negative", "seller-pricing-foo",
              "model-foo", "favored-two-classes", "favored-seven", "favored-negative",
              "unknown-market-key", "unknown-agent-key", "unknown-broker-key", "unknown-section",
-             "mlp-section-on-linear"],
+             "mlp-section-on-linear", "dim-on-mlp", "noise-on-mlp", "theta-offset-on-mlp",
+             "broker-noise-on-mlp", "init-on-mlp", "loss-on-mlp", "favored-on-linear",
+             "deprived-fraction-on-linear"],
     )
     def test_invalid_market_or_agent_key_exit_code_and_diagnostic(
         self, tmp_path, base, old, new, diagnostic

@@ -26,7 +26,7 @@ from paramarket.engine import (
 )
 from paramarket.experiments import never_trade_variant, relative_improvement, run_with_twin
 
-from _helpers import RawLinearBroker, geometric_decay_check
+from _helpers import RawLinearBroker, geometric_decay_check, post_step_losses, record_post_step_params
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -80,7 +80,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="loss-difference"):
             MarketConfig(0, 10, GainKind.ERROR_RATIO,
                          agents=(AgentSpec("a", 0, 50), AgentSpec("b", 0, 50)),
-                         broker=BrokerSpec(100), model="mlp", mlp=MlpMarketSpec())
+                         broker=BrokerSpec(100), mlp=MlpMarketSpec())
 
     def test_asynchronous_delay_parsing(self):
         p = Policy.parse("asynchronous:7")
@@ -106,9 +106,9 @@ class TestRoundSemantics:
         smoothness = 2 * np.linalg.eigvalsh(task.data.inputs.T @ task.data.inputs / 80).max()
         model = LinearModel(task, 0.9 / smoothness, cfg.loss_spec)
         states = tuple(
-            AgentState(u, init, model, BENEFICIAL, 1, 80) for u in ("a", "b")
+            AgentState(u, init, model, 80) for u in ("a", "b")
         )
-        engine = LinearBrokerEngine(broker_task.data, cfg.loss_spec, GainKind.ERROR_RATIO, truth)
+        engine = LinearBrokerEngine(broker_task.data, cfg.loss_spec, truth)
         log = run_prepared_simulation(cfg, states, engine, {"a": 0.0, "b": 0.0})
         assert all(not r.indicator for r in log.trades)
         by_round = defaultdict(dict)
@@ -139,6 +139,19 @@ class TestRoundSemantics:
         cfg = linear_cfg(policies=(policy, policy), rounds=6)
         run_simulation(cfg)
         assert reused == [True] * (2 * cfg.rounds)
+
+    def test_a_merge_onto_the_truth_has_an_unbounded_gain(self):
+        # Seller b starts at the truth of its noiseless task, so its step
+        # keeps it there and buyer a's searched merge lands on the truth.
+        from paramarket.engine import run_prepared_simulation
+
+        cfg = linear_cfg(rounds=1, noise_b=0.0)
+        states, broker, truth_loss = build_market(cfg, np.random.default_rng(cfg.seed))
+        b = states[1]
+        states = (states[0], dataclasses.replace(b, params=b.model.task.true_params))
+        first = run_prepared_simulation(cfg, states, broker, truth_loss).trades[0]
+        assert (first.buyer, first.seller, first.indicator) == ("a", "b", True)
+        assert first.gain.value == float("inf") and first.gain.trade_beneficial
 
     def test_trade_frequency_rounds(self):
         log = run_simulation(linear_cfg(trade_every=7, rounds=20))
@@ -316,7 +329,7 @@ class TestFactoredBroker:
     @staticmethod
     def assert_raw_losses(data: LabeledDataset, rng):
         for spec in LossSpec:
-            broker = LinearBrokerEngine(data, spec, GainKind.LOSS_DIFFERENCE, None)
+            broker = LinearBrokerEngine(data, spec, None)
             dots = {u: ParameterVector(rng.standard_normal(data.dimension)) for u in "ab"}
             view = broker.begin_round(dots)
             for u, p in dots.items():
@@ -343,9 +356,7 @@ class TestFactoredBroker:
         rng = np.random.default_rng(5)
         truth = ParameterVector(rng.standard_normal(10))
         x = rng.standard_normal((400, 10))
-        broker = LinearBrokerEngine(
-            LabeledDataset(x, x @ truth.values), LossSpec.MEAN_PER_SAMPLE, GainKind.LOSS_DIFFERENCE, None
-        )
+        broker = LinearBrokerEngine(LabeledDataset(x, x @ truth.values), LossSpec.MEAN_PER_SAMPLE, None)
         assert broker.loss(truth) < 1e-25
 
 
@@ -356,7 +367,7 @@ class TestMlpRoundView:
         cfg = MarketConfig(
             seed=3, rounds=1, gain_kind=GainKind.LOSS_DIFFERENCE,
             agents=(AgentSpec("a", 0, 40), AgentSpec("b", 0, 40)),
-            broker=BrokerSpec(60), model="mlp", mlp=MlpMarketSpec(hidden=(4, 4)),
+            broker=BrokerSpec(60), mlp=MlpMarketSpec(hidden=(4, 4)),
         )
         states, base, _ = build_market(cfg, np.random.default_rng(cfg.seed))
         calls = []
@@ -396,23 +407,29 @@ class TestMarketOutcomes:
         cfg = linear_cfg(rounds=30)
         states, engine, truth = build_market(cfg, np.random.default_rng(cfg.seed))
 
-        events = []
+        proposals = []  # per round: (buyer, seller) -> the proposal evaluated
 
         def begin_round(dots, inner=engine.begin_round):
             view = inner(dots)
-            inner_gain = view.gain
+            inner_propose = view.propose
+            proposals.append({})
 
-            def gain(buyer, proposal):
-                g = inner_gain(buyer, proposal)
-                if g.trade_beneficial:
-                    events.append((proposal.broker_loss_before, proposal.broker_loss_after))
-                return g
+            def propose(buyer, seller):
+                proposals[-1][buyer, seller] = inner_propose(buyer, seller)
+                return proposals[-1][buyer, seller]
 
-            view.gain = gain
+            view.propose = propose
             return view
 
         engine.begin_round = begin_round
-        run_prepared_simulation(cfg, states, engine, truth)
+        log = run_prepared_simulation(cfg, states, engine, truth)
+        # Two agents without pricing: each evaluation is logged with its gain.
+        assert sum(map(len, proposals)) == len(log.trades)
+        events = []
+        for r in log.trades:
+            if r.gain.trade_beneficial:
+                p = proposals[r.round_index - 1][r.buyer, r.seller]
+                events.append((p.broker_loss_before, p.broker_loss_after))
         assert events
         for before, after in events:
             assert after <= before + 1e-9 * (1 + before)
@@ -448,12 +465,12 @@ class TestAnalytics:
 
     def test_decay_check_skips_inapplicable_logs(self):
         log = run_simulation(linear_cfg(policies=(NEVER, NEVER)))
-        report = geometric_decay_check(log, rho=1.0)
+        report = geometric_decay_check(log, rho=1.0, post_step={})
         assert not report.applicable
         assert "no executed trades" in report.reason
 
         log_diff = run_simulation(linear_cfg(gain=GainKind.LOSS_DIFFERENCE))
-        assert not geometric_decay_check(log_diff, rho=1.0).applicable
+        assert not geometric_decay_check(log_diff, rho=1.0, post_step={}).applicable
 
     def test_decay_equality_collapse_on_orthonormal_design(self):
         # With a perfectly conditioned buyer design the merge-step factor is
@@ -479,14 +496,16 @@ class TestAnalytics:
         data = LabeledDataset(q, q @ truth_vec.values)
         task = LinearTask(data, truth_vec, 0.0)
         new_b = dataclasses.replace(b, model=LinearModel(task, 0.2, LossSpec.SUM_OF_SQUARES))
+        rounds = record_post_step_params(broker_engine)
         log = run_prepared_simulation(cfg, (states[0], new_b), broker_engine, truth)
-        report = geometric_decay_check(log, rho=1.0, agent_id="b")
+        post_step = post_step_losses(rounds, (states[0], new_b), cfg.loss_spec)
+        report = geometric_decay_check(log, rho=1.0, post_step=post_step, agent_id="b")
         assert report.applicable
         assert not report.violations
         gain_by_round = {r.round_index: r.gain.value for r in log.trades if r.buyer == "b" and r.indicator}
         rows = {r.round_index: r for r in log.curves if r.agent == "b"}
         for t, g in gain_by_round.items():
-            factor = rows[t].own_loss / rows[t].dot_own_loss
+            factor = rows[t].own_loss / post_step[t, "b"]
             assert factor == pytest.approx(1.0 / g, rel=1e-9)
 
 

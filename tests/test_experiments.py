@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,11 +75,12 @@ class TestTwins:
                               deprived_fraction=0.2),
                 ),
                 broker=BrokerSpec(n_samples=200),
-                model="mlp",
                 mlp=MlpMarketSpec(hidden=(8, 8)),
             ),
+            load_config(CONFIGS / "fedavg.cfg"),
+            replace(load_config(CONFIGS / "three_agents.cfg"), pricing=True),
         ],
-        ids=["linear-priced-async", "mlp"],
+        ids=["linear-priced-async", "mlp", "fedavg", "three-agents-priced"],
     )
     def test_shared_build_matches_separate_runs(self, cfg):
         pair = run_with_twin(cfg)

@@ -1,9 +1,11 @@
 """Print the sha256 of every deterministic run output, for before/after diffs.
 
 For each bundled config (sweep configs contribute their base market), every
-layer set of the layer-subset sweep and two fedavg variants, runs the market
-and its never-trade twin through ``experiments.run_with_twin`` and prints one
-line per output: config, run (market or twin), artifact (trades_csv,
+layer set of the layer-subset sweep, two fedavg variants and two priced
+variants that ask the Myerson price (``pricing`` with ``seller_pricing =
+myerson``, ``three_agents`` with pricing on), runs the market and its
+never-trade twin through ``experiments.run_with_twin`` and prints one line
+per output: config, run (market or twin), artifact (trades_csv,
 curves_csv, summary_dict JSON) and digest. It then runs ``paramarket.cli``
 into a temporary directory (``sweep`` on each bundled sweep config with its
 seeds cut to 2, ``bounds-check --trials 2000`` and ``align-demo``) and prints
@@ -51,6 +53,10 @@ def _markets():
     fedavg = load_config(str(CONFIGS / "fedavg.cfg"))
     yield "fedavg+loss-difference", replace(fedavg, gain_kind=GainKind.LOSS_DIFFERENCE)
     yield "fedavg+start3-every2", replace(fedavg, trade_start=3, trade_every=2)
+    pricing = load_config(str(CONFIGS / "pricing.cfg"))
+    yield "pricing+myerson", replace(pricing, seller_pricing="myerson")
+    three = load_config(str(CONFIGS / "three_agents.cfg"))
+    yield "three_agents+pricing", replace(three, pricing=True)
 
 
 def _cli_commands(tmp: Path):

@@ -20,7 +20,6 @@ from .linear import estimation_error
 
 __all__ = [
     "WEIGHT_FLOOR",
-    "PerfectMergeError",
     "GainKind",
     "GainReport",
     "MergeProposal",
@@ -33,10 +32,6 @@ __all__ = [
 
 # Stand-in for the open endpoint of the (0, 1] weight interval.
 WEIGHT_FLOOR = 1e-6
-
-
-class PerfectMergeError(ArithmeticError):
-    """The merged parameters hit the truth exactly; the gain ratio is unbounded."""
 
 
 class GainKind(Enum):
@@ -111,12 +106,12 @@ def gain_error_ratio(
 ) -> GainReport:
     """Gain-from-trade as the ratio of squared estimation errors, before over after.
 
-    Raises PerfectMergeError when the merged parameters coincide with the
-    truth; callers treat that gain as unbounded (the trade is always taken).
+    Merged parameters that coincide with the truth give an unbounded gain,
+    reported as +inf (always beneficial).
     """
     err_after = estimation_error(merged, theta_star)
     if err_after <= 1e-15:
-        raise PerfectMergeError("merged parameters match the true parameters; gain ratio is unbounded")
+        return GainReport(GainKind.ERROR_RATIO, math.inf, trade_beneficial=True)
     value = estimation_error(dot, theta_star) / err_after
     return GainReport(GainKind.ERROR_RATIO, value, trade_beneficial=value > 1.0)
 

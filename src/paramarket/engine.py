@@ -4,10 +4,11 @@ Each round every agent takes one local gradient step, then the broker runs
 try-before-purchase for every prospective buyer: it merges the pair at the
 loss-minimizing weight on its validation data and reports the buyer's gain
 confidentially. Beneficial gains turn into quotation requests; in competitive
-mode the seller answers with a virtual valuation built from the trade bounds
-and the broker settles at the midpoint, in collaborative mode the merge ships
-for free. Baseline policies (never trade, always trade, fixed-weight
-averaging) and per-agent start delays slot into the same loop.
+mode the buyer bids its gain and `pricing.quote` settles the offer (the
+seller's ask from the trade bounds, its measure-zero corners and the
+midpoint payment), in collaborative mode the merge ships for free. Baseline
+policies (never trade, always trade, fixed-weight averaging) and per-agent
+start delays slot into the same loop.
 
 Every market setting lives in `MarketConfig`: the round loop reads each
 agent's policy and start round from it, and picks the gain rule once. Fedavg
@@ -32,12 +33,10 @@ from enum import Enum
 import numpy as np
 
 from . import mlp as mlp_mod
-from .bounds import buyer_gain_bounds
 from .broker import (
     GainKind,
     GainReport,
     MergeProposal,
-    PerfectMergeError,
     fedavg_weight,
     gain_error_ratio,
     gain_loss_difference,
@@ -55,7 +54,7 @@ from .core import (
     residual,
 )
 from .linear import LinearTask, estimation_error, gram_lambda_max, synthesize_task
-from .pricing import seller_virtual_valuation, settle
+from .pricing import quote
 
 __all__ = [
     "PolicyKind",
@@ -112,9 +111,8 @@ def wants_to_buy(policy: Policy, gain: GainReport) -> bool:
 
     Sees only the buyer's own policy and gain: the broker reports gains
     confidentially, so the counterparty's gain never reaches the decision.
+    Never-trade buyers are skipped before any offer is evaluated.
     """
-    if policy.kind is PolicyKind.NEVER_TRADE:
-        return False
     return policy.kind in (PolicyKind.ALWAYS_TRADE, PolicyKind.FEDAVG) or gain.trade_beneficial
 
 
@@ -150,6 +148,12 @@ class MlpMarketSpec:
     align_sweeps: int = 10
 
 
+# Agent settings only one market kind reads, each with the value the other
+# kind requires (an mlp agent's dim is 0).
+_LINEAR_ONLY = {"dim": 0, "noise_variance": 0.0, "theta_offset": 0.0}
+_MLP_ONLY = {"favored_classes": (), "deprived_fraction": 1.0}
+
+
 @dataclass(frozen=True)
 class MarketConfig:
     seed: int
@@ -183,11 +187,21 @@ class MarketConfig:
         dims = {a.dim for a in self.agents}
         if self.model == "linear" and len(dims) != 1:
             raise ValueError(f"all agents must share one parameter dimension, got {sorted(dims)}")
+        # Each market kind ignores the other kind's settings, so they must
+        # keep their defaults.
+        other = _MLP_ONLY if self.model == "linear" else _LINEAR_ONLY
+        unused = [(f"agent {a.agent_id} {k}", getattr(a, k), v)
+                  for a in self.agents for k, v in other.items()]
         if self.model == "mlp":
+            unused += [("loss_spec", self.loss_spec, LossSpec.MEAN_PER_SAMPLE), ("init", self.init, "zeros"),
+                       ("broker noise_variance", self.broker.noise_variance, 0.0)]
             if self.gain_kind is not GainKind.LOSS_DIFFERENCE:
                 raise ValueError("neural markets have no known true parameters; use loss-difference gain")
             if self.pricing:
                 raise ValueError("pricing requires the error-ratio gain of the linear market")
+        for name, value, default in unused:
+            if value != default:
+                raise ValueError(f"{name} is ignored by the {self.model} market")
         if self.pricing and self.gain_kind is not GainKind.ERROR_RATIO:
             raise ValueError("competitive pricing builds on the error-ratio gain; configure gain_kind accordingly")
         if self.seller_pricing not in ("myerson", "lower-bound"):
@@ -474,10 +488,7 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
             if loss_difference:
                 gain = gain_loss_difference(p)
             else:
-                try:
-                    gain = gain_error_ratio(dots[buyer], p.merged, broker.truth)
-                except PerfectMergeError:
-                    gain = GainReport(GainKind.ERROR_RATIO, math.inf, trade_beneficial=True)
+                gain = gain_error_ratio(dots[buyer], p.merged, broker.truth)
             evaluated[(buyer, seller)] = p, gain
         return evaluated[(buyer, seller)]
 
@@ -491,51 +502,25 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
         offers = [(v, *evaluate(u, v)) for v in sorted(sellers)]
         # Target the seller offering the largest gain; ties take the lowest id.
         seller, proposal, gain = min(offers, key=lambda e: (-e[2].value, e[0]))
-        if not wants_to_buy(policy[u], gain):
-            records.append(
-                TradeRecord(round_index, u, seller, proposal.weight, gain,
-                            None, None, None, False)
-            )
-            continue
-        if not cfg.pricing:
-            chosen[u] = proposal
-            records.append(
-                TradeRecord(round_index, u, seller, proposal.weight, gain,
-                            None, None, 0.0, True)
-            )
-            continue
-        # Competitive settlement: the buyer bids its gain; the seller asks
-        # the virtual valuation built from its own reverse gain and both
-        # quoted weights, never from the buyer's numbers.
-        buyer_valuation = gain.value
-        reverse, reverse_gain = evaluate(seller, u)
-        if math.isfinite(reverse_gain.value):
-            if cfg.seller_pricing == "lower-bound":
-                seller_valuation = buyer_gain_bounds(
-                    reverse_gain.value, reverse.weight, proposal.weight
-                ).lower
-            else:
-                seller_valuation = seller_virtual_valuation(
-                    reverse_gain.value, reverse.weight, proposal.weight
-                )
-        else:
-            # Measure-zero corner: the seller's own merge hit the truth
-            # exactly, so its reverse gain carries no information.
-            seller_valuation = buyer_valuation if math.isfinite(buyer_valuation) else 0.0
-        if math.isfinite(buyer_valuation):
-            payment = settle(buyer_valuation, seller_valuation)
-        else:
-            # Unbounded bid (perfect merge for the buyer): buy at the ask.
-            payment = seller_valuation
-        executed = payment is not None
+        bid = ask = payment = None
+        executed = wants_to_buy(policy[u], gain)
+        if executed and cfg.pricing:
+            # Competitive settlement: the buyer bids its gain; the seller
+            # quotes from its own reverse gain and both weights.
+            bid = gain.value
+            reverse, reverse_gain = evaluate(seller, u)
+            ask, payment = quote(cfg.seller_pricing, bid, reverse_gain.value,
+                                 reverse.weight, proposal.weight)
+            executed = payment is not None
+        elif executed:
+            payment = 0.0  # collaborative: the merge ships for free
         if executed:
             chosen[u] = proposal
             cum_payments[u] -= payment
             cum_payments[seller] += payment
         records.append(
             TradeRecord(round_index, u, seller, proposal.weight, gain,
-                        buyer_valuation, seller_valuation,
-                        payment if executed else None, executed)
+                        bid, ask, payment, executed)
         )
 
     new_states = []

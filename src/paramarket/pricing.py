@@ -23,6 +23,7 @@ __all__ = [
     "myerson_price",
     "seller_virtual_valuation",
     "settle",
+    "quote",
 ]
 
 
@@ -106,8 +107,6 @@ def myerson_price(prior: PriorDistribution) -> float:
     satisfy the fixed point ``p = (1 - F(p)) / F'(p)``.
     """
     if prior.kind is PriorKind.UNIFORM:
-        if prior.hi == prior.lo:
-            return prior.lo
         return max(prior.hi / 2.0, prior.lo)
     return 1.0 / prior.rate
 
@@ -117,16 +116,13 @@ def seller_virtual_valuation(gain_a: float, alpha: float, beta: float) -> float:
 
     Boxes the buyer's gain with `buyer_gain_bounds`, then prices it: a finite
     interval gets the Bayesian-optimal price under a uniform prior on the
-    interval (clamped back into it); an unbounded interval falls back to its
+    interval, which lies in it; an unbounded interval falls back to its
     lower endpoint, the only certain part of the estimate.
     """
     b = buyer_gain_bounds(gain_a, alpha, beta)
     if math.isinf(b.upper):
         return b.lower
-    if b.upper - b.lower <= 0.0:
-        return b.lower
-    price = myerson_price(PriorDistribution.uniform(b.lower, b.upper))
-    return min(max(price, b.lower), b.upper)
+    return myerson_price(PriorDistribution.uniform(b.lower, b.upper))
 
 
 def settle(buyer_valuation: float, seller_valuation: float) -> float | None:
@@ -134,3 +130,24 @@ def settle(buyer_valuation: float, seller_valuation: float) -> float | None:
     if buyer_valuation >= seller_valuation:
         return 0.5 * (buyer_valuation + seller_valuation)
     return None
+
+
+def quote(rule: str, bid: float, reverse_gain: float, alpha: float, beta: float) -> tuple:
+    """``(ask, payment)`` for one priced offer; the payment is None when negotiation fails.
+
+    The seller asks from its own reverse gain and both merge weights (alpha
+    its own, beta the buyer's): the lower end of `buyer_gain_bounds`
+    (``lower-bound``) or `seller_virtual_valuation` (``myerson``). A reverse
+    gain of 0 or +inf (the seller, or its merge, is exactly at the truth)
+    carries no information, so the seller asks the bid, or 0.0 when the bid
+    is unbounded. A finite bid settles with `settle`; an unbounded one buys
+    at the ask.
+    """
+    if 0.0 < reverse_gain < math.inf:
+        if rule == "lower-bound":
+            ask = buyer_gain_bounds(reverse_gain, alpha, beta).lower
+        else:
+            ask = seller_virtual_valuation(reverse_gain, alpha, beta)
+    else:
+        ask = bid if math.isfinite(bid) else 0.0
+    return ask, settle(bid, ask) if math.isfinite(bid) else ask

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from paramarket import broker
 from paramarket.broker import (
     WEIGHT_FLOOR,
+    GainKind,
+    GainReport,
     MergeProposal,
-    PerfectMergeError,
     fedavg_weight,
     gain_error_ratio,
     gain_loss_difference,
@@ -157,8 +158,9 @@ class TestGains:
         assert g.value == 4.0 and g.trade_beneficial
 
     def test_error_ratio_perfect_merge_signals(self):
-        with pytest.raises(PerfectMergeError):
-            gain_error_ratio(pv(2.0), pv(0.0), pv(0.0))
+        # A merge that hits the truth has an unbounded gain, always taken.
+        g = gain_error_ratio(pv(2.0), pv(0.0), pv(0.0))
+        assert g == GainReport(GainKind.ERROR_RATIO, math.inf, trade_beneficial=True)
 
     def test_gain_notions_agree_on_isotropic_noiseless_broker(self):
         # With orthonormal broker columns the broker loss is exactly the

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 
 from collections import defaultdict
 from pathlib import Path
@@ -81,6 +82,31 @@ class TestConfigValidation:
             MarketConfig(0, 10, GainKind.ERROR_RATIO,
                          agents=(AgentSpec("a", 0, 50), AgentSpec("b", 0, 50)),
                          broker=BrokerSpec(100), mlp=MlpMarketSpec())
+
+    @pytest.mark.parametrize("agent_b, market, field", [
+        ({"dim": 4}, {}, "dim"),
+        ({"noise_variance": 0.5}, {}, "noise_variance"),
+        ({"theta_offset": 1.0}, {}, "theta_offset"),
+        ({}, {"loss_spec": LossSpec.SUM_OF_SQUARES}, "loss_spec"),
+        ({}, {"init": "normal:3"}, "init"),
+        ({}, {"broker": BrokerSpec(100, noise_variance=2.0)}, "broker noise_variance"),
+    ])
+    def test_mlp_market_rejects_linear_settings(self, agent_b, market, field):
+        def mlp_cfg(agent_b, market):
+            agents = (AgentSpec("a", 0, 50), AgentSpec("b", **{"dim": 0, "n_samples": 50, **agent_b}))
+            return MarketConfig(0, 10, GainKind.LOSS_DIFFERENCE, agents=agents,
+                                **{"broker": BrokerSpec(100), "mlp": MlpMarketSpec(), **market})
+
+        mlp_cfg({}, {})
+        with pytest.raises(ValueError, match=field):
+            mlp_cfg(agent_b, market)
+
+    @pytest.mark.parametrize("field, value", [("favored_classes", (0,)), ("deprived_fraction", 0.5)])
+    def test_linear_market_rejects_mlp_settings(self, field, value):
+        cfg = linear_cfg()
+        a, b = cfg.agents
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(cfg, agents=(a, dataclasses.replace(b, **{field: value})))
 
     def test_asynchronous_delay_parsing(self):
         p = Policy.parse("asynchronous:7")
@@ -203,6 +229,23 @@ class TestPricingRounds:
         for r in log.trades:
             if r.indicator:
                 assert r.seller_valuation <= r.payment <= r.buyer_valuation
+
+    @pytest.mark.parametrize("rule", ["lower-bound", "myerson"])
+    def test_seller_at_the_truth_sells_a_perfect_merge_for_nothing(self, rule):
+        # Seller b starts at the truth of its noiseless task: its reverse
+        # gain is 0.0 and buyer a's merge lands on the truth (an unbounded
+        # bid), so the seller learns nothing and asks 0.0.
+        from paramarket.engine import run_prepared_simulation
+
+        cfg = linear_cfg(pricing=True, noise_b=0.0, seller_pricing=rule, rounds=3)
+        states, broker, truth_loss = build_market(cfg, np.random.default_rng(cfg.seed))
+        b = states[1]
+        states = (states[0], dataclasses.replace(b, params=b.model.task.true_params))
+        log = run_prepared_simulation(cfg, states, broker, truth_loss)
+        first = next(r for r in log.trades if (r.round_index, r.buyer) == (1, "a"))
+        assert first.seller == "b"
+        assert first.buyer_valuation == math.inf
+        assert (first.seller_valuation, first.payment, first.indicator) == (0.0, 0.0, True)
 
     def test_failed_negotiation_keeps_local_params(self):
         # Myerson asks in a lopsided market exceed the buyer's bid, so the

@@ -12,6 +12,7 @@ from paramarket.pricing import (
     cobb_douglas_revenue,
     myerson_price,
     nash_price_difference,
+    quote,
     seller_virtual_valuation,
     settle,
 )
@@ -151,3 +152,28 @@ class TestSettle:
             assert buyer < seller
         else:
             assert seller <= payment <= buyer
+
+
+class TestQuote:
+    @pytest.mark.parametrize("rule", ["lower-bound", "myerson"])
+    def test_informative_reverse_gain_settles_at_the_midpoint(self, rule):
+        ask = (buyer_gain_bounds(4.0, 0.9, 0.9).lower if rule == "lower-bound"
+               else seller_virtual_valuation(4.0, 0.9, 0.9))
+        assert quote(rule, 9.0, 4.0, 0.9, 0.9) == (ask, settle(9.0, ask))
+
+    @pytest.mark.parametrize("rule", ["lower-bound", "myerson"])
+    @pytest.mark.parametrize("reverse_gain", [0.0, math.inf])
+    @pytest.mark.parametrize("bid, expected", [(3.0, (3.0, 3.0)), (math.inf, (0.0, 0.0))])
+    def test_uninformative_reverse_gain_asks_the_bid(self, rule, reverse_gain, bid, expected):
+        # A seller at the truth (gain 0.0) or merging onto it (+inf) learns
+        # nothing about the buyer's gain: it asks a finite bid, else nothing.
+        assert quote(rule, bid, reverse_gain, 0.5, 0.5) == expected
+
+    def test_unbounded_bid_buys_at_the_ask(self):
+        ask = seller_virtual_valuation(4.0, 0.9, 0.9)
+        assert quote("myerson", math.inf, 4.0, 0.9, 0.9) == (ask, ask)
+
+    def test_bid_below_the_ask_fails(self):
+        ask = buyer_gain_bounds(4.0, 0.9, 0.9).lower
+        assert 0.5 * ask > 0.0
+        assert quote("lower-bound", 0.5 * ask, 4.0, 0.9, 0.9) == (ask, None)

@@ -13,7 +13,6 @@ from .core import (
     DimensionMismatchError,
     DivergenceError,
     LabeledDataset,
-    LossSpec,
     ParameterVector,
     empirical_loss,
     gradient_step,
@@ -57,7 +56,6 @@ __all__ = [
     "GainReport",
     "LabeledDataset",
     "LinearTask",
-    "LossSpec",
     "MarketConfig",
     "MarketLog",
     "MergeProposal",

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .broker import GainKind
-from .core import LossSpec
 from .engine import AgentSpec, BrokerSpec, MarketConfig, MlpMarketSpec, Policy
+from .mlp import MOONS_CLASSES
 
 __all__ = ["ConfigError", "SweepSpec", "load_config", "load_sweep", "parse_config"]
 
@@ -87,14 +87,11 @@ def _layer_set(n_hidden: int):
     return cast
 
 
-def _favored(n_classes: int):
-    def cast(raw: str) -> tuple:
-        favored = _int_tuple(raw)
-        if not all(0 <= c < n_classes for c in favored):
-            raise ValueError(f"expected class indices in [0, {n_classes - 1}]")
-        return favored
-
-    return cast
+def _favored(raw: str) -> tuple:
+    favored = _int_tuple(raw)
+    if not all(0 <= c < MOONS_CLASSES for c in favored):
+        raise ValueError(f"expected class indices in [0, {MOONS_CLASSES - 1}]")
+    return favored
 
 
 def _positive(raw: str) -> float:
@@ -123,14 +120,6 @@ def _theta_offset(gain_kind: GainKind):
         return value
 
     return cast
-
-
-def _init(raw: str) -> str:
-    # zeros, normal (scale 1) or normal:<scale>, as engine._parse_init reads it.
-    kind, colon, scale = raw.partition(":")
-    if raw == "zeros" or (kind == "normal" and (not colon or math.isfinite(float(scale)))):
-        return raw
-    raise ValueError("expected zeros, normal or normal:<finite scale>")
 
 
 def _count(minimum: int, why: str = ""):
@@ -188,11 +177,6 @@ def parse_config(text: str) -> MarketConfig:
     market = _reader(parser, "market", read)
     linear = market("model", _choice("linear", "mlp"), default="linear") == "linear"
     gain_kind = market("gain_kind", GainKind, required=True)
-    # Keys only the linear market acts on.
-    linear_keys = dict(
-        loss_spec=market("loss", LossSpec, default=LossSpec.MEAN_PER_SAMPLE),
-        init=market("init", _init, default="zeros"),
-    ) if linear else {}
 
     agent_sections = [s for s in parser.sections() if s.startswith("agent ")]
     if len(agent_sections) < 2:
@@ -205,10 +189,8 @@ def parse_config(text: str) -> MarketConfig:
         hidden = m("hidden", _widths, default=(16, 16, 16))
         mlp_spec = MlpMarketSpec(
             hidden=hidden,
-            n_classes=m("classes", _count(2), default=2),
             data_noise=m("data_noise", _non_negative, default=0.15),
             layer_set=m("layer_set", _layer_set(len(hidden)), default=None),
-            align_sweeps=m("align_sweeps", _count(1), default=10),
         )
 
     agents = []
@@ -226,7 +208,7 @@ def parse_config(text: str) -> MarketConfig:
         else:
             kind_keys = dict(
                 dim=0,
-                favored_classes=a("favored", _favored(mlp_spec.n_classes), default=()),
+                favored_classes=a("favored", _favored, default=()),
                 deprived_fraction=a("deprived_fraction", _fraction, default=1.0),
             )
         agents.append(
@@ -264,7 +246,6 @@ def parse_config(text: str) -> MarketConfig:
             ),
             convergence_epsilon=market("convergence_epsilon", _positive, default=None),
             mlp=mlp_spec,
-            **linear_keys,
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):

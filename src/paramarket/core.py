@@ -1,13 +1,13 @@
 """Shared parameter, dataset, and loss primitives.
 
-Everything downstream (broker, market engine, analytics) works on the three
-value types defined here: a flat parameter vector, a labeled dataset, and a
-loss convention. All types are immutable after construction and every
-operation is a pure function, so they are safe to share across threads.
+Everything downstream (broker, market engine, analytics) works on the two
+value types defined here: a flat parameter vector and a labeled dataset. The
+loss is the mean squared residual over samples. Both types are immutable
+after construction and every operation is a pure function, so they are safe
+to share across threads.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -16,7 +16,6 @@ __all__ = [
     "DivergenceError",
     "ParameterVector",
     "LabeledDataset",
-    "LossSpec",
     "residual",
     "empirical_loss",
     "loss_gradient",
@@ -115,13 +114,6 @@ class LabeledDataset:
         return self.inputs.shape[1]
 
 
-class LossSpec(Enum):
-    """Loss convention: plain sum of squared residuals, or the per-sample mean."""
-
-    SUM_OF_SQUARES = "sum-of-squares"
-    MEAN_PER_SAMPLE = "mean-per-sample"
-
-
 def residual(params: ParameterVector, data: LabeledDataset) -> np.ndarray:
     """``X theta - Y``, which the squared loss and its gradient both start from."""
     params.require_dimension(data.dimension, "parameters vs dataset columns")
@@ -129,34 +121,23 @@ def residual(params: ParameterVector, data: LabeledDataset) -> np.ndarray:
 
 
 def empirical_loss(
-    params: ParameterVector,
-    data: LabeledDataset,
-    spec: LossSpec = LossSpec.SUM_OF_SQUARES,
-    resid: np.ndarray | None = None,
+    params: ParameterVector, data: LabeledDataset, resid: np.ndarray | None = None
 ) -> float:
-    """Squared-residual loss of a linear predictor on a dataset.
+    """Mean squared residual of a linear predictor on a dataset, ``||X theta - Y||^2 / n``.
 
-    SUM_OF_SQUARES returns ``||X theta - Y||^2``; MEAN_PER_SAMPLE divides by n.
     ``resid`` is `residual` at ``params``, when the caller holds it already.
     """
     r = residual(params, data) if resid is None else resid
-    loss = float(r @ r)
-    if spec is LossSpec.MEAN_PER_SAMPLE:
-        loss /= data.n_samples
-    return loss
+    return float(r @ r) / data.n_samples
 
 
 def loss_gradient(
-    params: ParameterVector,
-    data: LabeledDataset,
-    spec: LossSpec = LossSpec.SUM_OF_SQUARES,
-    resid: np.ndarray | None = None,
+    params: ParameterVector, data: LabeledDataset, resid: np.ndarray | None = None
 ) -> np.ndarray:
-    """Gradient of `empirical_loss` at ``params``: ``2 X^T (X theta - Y)``, scaled per the loss convention."""
+    """Gradient of `empirical_loss` at ``params``: ``2 X^T (X theta - Y) / n``."""
     r = residual(params, data) if resid is None else resid
     g = 2.0 * (data.inputs.T @ r)
-    if spec is LossSpec.MEAN_PER_SAMPLE:
-        g /= data.n_samples
+    g /= data.n_samples
     return g
 
 
@@ -164,7 +145,6 @@ def gradient_step(
     params: ParameterVector,
     data: LabeledDataset,
     step_size: float,
-    spec: LossSpec = LossSpec.SUM_OF_SQUARES,
     resid: np.ndarray | None = None,
 ) -> ParameterVector:
     """One plain gradient-descent update on the empirical loss.
@@ -175,7 +155,7 @@ def gradient_step(
     """
     if not step_size > 0:
         raise ValueError(f"step size must be positive, got {step_size}")
-    g = loss_gradient(params, data, spec, resid)
+    g = loss_gradient(params, data, resid)
     new = params.values - step_size * g
     if not np.all(np.isfinite(new)):
         raise DivergenceError("gradient update produced non-finite parameters")

@@ -46,7 +46,6 @@ from .broker import (
 from .core import (
     DivergenceError,
     LabeledDataset,
-    LossSpec,
     ParameterVector,
     empirical_loss,
     gradient_step,
@@ -142,10 +141,8 @@ class MlpMarketSpec:
     """Network and data shape for neural markets."""
 
     hidden: tuple = (16, 16, 16)
-    n_classes: int = 2
     data_noise: float = 0.15
     layer_set: tuple | None = None  # None trades every layer
-    align_sweeps: int = 10
 
 
 # Agent settings only one market kind reads, each with the value the other
@@ -164,8 +161,6 @@ class MarketConfig:
     trade_every: int = 1
     trade_start: int = 1
     pricing: bool = False
-    loss_spec: LossSpec = LossSpec.MEAN_PER_SAMPLE
-    init: str = "zeros"  # or "normal:<scale>"
     convergence_epsilon: float | None = None
     mlp: MlpMarketSpec | None = None  # None: a linear market
     # Seller-side ask in competitive rounds: the Bayesian-optimal price on the
@@ -193,8 +188,7 @@ class MarketConfig:
         unused = [(f"agent {a.agent_id} {k}", getattr(a, k), v)
                   for a in self.agents for k, v in other.items()]
         if self.model == "mlp":
-            unused += [("loss_spec", self.loss_spec, LossSpec.MEAN_PER_SAMPLE), ("init", self.init, "zeros"),
-                       ("broker noise_variance", self.broker.noise_variance, 0.0)]
+            unused.append(("broker noise_variance", self.broker.noise_variance, 0.0))
             if self.gain_kind is not GainKind.LOSS_DIFFERENCE:
                 raise ValueError("neural markets have no known true parameters; use loss-difference gain")
             if self.pricing:
@@ -223,7 +217,6 @@ class AgentState:
     agent_id: str
     params: object  # ParameterVector | MlpParams
     model: object  # backend with step / own_loss / est_error
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -271,21 +264,19 @@ class LinearModel:
     the parameters the next round steps from, so the step reuses it.
     """
 
-    def __init__(self, task: LinearTask, step_size: float, loss_spec: LossSpec):
+    def __init__(self, task: LinearTask, step_size: float):
         self.task = task
         self.step_size = step_size
-        self.loss_spec = loss_spec
         self._last = (None, None)  # (params, residual) of the latest own_loss
 
     def step(self, params: ParameterVector) -> ParameterVector:
         last, r = self._last
-        return gradient_step(params, self.task.data, self.step_size, self.loss_spec,
-                             r if last is params else None)
+        return gradient_step(params, self.task.data, self.step_size, r if last is params else None)
 
     def own_loss(self, params: ParameterVector) -> float:
         r = residual(params, self.task.data)
         self._last = (params, r)
-        return empirical_loss(params, self.task.data, self.loss_spec, r)
+        return empirical_loss(params, self.task.data, r)
 
     def est_error(self, params: ParameterVector) -> float:
         return estimation_error(params, self.task.true_params)
@@ -314,14 +305,14 @@ class LinearBrokerEngine:
     Keeps only ``(A, t, b, c)`` with ``||X theta - y||^2 = ||A (theta - t) - b||^2 + c``:
     ``(R, least-squares fit, 0, its squared residual)``, R the Cholesky factor
     of ``X^T X``, when X has more rows than columns, else ``(X, 0, y, 0)``.
+    The broker loss is that sum divided by the set's n samples, like `empirical_loss`.
     Round views hold each agent's residual once, so every merge-path loss in
     the round is a vector combination instead of a matrix product.
     """
 
-    def __init__(self, data: LabeledDataset, loss_spec: LossSpec, truth: ParameterVector | None):
-        self.loss_spec = loss_spec
+    def __init__(self, data: LabeledDataset, truth: ParameterVector | None):
         self.truth = truth  # the shared true parameters the error-ratio gain compares against
-        self._divisor = data.n_samples if loss_spec is LossSpec.MEAN_PER_SAMPLE else 1
+        self._n = data.n_samples
         self._a, self._t, self._b, self._c = _least_squares_form(data)
 
     def begin_round(self, dots: dict) -> "LinearRoundView":
@@ -332,7 +323,7 @@ class LinearBrokerEngine:
         return self._a @ (params.values - self._t) - self._b
 
     def resid_loss(self, r: np.ndarray) -> float:
-        return (float(r @ r) + self._c) / self._divisor
+        return (float(r @ r) + self._c) / self._n
 
     def loss(self, params: ParameterVector) -> float:
         return self.resid_loss(self.residual(params))
@@ -396,10 +387,9 @@ class LinearRoundView:
 class MlpBrokerEngine:
     """Broker over a held-out classification set for neural agents."""
 
-    def __init__(self, data: LabeledDataset, layer_set: tuple | None, align_sweeps: int):
+    def __init__(self, data: LabeledDataset, layer_set: tuple | None):
         self.data = data
         self.layer_set = layer_set
-        self.align_sweeps = align_sweeps
 
     def begin_round(self, dots: dict) -> "MlpRoundView":
         return MlpRoundView(self, dots)
@@ -419,9 +409,7 @@ class MlpRoundView:
 
     def propose(self, buyer: str, seller: str) -> MergeProposal:
         eng = self.engine
-        perms = mlp_mod.weight_matching_alignment(
-            self.dots[buyer], self.dots[seller], eng.align_sweeps
-        )
+        perms = mlp_mod.weight_matching_alignment(self.dots[buyer], self.dots[seller])
         aligned = mlp_mod.apply_permutation(self.dots[seller], perms)
         layers = eng.layer_set or tuple(range(self.dots[buyer].n_layers))
         loss_at = mlp_mod.merge_path_loss(self.dots[buyer], aligned, layers, eng.data)
@@ -480,9 +468,9 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
 
     def evaluate(buyer: str, seller: str):
         if (buyer, seller) not in evaluated:
-            if fedavg:  # fixed data-share weight, no search
-                w = fedavg_weight(by_id[buyer].n_samples, by_id[seller].n_samples)
-                p = view.propose(buyer, seller, w)
+            if fedavg:  # fixed data-share weight of the linear tasks, no search
+                n_buyer, n_seller = (by_id[u].model.task.data.n_samples for u in (buyer, seller))
+                p = view.propose(buyer, seller, fedavg_weight(n_buyer, n_seller))
             else:
                 p = view.propose(buyer, seller)
             if loss_difference:
@@ -544,15 +532,6 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
     return tuple(new_states), records, rows
 
 
-def _parse_init(init: str, rng: np.random.Generator, dim: int) -> np.ndarray:
-    if init == "zeros":
-        return np.zeros(dim)
-    if init.startswith("normal"):
-        scale = float(init.split(":", 1)[1]) if ":" in init else 1.0
-        return scale * rng.standard_normal(dim)
-    raise ValueError(f"unknown init {init!r}")
-
-
 def _imbalanced_subset(
     data: LabeledDataset, favored: tuple, fraction: float, rng: np.random.Generator
 ) -> LabeledDataset:
@@ -601,7 +580,7 @@ def _build_linear_market(cfg: MarketConfig, agents: tuple, rng: np.random.Genera
         )
     # Step sizes draw nothing; resolving them before the broker set exists
     # keeps the Gram matrices out of the build's memory peak.
-    models = linear_models(cfg, agents, tasks)
+    models = linear_models(agents, tasks)
 
     # The broker holds validation samples from every agent's distribution,
     # drawn block by block straight into one array.
@@ -617,53 +596,35 @@ def _build_linear_market(cfg: MarketConfig, agents: tuple, rng: np.random.Genera
         labels[lo:lo + n] = block.data.labels
         lo += n
     broker_data = LabeledDataset(inputs, labels)
-
-    init = ParameterVector(_parse_init(cfg.init, rng, dim))
-    return linear_market(cfg, agents, models, init, broker_data, truths)
+    return linear_market(cfg, agents, models, broker_data, truths)
 
 
-def linear_models(cfg: MarketConfig, agents: tuple, tasks: dict) -> dict:
+def linear_models(agents: tuple, tasks: dict) -> dict:
     """Each agent's training backend on its drawn task; draws nothing.
 
-    The step is the configured one, else 0.9 / L with L the smoothness
-    constant of the configured training loss.
+    The step is the configured one, else 0.9 / L with L = 2 lambda_max / n
+    the smoothness constant of the training loss.
     """
     models = {}
     for spec in agents:
         task = tasks[spec.agent_id]
         step = spec.step_size
         if step is None:
-            lam = gram_lambda_max(task.data)
-            if cfg.loss_spec is LossSpec.MEAN_PER_SAMPLE:
-                lam /= task.data.n_samples
-            step = 0.9 / (2.0 * lam)
-        models[spec.agent_id] = LinearModel(task, step, cfg.loss_spec)
+            step = 0.9 / (2.0 * (gram_lambda_max(task.data) / task.data.n_samples))
+        models[spec.agent_id] = LinearModel(task, step)
     return models
 
 
 def linear_market(
-    cfg: MarketConfig,
-    agents: tuple,
-    models: dict,
-    init: ParameterVector,
-    broker_data: LabeledDataset,
-    truths: dict,
+    cfg: MarketConfig, agents: tuple, models: dict, broker_data: LabeledDataset, truths: dict
 ):
     """Assemble a linear market from its drawn parts; draws nothing.
 
-    Every agent starts at ``init`` with the model from `linear_models`; its
-    sample count is its task's. Returns (states, broker_engine,
-    truth_broker_loss) as `build_market` does.
+    Every agent starts at zero with the model from `linear_models`. Returns
+    (states, broker_engine, truth_broker_loss) as `build_market` does.
     """
-    states = tuple(
-        AgentState(
-            agent_id=spec.agent_id,
-            params=init,
-            model=models[spec.agent_id],
-            n_samples=models[spec.agent_id].task.data.n_samples,
-        )
-        for spec in agents
-    )
+    init = ParameterVector(np.zeros(broker_data.dimension))
+    states = tuple(AgentState(spec.agent_id, init, models[spec.agent_id]) for spec in agents)
 
     shared_truth = all(
         np.array_equal(truths[a.agent_id].values, truths[agents[0].agent_id].values)
@@ -672,17 +633,14 @@ def linear_market(
     broker_truth = truths[agents[0].agent_id] if shared_truth else None
     if cfg.gain_kind is GainKind.ERROR_RATIO and broker_truth is None:
         raise ValueError("error-ratio gain needs one shared true parameter vector")
-    broker_engine = LinearBrokerEngine(broker_data, cfg.loss_spec, broker_truth)
-    truth_loss = {
-        a.agent_id: empirical_loss(truths[a.agent_id], broker_data, cfg.loss_spec)
-        for a in agents
-    }
+    broker_engine = LinearBrokerEngine(broker_data, broker_truth)
+    truth_loss = {a.agent_id: empirical_loss(truths[a.agent_id], broker_data) for a in agents}
     return states, broker_engine, truth_loss
 
 
 def _build_mlp_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator):
     spec = cfg.mlp
-    sizes = (mlp_mod.MOONS_FEATURES, *spec.hidden, spec.n_classes)
+    sizes = (mlp_mod.MOONS_FEATURES, *spec.hidden, mlp_mod.MOONS_CLASSES)
     tasks = {}
     for a in agents:
         full = mlp_mod.two_moons(a.n_samples, spec.data_noise, rng)
@@ -694,11 +652,10 @@ def _build_mlp_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator
             agent_id=a.agent_id,
             params=mlp_mod.MlpParams.random_init(sizes, rng),
             model=MlpModel(tasks[a.agent_id], 0.1 if a.step_size is None else a.step_size),
-            n_samples=a.n_samples,
         )
         for a in agents
     )
-    broker_engine = MlpBrokerEngine(broker_data, spec.layer_set, spec.align_sweeps)
+    broker_engine = MlpBrokerEngine(broker_data, spec.layer_set)
     truth_loss = {a.agent_id: 0.0 for a in agents}
     return states, broker_engine, truth_loss
 

@@ -18,7 +18,6 @@ from .engine import (
     MarketLog,
     Policy,
     PolicyKind,
-    _parse_init,
     build_market,
     linear_market,
     linear_models,
@@ -133,20 +132,15 @@ def _endowment_logs(base: MarketConfig, fraction: float, seed: int) -> tuple:
     noise = max(a.noise_variance for a in agents)
     pool = synthesize_task(dim, pool_n, noise, theta, rng)
     broker_task = synthesize_task(dim, cfg.broker.n_samples, cfg.broker.noise_variance, theta, rng)
-    init = ParameterVector(_parse_init(cfg.init, rng, dim))
 
     k = max(1, int(round(fraction * pool_n)))
     tasks = {}
     for a in agents:
         idx = np.sort(rng.choice(pool_n, size=k, replace=False))
-        tasks[a.agent_id] = LinearTask(
-            LabeledDataset(pool.data.inputs[idx], pool.data.labels[idx]),
-            theta,
-            noise,
-        )
-    models = linear_models(cfg, agents, tasks)
+        tasks[a.agent_id] = LinearTask(LabeledDataset(pool.data.inputs[idx], pool.data.labels[idx]), theta)
+    models = linear_models(agents, tasks)
     truths = {a.agent_id: theta for a in agents}
-    return _run_pair(cfg, *linear_market(cfg, agents, models, init, broker_task.data, truths))
+    return _run_pair(cfg, *linear_market(cfg, agents, models, broker_task.data, truths))
 
 
 def _run_cell(args) -> SweepRow:
@@ -156,15 +150,17 @@ def _run_cell(args) -> SweepRow:
     else:
         cfg = replace(_cell_config(base, axis, value), seed=seed)
         log, twin = run_with_twin(cfg)
+    improvement_broker = relative_improvement(log, twin, "broker_loss")
     return SweepRow(
         cell=cell,
         axis=axis,
         value=value,
         seed=seed,
-        improvement_broker=relative_improvement(log, twin, "broker_loss"),
+        improvement_broker=improvement_broker,
+        # A neural market has no estimation error; its broker improvement stands in.
         improvement_error=relative_improvement(log, twin, "est_error")
         if base.model == "linear"
-        else relative_improvement(log, twin, "broker_loss"),
+        else improvement_broker,
         final_broker={u: log.final_row(u).broker_loss for u in log.agent_ids},
     )
 
@@ -183,7 +179,6 @@ def run_sweep(
             rows = list(pool.map(_run_cell, work))
     else:
         rows = [_run_cell(w) for w in work]
-    rows.sort(key=lambda r: (r.cell, r.seed))
     return SweepResult(axis=axis, rows=tuple(rows))
 
 

@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .engine import MarketConfig, MarketLog, convergence_metrics
-from .mlp import MOONS_FEATURES
+from .mlp import ALIGN_SWEEPS, MOONS_CLASSES, MOONS_FEATURES
 
 __all__ = [
     "TRADES_HEADER",
@@ -143,6 +143,8 @@ def violations_csv(violations) -> str:
 
 
 def _config_echo(cfg: MarketConfig) -> dict:
+    # The fixed conventions (loss, zero start, class count, sweep cap) stay in
+    # the echo, so every summary keeps the same keys.
     echo = {
         "seed": cfg.seed,
         "rounds": cfg.rounds,
@@ -151,8 +153,8 @@ def _config_echo(cfg: MarketConfig) -> dict:
         "trade_start": cfg.trade_start,
         "pricing": "on" if cfg.pricing else "off",
         "seller_pricing": cfg.seller_pricing,
-        "loss": cfg.loss_spec.value,
-        "init": cfg.init,
+        "loss": "mean-per-sample",
+        "init": "zeros",
         "model": cfg.model,
         "broker": {"n": cfg.broker.n_samples, "noise": cfg.broker.noise_variance},
         "agents": {
@@ -172,10 +174,10 @@ def _config_echo(cfg: MarketConfig) -> dict:
         echo["mlp"] = {
             "hidden": list(cfg.mlp.hidden),
             "input_dim": MOONS_FEATURES,
-            "n_classes": cfg.mlp.n_classes,
+            "n_classes": MOONS_CLASSES,
             "data_noise": cfg.mlp.data_noise,
             "layer_set": list(cfg.mlp.layer_set) if cfg.mlp.layer_set else "all",
-            "align_sweeps": cfg.mlp.align_sweeps,
+            "align_sweeps": ALIGN_SWEEPS,
         }
         for a in cfg.agents:
             echo["agents"][a.agent_id].update(

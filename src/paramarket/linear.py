@@ -25,11 +25,8 @@ class LinearTask:
 
     data: LabeledDataset
     true_params: ParameterVector
-    noise_variance: float
 
     def __post_init__(self):
-        if self.noise_variance < 0:
-            raise ValueError(f"noise variance must be non-negative, got {self.noise_variance}")
         self.true_params.require_dimension(self.data.dimension, "true params vs dataset")
 
 
@@ -51,12 +48,14 @@ def synthesize_task(
     """
     if dim < 1 or n < 1:
         raise ValueError(f"need dim >= 1 and n >= 1, got dim={dim}, n={n}")
+    if noise_variance < 0:
+        raise ValueError(f"noise variance must be non-negative, got {noise_variance}")
     theta_star.require_dimension(dim, "theta_star vs requested dim")
     x = rng.standard_normal((n, dim), out=out)
     y = x @ theta_star.values
     if noise_variance > 0:
         y = y + np.sqrt(noise_variance) * rng.standard_normal(n)
-    return LinearTask(LabeledDataset(x, y), theta_star, float(noise_variance))
+    return LinearTask(LabeledDataset(x, y), theta_star)
 
 
 def estimation_error(params: ParameterVector, theta_star: ParameterVector) -> float:

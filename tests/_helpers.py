@@ -10,7 +10,7 @@ from scipy import stats
 
 from paramarket._search import golden_section_min
 from paramarket.broker import GainKind
-from paramarket.core import LabeledDataset, LossSpec, empirical_loss
+from paramarket.core import LabeledDataset, empirical_loss
 from paramarket.engine import LinearRoundView, MarketLog
 from paramarket.mlp import LayerPermutations, MlpParams
 from paramarket.pricing import PriorDistribution, PriorKind
@@ -64,9 +64,8 @@ class RawLinearBroker:
     for checking the factored broker against.
     """
 
-    def __init__(self, data: LabeledDataset, loss_spec: LossSpec, truth):
+    def __init__(self, data: LabeledDataset, truth):
         self.data = data
-        self.loss_spec = loss_spec
         self.truth = truth
 
     def begin_round(self, dots: dict) -> LinearRoundView:
@@ -76,11 +75,10 @@ class RawLinearBroker:
         return self.data.inputs @ params.values - self.data.labels
 
     def resid_loss(self, r: np.ndarray) -> float:
-        loss = float(r @ r)
-        return loss / self.data.n_samples if self.loss_spec is LossSpec.MEAN_PER_SAMPLE else loss
+        return float(r @ r) / self.data.n_samples
 
     def loss(self, params) -> float:
-        return empirical_loss(params, self.data, self.loss_spec)
+        return empirical_loss(params, self.data)
 
 
 def cdf(prior: PriorDistribution, p: float) -> float:
@@ -220,11 +218,11 @@ def record_post_step_params(engine) -> list:
     return rounds
 
 
-def post_step_losses(rounds: list, states, loss_spec: LossSpec) -> dict:
+def post_step_losses(rounds: list, states) -> dict:
     """Each linear agent's own loss right after its gradient step, keyed ``(round, agent)``."""
     data = {s.agent_id: s.model.task.data for s in states}
     return {
-        (t, u): empirical_loss(p, data[u], loss_spec)
+        (t, u): empirical_loss(p, data[u])
         for t, dots in enumerate(rounds, start=1)
         for u, p in dots.items()
     }

@@ -14,7 +14,6 @@ import numpy as np
 from paramarket.bounds import AUDIT_REL_SLACK, soundness_sweep
 from paramarket.broker import GainKind
 from paramarket.config import load_config, load_sweep
-from paramarket.core import LossSpec
 from paramarket.engine import (
     AgentSpec,
     BrokerSpec,
@@ -222,13 +221,12 @@ def test_07_linear_decay_factor():
             AgentSpec("b", dim=20, n_samples=60, noise_variance=0.0, policy=ALWAYS),
         ),
         broker=BrokerSpec(n_samples=2000),
-        loss_spec=LossSpec.SUM_OF_SQUARES,
     )
     states, engine, truth_loss = build_market(cfg, np.random.default_rng(cfg.seed))
     rounds = record_post_step_params(engine)
     log = run_prepared_simulation(cfg, states, engine, truth_loss)
     rho = spectrum(states[1].model.task.data).rho
-    post_step = post_step_losses(rounds, states, cfg.loss_spec)
+    post_step = post_step_losses(rounds, states)
     report = geometric_decay_check(log, rho, post_step, "b", slack=1e-9)
     passed = report.applicable and not report.violations and report.rounds_checked == cfg.rounds
     verdict(

@@ -16,7 +16,7 @@ from paramarket.broker import (
     gain_loss_difference,
     optimize_merge_weight_searched,
 )
-from paramarket.core import LabeledDataset, LossSpec, ParameterVector, empirical_loss, merge
+from paramarket.core import LabeledDataset, ParameterVector, empirical_loss, merge
 from paramarket.engine import LinearBrokerEngine
 from paramarket.linear import synthesize_task
 
@@ -28,18 +28,18 @@ def pv(*values):
 
 
 def propose(buyer, seller, data):
-    """The linear broker's try-before-purchase merge on sum-of-squares loss."""
-    engine = LinearBrokerEngine(data, LossSpec.SUM_OF_SQUARES, None)
+    """The linear broker's try-before-purchase merge."""
+    engine = LinearBrokerEngine(data, None)
     return engine.begin_round({"buyer": buyer, "seller": seller}).propose("buyer", "seller")
 
 
 def loss_difference(dot, merged, data):
-    """Loss-difference gain of replacing ``dot`` by ``merged`` on sum-of-squares loss."""
+    """Loss-difference gain of replacing ``dot`` by ``merged``."""
     proposal = MergeProposal(
         weight=1.0,
         merged=merged,
-        broker_loss_before=empirical_loss(dot, data, LossSpec.SUM_OF_SQUARES),
-        broker_loss_after=empirical_loss(merged, data, LossSpec.SUM_OF_SQUARES),
+        broker_loss_before=empirical_loss(dot, data),
+        broker_loss_after=empirical_loss(merged, data),
     )
     return gain_loss_difference(proposal)
 
@@ -164,7 +164,7 @@ class TestGains:
 
     def test_gain_notions_agree_on_isotropic_noiseless_broker(self):
         # With orthonormal broker columns the broker loss is exactly the
-        # estimation error, so the two gain notions must agree in sign.
+        # estimation error over n, so the two gain notions must agree in sign.
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal((40, 6)))
         star = ParameterVector(rng.standard_normal(6))

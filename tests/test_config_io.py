@@ -1,6 +1,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,6 @@ from paramarket import cli
 from paramarket import io as io_mod
 from paramarket.broker import GainKind
 from paramarket.config import ConfigError, load_config, load_sweep, parse_config, parse_sweep
-from paramarket.core import LossSpec
 from paramarket.engine import PolicyKind, run_simulation
 from paramarket.experiments import layer_subset_table
 from paramarket.io import (
@@ -29,8 +29,9 @@ from paramarket.io import (
     violations_csv,
 )
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+SRC = ROOT / "src"
 
 MINIMAL = """
 [market]
@@ -80,7 +81,6 @@ class TestConfigParsing:
         assert cfg.gain_kind is GainKind.ERROR_RATIO
         assert cfg.trade_every == 1 and cfg.trade_start == 1
         assert not cfg.pricing
-        assert cfg.loss_spec is LossSpec.MEAN_PER_SAMPLE
         assert [a.agent_id for a in cfg.agents] == ["a", "b"]
         assert cfg.agents[0].policy.kind is PolicyKind.TRADE_WHEN_BENEFICIAL
 
@@ -126,7 +126,7 @@ class TestConfigParsing:
         assert (err.value.section, err.value.key) == (section, "n")
 
     def test_mlp_bounds_accept_their_edges(self):
-        cfg = parse_config(MINIMAL_MLP + "\n[mlp]\nhidden = 4,4\nlayer_set = 0,2\nclasses = 2\nalign_sweeps = 1\n")
+        cfg = parse_config(MINIMAL_MLP + "\n[mlp]\nhidden = 4,4\nlayer_set = 0,2\n")
         assert cfg.mlp.hidden == (4, 4) and cfg.mlp.layer_set == (0, 2)
         assert parse_config(MINIMAL_MLP + "\n[mlp]\nhidden =\nlayer_set = 0\n").mlp.layer_set == (0,)
 
@@ -209,7 +209,7 @@ class TestFormatting:
 
     def test_summary_echoes_the_mlp_only_keys(self):
         echo = summary_dict(run_simulation(parse_config(SMALL_MLP)))["config"]
-        assert echo["mlp"]["align_sweeps"] == 2
+        assert echo["mlp"]["align_sweeps"] == 10
         assert echo["agents"]["a"]["favored"] == [0]
         assert echo["agents"]["a"]["deprived_fraction"] == 0.5
         assert echo["agents"]["b"]["favored"] == []
@@ -265,6 +265,8 @@ def run_cli(*args, cwd):
 
 # Two small markets that each run a few rounds: a priced linear market that
 # sets every optional market key, and a neural market with imbalanced data.
+# Between them they set every key of the market, agent, broker and mlp
+# sections, as README's schema lists them.
 SMALL_LINEAR = """
 [market]
 seed = 4
@@ -273,8 +275,6 @@ gain_kind = error-ratio
 model = linear
 pricing = on
 seller_pricing = lower-bound
-loss = sum-of-squares
-init = normal:0.5
 convergence_epsilon = 0.1
 trade_every = 1
 trade_start = 1
@@ -318,11 +318,31 @@ n = 12
 
 [mlp]
 hidden = 4,4
-classes = 2
 data_noise = 0.1
 layer_set = 0,1
-align_sweeps = 2
 """
+
+
+def _section_keys(text: str) -> dict:
+    """The keys set in each section of config text; ``[agent <id>]`` sections pool as ``agent``."""
+    keys, section = {}, None
+    for line in text.splitlines():
+        if m := re.match(r"\[(\w+)", line):
+            section = m.group(1)
+        elif m := re.match(r"(\w+)\s*=", line):
+            keys.setdefault(section, set()).add(m.group(1))
+    return keys
+
+
+def test_readme_schema_lists_the_keys_of_the_small_markets():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    documented = _section_keys(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    used = {}
+    for text in (SMALL_LINEAR, SMALL_MLP):
+        for section, keys in _section_keys(text).items():
+            used.setdefault(section, set()).update(keys)
+    for section in ("market", "agent", "broker", "mlp"):
+        assert documented[section] == used[section], section
 
 
 def _sizes_stay_small(raw: str) -> bool:
@@ -419,7 +439,9 @@ class TestCli:
         bad.write_text(MINIMAL_MLP + "\n[mlp]\n" + section, encoding="utf-8")
         r = run_cli("simulate", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert r.returncode == 2, r.stderr
-        assert f"[mlp] {key}:" in r.stderr
+        # The class count, input width and sweep cap are fixed, not keys.
+        retired = key in ("align_sweeps", "classes", "input_dim")
+        assert (f"[mlp] {key}: unknown key" if retired else f"[mlp] {key}:") in r.stderr
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize(
@@ -480,10 +502,10 @@ class TestCli:
         "base, old, new, diagnostic",
         [
             (MINIMAL, "seed = 9", "seed = -1", "[market] seed:"),
-            (MINIMAL, "rounds = 12", "rounds = 12\ninit =", "[market] init:"),
-            (MINIMAL, "rounds = 12", "rounds = 12\ninit = x", "[market] init:"),
-            (MINIMAL, "rounds = 12", "rounds = 12\ninit = normal:x", "[market] init:"),
-            (MINIMAL, "rounds = 12", "rounds = 12\ninit = normal:nan", "[market] init:"),
+            (MINIMAL, "rounds = 12", "rounds = 12\ninit =", "[market] init: unknown key"),
+            (MINIMAL, "rounds = 12", "rounds = 12\ninit = x", "[market] init: unknown key"),
+            (MINIMAL, "rounds = 12", "rounds = 12\ninit = normal:x", "[market] init: unknown key"),
+            (MINIMAL, "rounds = 12", "rounds = 12\ninit = normal:nan", "[market] init: unknown key"),
             (MINIMAL, "rounds = 12", "rounds = 12\nconvergence_epsilon = 0", "[market] convergence_epsilon:"),
             (MINIMAL, "rounds = 12", "rounds = 12\nconvergence_epsilon = -1", "[market] convergence_epsilon:"),
             (MINIMAL, "rounds = 12", "rounds = 12\nconvergence_epsilon = inf", "[market] convergence_epsilon:"),
@@ -513,6 +535,11 @@ class TestCli:
             (MINIMAL_MLP, "rounds = 12", "rounds = 12\nloss = sum-of-squares", "[market] loss: unknown key"),
             (MINIMAL, "n = 20", "n = 20\nfavored = 0", "[agent b] favored: unknown key"),
             (MINIMAL, "n = 20", "n = 20\ndeprived_fraction = 0.5", "[agent b] deprived_fraction: unknown key"),
+            # Fixed conventions are unknown keys, also at their fixed values.
+            (MINIMAL, "rounds = 12", "rounds = 12\nloss = mean-per-sample", "[market] loss: unknown key"),
+            (MINIMAL, "rounds = 12", "rounds = 12\ninit = zeros", "[market] init: unknown key"),
+            (MINIMAL_MLP, "n = 300", "n = 300\n\n[mlp]\nclasses = 2", "[mlp] classes: unknown key"),
+            (MINIMAL_MLP, "n = 300", "n = 300\n\n[mlp]\nalign_sweeps = 10", "[mlp] align_sweeps: unknown key"),
         ],
         ids=["seed-negative", "init-empty", "init-x", "init-normal-x", "init-normal-nan",
              "epsilon-zero", "epsilon-negative", "epsilon-inf", "offset-under-error-ratio",
@@ -522,7 +549,8 @@ class TestCli:
              "unknown-market-key", "unknown-agent-key", "unknown-broker-key", "unknown-section",
              "mlp-section-on-linear", "dim-on-mlp", "noise-on-mlp", "theta-offset-on-mlp",
              "broker-noise-on-mlp", "init-on-mlp", "loss-on-mlp", "favored-on-linear",
-             "deprived-fraction-on-linear"],
+             "deprived-fraction-on-linear", "loss-on-linear", "init-on-linear", "classes-on-mlp",
+             "align-sweeps-on-mlp"],
     )
     def test_invalid_market_or_agent_key_exit_code_and_diagnostic(
         self, tmp_path, base, old, new, diagnostic

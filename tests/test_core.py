@@ -10,7 +10,6 @@ import paramarket
 from paramarket.core import (
     DimensionMismatchError,
     LabeledDataset,
-    LossSpec,
     ParameterVector,
     empirical_loss,
     gradient_step,
@@ -62,27 +61,23 @@ class TestEmpiricalLoss:
     data = LabeledDataset(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]))
 
     def test_exact_fit_is_zero(self):
-        assert empirical_loss(pv(1.0), self.data, LossSpec.SUM_OF_SQUARES) == 0.0
-
-    def test_sum_of_squares_hand_value(self):
-        assert empirical_loss(pv(0.0), self.data, LossSpec.SUM_OF_SQUARES) == 5.0
+        assert empirical_loss(pv(1.0), self.data) == 0.0
 
     def test_mean_per_sample_hand_value(self):
-        assert empirical_loss(pv(0.0), self.data, LossSpec.MEAN_PER_SAMPLE) == 2.5
+        assert empirical_loss(pv(0.0), self.data) == 2.5
 
     def test_nonnegative_on_random_instances(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             data = LabeledDataset(rng.standard_normal((6, 3)), rng.standard_normal(6))
             theta = ParameterVector(rng.standard_normal(3))
-            for spec in LossSpec:
-                assert empirical_loss(theta, data, spec) >= 0.0
+            assert empirical_loss(theta, data) >= 0.0
 
 
 class TestGradientStep:
     def test_hand_value(self):
         data = LabeledDataset(np.array([[1.0]]), np.array([0.0]))
-        stepped = gradient_step(pv(1.0), data, 0.25, LossSpec.SUM_OF_SQUARES)
+        stepped = gradient_step(pv(1.0), data, 0.25)
         assert stepped.values[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_fixed_point_at_least_squares_solution(self):
@@ -96,31 +91,29 @@ class TestGradientStep:
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(2)
-        for spec in LossSpec:
-            x = rng.standard_normal((8, 3))
-            y = rng.standard_normal(8)
-            data = LabeledDataset(x, y)
-            theta = rng.standard_normal(3)
-            analytic = loss_gradient(ParameterVector(theta), data, spec)
-            eps = 1e-6
-            for i in range(3):
-                up, down = theta.copy(), theta.copy()
-                up[i] += eps
-                down[i] -= eps
-                fd = (
-                    empirical_loss(ParameterVector(up), data, spec)
-                    - empirical_loss(ParameterVector(down), data, spec)
-                ) / (2 * eps)
-                assert analytic[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+        x = rng.standard_normal((8, 3))
+        y = rng.standard_normal(8)
+        data = LabeledDataset(x, y)
+        theta = rng.standard_normal(3)
+        analytic = loss_gradient(ParameterVector(theta), data)
+        eps = 1e-6
+        for i in range(3):
+            up, down = theta.copy(), theta.copy()
+            up[i] += eps
+            down[i] -= eps
+            fd = (
+                empirical_loss(ParameterVector(up), data) - empirical_loss(ParameterVector(down), data)
+            ) / (2 * eps)
+            assert analytic[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_descent_for_safe_step_sizes(self):
-        # Sum-of-squares loss is 2*lambda_max smooth; steps below 1/L descend.
+        # The loss is 2*lambda_max/n smooth; steps below 1/L descend.
         rng = np.random.default_rng(3)
         for _ in range(30):
             x = rng.standard_normal((12, 4))
             y = rng.standard_normal(12)
             data = LabeledDataset(x, y)
-            smoothness = 2.0 * np.linalg.eigvalsh(x.T @ x).max()
+            smoothness = 2.0 * np.linalg.eigvalsh(x.T @ x).max() / 12
             eta = rng.uniform(0.05, 0.999) / smoothness
             theta = ParameterVector(rng.standard_normal(4))
             before = empirical_loss(theta, data)

@@ -12,7 +12,7 @@ import scipy.linalg
 from paramarket import engine
 from paramarket.broker import GainKind
 from paramarket.config import load_config, load_sweep
-from paramarket.core import DivergenceError, LabeledDataset, LossSpec, ParameterVector, empirical_loss
+from paramarket.core import DivergenceError, LabeledDataset, ParameterVector, empirical_loss
 from paramarket.engine import (
     AgentSpec,
     BrokerSpec,
@@ -87,8 +87,6 @@ class TestConfigValidation:
         ({"dim": 4}, {}, "dim"),
         ({"noise_variance": 0.5}, {}, "noise_variance"),
         ({"theta_offset": 1.0}, {}, "theta_offset"),
-        ({}, {"loss_spec": LossSpec.SUM_OF_SQUARES}, "loss_spec"),
-        ({}, {"init": "normal:3"}, "init"),
         ({}, {"broker": BrokerSpec(100, noise_variance=2.0)}, "broker noise_variance"),
     ])
     def test_mlp_market_rejects_linear_settings(self, agent_b, market, field):
@@ -130,11 +128,9 @@ class TestRoundSemantics:
         broker_task = synthesize_task(12, 600, 0.0, truth, rng)
         init = ParameterVector(np.zeros(12))
         smoothness = 2 * np.linalg.eigvalsh(task.data.inputs.T @ task.data.inputs / 80).max()
-        model = LinearModel(task, 0.9 / smoothness, cfg.loss_spec)
-        states = tuple(
-            AgentState(u, init, model, 80) for u in ("a", "b")
-        )
-        engine = LinearBrokerEngine(broker_task.data, cfg.loss_spec, truth)
+        model = LinearModel(task, 0.9 / smoothness)
+        states = tuple(AgentState(u, init, model) for u in ("a", "b"))
+        engine = LinearBrokerEngine(broker_task.data, truth)
         log = run_prepared_simulation(cfg, states, engine, {"a": 0.0, "b": 0.0})
         assert all(not r.indicator for r in log.trades)
         by_round = defaultdict(dict)
@@ -156,9 +152,9 @@ class TestRoundSemantics:
     def test_every_step_reuses_the_residual_of_the_last_own_loss(self, policy, monkeypatch):
         reused = []
 
-        def step(params, data, step_size, spec, resid=None):
+        def step(params, data, step_size, resid=None):
             reused.append(resid is not None)
-            return gradient_step(params, data, step_size, spec, resid)
+            return gradient_step(params, data, step_size, resid)
 
         gradient_step = engine.gradient_step
         monkeypatch.setattr(engine, "gradient_step", step)
@@ -371,13 +367,12 @@ class TestFactoredBroker:
 
     @staticmethod
     def assert_raw_losses(data: LabeledDataset, rng):
-        for spec in LossSpec:
-            broker = LinearBrokerEngine(data, spec, None)
-            dots = {u: ParameterVector(rng.standard_normal(data.dimension)) for u in "ab"}
-            view = broker.begin_round(dots)
-            for u, p in dots.items():
-                assert broker.loss(p) == empirical_loss(p, data, spec)
-                assert view.dot_loss(u) == empirical_loss(p, data, spec)
+        broker = LinearBrokerEngine(data, None)
+        dots = {u: ParameterVector(rng.standard_normal(data.dimension)) for u in "ab"}
+        view = broker.begin_round(dots)
+        for u, p in dots.items():
+            assert broker.loss(p) == empirical_loss(p, data)
+            assert view.dot_loss(u) == empirical_loss(p, data)
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_broker_set_no_taller_than_wide_keeps_raw_losses(self, n):
@@ -399,7 +394,7 @@ class TestFactoredBroker:
         rng = np.random.default_rng(5)
         truth = ParameterVector(rng.standard_normal(10))
         x = rng.standard_normal((400, 10))
-        broker = LinearBrokerEngine(LabeledDataset(x, x @ truth.values), LossSpec.MEAN_PER_SAMPLE, None)
+        broker = LinearBrokerEngine(LabeledDataset(x, x @ truth.values), None)
         assert broker.loss(truth) < 1e-25
 
 
@@ -420,7 +415,7 @@ class TestMlpRoundView:
                 calls.append(params)
                 return super().loss(params)
 
-        engine = Counting(base.data, base.layer_set, base.align_sweeps)
+        engine = Counting(base.data, base.layer_set)
         _, records, rows = run_round(states, engine, cfg, 1)
         # Both agents searched a merge with the other; each broker loss
         # before a merge was computed once, whatever shipped.
@@ -525,7 +520,6 @@ class TestAnalytics:
                 AgentSpec("b", dim=12, n_samples=12, policy=ALWAYS),
             ),
             broker=BrokerSpec(n_samples=600),
-            loss_spec=LossSpec.SUM_OF_SQUARES,
         )
         states, broker_engine, truth = build_market(cfg, np.random.default_rng(cfg.seed))
         # Swap agent b's design for an orthonormal one (rho exactly 1).
@@ -537,11 +531,12 @@ class TestAnalytics:
         q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((12, 12)))
         truth_vec = b.model.task.true_params
         data = LabeledDataset(q, q @ truth_vec.values)
-        task = LinearTask(data, truth_vec, 0.0)
-        new_b = dataclasses.replace(b, model=LinearModel(task, 0.2, LossSpec.SUM_OF_SQUARES))
+        task = LinearTask(data, truth_vec)
+        # On the mean over 12 samples this is a step of 0.2 on the summed squared residuals.
+        new_b = dataclasses.replace(b, model=LinearModel(task, 0.2 * 12))
         rounds = record_post_step_params(broker_engine)
         log = run_prepared_simulation(cfg, (states[0], new_b), broker_engine, truth)
-        post_step = post_step_losses(rounds, (states[0], new_b), cfg.loss_spec)
+        post_step = post_step_losses(rounds, (states[0], new_b))
         report = geometric_decay_check(log, rho=1.0, post_step=post_step, agent_id="b")
         assert report.applicable
         assert not report.violations

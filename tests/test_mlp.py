@@ -306,9 +306,10 @@ class TestDescentSkip:
                 yield net, apply_permutation(net, random_perms(net, 80 + seed))
 
     @pytest.mark.parametrize("sweeps", [1, 2, 10])
-    def test_alignment_equals_the_descent_that_solves_every_update(self, sweeps):
+    def test_alignment_equals_the_descent_that_solves_every_update(self, monkeypatch, sweeps):
+        monkeypatch.setattr(mlp, "ALIGN_SWEEPS", sweeps)
         for a, b in self.pairs():
-            got = weight_matching_alignment(a, b, sweeps).perms
+            got = weight_matching_alignment(a, b).perms
             want = reference_alignment(a, b, sweeps)[0].perms
             assert len(got) == len(want)
             for p, q in zip(got, want):
@@ -331,7 +332,7 @@ class TestDescentSkip:
         net = random_net((2, 8, 2), 90)
         clone = apply_permutation(net, random_perms(net, 91))
         calls = self.counted(monkeypatch)
-        perms = mlp._descend(net, clone, 10, [0])
+        perms = mlp._descend(net, clone, [0])
         assert len(calls) == 1
         assert not is_identity(perms)
         calls.clear()
@@ -344,7 +345,7 @@ class TestDescentSkip:
         net = random_net((2, 8, 8, 8, 2), 96)
         clone = apply_permutation(net, random_perms(net, 97))
         calls = self.counted(monkeypatch)
-        perms = mlp._descend(net, clone, 10, [0, 1, 2])
+        perms = mlp._descend(net, clone, [0, 1, 2])
         # Sweep 1 moves all three layers. In sweep 2 layers 0 and 1 are solved
         # again, since a neighbour moved after their last solve, and stay put.
         # Layer 1 moved before layer 2's solve, so layer 2 is not solved.

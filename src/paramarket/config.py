@@ -13,19 +13,10 @@ import math
 from dataclasses import dataclass
 
 from .broker import GainKind
-from .engine import AgentSpec, BrokerSpec, MarketConfig, MlpMarketSpec, Policy
+from .engine import AgentSpec, BrokerSpec, ConfigError, MarketConfig, MlpMarketSpec, Policy
 from .mlp import MOONS_CLASSES
 
 __all__ = ["ConfigError", "SweepSpec", "load_config", "load_sweep", "parse_config"]
-
-
-class ConfigError(ValueError):
-    """Schema violation with the offending section and key attached."""
-
-    def __init__(self, section: str, key: str, message: str):
-        self.section = section
-        self.key = key
-        super().__init__(f"[{section}] {key}: {message}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +104,7 @@ def _non_negative(raw: str) -> float:
 
 
 def _theta_offset(gain_kind: GainKind):
+    # A distance-sweep cell: every agent after the first moves off the shared truth.
     def cast(raw: str) -> float:
         value = _non_negative(raw)
         if value > 0 and gain_kind is GainKind.ERROR_RATIO:
@@ -203,7 +195,7 @@ def parse_config(text: str) -> MarketConfig:
             kind_keys = dict(
                 dim=a("dim", _count(1), required=True),
                 noise_variance=a("noise", _non_negative, default=0.0),
-                theta_offset=a("theta_offset", _theta_offset(gain_kind), default=0.0),
+                theta_offset=a("theta_offset", _non_negative, default=0.0),
             )
         else:
             kind_keys = dict(
@@ -231,26 +223,22 @@ def parse_config(text: str) -> MarketConfig:
         **({"noise_variance": b("noise", _non_negative, default=0.0)} if linear else {}),
     )
 
-    try:
-        cfg = MarketConfig(
-            seed=market("seed", _count(0), required=True),
-            rounds=market("rounds", _count(1), required=True),
-            gain_kind=gain_kind,
-            agents=tuple(agents),
-            broker=broker,
-            trade_every=market("trade_every", _count(1), default=1),
-            trade_start=market("trade_start", _count(0), default=1),
-            pricing=market("pricing", _bool, default=False),
-            seller_pricing=market(
-                "seller_pricing", _choice("myerson", "lower-bound"), default="myerson"
-            ),
-            convergence_epsilon=market("convergence_epsilon", _positive, default=None),
-            mlp=mlp_spec,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("market", "-", str(exc)) from exc
+    # MarketConfig's cross-key rules raise ConfigError naming the key at fault.
+    cfg = MarketConfig(
+        seed=market("seed", _count(0), required=True),
+        rounds=market("rounds", _count(1), required=True),
+        gain_kind=gain_kind,
+        agents=tuple(agents),
+        broker=broker,
+        trade_every=market("trade_every", _count(1), default=1),
+        trade_start=market("trade_start", _count(1), default=1),
+        pricing=market("pricing", _bool, default=False),
+        seller_pricing=market(
+            "seller_pricing", _choice("myerson", "lower-bound"), default="myerson"
+        ),
+        convergence_epsilon=market("convergence_epsilon", _positive, default=None),
+        mlp=mlp_spec,
+    )
     # The [sweep] keys are left to parse_sweep.
     _reject_unread(parser, read, [s for s in parser.sections() if s != "sweep"])
     return cfg
@@ -270,7 +258,7 @@ def load_config(path: str) -> MarketConfig:
 
 # Cell parser per sweep axis; the distance and layers axes check cells against
 # the base market.
-_SWEEP_CELLS = {"endowment": _fraction, "frequency": _count(1), "start": _count(0)}
+_SWEEP_CELLS = {"endowment": _fraction, "frequency": _count(1), "start": _count(1)}
 _SWEEP_AXES = ("distance", *_SWEEP_CELLS, "layers")
 
 

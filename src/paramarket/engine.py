@@ -15,10 +15,12 @@ agent's policy and start round from it, and picks the gain rule once. Fedavg
 and loss-difference markets score a merge by its broker-loss difference,
 every other market by its estimation-error ratio against the broker's truth.
 
-The broker engine opens one round view per round over the agents'
-post-step parameters. Every view offers ``dot_loss`` (broker loss before a
-merge, computed once per agent per round) and ``propose`` (the merge at the
-searched weight, or at a fixed one for fedavg). The linear view also offers
+The broker engine opens one round view per round, round 0 included: over
+the starting parameters in round 0, over the agents' post-step parameters
+after that. Every broker loss the market reports is read through a view, and
+every round ends in the same curve-row code. Every view offers ``dot_loss``
+(broker loss before a merge, computed once per agent per round) and
+``propose`` (the merge at the searched weight, or at a fixed one for fedavg). The linear view also offers
 ``merged_loss`` along a merge, from cached residuals; the mlp view scores
 each searched weight on the merge path (``mlp.merge_path_loss``) and builds a
 network only for the merge it proposes. The ``MergeProposal`` a buyer settles
@@ -56,6 +58,7 @@ from .linear import LinearTask, estimation_error, gram_lambda_max, synthesize_ta
 from .pricing import quote
 
 __all__ = [
+    "ConfigError",
     "PolicyKind",
     "Policy",
     "AgentSpec",
@@ -74,6 +77,15 @@ __all__ = [
     "run_prepared_simulation",
     "convergence_metrics",
 ]
+
+
+class ConfigError(ValueError):
+    """A malformed config or market setting, with its section and key attached."""
+
+    def __init__(self, section: str, key: str, message: str):
+        self.section = section
+        self.key = key
+        super().__init__(f"[{section}] {key}: {message}")
 
 
 class PolicyKind(Enum):
@@ -168,44 +180,49 @@ class MarketConfig:
     seller_pricing: str = "myerson"
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.trade_every < 1:
-            raise ValueError(f"trade_every must be >= 1, got {self.trade_every}")
-        if self.trade_start < 0:
-            raise ValueError(f"trade_start must be >= 0, got {self.trade_start}")
+        # Every rule names the config section and key at fault, so a config
+        # file that breaks one reads like any other malformed key.
+        for key in ("rounds", "trade_every", "trade_start"):
+            if getattr(self, key) < 1:
+                raise ConfigError("market", key, f"must be >= 1, got {getattr(self, key)}")
         if len(self.agents) < 2:
-            raise ValueError("a market needs at least two agents")
+            raise ConfigError("agent <id>", "-", "a market needs at least two agents")
         ids = [a.agent_id for a in self.agents]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate agent ids: {ids}")
-        dims = {a.dim for a in self.agents}
-        if self.model == "linear" and len(dims) != 1:
-            raise ValueError(f"all agents must share one parameter dimension, got {sorted(dims)}")
         # Each market kind ignores the other kind's settings, so they must
         # keep their defaults.
-        other = _MLP_ONLY if self.model == "linear" else _LINEAR_ONLY
-        unused = [(f"agent {a.agent_id} {k}", getattr(a, k), v)
-                  for a in self.agents for k, v in other.items()]
-        if self.model == "mlp":
-            unused.append(("broker noise_variance", self.broker.noise_variance, 0.0))
-            if self.gain_kind is not GainKind.LOSS_DIFFERENCE:
-                raise ValueError("neural markets have no known true parameters; use loss-difference gain")
-            if self.pricing:
-                raise ValueError("pricing requires the error-ratio gain of the linear market")
-        for name, value, default in unused:
+        mlp = self.model == "mlp"
+        other = _LINEAR_ONLY if mlp else _MLP_ONLY
+        unused = [("broker", "noise_variance", self.broker.noise_variance, 0.0)] if mlp else []
+        for a in self.agents:
+            section = f"agent {a.agent_id}"
+            if ids.count(a.agent_id) > 1:
+                raise ConfigError(section, "-", f"duplicate agent id {a.agent_id!r}")
+            if not mlp and a.dim != self.agents[0].dim:
+                raise ConfigError(section, "dim", "all agents must share one parameter dimension")
+            if a.theta_offset > 0 and self.gain_kind is GainKind.ERROR_RATIO:
+                raise ConfigError(section, "theta_offset",
+                                  "expected 0: the error-ratio gain needs one shared true parameter vector")
+            unused += [(section, k, getattr(a, k), v) for k, v in other.items()]
+        for section, key, value, default in unused:
             if value != default:
-                raise ValueError(f"{name} is ignored by the {self.model} market")
+                raise ConfigError(section, key, f"{section} {key} is ignored by the {self.model} market")
+        if mlp and self.gain_kind is not GainKind.LOSS_DIFFERENCE:
+            raise ConfigError("market", "gain_kind",
+                              "neural markets have no known true parameters; use loss-difference gain")
         if self.pricing and self.gain_kind is not GainKind.ERROR_RATIO:
-            raise ValueError("competitive pricing builds on the error-ratio gain; configure gain_kind accordingly")
+            raise ConfigError("market", "pricing",
+                              "competitive pricing builds on the error-ratio gain of the linear market")
         if self.seller_pricing not in ("myerson", "lower-bound"):
-            raise ValueError(f"seller_pricing must be 'myerson' or 'lower-bound', got {self.seller_pricing!r}")
+            raise ConfigError("market", "seller_pricing",
+                              f"must be 'myerson' or 'lower-bound', got {self.seller_pricing!r}")
         fedavg = [a.policy.kind is PolicyKind.FEDAVG for a in self.agents]
         if any(fedavg):
-            if not all(fedavg):
-                raise ValueError("fedavg is a market-wide baseline; every agent must use it")
-            if len(self.agents) != 2 or self.pricing or self.model != "linear":
-                raise ValueError("fedavg baseline supports exactly two linear agents without pricing")
+            if self.pricing:
+                raise ConfigError("market", "pricing", "the fedavg baseline runs without pricing")
+            if not all(fedavg) or len(ids) != 2 or mlp:
+                u = ids[fedavg.index(False)] if not all(fedavg) else ids[0]
+                raise ConfigError(f"agent {u}", "policy",
+                                  "fedavg is a market-wide baseline of exactly two linear agents")
 
     @property
     def model(self) -> str:
@@ -310,8 +327,9 @@ class LinearBrokerEngine:
     the round is a vector combination instead of a matrix product.
     """
 
-    def __init__(self, data: LabeledDataset, truth: ParameterVector | None):
+    def __init__(self, data: LabeledDataset, truth: ParameterVector | None, truth_loss: dict):
         self.truth = truth  # the shared true parameters the error-ratio gain compares against
+        self.truth_loss = truth_loss  # agent id -> broker loss of that agent's true parameters
         self._n = data.n_samples
         self._a, self._t, self._b, self._c = _least_squares_form(data)
 
@@ -324,9 +342,6 @@ class LinearBrokerEngine:
 
     def resid_loss(self, r: np.ndarray) -> float:
         return (float(r @ r) + self._c) / self._n
-
-    def loss(self, params: ParameterVector) -> float:
-        return self.resid_loss(self.residual(params))
 
 
 def _least_squares_form(data: LabeledDataset) -> tuple:
@@ -390,19 +405,17 @@ class MlpBrokerEngine:
     def __init__(self, data: LabeledDataset, layer_set: tuple | None):
         self.data = data
         self.layer_set = layer_set
+        self.truth_loss = {}  # neural agents have no known true parameters
 
     def begin_round(self, dots: dict) -> "MlpRoundView":
         return MlpRoundView(self, dots)
-
-    def loss(self, params) -> float:
-        return mlp_mod.mlp_forward_loss(params, self.data)
 
 
 class MlpRoundView:
     def __init__(self, engine: MlpBrokerEngine, dots: dict):
         self.engine = engine
         self.dots = dots
-        self._dot_loss = {u: engine.loss(p) for u, p in dots.items()}
+        self._dot_loss = {u: mlp_mod.mlp_forward_loss(p, engine.data) for u, p in dots.items()}
 
     def dot_loss(self, u: str) -> float:
         return self._dot_loss[u]
@@ -422,17 +435,11 @@ class MlpRoundView:
         )
 
 
-def run_round(
-    states: tuple,
-    broker,
-    cfg: MarketConfig,
-    round_index: int,
-    cum_payments: dict | None = None,
-) -> tuple:
+def run_round(states: tuple, broker, cfg: MarketConfig, round_index: int, cum_payments: dict) -> tuple:
     """Execute one full market round; returns (new states, trade records, curve rows).
 
-    ``cum_payments`` is mutated in place when given (competitive bookkeeping).
-    Divergence anywhere in the round aborts with the offending round attached.
+    ``cum_payments`` (agent id -> balance) is mutated in place. Divergence
+    anywhere in the round aborts with the offending round attached.
     """
     try:
         return _round_body(states, broker, cfg, round_index, cum_payments)
@@ -443,8 +450,6 @@ def run_round(
 
 
 def _round_body(states, broker, cfg, round_index, cum_payments):
-    if cum_payments is None:
-        cum_payments = {s.agent_id: 0.0 for s in states}
     by_id = {s.agent_id: s for s in states}
     policy = {a.agent_id: a.policy for a in cfg.agents}
 
@@ -454,7 +459,7 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
     # the first being start + trade_every - 1, so a frequency beyond the
     # horizon disables trading entirely. An agent joins its policy's delay
     # after the window opens.
-    start = max(cfg.trade_start, 1)
+    start = cfg.trade_start
     trading = round_index >= start and (round_index - start + 1) % cfg.trade_every == 0
     active = {u: trading and round_index >= start + policy[u].delay for u in by_id}
     fedavg = cfg.agents[0].policy.kind is PolicyKind.FEDAVG
@@ -463,7 +468,7 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
     loss_difference = fedavg or cfg.gain_kind is GainKind.LOSS_DIFFERENCE
 
     records: list[TradeRecord] = []
-    chosen: dict = {s.agent_id: None for s in states}  # the MergeProposal that ships
+    chosen: dict = {}  # agent id -> the MergeProposal that ships
     evaluated: dict = {}  # (buyer, seller) -> (proposal, gain)
 
     def evaluate(buyer: str, seller: str):
@@ -511,13 +516,22 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
                         bid, ask, payment, executed)
         )
 
+    new_states, rows = _end_round(states, view, round_index, cum_payments, chosen)
+    return new_states, records, rows
+
+
+def _end_round(states, view, round_index, cum_payments, chosen) -> tuple:
+    """Each agent's state and curve row at the end of a round.
+
+    An agent ends on its ``chosen`` merge where one shipped, else on its parameters in ``view``.
+    """
     new_states = []
     rows = []
     for st in states:
         u = st.agent_id
-        shipped = chosen[u]
+        shipped = chosen.get(u)
         if shipped is None:
-            final, broker_loss = dots[u], view.dot_loss(u)
+            final, broker_loss = view.dots[u], view.dot_loss(u)
         else:
             final, broker_loss = shipped.merged, shipped.broker_loss_after
         new_states.append(replace(st, params=final))
@@ -529,7 +543,7 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
             CurveRow(round_index, u, broker_loss, own_loss,
                      st.model.est_error(final), cum_payments[u])
         )
-    return tuple(new_states), records, rows
+    return tuple(new_states), rows
 
 
 def _imbalanced_subset(
@@ -549,14 +563,16 @@ def _imbalanced_subset(
     return LabeledDataset(data.inputs[order], data.labels[order])
 
 
-def build_market(cfg: MarketConfig, rng: np.random.Generator):
+def build_market(cfg: MarketConfig):
     """Synthesize tasks, broker data, and initial states from a config.
 
-    Returns (states, broker_engine, truth_broker_loss). Draw order is fixed,
-    so two configs differing only in policies see identical tasks; states
-    carry no policy, so a twin runs on the market's own states.
+    Returns (states, broker_engine), drawn from ``default_rng(cfg.seed)``.
+    Draw order is fixed, so two configs differing only in policies see
+    identical tasks; states carry no policy, so a twin runs on the market's
+    own states.
     """
     agents = tuple(sorted(cfg.agents, key=lambda a: a.agent_id))
+    rng = np.random.default_rng(cfg.seed)
     if cfg.model == "linear":
         return _build_linear_market(cfg, agents, rng)
     return _build_mlp_market(cfg, agents, rng)
@@ -621,21 +637,15 @@ def linear_market(
     """Assemble a linear market from its drawn parts; draws nothing.
 
     Every agent starts at zero with the model from `linear_models`. Returns
-    (states, broker_engine, truth_broker_loss) as `build_market` does.
+    (states, broker_engine) as `build_market` does. An error-ratio market's
+    agents share one truth (`MarketConfig` sees to it), which its broker
+    compares merges against.
     """
     init = ParameterVector(np.zeros(broker_data.dimension))
     states = tuple(AgentState(spec.agent_id, init, models[spec.agent_id]) for spec in agents)
-
-    shared_truth = all(
-        np.array_equal(truths[a.agent_id].values, truths[agents[0].agent_id].values)
-        for a in agents
-    )
-    broker_truth = truths[agents[0].agent_id] if shared_truth else None
-    if cfg.gain_kind is GainKind.ERROR_RATIO and broker_truth is None:
-        raise ValueError("error-ratio gain needs one shared true parameter vector")
-    broker_engine = LinearBrokerEngine(broker_data, broker_truth)
+    truth = truths[agents[0].agent_id] if cfg.gain_kind is GainKind.ERROR_RATIO else None
     truth_loss = {a.agent_id: empirical_loss(truths[a.agent_id], broker_data) for a in agents}
-    return states, broker_engine, truth_loss
+    return states, LinearBrokerEngine(broker_data, truth, truth_loss)
 
 
 def _build_mlp_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator):
@@ -655,26 +665,22 @@ def _build_mlp_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator
         )
         for a in agents
     )
-    broker_engine = MlpBrokerEngine(broker_data, spec.layer_set)
-    truth_loss = {a.agent_id: 0.0 for a in agents}
-    return states, broker_engine, truth_loss
+    return states, MlpBrokerEngine(broker_data, spec.layer_set)
 
 
 def run_simulation(cfg: MarketConfig) -> MarketLog:
     """Run the configured market for its full horizon; deterministic given the seed."""
-    return run_prepared_simulation(cfg, *build_market(cfg, np.random.default_rng(cfg.seed)))
+    return run_prepared_simulation(cfg, *build_market(cfg))
 
 
-def run_prepared_simulation(
-    cfg: MarketConfig, states: tuple, broker_engine, truth_loss: dict
-) -> MarketLog:
-    """Market loop over pre-built states; entry point for custom endowments."""
+def run_prepared_simulation(cfg: MarketConfig, states: tuple, broker_engine) -> MarketLog:
+    """Market loop over pre-built states; entry point for custom endowments.
+
+    Round 0 reports the starting parameters through a round view of their own.
+    """
     cum = {s.agent_id: 0.0 for s in states}
-    curves = [
-        CurveRow(0, st.agent_id, broker_engine.loss(st.params), st.model.own_loss(st.params),
-                 st.model.est_error(st.params), 0.0)
-        for st in states
-    ]
+    view = broker_engine.begin_round({s.agent_id: s.params for s in states})
+    states, curves = _end_round(states, view, 0, cum, {})
 
     trades: list[TradeRecord] = []
     for t in range(1, cfg.rounds + 1):
@@ -687,7 +693,7 @@ def run_prepared_simulation(
         agent_ids=tuple(s.agent_id for s in states),
         curves=curves,
         trades=trades,
-        truth_broker_loss=truth_loss,
+        truth_broker_loss=dict(broker_engine.truth_loss),
     )
 
 

@@ -42,10 +42,10 @@ def never_trade_variant(cfg: MarketConfig) -> MarketConfig:
     return replace(cfg, agents=agents, pricing=False)
 
 
-def _run_pair(cfg: MarketConfig, states: tuple, broker_engine, truth_loss: dict) -> tuple:
+def _run_pair(cfg: MarketConfig, states: tuple, broker_engine) -> tuple:
     # The twin runs on the market's own build; only its config's policies differ.
-    log = run_prepared_simulation(cfg, states, broker_engine, truth_loss)
-    twin = run_prepared_simulation(never_trade_variant(cfg), states, broker_engine, truth_loss)
+    log = run_prepared_simulation(cfg, states, broker_engine)
+    twin = run_prepared_simulation(never_trade_variant(cfg), states, broker_engine)
     return log, twin
 
 
@@ -55,7 +55,7 @@ def run_with_twin(cfg: MarketConfig) -> tuple:
     The logs equal those of ``run_simulation(cfg)`` and
     ``run_simulation(never_trade_variant(cfg))``.
     """
-    return _run_pair(cfg, *build_market(cfg, np.random.default_rng(cfg.seed)))
+    return _run_pair(cfg, *build_market(cfg))
 
 
 def relative_improvement(log: MarketLog, twin: MarketLog, metric: str = "broker_loss") -> dict:
@@ -90,9 +90,9 @@ class SweepResult:
     rows: tuple
 
     def cells(self) -> list:
-        """(value, rows) per cell, ordered by cell id; each cell's rows by seed."""
+        """(value, rows) per cell, in the (cell, seed) order `run_sweep` builds ``rows`` in."""
         cells: dict = {}
-        for row in sorted(self.rows, key=lambda r: (r.cell, r.seed)):
+        for row in self.rows:
             cells.setdefault(row.cell, (row.value, []))[1].append(row)
         return list(cells.values())
 

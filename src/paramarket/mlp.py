@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, LabeledDataset, _check_weight, _frozen
+from .core import DimensionMismatchError, DivergenceError, LabeledDataset, _check_weight, _frozen
 
 __all__ = [
     "MlpParams",
@@ -324,6 +324,8 @@ def _descend(reference: MlpParams, candidate: MlpParams, order: list) -> LayerPe
             sim = reference.weights[i] @ candidate.weights[i][:, prev].T
             sim += np.outer(reference.biases[i], candidate.biases[i])
             sim += reference.weights[i + 1].T @ candidate.weights[i + 1][nxt, :]
+            if not np.isfinite(sim).all():  # finite weights whose products overflow
+                raise DivergenceError(f"non-finite unit similarities in hidden layer {i}")
             new_p = linear_assignment(-sim)
             if not np.array_equal(new_p, perms[i]):
                 changed = True
@@ -341,7 +343,8 @@ def weight_matching_alignment(reference: MlpParams, candidate: MlpParams) -> Lay
     others fixed; a sweep that changes nothing stops it early. The layer
     order of the first sweep can decide which local optimum it lands in, so
     a first-to-last and a last-to-first descent run, and the one ending at
-    the higher matching objective wins (ties keep the forward one).
+    the higher matching objective wins (ties keep the forward one). Nets
+    whose unit similarities overflow raise `DivergenceError`.
     """
     if not reference.same_architecture(candidate):
         raise ValueError(

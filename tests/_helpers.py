@@ -64,9 +64,10 @@ class RawLinearBroker:
     for checking the factored broker against.
     """
 
-    def __init__(self, data: LabeledDataset, truth):
+    def __init__(self, data: LabeledDataset, truth, truth_loss: dict):
         self.data = data
         self.truth = truth
+        self.truth_loss = truth_loss
 
     def begin_round(self, dots: dict) -> LinearRoundView:
         return LinearRoundView(self, dots)
@@ -76,9 +77,6 @@ class RawLinearBroker:
 
     def resid_loss(self, r: np.ndarray) -> float:
         return float(r @ r) / self.data.n_samples
-
-    def loss(self, params) -> float:
-        return empirical_loss(params, self.data)
 
 
 def cdf(prior: PriorDistribution, p: float) -> float:
@@ -206,7 +204,11 @@ class DecayReport:
 
 
 def record_post_step_params(engine) -> list:
-    """Wrap a built broker's ``begin_round``; the returned list gains each round's post-step parameters."""
+    """Wrap a built broker's ``begin_round``; the returned list gains each round's view parameters.
+
+    Entry 0 holds the starting parameters of round 0, entry t the post-step
+    parameters of round t.
+    """
     rounds = []
     inner = engine.begin_round
 
@@ -219,11 +221,14 @@ def record_post_step_params(engine) -> list:
 
 
 def post_step_losses(rounds: list, states) -> dict:
-    """Each linear agent's own loss right after its gradient step, keyed ``(round, agent)``."""
+    """Each linear agent's own loss right after its gradient step, keyed ``(round, agent)``.
+
+    Round 0 has no step: its entries are the losses at the starting parameters.
+    """
     data = {s.agent_id: s.model.task.data for s in states}
     return {
         (t, u): empirical_loss(p, data[u])
-        for t, dots in enumerate(rounds, start=1)
+        for t, dots in enumerate(rounds)
         for u, p in dots.items()
     }
 

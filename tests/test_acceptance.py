@@ -222,9 +222,9 @@ def test_07_linear_decay_factor():
         ),
         broker=BrokerSpec(n_samples=2000),
     )
-    states, engine, truth_loss = build_market(cfg, np.random.default_rng(cfg.seed))
+    states, engine = build_market(cfg)
     rounds = record_post_step_params(engine)
-    log = run_prepared_simulation(cfg, states, engine, truth_loss)
+    log = run_prepared_simulation(cfg, states, engine)
     rho = spectrum(states[1].model.task.data).rho
     post_step = post_step_losses(rounds, states)
     report = geometric_decay_check(log, rho, post_step, "b", slack=1e-9)
@@ -311,8 +311,8 @@ class _RecordingBroker:
     """Wraps a built broker's every try-before-purchase proposal to compare against the fixed half weight."""
 
     def __init__(self, engine):
-        self.loss = engine.loss
         self.truth = engine.truth
+        self.truth_loss = engine.truth_loss
         self._begin_round = engine.begin_round
         self.events = []
 
@@ -340,9 +340,9 @@ def test_11_broker_dominates_fixed_half_weight():
         ),
         broker=BrokerSpec(n_samples=2000),
     )
-    states, base_engine, truth_loss = build_market(cfg, np.random.default_rng(cfg.seed))
+    states, base_engine = build_market(cfg)
     engine = _RecordingBroker(base_engine)
-    run_prepared_simulation(cfg, states, engine, truth_loss)
+    run_prepared_simulation(cfg, states, engine)
     dominated = sum(1 for opt, half in engine.events if opt <= half)
     passed = engine.events and dominated == len(engine.events)
     verdict(

@@ -29,7 +29,7 @@ def pv(*values):
 
 def propose(buyer, seller, data):
     """The linear broker's try-before-purchase merge."""
-    engine = LinearBrokerEngine(data, None)
+    engine = LinearBrokerEngine(data, None, {})
     return engine.begin_round({"buyer": buyer, "seller": seller}).propose("buyer", "seller")
 
 

@@ -1,4 +1,6 @@
 
+import contextlib
+import io
 import math
 import os
 import re
@@ -170,6 +172,31 @@ class TestConfigParsing:
                 parse_sweep(base + sweep.format(cell))
             assert (err.value.section, err.value.key) == ("sweep", "values")
 
+    @pytest.mark.parametrize(
+        "text, section, key",
+        [
+            (MINIMAL.replace("dim = 8\nn = 20", "dim = 9\nn = 20"), "agent b", "dim"),
+            (MINIMAL.replace("gain_kind = error-ratio", "gain_kind = loss-difference\npricing = on"),
+             "market", "pricing"),
+            (MINIMAL_MLP.replace("gain_kind = loss-difference", "gain_kind = error-ratio"), "market", "gain_kind"),
+            (MINIMAL_MLP.replace("seed = 9", "seed = 9\npricing = on"), "market", "pricing"),
+            (MINIMAL.replace("n = 40", "n = 40\npolicy = fedavg"), "agent b", "policy"),
+            (MINIMAL.replace("seed = 9", "seed = 9\npricing = on").replace("n = 40", "n = 40\npolicy = fedavg")
+             .replace("n = 20", "n = 20\npolicy = fedavg"), "market", "pricing"),
+            (MINIMAL.replace("n = 40", "n = 40\npolicy = fedavg").replace("n = 20", "n = 20\npolicy = fedavg")
+             + "\n[agent c]\ndim = 8\nn = 10\npolicy = fedavg\n", "agent a", "policy"),
+            (MINIMAL_MLP.replace("n = 40", "n = 40\npolicy = fedavg").replace("n = 20", "n = 20\npolicy = fedavg"),
+             "agent a", "policy"),
+            (MINIMAL + "\n[agent  a ]\ndim = 8\nn = 10\n", "agent a", "-"),
+        ],
+        ids=["dims-differ", "pricing-on-loss-difference", "mlp-error-ratio", "mlp-pricing",
+             "fedavg-on-some", "fedavg-pricing", "fedavg-three-agents", "fedavg-mlp", "duplicate-id"],
+    )
+    def test_cross_key_rule_names_its_key(self, text, section, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert (err.value.section, err.value.key) == (section, key), err.value
+
     def test_layer_axis_values(self):
         spec = parse_sweep(MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 0,1 | all\nseeds = 2\n")
         assert spec.values == ((0, 1), None)
@@ -260,7 +287,24 @@ def run_python(*args, cwd):
 
 
 def run_cli(*args, cwd):
-    return run_python("-m", "paramarket.cli", *args, cwd=cwd)
+    """Run ``paramarket.cli.main`` in this process from ``cwd``, as a child would run.
+
+    Returns the exit code and the captured output in a child's result fields.
+    A ``SystemExit`` (argparse's usage errors) gives its exit code; any other
+    exception escapes and fails the test, as a traceback in a child does.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(here)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 # Two small markets that each run a few rounds: a priced linear market that
@@ -370,7 +414,9 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(MINIMAL, encoding="utf-8")
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        r1 = run_cli("simulate", str(cfg), "--out", str(out1), cwd=tmp_path)
+        # The module entry point in a child process, from a working directory
+        # outside the repository; the rerun goes through main in this process.
+        r1 = run_python("-m", "paramarket.cli", "simulate", str(cfg), "--out", str(out1), cwd=tmp_path)
         r2 = run_cli("simulate", str(cfg), "--out", str(out2), cwd=tmp_path)
         assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
         for name in ("trades.csv", "curves.csv", "summary.json"):
@@ -450,6 +496,7 @@ class TestCli:
             ("[market\nseed = 1\n", "unparsable config"),
             (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 3 | x\n", "[sweep] values:"),
             (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 0\n", "[sweep] values:"),
+            (MINIMAL + "\n[sweep]\naxis = start\nvalues = 0 | 5\n", "[sweep] values:"),
             (MINIMAL + "\n[sweep]\naxis = endowment\nvalues = 0.5 | 0\n", "[sweep] values:"),
             (MINIMAL + "\n[sweep]\naxis = endowment\nvalues = 1.5\n", "[sweep] values:"),
             (MINIMAL + "\n[sweep]\naxis = layers\nvalues = all\n", "[sweep] axis:"),
@@ -463,7 +510,7 @@ class TestCli:
             (MINIMAL_MLP + "\n[sweep]\naxis = distance\nvalues = 0 | 0.5\n", "[sweep] axis:"),
             (MINIMAL_MLP + "\n[sweep]\naxis = endowment\nvalues = 0.5 | 1\n", "[sweep] axis:"),
         ],
-        ids=["unparsable", "non-numeric-cell", "zero-frequency", "zero-endowment",
+        ids=["unparsable", "non-numeric-cell", "zero-frequency", "zero-start", "zero-endowment",
              "endowment-above-one", "layers-on-linear", "layer-out-of-range", "repeated-layer-cell",
              "reordered-layer-cell", "all-as-a-list", "repeated-index-in-cell", "repeated-endowment",
              "unknown-sweep-key", "distance-on-mlp", "endowment-on-mlp"],
@@ -502,10 +549,6 @@ class TestCli:
         "base, old, new, diagnostic",
         [
             (MINIMAL, "seed = 9", "seed = -1", "[market] seed:"),
-            (MINIMAL, "rounds = 12", "rounds = 12\ninit =", "[market] init: unknown key"),
-            (MINIMAL, "rounds = 12", "rounds = 12\ninit = x", "[market] init: unknown key"),
-            (MINIMAL, "rounds = 12", "rounds = 12\ninit = normal:x", "[market] init: unknown key"),
-            (MINIMAL, "rounds = 12", "rounds = 12\ninit = normal:nan", "[market] init: unknown key"),
             (MINIMAL, "rounds = 12", "rounds = 12\nconvergence_epsilon = 0", "[market] convergence_epsilon:"),
             (MINIMAL, "rounds = 12", "rounds = 12\nconvergence_epsilon = -1", "[market] convergence_epsilon:"),
             (MINIMAL, "rounds = 12", "rounds = 12\nconvergence_epsilon = inf", "[market] convergence_epsilon:"),
@@ -517,6 +560,7 @@ class TestCli:
             (MINIMAL, "rounds = 12", "rounds = 0", "[market] rounds:"),
             (MINIMAL, "rounds = 12", "rounds = 12\ntrade_every = 0", "[market] trade_every:"),
             (MINIMAL, "rounds = 12", "rounds = 12\ntrade_start = -1", "[market] trade_start:"),
+            (MINIMAL, "rounds = 12", "rounds = 12\ntrade_start = 0", "[market] trade_start:"),
             (MINIMAL, "rounds = 12", "rounds = 12\nseller_pricing = foo", "[market] seller_pricing:"),
             (MINIMAL, "rounds = 12", "rounds = 12\nmodel = foo", "[market] model:"),
             (MINIMAL_MLP, "n = 20", "n = 20\nfavored = 2", "[agent b] favored:"),
@@ -541,10 +585,11 @@ class TestCli:
             (MINIMAL_MLP, "n = 300", "n = 300\n\n[mlp]\nclasses = 2", "[mlp] classes: unknown key"),
             (MINIMAL_MLP, "n = 300", "n = 300\n\n[mlp]\nalign_sweeps = 10", "[mlp] align_sweeps: unknown key"),
         ],
-        ids=["seed-negative", "init-empty", "init-x", "init-normal-x", "init-normal-nan",
+        ids=["seed-negative",
              "epsilon-zero", "epsilon-negative", "epsilon-inf", "offset-under-error-ratio",
              "offset-negative", "deprived-nan", "deprived-zero", "deprived-above-one",
-             "rounds-zero", "trade-every-zero", "trade-start-negative", "seller-pricing-foo",
+             "rounds-zero", "trade-every-zero", "trade-start-negative", "trade-start-zero",
+             "seller-pricing-foo",
              "model-foo", "favored-two-classes", "favored-seven", "favored-negative",
              "unknown-market-key", "unknown-agent-key", "unknown-broker-key", "unknown-section",
              "mlp-section-on-linear", "dim-on-mlp", "noise-on-mlp", "theta-offset-on-mlp",
@@ -562,7 +607,7 @@ class TestCli:
         assert diagnostic in r.stderr
         assert "Traceback" not in r.stderr
 
-    # About 0.4 s per child, so 25 examples keep the test near 10 s.
+    # Each example runs a small market in process, well under a second for all 25.
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_mutated_small_config_exits_cleanly(self, tmp_path_factory, data):
@@ -577,13 +622,20 @@ class TestCli:
         assert r.returncode in (0, 2, 3), r.stderr
         assert "Traceback" not in r.stderr
 
-    def test_divergence_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("model", ["linear", "mlp"])
+    def test_divergence_exit_code(self, tmp_path, model):
         cfg = tmp_path / "div.cfg"
         # Both agents must blow up: a lone diverging agent gets rescued by
         # buying the healthy agent's parameters at full weight.
-        text = MINIMAL.replace("n = 40", "n = 40\nstep_size = 1e80").replace(
-            "n = 20", "n = 20\nstep_size = 1e80"
-        )
+        if model == "linear":
+            text = MINIMAL.replace("n = 40", "n = 40\nstep_size = 1e80").replace(
+                "n = 20", "n = 20\nstep_size = 1e80"
+            )
+        else:
+            # The nets stay finite, but the unit similarities of their
+            # alignment in the first trading round (3) overflow.
+            text = (CONFIGS / "mlp_subset_sweep.cfg").read_text(encoding="utf-8")
+            text = text.replace("rounds = 25", "rounds = 3").replace("step_size = 0.5", "step_size = 1e20")
         cfg.write_text(text, encoding="utf-8")
         r = run_cli("simulate", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert r.returncode == 3, r.stderr

@@ -16,6 +16,7 @@ from paramarket.core import DivergenceError, LabeledDataset, ParameterVector, em
 from paramarket.engine import (
     AgentSpec,
     BrokerSpec,
+    ConfigError,
     LinearBrokerEngine,
     MarketConfig,
     MlpMarketSpec,
@@ -106,6 +107,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(cfg, agents=(a, dataclasses.replace(b, **{field: value})))
 
+    @pytest.mark.parametrize("field, value, key", [
+        ("trade_start", 0, ("market", "trade_start")),
+        ("agents", (AgentSpec("a", 24, 100), AgentSpec("b", 24, 36, theta_offset=0.5)),
+         ("agent b", "theta_offset")),
+    ])
+    def test_rule_names_the_key_at_construction(self, field, value, key):
+        # An error-ratio market compares every merge against one shared truth.
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(linear_cfg(), **{field: value})
+        assert (err.value.section, err.value.key) == key
+
     def test_asynchronous_delay_parsing(self):
         p = Policy.parse("asynchronous:7")
         assert p.kind is PolicyKind.ASYNCHRONOUS and p.delay == 7
@@ -130,8 +142,8 @@ class TestRoundSemantics:
         smoothness = 2 * np.linalg.eigvalsh(task.data.inputs.T @ task.data.inputs / 80).max()
         model = LinearModel(task, 0.9 / smoothness)
         states = tuple(AgentState(u, init, model) for u in ("a", "b"))
-        engine = LinearBrokerEngine(broker_task.data, truth)
-        log = run_prepared_simulation(cfg, states, engine, {"a": 0.0, "b": 0.0})
+        engine = LinearBrokerEngine(broker_task.data, truth, {"a": 0.0, "b": 0.0})
+        log = run_prepared_simulation(cfg, states, engine)
         assert all(not r.indicator for r in log.trades)
         by_round = defaultdict(dict)
         for row in log.curves:
@@ -168,10 +180,10 @@ class TestRoundSemantics:
         from paramarket.engine import run_prepared_simulation
 
         cfg = linear_cfg(rounds=1, noise_b=0.0)
-        states, broker, truth_loss = build_market(cfg, np.random.default_rng(cfg.seed))
+        states, broker = build_market(cfg)
         b = states[1]
         states = (states[0], dataclasses.replace(b, params=b.model.task.true_params))
-        first = run_prepared_simulation(cfg, states, broker, truth_loss).trades[0]
+        first = run_prepared_simulation(cfg, states, broker).trades[0]
         assert (first.buyer, first.seller, first.indicator) == ("a", "b", True)
         assert first.gain.value == float("inf") and first.gain.trade_beneficial
 
@@ -234,10 +246,10 @@ class TestPricingRounds:
         from paramarket.engine import run_prepared_simulation
 
         cfg = linear_cfg(pricing=True, noise_b=0.0, seller_pricing=rule, rounds=3)
-        states, broker, truth_loss = build_market(cfg, np.random.default_rng(cfg.seed))
+        states, broker = build_market(cfg)
         b = states[1]
         states = (states[0], dataclasses.replace(b, params=b.model.task.true_params))
-        log = run_prepared_simulation(cfg, states, broker, truth_loss)
+        log = run_prepared_simulation(cfg, states, broker)
         first = next(r for r in log.trades if (r.round_index, r.buyer) == (1, "a"))
         assert first.seller == "b"
         assert first.buyer_valuation == math.inf
@@ -290,7 +302,7 @@ class TestBaselines:
         from paramarket.broker import fedavg_weight
         from paramarket.engine import run_prepared_simulation
 
-        states, engine, truth = build_market(cfg, np.random.default_rng(cfg.seed))
+        states, engine = build_market(cfg)
         views = []
 
         def begin_round(dots, inner=engine.begin_round):
@@ -298,7 +310,7 @@ class TestBaselines:
             return views[-1]
 
         engine.begin_round = begin_round
-        log = run_prepared_simulation(cfg, states, engine, truth)
+        log = run_prepared_simulation(cfg, states, engine)
         assert log.trades == run_simulation(cfg).trades
         by_round = defaultdict(dict)
         for row in log.curves:
@@ -315,7 +327,7 @@ class TestBaselines:
         for r in log.trades:
             assert r.indicator and r.payment == 0.0
             assert r.gain.kind is GainKind.LOSS_DIFFERENCE
-            view = views[r.round_index - 1]
+            view = views[r.round_index]
             w = fedavg_weight(n[r.buyer], n[r.seller])
             assert r.merge_weight == w
             assert r.gain.value == view.dot_loss(r.buyer) - view.merged_loss(r.buyer, r.seller, w)
@@ -367,11 +379,10 @@ class TestFactoredBroker:
 
     @staticmethod
     def assert_raw_losses(data: LabeledDataset, rng):
-        broker = LinearBrokerEngine(data, None)
+        broker = LinearBrokerEngine(data, None, {})
         dots = {u: ParameterVector(rng.standard_normal(data.dimension)) for u in "ab"}
         view = broker.begin_round(dots)
         for u, p in dots.items():
-            assert broker.loss(p) == empirical_loss(p, data)
             assert view.dot_loss(u) == empirical_loss(p, data)
 
     @pytest.mark.parametrize("n", [8, 12])
@@ -394,29 +405,31 @@ class TestFactoredBroker:
         rng = np.random.default_rng(5)
         truth = ParameterVector(rng.standard_normal(10))
         x = rng.standard_normal((400, 10))
-        broker = LinearBrokerEngine(LabeledDataset(x, x @ truth.values), None)
-        assert broker.loss(truth) < 1e-25
+        broker = LinearBrokerEngine(LabeledDataset(x, x @ truth.values), None, {})
+        assert broker.begin_round({"a": truth}).dot_loss("a") < 1e-25
 
 
 class TestMlpRoundView:
-    def test_dot_loss_is_computed_once_per_agent_per_round(self):
-        from paramarket.engine import MlpBrokerEngine, run_round
+    def test_dot_loss_is_computed_once_per_agent_per_round(self, monkeypatch):
+        from paramarket import mlp as mlp_mod
+        from paramarket.engine import run_round
 
         cfg = MarketConfig(
             seed=3, rounds=1, gain_kind=GainKind.LOSS_DIFFERENCE,
             agents=(AgentSpec("a", 0, 40), AgentSpec("b", 0, 40)),
             broker=BrokerSpec(60), mlp=MlpMarketSpec(hidden=(4, 4)),
         )
-        states, base, _ = build_market(cfg, np.random.default_rng(cfg.seed))
+        states, engine = build_market(cfg)
         calls = []
 
-        class Counting(MlpBrokerEngine):
-            def loss(self, params):
+        def forward_loss(params, data):
+            if data is engine.data:
                 calls.append(params)
-                return super().loss(params)
+            return mlp_forward_loss(params, data)
 
-        engine = Counting(base.data, base.layer_set)
-        _, records, rows = run_round(states, engine, cfg, 1)
+        mlp_forward_loss = mlp_mod.mlp_forward_loss
+        monkeypatch.setattr(mlp_mod, "mlp_forward_loss", forward_loss)
+        _, records, rows = run_round(states, engine, cfg, 1, {"a": 0.0, "b": 0.0})
         # Both agents searched a merge with the other; each broker loss
         # before a merge was computed once, whatever shipped.
         assert [(r.buyer, r.seller) for r in records] == [("a", "b"), ("b", "a")]
@@ -443,7 +456,7 @@ class TestMarketOutcomes:
         from paramarket.engine import build_market, run_prepared_simulation
 
         cfg = linear_cfg(rounds=30)
-        states, engine, truth = build_market(cfg, np.random.default_rng(cfg.seed))
+        states, engine = build_market(cfg)
 
         proposals = []  # per round: (buyer, seller) -> the proposal evaluated
 
@@ -460,13 +473,13 @@ class TestMarketOutcomes:
             return view
 
         engine.begin_round = begin_round
-        log = run_prepared_simulation(cfg, states, engine, truth)
+        log = run_prepared_simulation(cfg, states, engine)
         # Two agents without pricing: each evaluation is logged with its gain.
         assert sum(map(len, proposals)) == len(log.trades)
         events = []
         for r in log.trades:
             if r.gain.trade_beneficial:
-                p = proposals[r.round_index - 1][r.buyer, r.seller]
+                p = proposals[r.round_index][r.buyer, r.seller]
                 events.append((p.broker_loss_before, p.broker_loss_after))
         assert events
         for before, after in events:
@@ -521,7 +534,7 @@ class TestAnalytics:
             ),
             broker=BrokerSpec(n_samples=600),
         )
-        states, broker_engine, truth = build_market(cfg, np.random.default_rng(cfg.seed))
+        states, broker_engine = build_market(cfg)
         # Swap agent b's design for an orthonormal one (rho exactly 1).
         from paramarket.core import LabeledDataset
         from paramarket.engine import LinearModel, run_prepared_simulation
@@ -535,7 +548,7 @@ class TestAnalytics:
         # On the mean over 12 samples this is a step of 0.2 on the summed squared residuals.
         new_b = dataclasses.replace(b, model=LinearModel(task, 0.2 * 12))
         rounds = record_post_step_params(broker_engine)
-        log = run_prepared_simulation(cfg, (states[0], new_b), broker_engine, truth)
+        log = run_prepared_simulation(cfg, (states[0], new_b), broker_engine)
         post_step = post_step_losses(rounds, (states[0], new_b))
         report = geometric_decay_check(log, rho=1.0, post_step=post_step, agent_id="b")
         assert report.applicable

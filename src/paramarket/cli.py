@@ -21,7 +21,7 @@ from . import io as io_mod
 from .bounds import soundness_sweep
 from .config import ConfigError, load_config, load_sweep
 from .core import DivergenceError
-from .engine import run_simulation
+from .engine import InvariantError, run_simulation
 from .experiments import layer_subset_table, run_sweep
 from .mlp import (
     MOONS_FEATURES,
@@ -273,6 +273,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from enum import Enum
 import numpy as np
 
 from . import mlp as mlp_mod
+from ._blas import one_thread
 from .broker import (
     GainKind,
     GainReport,
@@ -59,6 +60,7 @@ from .pricing import quote
 
 __all__ = [
     "ConfigError",
+    "InvariantError",
     "PolicyKind",
     "Policy",
     "AgentSpec",
@@ -86,6 +88,10 @@ class ConfigError(ValueError):
         self.section = section
         self.key = key
         super().__init__(f"[{section}] {key}: {message}")
+
+
+class InvariantError(RuntimeError):
+    """A market invariant checked at the end of a run does not hold."""
 
 
 class PolicyKind(Enum):
@@ -563,6 +569,7 @@ def _imbalanced_subset(
     return LabeledDataset(data.inputs[order], data.labels[order])
 
 
+@one_thread()
 def build_market(cfg: MarketConfig):
     """Synthesize tasks, broker data, and initial states from a config.
 
@@ -673,10 +680,13 @@ def run_simulation(cfg: MarketConfig) -> MarketLog:
     return run_prepared_simulation(cfg, *build_market(cfg))
 
 
+@one_thread()
 def run_prepared_simulation(cfg: MarketConfig, states: tuple, broker_engine) -> MarketLog:
     """Market loop over pre-built states; entry point for custom endowments.
 
     Round 0 reports the starting parameters through a round view of their own.
+    Raises `InvariantError` when the curve rows' balances do not replay the
+    settled payments.
     """
     cum = {s.agent_id: 0.0 for s in states}
     view = broker_engine.begin_round({s.agent_id: s.params for s in states})
@@ -687,6 +697,7 @@ def run_prepared_simulation(cfg: MarketConfig, states: tuple, broker_engine) -> 
         states, records, rows = run_round(states, broker_engine, cfg, t, cum)
         trades.extend(records)
         curves.extend(rows)
+    _replay_ledger(trades, curves)
     return MarketLog(
         config=cfg,
         step_sizes={s.agent_id: s.model.step_size for s in states},
@@ -695,6 +706,28 @@ def run_prepared_simulation(cfg: MarketConfig, states: tuple, broker_engine) -> 
         trades=trades,
         truth_broker_loss=dict(broker_engine.truth_loss),
     )
+
+
+def _replay_ledger(trades: list, curves: list) -> None:
+    """Replay the settled payments in engine order against every row's ``cum_payment``.
+
+    The replay repeats the round loop's float operations in its order, so
+    the balances must match exactly.
+    """
+    cum = {row.agent: 0.0 for row in curves}
+    pending = iter(trades)
+    record = next(pending, None)
+    for row in curves:
+        while record is not None and record.round_index <= row.round_index:
+            if record.indicator:
+                cum[record.buyer] -= record.payment
+                cum[record.seller] += record.payment
+            record = next(pending, None)
+        if row.cum_payment != cum[row.agent]:
+            raise InvariantError(
+                f"ledger: agent {row.agent}'s cum_payment {row.cum_payment!r} in round "
+                f"{row.round_index} does not replay the settled payments ({cum[row.agent]!r})"
+            )
 
 
 def convergence_metrics(log: MarketLog, epsilon: float) -> dict:

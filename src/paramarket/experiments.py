@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._blas import one_thread
 from .core import LabeledDataset, ParameterVector
 from .engine import (
     MarketConfig,
@@ -114,6 +115,7 @@ def _cell_config(base: MarketConfig, axis: str, value) -> MarketConfig:
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
+@one_thread()
 def _endowment_logs(base: MarketConfig, fraction: float, seed: int) -> tuple:
     """Market and twin over subsets of one shared data pool.
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paramarket import cli
+from paramarket import cli, engine
 from paramarket import io as io_mod
 from paramarket.broker import GainKind
 from paramarket.config import ConfigError, load_config, load_sweep, parse_config, parse_sweep
@@ -270,11 +270,11 @@ class TestFormatting:
         assert sorted(report["winners"]) == [4, 5]
 
 
-def run_python(*args, cwd):
+def run_python(*args, cwd, extra_env=None):
     # The child runs from ``cwd``, where a relative ``PYTHONPATH=src`` no
     # longer resolves; put the absolute source tree first on its path. A
     # child that hangs fails its test instead of stalling the suite.
-    env = dict(os.environ)
+    env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
@@ -424,6 +424,36 @@ class TestCli:
             b2 = (out2 / name).read_bytes()
             assert b1 == b2
         assert b"\r" not in (out1 / "curves.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["pricing", "never_trade"])
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path, name):
+        # OpenBLAS reads its thread count when it loads: one child per count.
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            r = run_python("-m", "paramarket.cli", "simulate", str(CONFIGS / f"{name}.cfg"),
+                           "--out", str(out), cwd=tmp_path, extra_env={"OPENBLAS_NUM_THREADS": threads})
+            assert r.returncode == 0, r.stderr
+            outs.append(out)
+        for artifact in ("trades.csv", "curves.csv", "summary.json"):
+            assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
+
+    def test_ledger_that_does_not_replay_exits_1(self, tmp_path, monkeypatch):
+        real = engine.run_round
+
+        def leaky_round(states, broker, cfg, round_index, cum_payments):
+            out = real(states, broker, cfg, round_index, cum_payments)
+            if round_index == 2:
+                cum_payments["a"] += 1e-9  # money that no trade record paid
+            return out
+
+        monkeypatch.setattr(engine, "run_round", leaky_round)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL, encoding="utf-8")
+        r = run_cli("simulate", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert "internal check failed: ledger: agent a's cum_payment" in r.stderr
+        assert "round 3" in r.stderr and "Traceback" not in r.stderr
 
     def test_never_trade_config_has_zero_trade_records(self, tmp_path):
         r = run_cli(

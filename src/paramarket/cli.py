@@ -24,6 +24,7 @@ from .core import DivergenceError
 from .engine import InvariantError, run_simulation
 from .experiments import layer_subset_table, run_sweep
 from .mlp import (
+    MOONS_CLASSES,
     MOONS_FEATURES,
     LayerPermutations,
     MlpParams,
@@ -113,7 +114,7 @@ def _cmd_price(args) -> int:
 
 def _cmd_align_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
-    sizes = (MOONS_FEATURES, *([args.width] * args.depth), 2)
+    sizes = (MOONS_FEATURES, *([args.width] * args.depth), MOONS_CLASSES)
     data = two_moons(512, 0.15, rng)
     net = MlpParams.random_init(sizes, rng)
     planted = LayerPermutations(tuple(rng.permutation(h) for h in net.hidden_sizes))

@@ -210,89 +210,26 @@ def linear_sum_assignment(c: np.ndarray):
 
 
 def linear_assignment(cost: np.ndarray) -> np.ndarray:
-    """Exact minimum-cost assignment with a deterministic tie rule.
+    """Exact minimum-cost assignment of a square, finite cost matrix: one SciPy solve.
 
-    Returns ``perm`` with row ``i`` assigned to column ``perm[i]``. Among all
-    assignments within ``1e-9 * max(1, |best|)`` of the optimum the
-    lexicographically smallest permutation is returned, so a flat (all-ties)
-    cost matrix yields the identity.
-
-    One SciPy solve gives an optimal assignment. Shortest paths in its
-    residual graph (the dual view of the problem) then give, for every edge
-    (i, j), the cost of the cheapest assignment that uses it. Rows are placed
-    in order, each at the smallest column that still completes a near-optimal
-    assignment, and only edges whose cheapest assignment is near-optimal are
-    tried. A lone such column is taken as is; several are checked in
-    ascending order by solving the remaining rows exactly.
+    Returns ``perm`` with row ``i`` assigned to column ``perm[i]``. Ties
+    between optimal assignments resolve as SciPy's solver resolves them.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("cost matrix contains non-finite entries")
-    n = c.shape[0]
-    rows, cols = linear_sum_assignment(c)
-    best = float(c[rows, cols].sum())
-    tol = 1e-9 * max(1.0, abs(best))
-    # Only near-optimal edges can qualify. The slack (twice the tolerance plus
-    # a bound on the rounding of n-term path sums) keeps every column that the
-    # exact check below would accept.
-    rounding = 4.0 * n * n * np.finfo(np.float64).eps * float(np.abs(c).max(initial=0.0))
-    tight = _forcing_costs(c, cols) <= 2.0 * tol + rounding
-
-    perm = np.empty(n, dtype=np.intp)
-    remaining = list(range(n))
-    prefix = 0.0
-    for i in range(n):
-        candidates = [j for j in remaining if tight[i, j]]
-        if len(candidates) == 1:  # some column always qualifies, so this one does
-            j = candidates[0]
-        else:
-            for j in candidates:  # ascending: first feasible column is the lex choice
-                rest = [k for k in remaining if k != j]
-                if rest:
-                    sub = c[i + 1 :][:, rest]
-                    r, s = linear_sum_assignment(sub)
-                    tail = float(sub[r, s].sum())
-                else:
-                    tail = 0.0
-                if prefix + c[i, j] + tail <= best + tol:
-                    break
-            else:  # pragma: no cover - the optimal column always qualifies
-                raise AssertionError("assignment refinement failed to place a row")
-        perm[i] = j
-        prefix += c[i, j]
-        remaining.remove(j)
-    return perm
-
-
-def _forcing_costs(c: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Extra cost, over the optimal assignment ``cols``, of the cheapest one using each edge.
-
-    Moving row ``i`` from column ``cols[i]`` to ``j`` costs
-    ``w[i, j] = c[i, j] - c[i, cols[i]]`` and frees ``cols[i]``. So edge (i, j)
-    costs its own move plus the cheapest chain of moves from ``j`` back to
-    ``cols[i]``: a shortest path in the graph on columns whose edge ``cols[k]
-    -> j`` weighs ``w[k, j]``. Optimality rules out negative cycles, so
-    Floyd-Warshall gives all such paths; the assigned edges cost 0.
-    """
-    w = c - c[np.arange(c.shape[0]), cols][:, None]
-    dist = w[np.argsort(cols)]  # row a: the moves of the row holding column a
-    for k in range(c.shape[0]):
-        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
-    return w + dist[:, cols].T
+    return linear_sum_assignment(c)[1]
 
 
 def matching_objective(
     reference: MlpParams, candidate: MlpParams, perms: LayerPermutations
 ) -> float:
     """Total inner-product similarity between the reference and the permuted candidate."""
+    permuted = apply_permutation(candidate, perms)
     total = 0.0
-    boundary = np.arange(reference.layer_sizes[0], dtype=np.intp)
-    ps = (boundary,) + perms.perms + (np.arange(reference.layer_sizes[-1], dtype=np.intp),)
-    for i, (aw, ab) in enumerate(zip(reference.weights, reference.biases)):
-        cw = candidate.weights[i][np.ix_(ps[i + 1], ps[i])]
-        cb = candidate.biases[i][ps[i + 1]]
+    for aw, ab, cw, cb in zip(reference.weights, reference.biases, permuted.weights, permuted.biases):
         total += float(np.sum(aw * cw)) + float(ab @ cb)
     return total
 

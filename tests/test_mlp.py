@@ -107,29 +107,24 @@ class TestFlatten:
             unflatten(np.zeros(7), (2, 3, 1))
 
 
-def per_column_assignment(cost):
-    # Reference tie rule: place rows in order, each at the smallest column for
-    # which an exact solve of the remaining rows stays within the tolerance.
-    best = float(cost[linear_sum_assignment(cost)].sum())
-    tol = 1e-9 * max(1.0, abs(best))
-    n, remaining, prefix, perm = len(cost), list(range(len(cost))), 0.0, []
-    for i in range(n):
-        for j in remaining:
-            rest = [k for k in remaining if k != j]
-            sub = cost[np.ix_(range(i + 1, n), rest)]
-            tail = float(sub[linear_sum_assignment(sub)].sum()) if rest else 0.0
-            if prefix + cost[i, j] + tail <= best + tol:
-                perm.append(j)
-                prefix += cost[i, j]
-                remaining.remove(j)
-                break
-    return perm
+def min_assignment_cost(cost):
+    # Exact minimum over all assignments of an integer matrix, by dynamic
+    # programming over column subsets: best[mask] assigns the first
+    # popcount(mask) rows to the columns in mask.
+    n = len(cost)
+    masks = np.arange(1 << n)
+    counts = sum((masks >> j) & 1 for j in range(n))
+    best = np.full(1 << n, np.iinfo(np.int64).max // 2, dtype=np.int64)
+    best[0] = 0
+    for k in range(1, n + 1):
+        layer = masks[counts == k]
+        for j in range(n):
+            sub = layer[(layer >> j) & 1 == 1]
+            best[sub] = np.minimum(best[sub], best[sub ^ (1 << j)] + cost[k - 1, j])
+    return int(best[-1])
 
 
 class TestLinearAssignment:
-    def test_flat_costs_give_identity(self):
-        np.testing.assert_array_equal(linear_assignment(np.zeros((4, 4))), [0, 1, 2, 3])
-
     def test_two_by_two(self):
         perm = linear_assignment(np.array([[1.0, 2.0], [2.0, 1.0]]))
         np.testing.assert_array_equal(perm, [0, 1])
@@ -146,14 +141,24 @@ class TestLinearAssignment:
                     best, best_perm = total, perm
             np.testing.assert_array_equal(linear_assignment(cost), best_perm)
 
-    def test_lexicographic_tie_break(self):
-        # Two optimal assignments; the lexicographically smaller wins.
-        cost = np.array([[1.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_array_equal(linear_assignment(cost), [0, 1])
-
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             linear_assignment(np.zeros((2, 3)))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            linear_assignment(np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def count(c):
+            calls.append(c.shape)
+            return linear_sum_assignment(c)
+
+        monkeypatch.setattr(mlp, "linear_sum_assignment", count)
+        return calls
 
     @settings(deadline=None)
     @given(
@@ -164,35 +169,34 @@ class TestLinearAssignment:
         ),
         st.sampled_from([1e-6, 1.0, 1e6]),
     )
-    def test_lexicographically_smallest_optimum(self, rows, scale):
-        # Small integers make many exact ties; the reference sums them exactly.
+    def test_one_solve_reaches_the_exhaustive_optimum_on_ties(self, rows, scale):
+        # Small integers make many exact ties; the integer rows score the
+        # returned permutation exactly, whatever the scale.
         n = len(rows)
-        perms = list(itertools.permutations(range(n)))  # lexicographic order
-        totals = [sum(rows[i][p[i]] for i in range(n)) for p in perms]
-        want = perms[totals.index(min(totals))]
-        np.testing.assert_array_equal(linear_assignment(np.array(rows, dtype=float) * scale), want)
+        want = min(sum(rows[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = self.counted(monkeypatch)
+            perm = linear_assignment(np.array(rows, dtype=float) * scale)
+        assert sorted(perm.tolist()) == list(range(n))
+        assert sum(rows[i][perm[i]] for i in range(n)) == want
+        assert calls == [(n, n)]
 
-    def test_matches_per_column_reference_on_ties(self):
+    def test_optimal_on_larger_tied_matrices(self):
         rng = np.random.default_rng(21)
         for t in range(60):
             n = int(rng.integers(7, 17))
             if t % 3 == 0:  # duplicated rows
-                cost = rng.integers(-2, 3, (n // 2, n))[rng.integers(0, n // 2, n)]
+                rows = rng.integers(-2, 3, (n // 2, n))[rng.integers(0, n // 2, n)]
             elif t % 3 == 1:  # rank one
-                cost = np.outer(rng.integers(-2, 3, n), rng.integers(-2, 3, n))
+                rows = np.outer(rng.integers(-2, 3, n), rng.integers(-2, 3, n))
             else:
-                cost = rng.integers(-1, 2, (n, n))
-            cost = cost * 10.0 ** float(rng.integers(-6, 7))
-            np.testing.assert_array_equal(linear_assignment(cost), per_column_assignment(cost))
+                rows = rng.integers(-1, 2, (n, n))
+            perm = linear_assignment(rows * 10.0 ** float(rng.integers(-6, 7)))
+            assert sorted(perm.tolist()) == list(range(n))
+            assert int(rows[np.arange(n), perm].sum()) == min_assignment_cost(rows)
 
     def test_generic_matrix_takes_one_solve(self, monkeypatch):
-        calls = []
-
-        def counted(c):
-            calls.append(c.shape)
-            return linear_sum_assignment(c)
-
-        monkeypatch.setattr(mlp, "linear_sum_assignment", counted)
+        calls = self.counted(monkeypatch)
         cost = np.random.default_rng(3).standard_normal((16, 16))
         linear_assignment(cost)
         assert calls == [(16, 16)]

@@ -1,26 +1,31 @@
 """Print the sha256 of every deterministic run output, for before/after diffs.
 
-For each bundled config (sweep configs contribute their base market), every
-layer set of the layer-subset sweep, two fedavg variants and two priced
-variants that ask the Myerson price (``pricing`` with ``seller_pricing =
-myerson``, ``three_agents`` with pricing on), runs the market and its
-never-trade twin through ``experiments.run_with_twin`` and prints one line
-per output: config, run (market or twin), artifact (trades_csv,
-curves_csv, summary_dict JSON) and digest. It then runs ``paramarket.cli``
-into a temporary directory (``sweep`` on each bundled sweep config with its
-seeds cut to 2, ``bounds-check --trials 2000`` and ``align-demo``) and prints
-the exit code and the digest of every file the command wrote, under names
-such as ``cli:sweep:endowment_sweep``. A refactor that must not change
-results gives identical output on both commits:
+It first prints, per bundled config, the digest of the ``repr`` of what the
+parser makes of it (a ``MarketConfig``, or a ``SweepSpec`` for a sweep
+config), under names such as ``parsed:paper_linear``. Then, for each
+bundled config (sweep configs contribute their base market), every layer
+set of the layer-subset sweep, two fedavg variants and two priced variants
+that ask the Myerson price (``pricing`` with ``seller_pricing = myerson``,
+``three_agents`` with pricing on), runs the market and its never-trade twin
+through ``experiments.run_with_twin`` and prints one line per output:
+config, run (market or twin), artifact (trades_csv, curves_csv,
+summary_dict JSON) and digest. It then runs ``paramarket.cli`` into a
+temporary directory (``sweep`` on each bundled sweep config with its seeds
+cut to 2, ``bounds-check --trials 2000`` and ``align-demo``) and prints the
+exit code and the digest of every file the command wrote, under names such
+as ``cli:sweep:endowment_sweep``. A refactor that must not change results
+gives identical output on both commits:
 
     PYTHONPATH=src python scripts/output_digests.py > after.txt
 
 Market-name prefixes as arguments keep only the markets whose name starts
 with one of them, for a quicker check of one path; with none, every market
-runs. For example, the neural merge path alone, or the CLI files alone:
+runs. For example, the neural merge path alone, the CLI files alone, or
+the parsed configs alone:
 
     PYTHONPATH=src python scripts/output_digests.py mlp_subset_sweep
     PYTHONPATH=src python scripts/output_digests.py cli:
+    PYTHONPATH=src python scripts/output_digests.py parsed:
 """
 
 import contextlib
@@ -59,6 +64,12 @@ def _markets():
     yield "three_agents+pricing", replace(three, pricing=True)
 
 
+def _parsed_configs():
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        sweep = "[sweep]" in path.read_text(encoding="utf-8")
+        yield f"parsed:{path.stem}", (load_sweep if sweep else load_config)(str(path))
+
+
 def _cli_commands(tmp: Path):
     """(name, argv without --out) per CLI run; sweep configs get 2 seeds."""
     for path in sorted(CONFIGS.glob("*.cfg")):
@@ -79,6 +90,10 @@ def _digest(text: str) -> str:
 def main(prefixes) -> int:
     wanted = lambda name: not prefixes or name.startswith(tuple(prefixes))  # noqa: E731
     matched = False
+    for name, parsed in _parsed_configs():
+        if wanted(name):
+            matched = True
+            print(f"{name} config {type(parsed).__name__} {_digest(repr(parsed))}")
     for name, cfg in _markets():
         if not wanted(name):
             continue

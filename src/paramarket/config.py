@@ -6,17 +6,21 @@ section, one ``[agent <id>]`` section per agent, and optional ``[mlp]`` and
 the parser does not read, is an error. Each market kind reads only the keys
 it acts on, so a linear-only key in a neural market (and the reverse) is an
 unknown key too. See README for the schema and the bundled example configs.
+
+The parser only reads text into types and checks what is about the file
+itself: its sections and keys, the market kind, agent ids, which sweep axis
+needs which kind, and repeated sweep cells. Every rule on a value lives in
+`engine.MarketConfig`, which raises ConfigError naming the key at fault; a
+sweep cell is checked by building the market it runs (`cell_config`).
 """
 
 import configparser
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .broker import GainKind
 from .engine import AgentSpec, BrokerSpec, ConfigError, MarketConfig, MlpMarketSpec, Policy
-from .mlp import MOONS_CLASSES
 
-__all__ = ["ConfigError", "SweepSpec", "load_config", "load_sweep", "parse_config"]
+__all__ = ["ConfigError", "SweepSpec", "cell_config", "load_config", "load_sweep", "parse_config"]
 
 
 @dataclass(frozen=True)
@@ -27,6 +31,10 @@ class SweepSpec:
     values: tuple
     seeds: int
     base: MarketConfig
+
+    def __post_init__(self):
+        if self.seeds < 1:
+            raise ConfigError("sweep", "seeds", f"must be >= 1, got {self.seeds}")
 
 
 def _reader(parser: configparser.ConfigParser, section: str, read: set):
@@ -54,90 +62,22 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"expected on/off, got {raw!r}")
 
 
-def _int_tuple(raw: str) -> tuple:
-    return tuple(int(v) for v in raw.split(",") if v.strip() != "")
+def _int_list(raw: str) -> tuple:
+    """A comma list of integers; an empty value is the empty list."""
+    if raw == "":
+        return ()
+    entries = raw.split(",")
+    if any(v.strip() == "" for v in entries):
+        raise ValueError(f"empty entry in comma list {raw!r}")
+    return tuple(int(v) for v in entries)
 
 
-def _widths(raw: str) -> tuple:
-    widths = _int_tuple(raw)
-    if any(w < 1 for w in widths):
-        raise ValueError("expected comma-separated hidden widths >= 1")
-    return widths
-
-
-def _layer_set(n_hidden: int):
-    # A net with n hidden layers has weight layers 0..n.
-    def cast(raw: str):
-        if raw.strip() == "all":
-            return None
-        layers = _int_tuple(raw)
-        if not layers or len(set(layers)) < len(layers) or not all(0 <= i <= n_hidden for i in layers):
-            raise ValueError(f"expected 'all' or a non-empty list of distinct layer indices in [0, {n_hidden}]")
-        return layers
-
-    return cast
-
-
-def _favored(raw: str) -> tuple:
-    favored = _int_tuple(raw)
-    if not all(0 <= c < MOONS_CLASSES for c in favored):
-        raise ValueError(f"expected class indices in [0, {MOONS_CLASSES - 1}]")
-    return favored
-
-
-def _positive(raw: str) -> float:
-    value = float(raw)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError("expected a finite value > 0")
-    return value
+def _layer_set(raw: str):
+    return None if raw == "all" else _int_list(raw)
 
 
 def _step_size(raw: str):
-    return None if raw == "auto" else _positive(raw)
-
-
-def _non_negative(raw: str) -> float:
-    value = float(raw)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError("expected a finite value >= 0")
-    return value
-
-
-def _theta_offset(gain_kind: GainKind):
-    # A distance-sweep cell: every agent after the first moves off the shared truth.
-    def cast(raw: str) -> float:
-        value = _non_negative(raw)
-        if value > 0 and gain_kind is GainKind.ERROR_RATIO:
-            raise ValueError("expected 0: the error-ratio gain needs one shared true parameter vector")
-        return value
-
-    return cast
-
-
-def _count(minimum: int, why: str = ""):
-    def cast(raw: str) -> int:
-        value = int(raw)
-        if value < minimum:
-            raise ValueError(f"expected an integer >= {minimum}{why}")
-        return value
-
-    return cast
-
-
-def _choice(*options: str):
-    def cast(raw: str) -> str:
-        if raw not in options:
-            raise ValueError(f"expected one of {', '.join(options)}")
-        return raw
-
-    return cast
-
-
-def _fraction(raw: str) -> float:
-    value = float(raw)
-    if not 0.0 < value <= 1.0:
-        raise ValueError("expected a fraction in (0, 1]")
-    return value
+    return None if raw == "auto" else float(raw)
 
 
 def _read(text: str) -> configparser.ConfigParser:
@@ -167,46 +107,42 @@ def parse_config(text: str) -> MarketConfig:
     if not parser.has_section("market"):
         raise ConfigError("market", "-", "missing [market] section")
     market = _reader(parser, "market", read)
-    linear = market("model", _choice("linear", "mlp"), default="linear") == "linear"
-    gain_kind = market("gain_kind", GainKind, required=True)
-
-    agent_sections = [s for s in parser.sections() if s.startswith("agent ")]
-    if len(agent_sections) < 2:
-        raise ConfigError("agent <id>", "-", "need at least two [agent <id>] sections")
-    min_n = 1 if linear else 2  # two_moons draws a point of each class
+    model = market("model", str, default="linear")
+    if model not in ("linear", "mlp"):
+        raise ConfigError("market", "model", f"expected linear or mlp, got {model!r}")
+    linear = model == "linear"
 
     mlp_spec = None
     if not linear:
         m = _reader(parser, "mlp", read)
-        hidden = m("hidden", _widths, default=(16, 16, 16))
         mlp_spec = MlpMarketSpec(
-            hidden=hidden,
-            data_noise=m("data_noise", _non_negative, default=0.15),
-            layer_set=m("layer_set", _layer_set(len(hidden)), default=None),
+            hidden=m("hidden", _int_list, default=(16, 16, 16)),
+            data_noise=m("data_noise", float, default=0.15),
+            layer_set=m("layer_set", _layer_set, default=None),
         )
 
     agents = []
-    for section in sorted(agent_sections):
+    for section in sorted(s for s in parser.sections() if s.startswith("agent ")):
         agent_id = section.split(" ", 1)[1].strip()
         if not agent_id:
             raise ConfigError(section, "-", "empty agent id")
         a = _reader(parser, section, read)
         if linear:
             kind_keys = dict(
-                dim=a("dim", _count(1), required=True),
-                noise_variance=a("noise", _non_negative, default=0.0),
-                theta_offset=a("theta_offset", _non_negative, default=0.0),
+                dim=a("dim", int, required=True),
+                noise_variance=a("noise", float, default=0.0),
+                theta_offset=a("theta_offset", float, default=0.0),
             )
         else:
             kind_keys = dict(
                 dim=0,
-                favored_classes=a("favored", _favored, default=()),
-                deprived_fraction=a("deprived_fraction", _fraction, default=1.0),
+                favored_classes=a("favored", _int_list, default=()),
+                deprived_fraction=a("deprived_fraction", float, default=1.0),
             )
         agents.append(
             AgentSpec(
                 agent_id=agent_id,
-                n_samples=a("n", _count(min_n), required=True),
+                n_samples=a("n", int, required=True),
                 policy=a("policy", Policy.parse, default=Policy.parse("trade-when-beneficial")),
                 step_size=a("step_size", _step_size, default=None),
                 **kind_keys,
@@ -216,32 +152,24 @@ def parse_config(text: str) -> MarketConfig:
     if not parser.has_section("broker"):
         raise ConfigError("broker", "-", "missing [broker] section")
     b = _reader(parser, "broker", read)
-    # A linear broker draws at least one validation sample per agent.
-    broker_min = _count(len(agents), " (one per agent)") if linear else _count(min_n)
     broker = BrokerSpec(
-        n_samples=b("n", broker_min, required=True),
-        **({"noise_variance": b("noise", _non_negative, default=0.0)} if linear else {}),
+        n_samples=b("n", int, required=True),
+        **({"noise_variance": b("noise", float, default=0.0)} if linear else {}),
     )
-
-    # MarketConfig's cross-key rules raise ConfigError naming the key at fault.
-    cfg = MarketConfig(
-        seed=market("seed", _count(0), required=True),
-        rounds=market("rounds", _count(1), required=True),
-        gain_kind=gain_kind,
-        agents=tuple(agents),
-        broker=broker,
-        trade_every=market("trade_every", _count(1), default=1),
-        trade_start=market("trade_start", _count(1), default=1),
+    settings = dict(
+        seed=market("seed", int, required=True),
+        rounds=market("rounds", int, required=True),
+        gain_kind=market("gain_kind", GainKind, required=True),
+        trade_every=market("trade_every", int, default=1),
+        trade_start=market("trade_start", int, default=1),
         pricing=market("pricing", _bool, default=False),
-        seller_pricing=market(
-            "seller_pricing", _choice("myerson", "lower-bound"), default="myerson"
-        ),
-        convergence_epsilon=market("convergence_epsilon", _positive, default=None),
-        mlp=mlp_spec,
+        seller_pricing=market("seller_pricing", str, default="myerson"),
+        convergence_epsilon=market("convergence_epsilon", float, default=None),
     )
     # The [sweep] keys are left to parse_sweep.
     _reject_unread(parser, read, [s for s in parser.sections() if s != "sweep"])
-    return cfg
+    # MarketConfig's rules raise ConfigError naming the key at fault.
+    return MarketConfig(agents=tuple(agents), broker=broker, mlp=mlp_spec, **settings)
 
 
 def _read_file(path: str) -> str:
@@ -256,10 +184,31 @@ def load_config(path: str) -> MarketConfig:
     return parse_config(_read_file(path))
 
 
-# Cell parser per sweep axis; the distance and layers axes check cells against
-# the base market.
-_SWEEP_CELLS = {"endowment": _fraction, "frequency": _count(1), "start": _count(1)}
-_SWEEP_AXES = ("distance", *_SWEEP_CELLS, "layers")
+# Cell reader per sweep axis; `cell_config` checks each cell as the market it runs.
+_SWEEP_CELLS = {"distance": float, "endowment": float, "frequency": int, "start": int, "layers": _layer_set}
+
+
+def cell_config(base: MarketConfig, axis: str, value) -> MarketConfig:
+    """The market one sweep cell runs: ``base`` with ``value`` on ``axis``.
+
+    An endowment cell runs ``base`` itself, with each agent keeping the
+    fraction ``value`` of a shared data pool (see `experiments.run_sweep`).
+    """
+    if axis == "distance":
+        # Sweep the gap between the first agent's task and everyone else's.
+        first, *rest = base.agents
+        return replace(base, agents=(first, *(replace(a, theta_offset=float(value)) for a in rest)))
+    if axis == "frequency":
+        return replace(base, trade_every=int(value))
+    if axis == "start":
+        return replace(base, trade_start=int(value))
+    if axis == "layers":
+        return replace(base, mlp=replace(base.mlp, layer_set=value))
+    if axis == "endowment":
+        if not 0.0 < value <= 1.0:
+            raise ConfigError("sweep", "values", f"an endowment fraction must lie in (0, 1], got {value}")
+        return base
+    raise ValueError(f"unknown sweep axis {axis!r}")
 
 
 def parse_sweep(text: str) -> SweepSpec:
@@ -270,31 +219,27 @@ def parse_sweep(text: str) -> SweepSpec:
     read = set()
     s = _reader(parser, "sweep", read)
     axis = s("axis", str, required=True)
-    if axis not in _SWEEP_AXES:
-        raise ConfigError("sweep", "axis", f"expected one of {_SWEEP_AXES}, got {axis!r}")
+    if axis not in _SWEEP_CELLS:
+        raise ConfigError("sweep", "axis", f"expected one of {tuple(_SWEEP_CELLS)}, got {axis!r}")
     raw_values = s("values", str, required=True)
     cells = tuple(v.strip() for v in raw_values.split("|") if v.strip() != "")
     if not cells:
         raise ConfigError("sweep", "values", "no cells given (separate cells with '|')")
-    seeds = s("seeds", _count(1), default=5)
+    seeds = s("seeds", int, default=5)
     base = parse_config(text)
     _reject_unread(parser, read, ["sweep"])
     if axis in ("distance", "endowment") and base.mlp is not None:
         raise ConfigError("sweep", "axis", f"the {axis} axis needs a linear market (model = linear)")
-    if axis == "distance":
-        cell = _theta_offset(base.gain_kind)
-    elif axis != "layers":
-        cell = _SWEEP_CELLS[axis]
-    elif base.mlp is None:
+    if axis == "layers" and base.mlp is None:
         raise ConfigError("sweep", "axis", "the layers axis needs an mlp market (model = mlp)")
-    else:
-        cell = _layer_set(len(base.mlp.hidden))
     values, seen = [], {}
     for raw in cells:
         try:
-            value = cell(raw)
-        except ValueError as exc:
-            raise ConfigError("sweep", "values", f"cannot parse cell {raw!r}: {exc}") from exc
+            value = _SWEEP_CELLS[axis](raw)
+            cell_config(base, axis, value)
+        except ValueError as exc:  # ConfigError included: a market rule names its own key
+            why = str(exc).removeprefix("[sweep] values: ")
+            raise ConfigError("sweep", "values", f"cannot parse cell {raw!r}: {why}") from exc
         # Layer sets are equal when they name the same layers; all names every layer.
         key = frozenset(value or range(len(base.mlp.hidden) + 1)) if axis == "layers" else value
         if key in seen:

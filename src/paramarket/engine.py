@@ -10,10 +10,12 @@ midpoint payment), in collaborative mode the merge ships for free. Baseline
 policies (never trade, always trade, fixed-weight averaging) and per-agent
 start delays slot into the same loop.
 
-Every market setting lives in `MarketConfig`: the round loop reads each
-agent's policy and start round from it, and picks the gain rule once. Fedavg
-and loss-difference markets score a merge by its broker-loss difference,
-every other market by its estimation-error ratio against the broker's truth.
+Every market setting lives in `MarketConfig`, and so does every rule on
+those settings: a config file, a config built in code and a sweep cell are
+checked alike when one is constructed. The round loop reads each agent's
+policy and start round from it, and picks the gain rule once. Fedavg and
+loss-difference markets score a merge by its broker-loss difference, every
+other market by its estimation-error ratio against the broker's truth.
 
 The broker engine opens one round view per round, round 0 included: over
 the starting parameters in round 0, over the agents' post-step parameters
@@ -163,10 +165,10 @@ class MlpMarketSpec:
     layer_set: tuple | None = None  # None trades every layer
 
 
-# Agent settings only one market kind reads, each with the value the other
-# kind requires (an mlp agent's dim is 0).
-_LINEAR_ONLY = {"dim": 0, "noise_variance": 0.0, "theta_offset": 0.0}
-_MLP_ONLY = {"favored_classes": (), "deprived_fraction": 1.0}
+# Agent settings only one market kind reads: (field, config key, the value
+# the other kind requires). An mlp agent's dim is 0.
+_LINEAR_ONLY = (("dim", "dim", 0), ("noise_variance", "noise", 0.0), ("theta_offset", "theta_offset", 0.0))
+_MLP_ONLY = (("favored_classes", "favored", ()), ("deprived_fraction", "deprived_fraction", 1.0))
 
 
 @dataclass(frozen=True)
@@ -186,41 +188,88 @@ class MarketConfig:
     seller_pricing: str = "myerson"
 
     def __post_init__(self):
-        # Every rule names the config section and key at fault, so a config
-        # file that breaks one reads like any other malformed key.
+        # Every rule of every setting lives here and names the config file's
+        # section and key, so a market built in code (or by
+        # dataclasses.replace) fails like a file that sets the same value.
+        # Messages are formatted only on failure: every twin run builds one.
+        if self.seed < 0:
+            raise ConfigError("market", "seed", f"must be an integer >= 0, got {self.seed}")
         for key in ("rounds", "trade_every", "trade_start"):
             if getattr(self, key) < 1:
                 raise ConfigError("market", key, f"must be >= 1, got {getattr(self, key)}")
+        eps = self.convergence_epsilon
+        if eps is not None and not 0 < eps < math.inf:
+            raise ConfigError("market", "convergence_epsilon", f"must be finite and > 0, got {eps}")
+        if self.seller_pricing not in ("myerson", "lower-bound"):
+            raise ConfigError("market", "seller_pricing",
+                              f"must be 'myerson' or 'lower-bound', got {self.seller_pricing!r}")
+        mlp = self.model == "mlp"
+        if mlp:
+            spec = self.mlp
+            if not all(w >= 1 for w in spec.hidden):
+                raise ConfigError("mlp", "hidden", f"expected hidden widths >= 1, got {spec.hidden}")
+            if not 0 <= spec.data_noise < math.inf:
+                raise ConfigError("mlp", "data_noise", f"must be finite and >= 0, got {spec.data_noise}")
+            layers, n_hidden = spec.layer_set, len(spec.hidden)  # weight layers 0..n_hidden
+            if layers is not None and not (
+                layers and len(set(layers)) == len(layers) and all(0 <= i <= n_hidden for i in layers)
+            ):
+                raise ConfigError("mlp", "layer_set", "expected all or a non-empty list of distinct "
+                                                      f"layer indices in [0, {n_hidden}], got {layers}")
         if len(self.agents) < 2:
             raise ConfigError("agent <id>", "-", "a market needs at least two agents")
         ids = [a.agent_id for a in self.agents]
         # Each market kind ignores the other kind's settings, so they must
         # keep their defaults.
-        mlp = self.model == "mlp"
         other = _LINEAR_ONLY if mlp else _MLP_ONLY
-        unused = [("broker", "noise_variance", self.broker.noise_variance, 0.0)] if mlp else []
+        unused = [("broker", "noise_variance", "noise", self.broker.noise_variance, 0.0)] if mlp else []
+        min_n = 2 if mlp else 1  # two_moons draws a point of each class
         for a in self.agents:
             section = f"agent {a.agent_id}"
             if ids.count(a.agent_id) > 1:
                 raise ConfigError(section, "-", f"duplicate agent id {a.agent_id!r}")
-            if not mlp and a.dim != self.agents[0].dim:
-                raise ConfigError(section, "dim", "all agents must share one parameter dimension")
-            if a.theta_offset > 0 and self.gain_kind is GainKind.ERROR_RATIO:
-                raise ConfigError(section, "theta_offset",
-                                  "expected 0: the error-ratio gain needs one shared true parameter vector")
-            unused += [(section, k, getattr(a, k), v) for k, v in other.items()]
-        for section, key, value, default in unused:
+            if a.n_samples < min_n:
+                raise ConfigError(section, "n", f"must be >= {min_n}, got {a.n_samples}")
+            if a.step_size is not None and not 0 < a.step_size < math.inf:
+                raise ConfigError(section, "step_size", f"must be auto or finite and > 0, got {a.step_size}")
+            if mlp:
+                favored, classes = a.favored_classes, mlp_mod.MOONS_CLASSES
+                if len(set(favored)) < len(favored) or not all(0 <= c < classes for c in favored):
+                    raise ConfigError(section, "favored",
+                                      f"expected distinct class indices in [0, {classes - 1}], got {favored}")
+                if not 0 < a.deprived_fraction <= 1:
+                    raise ConfigError(section, "deprived_fraction",
+                                      f"expected a fraction in (0, 1], got {a.deprived_fraction}")
+            else:
+                if a.dim < 1:
+                    raise ConfigError(section, "dim", f"must be >= 1, got {a.dim}")
+                if a.dim != self.agents[0].dim:
+                    raise ConfigError(section, "dim", "all agents must share one parameter dimension")
+                if not 0 <= a.noise_variance < math.inf:
+                    raise ConfigError(section, "noise", f"must be finite and >= 0, got {a.noise_variance}")
+                offset = a.theta_offset
+                if not 0 <= offset < math.inf:
+                    raise ConfigError(section, "theta_offset", f"must be finite and >= 0, got {offset}")
+                if offset > 0 and self.gain_kind is GainKind.ERROR_RATIO:
+                    raise ConfigError(section, "theta_offset", "expected 0: the error-ratio gain "
+                                                               "needs one shared true parameter vector")
+            unused += [(section, field, key, getattr(a, field), v) for field, key, v in other]
+        for section, field, key, value, default in unused:
             if value != default:
-                raise ConfigError(section, key, f"{section} {key} is ignored by the {self.model} market")
+                raise ConfigError(section, key, f"{section} {field} is ignored by the {self.model} market")
+        # A linear broker draws at least one validation sample per agent.
+        n_min = 2 if mlp else len(self.agents)
+        if self.broker.n_samples < n_min:
+            raise ConfigError("broker", "n", f"must be >= {n_min}{'' if mlp else ' (one per agent)'}, "
+                                             f"got {self.broker.n_samples}")
+        if not 0 <= self.broker.noise_variance < math.inf:
+            raise ConfigError("broker", "noise", f"must be finite and >= 0, got {self.broker.noise_variance}")
         if mlp and self.gain_kind is not GainKind.LOSS_DIFFERENCE:
             raise ConfigError("market", "gain_kind",
                               "neural markets have no known true parameters; use loss-difference gain")
         if self.pricing and self.gain_kind is not GainKind.ERROR_RATIO:
             raise ConfigError("market", "pricing",
                               "competitive pricing builds on the error-ratio gain of the linear market")
-        if self.seller_pricing not in ("myerson", "lower-bound"):
-            raise ConfigError("market", "seller_pricing",
-                              f"must be 'myerson' or 'lower-bound', got {self.seller_pricing!r}")
         fedavg = [a.policy.kind is PolicyKind.FEDAVG for a in self.agents]
         if any(fedavg):
             if self.pricing:
@@ -316,7 +365,8 @@ class MlpModel:
         return mlp_mod.mlp_gradient_step(params, self.data, self.step_size)
 
     def own_loss(self, params) -> float:
-        return mlp_mod.mlp_forward_loss(params, self.data)
+        with np.errstate(over="ignore", invalid="ignore"):  # `_end_round` checks it for finiteness
+            return mlp_mod.mlp_forward_loss(params, self.data)
 
     def est_error(self, params) -> float:
         return math.nan
@@ -421,7 +471,11 @@ class MlpRoundView:
     def __init__(self, engine: MlpBrokerEngine, dots: dict):
         self.engine = engine
         self.dots = dots
-        self._dot_loss = {u: mlp_mod.mlp_forward_loss(p, engine.data) for u, p in dots.items()}
+        # A net whose outputs overflow has a non-finite loss, here and in the
+        # weight search. No such loss is logged: `_end_round` checks every
+        # curve row's losses for finiteness.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._dot_loss = {u: mlp_mod.mlp_forward_loss(p, engine.data) for u, p in dots.items()}
 
     def dot_loss(self, u: str) -> float:
         return self._dot_loss[u]
@@ -432,7 +486,8 @@ class MlpRoundView:
         aligned = mlp_mod.apply_permutation(self.dots[seller], perms)
         layers = eng.layer_set or tuple(range(self.dots[buyer].n_layers))
         loss_at = mlp_mod.merge_path_loss(self.dots[buyer], aligned, layers, eng.data)
-        weight, loss_after = optimize_merge_weight_searched(loss_at)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weight, loss_after = optimize_merge_weight_searched(loss_at)
         return MergeProposal(
             weight=weight,
             merged=mlp_mod.subset_merge(self.dots[buyer], aligned, layers, weight),

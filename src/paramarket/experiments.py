@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._blas import one_thread
+from .config import cell_config
 from .core import LabeledDataset, ParameterVector
 from .engine import (
     MarketConfig,
@@ -98,35 +99,15 @@ class SweepResult:
         return list(cells.values())
 
 
-def _cell_config(base: MarketConfig, axis: str, value) -> MarketConfig:
-    if axis == "distance":
-        agents = list(base.agents)
-        # Sweep the gap between the first agent's task and everyone else's.
-        agents = [agents[0]] + [replace(a, theta_offset=float(value)) for a in agents[1:]]
-        return replace(base, agents=tuple(agents))
-    if axis == "frequency":
-        return replace(base, trade_every=int(value))
-    if axis == "start":
-        return replace(base, trade_start=int(value))
-    if axis == "layers":
-        return replace(base, mlp=replace(base.mlp, layer_set=value))
-    if axis == "endowment":
-        return base  # handled by the shared-pool builder below
-    raise ValueError(f"unknown sweep axis {axis!r}")
-
-
 @one_thread()
-def _endowment_logs(base: MarketConfig, fraction: float, seed: int) -> tuple:
+def _endowment_logs(cfg: MarketConfig, fraction: float) -> tuple:
     """Market and twin over subsets of one shared data pool.
 
     Each agent keeps ``fraction`` of a common pool (sampled without
     replacement); at fraction 1 both agents hold identical information and
     there is nothing to gain from trading.
     """
-    if not (0.0 < fraction <= 1.0):
-        raise ValueError(f"endowment fraction must lie in (0, 1], got {fraction}")
-    cfg = replace(base, seed=seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     agents = tuple(sorted(cfg.agents, key=lambda a: a.agent_id))
     dim = agents[0].dim
     pool_n = max(a.n_samples for a in agents)
@@ -147,11 +128,8 @@ def _endowment_logs(base: MarketConfig, fraction: float, seed: int) -> tuple:
 
 def _run_cell(args) -> SweepRow:
     base, axis, cell, value, seed = args
-    if axis == "endowment":
-        log, twin = _endowment_logs(base, float(value), seed)
-    else:
-        cfg = replace(_cell_config(base, axis, value), seed=seed)
-        log, twin = run_with_twin(cfg)
+    cfg = replace(cell_config(base, axis, value), seed=seed)
+    log, twin = _endowment_logs(cfg, float(value)) if axis == "endowment" else run_with_twin(cfg)
     improvement_broker = relative_improvement(log, twin, "broker_loss")
     return SweepRow(
         cell=cell,

@@ -258,9 +258,10 @@ def _descend(reference: MlpParams, candidate: MlpParams, order: list) -> LayerPe
             stale.discard(i)
             prev = perms[i - 1] if i > 0 else in_ident
             nxt = perms[i + 1] if i + 1 < len(hidden) else out_ident
-            sim = reference.weights[i] @ candidate.weights[i][:, prev].T
-            sim += np.outer(reference.biases[i], candidate.biases[i])
-            sim += reference.weights[i + 1].T @ candidate.weights[i + 1][nxt, :]
+            with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+                sim = reference.weights[i] @ candidate.weights[i][:, prev].T
+                sim += np.outer(reference.biases[i], candidate.biases[i])
+                sim += reference.weights[i + 1].T @ candidate.weights[i + 1][nxt, :]
             if not np.isfinite(sim).all():  # finite weights whose products overflow
                 raise DivergenceError(f"non-finite unit similarities in hidden layer {i}")
             new_p = linear_assignment(-sim)

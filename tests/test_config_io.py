@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,10 @@ class TestConfigParsing:
         cfg = parse_config(MINIMAL_MLP + "\n[mlp]\nhidden = 4,4\nlayer_set = 0,2\n")
         assert cfg.mlp.hidden == (4, 4) and cfg.mlp.layer_set == (0, 2)
         assert parse_config(MINIMAL_MLP + "\n[mlp]\nhidden =\nlayer_set = 0\n").mlp.layer_set == (0,)
+        # A wholly empty list is no hidden layer, and no favored class.
+        assert parse_config(MINIMAL_MLP + "\n[mlp]\nhidden =\n").mlp.hidden == ()
+        none_favored = parse_config(MINIMAL_MLP.replace("n = 20", "n = 20\nfavored ="))
+        assert none_favored.agents[1].favored_classes == ()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -506,6 +511,9 @@ class TestCli:
             ("layer_set", "3"),
             ("layer_set", ""),
             ("layer_set", "2,2"),
+            ("hidden", "16,,16"),
+            ("hidden", "4,"),
+            ("layer_set", "1,"),
         ],
     )
     def test_invalid_mlp_key_exit_code_and_diagnostic(self, tmp_path, key, value):
@@ -539,11 +547,12 @@ class TestCli:
             (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 2\nseed = 3\n", "[sweep] seed: unknown key"),
             (MINIMAL_MLP + "\n[sweep]\naxis = distance\nvalues = 0 | 0.5\n", "[sweep] axis:"),
             (MINIMAL_MLP + "\n[sweep]\naxis = endowment\nvalues = 0.5 | 1\n", "[sweep] axis:"),
+            (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 2\nseeds = 0\n", "[sweep] seeds:"),
         ],
         ids=["unparsable", "non-numeric-cell", "zero-frequency", "zero-start", "zero-endowment",
              "endowment-above-one", "layers-on-linear", "layer-out-of-range", "repeated-layer-cell",
              "reordered-layer-cell", "all-as-a-list", "repeated-index-in-cell", "repeated-endowment",
-             "unknown-sweep-key", "distance-on-mlp", "endowment-on-mlp"],
+             "unknown-sweep-key", "distance-on-mlp", "endowment-on-mlp", "zero-seeds"],
     )
     def test_invalid_sweep_exit_code_and_diagnostic(self, tmp_path, text, diagnostic):
         bad = tmp_path / "bad.cfg"
@@ -596,6 +605,9 @@ class TestCli:
             (MINIMAL_MLP, "n = 20", "n = 20\nfavored = 2", "[agent b] favored:"),
             (MINIMAL_MLP, "n = 20", "n = 20\nfavored = 7", "[agent b] favored:"),
             (MINIMAL_MLP, "n = 20", "n = 20\nfavored = -1", "[agent b] favored:"),
+            (MINIMAL_MLP, "n = 20", "n = 20\nfavored = ,", "[agent b] favored:"),
+            (MINIMAL_MLP, "n = 20", "n = 20\nfavored = 0,", "[agent b] favored:"),
+            (MINIMAL_MLP, "n = 20", "n = 20\nfavored = 0,0", "[agent b] favored:"),
             (MINIMAL, "rounds = 12", "rounds = 12\ntrade_evry = 5", "[market] trade_evry: unknown key"),
             (MINIMAL, "n = 20", "n = 20\nfavoured = 0", "[agent b] favoured: unknown key"),
             (MINIMAL, "n = 300", "n = 300\nnosie = 0.1", "[broker] nosie: unknown key"),
@@ -621,6 +633,7 @@ class TestCli:
              "rounds-zero", "trade-every-zero", "trade-start-negative", "trade-start-zero",
              "seller-pricing-foo",
              "model-foo", "favored-two-classes", "favored-seven", "favored-negative",
+             "favored-empty-entries", "favored-trailing-comma", "favored-repeated",
              "unknown-market-key", "unknown-agent-key", "unknown-broker-key", "unknown-section",
              "mlp-section-on-linear", "dim-on-mlp", "noise-on-mlp", "theta-offset-on-mlp",
              "broker-noise-on-mlp", "init-on-mlp", "loss-on-mlp", "favored-on-linear",
@@ -667,7 +680,10 @@ class TestCli:
             text = (CONFIGS / "mlp_subset_sweep.cfg").read_text(encoding="utf-8")
             text = text.replace("rounds = 25", "rounds = 3").replace("step_size = 0.5", "step_size = 1e20")
         cfg.write_text(text, encoding="utf-8")
-        r = run_cli("simulate", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        # Non-finite intermediates are checked where they arise, without a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = run_cli("simulate", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert r.returncode == 3, r.stderr
         assert "round" in r.stderr
 

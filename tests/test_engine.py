@@ -64,6 +64,11 @@ def linear_cfg(
     )
 
 
+def neural_cfg():
+    agents = (AgentSpec("a", 0, 50), AgentSpec("b", 0, 50))
+    return MarketConfig(0, 10, GainKind.LOSS_DIFFERENCE, agents, BrokerSpec(100), mlp=MlpMarketSpec())
+
+
 class TestConfigValidation:
     def test_needs_two_agents(self):
         with pytest.raises(ValueError):
@@ -109,13 +114,32 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value, key", [
         ("trade_start", 0, ("market", "trade_start")),
+        # An error-ratio market compares every merge against one shared truth.
         ("agents", (AgentSpec("a", 24, 100), AgentSpec("b", 24, 36, theta_offset=0.5)),
          ("agent b", "theta_offset")),
+        ("seed", -1, ("market", "seed")),
+        ("convergence_epsilon", 0.0, ("market", "convergence_epsilon")),
+        ("agents", (AgentSpec("a", 24, 0), AgentSpec("b", 24, 36)), ("agent a", "n")),
+        ("agents", (AgentSpec("a", 0, 100), AgentSpec("b", 0, 36)), ("agent a", "dim")),
+        ("agents", (AgentSpec("a", 24, 100), AgentSpec("b", 24, 36, noise_variance=math.nan)),
+         ("agent b", "noise")),
+        ("agents", (AgentSpec("a", 24, 100, step_size=0.0), AgentSpec("b", 24, 36)),
+         ("agent a", "step_size")),
+        ("broker", BrokerSpec(1), ("broker", "n")),
+        ("mlp", MlpMarketSpec(hidden=(0,)), ("mlp", "hidden")),
+        ("mlp", MlpMarketSpec(layer_set=(9,)), ("mlp", "layer_set")),
+        ("agents", (AgentSpec("a", 0, 50), AgentSpec("b", 0, 50, favored_classes=(2,))),
+         ("agent b", "favored")),
+        ("agents", (AgentSpec("a", 0, 50), AgentSpec("b", 0, 50, deprived_fraction=0.0)),
+         ("agent b", "deprived_fraction")),
     ])
     def test_rule_names_the_key_at_construction(self, field, value, key):
-        # An error-ratio market compares every merge against one shared truth.
+        # A config built in code is checked like a file, under the file's key
+        # names; an mlp-only key is set on a neural market.
+        neural = key[0] == "mlp" or key[1] in ("favored", "deprived_fraction")
+        base = neural_cfg() if neural else linear_cfg()
         with pytest.raises(ConfigError) as err:
-            dataclasses.replace(linear_cfg(), **{field: value})
+            dataclasses.replace(base, **{field: value})
         assert (err.value.section, err.value.key) == key
 
     def test_asynchronous_delay_parsing(self):

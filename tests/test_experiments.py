@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from paramarket.broker import GainKind
-from paramarket.config import load_config, load_sweep
+from paramarket.config import ConfigError, load_config, load_sweep
 from paramarket.engine import (
     AgentSpec,
     BrokerSpec,
@@ -128,8 +128,9 @@ class TestEndowmentSweep:
 
     def test_fraction_validation(self):
         spec = load_sweep(CONFIGS / "endowment_sweep.cfg")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as err:
             run_sweep(spec.base, "endowment", [0.0], seeds=1)
+        assert (err.value.section, err.value.key) == ("sweep", "values")
 
 
 class TestFrequencySweep:

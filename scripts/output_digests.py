@@ -4,7 +4,8 @@ It first prints, per bundled config, the digest of the ``repr`` of what the
 parser makes of it (a ``MarketConfig``, or a ``SweepSpec`` for a sweep
 config), under names such as ``parsed:paper_linear``. Then, for each
 bundled config (sweep configs contribute their base market), every layer
-set of the layer-subset sweep, two fedavg variants and two priced variants
+set of the layer-subset sweep, every cell of the endowment sweep (as
+``cell_config`` makes it), two fedavg variants and two priced variants
 that ask the Myerson price (``pricing`` with ``seller_pricing = myerson``,
 ``three_agents`` with pricing on), runs the market and its never-trade twin
 through ``experiments.run_with_twin`` and prints one line per output:
@@ -40,7 +41,7 @@ from pathlib import Path
 
 from paramarket.broker import GainKind
 from paramarket.cli import main as cli_main
-from paramarket.config import load_config, load_sweep
+from paramarket.config import cell_config, load_config, load_sweep
 from paramarket.experiments import run_with_twin
 from paramarket.io import curves_csv, summary_dict, trades_csv
 
@@ -55,6 +56,9 @@ def _markets():
         label = "all" if layer_set is None else ",".join(map(str, layer_set))
         mlp = replace(layers.base.mlp, layer_set=layer_set)
         yield f"mlp_subset_sweep[{label}]", replace(layers.base, mlp=mlp)
+    endowment = load_sweep(str(CONFIGS / "endowment_sweep.cfg"))
+    for fraction in endowment.values:
+        yield f"endowment_sweep[{fraction}]", cell_config(endowment.base, "endowment", fraction)
     fedavg = load_config(str(CONFIGS / "fedavg.cfg"))
     yield "fedavg+loss-difference", replace(fedavg, gain_kind=GainKind.LOSS_DIFFERENCE)
     yield "fedavg+start3-every2", replace(fedavg, trade_start=3, trade_every=2)

@@ -191,8 +191,8 @@ _SWEEP_CELLS = {"distance": float, "endowment": float, "frequency": int, "start"
 def cell_config(base: MarketConfig, axis: str, value) -> MarketConfig:
     """The market one sweep cell runs: ``base`` with ``value`` on ``axis``.
 
-    An endowment cell runs ``base`` itself, with each agent keeping the
-    fraction ``value`` of a shared data pool (see `experiments.run_sweep`).
+    An endowment cell is ``base`` whose agents each keep the fraction
+    ``value`` of one shared data pool (`MarketConfig.endowment`).
     """
     if axis == "distance":
         # Sweep the gap between the first agent's task and everyone else's.
@@ -205,9 +205,7 @@ def cell_config(base: MarketConfig, axis: str, value) -> MarketConfig:
     if axis == "layers":
         return replace(base, mlp=replace(base.mlp, layer_set=value))
     if axis == "endowment":
-        if not 0.0 < value <= 1.0:
-            raise ConfigError("sweep", "values", f"an endowment fraction must lie in (0, 1], got {value}")
-        return base
+        return replace(base, endowment=float(value))
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 

@@ -12,10 +12,12 @@ start delays slot into the same loop.
 
 Every market setting lives in `MarketConfig`, and so does every rule on
 those settings: a config file, a config built in code and a sweep cell are
-checked alike when one is constructed. The round loop reads each agent's
-policy and start round from it, and picks the gain rule once. Fedavg and
-loss-difference markets score a merge by its broker-loss difference, every
-other market by its estimation-error ratio against the broker's truth.
+checked alike when one is constructed. `build_market` is the only code that
+draws a market, an endowment cell's shared data pool included. The round
+loop reads each agent's policy and start round from it, and picks the gain
+rule once. Fedavg and loss-difference markets score a merge by its
+broker-loss difference, every other market by its estimation-error ratio
+against the broker's truth.
 
 The broker engine opens one round view per round, round 0 included: over
 the starting parameters in round 0, over the agents' post-step parameters
@@ -186,6 +188,9 @@ class MarketConfig:
     # Seller-side ask in competitive rounds: the Bayesian-optimal price on the
     # gain interval, or its lower endpoint (trades settle whenever beneficial).
     seller_pricing: str = "myerson"
+    # Linear only, set by an endowment sweep cell: each agent keeps this
+    # fraction of one shared data pool. None: each agent draws its own task.
+    endowment: float | None = None
 
     def __post_init__(self):
         # Every rule of every setting lives here and names the config file's
@@ -204,6 +209,9 @@ class MarketConfig:
             raise ConfigError("market", "seller_pricing",
                               f"must be 'myerson' or 'lower-bound', got {self.seller_pricing!r}")
         mlp = self.model == "mlp"
+        pooled = self.endowment is not None
+        if pooled and not 0 < self.endowment <= 1:
+            raise ConfigError("sweep", "values", f"an endowment fraction must lie in (0, 1], got {self.endowment}")
         if mlp:
             spec = self.mlp
             if not all(w >= 1 for w in spec.hidden):
@@ -222,7 +230,8 @@ class MarketConfig:
         # Each market kind ignores the other kind's settings, so they must
         # keep their defaults.
         other = _LINEAR_ONLY if mlp else _MLP_ONLY
-        unused = [("broker", "noise_variance", "noise", self.broker.noise_variance, 0.0)] if mlp else []
+        unused = [("broker", "noise_variance", "noise", self.broker.noise_variance, 0.0),
+                  ("sweep", "endowment", "axis", self.endowment, None)] if mlp else []
         min_n = 2 if mlp else 1  # two_moons draws a point of each class
         for a in self.agents:
             section = f"agent {a.agent_id}"
@@ -253,6 +262,15 @@ class MarketConfig:
                 if offset > 0 and self.gain_kind is GainKind.ERROR_RATIO:
                     raise ConfigError(section, "theta_offset", "expected 0: the error-ratio gain "
                                                                "needs one shared true parameter vector")
+                if pooled:  # the agents split one pool: one n, one noise, one truth
+                    first = self.agents[0]
+                    for field, key in (("n_samples", "n"), ("noise_variance", "noise")):
+                        if getattr(a, field) != getattr(first, field):
+                            raise ConfigError(section, key, "an endowment cell's agents share one data "
+                                                            f"pool, so must equal agent {first.agent_id}'s")
+                    if offset > 0:
+                        raise ConfigError(section, "theta_offset", "expected 0: an endowment cell's "
+                                                                   "agents share one task")
             unused += [(section, field, key, getattr(a, field), v) for field, key, v in other]
         for section, field, key, value, default in unused:
             if value != default:
@@ -631,7 +649,7 @@ def build_market(cfg: MarketConfig):
     Returns (states, broker_engine), drawn from ``default_rng(cfg.seed)``.
     Draw order is fixed, so two configs differing only in policies see
     identical tasks; states carry no policy, so a twin runs on the market's
-    own states.
+    own states. This is the only code that draws a market.
     """
     agents = tuple(sorted(cfg.agents, key=lambda a: a.agent_id))
     rng = np.random.default_rng(cfg.seed)
@@ -641,69 +659,67 @@ def build_market(cfg: MarketConfig):
 
 
 def _build_linear_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator):
+    """The linear market's draws, in a fixed order after the base truth.
+
+    Without an endowment: each agent's truth and task, then the broker set.
+    With one: the shared pool, the broker set, then each agent's subset of the pool.
+    """
     dim = agents[0].dim
     theta_base = rng.standard_normal(dim)
-    tasks = {}
-    truths = {}
-    for spec in agents:
-        theta = theta_base
-        if spec.theta_offset > 0.0:
-            direction = rng.standard_normal(dim)
-            direction /= np.linalg.norm(direction)
-            theta = theta_base + spec.theta_offset * direction
-        truth = ParameterVector(theta)
-        truths[spec.agent_id] = truth
-        tasks[spec.agent_id] = synthesize_task(
-            dim, spec.n_samples, spec.noise_variance, truth, rng
-        )
-    # Step sizes draw nothing; resolving them before the broker set exists
-    # keeps the Gram matrices out of the build's memory peak.
-    models = linear_models(agents, tasks)
-
-    # The broker holds validation samples from every agent's distribution,
-    # drawn block by block straight into one array.
-    per_agent = cfg.broker.n_samples // len(agents)
-    inputs = np.empty((cfg.broker.n_samples, dim))
-    labels = np.empty(cfg.broker.n_samples)
-    lo = 0
-    for i, spec in enumerate(agents):
-        n = per_agent + (cfg.broker.n_samples % len(agents) if i == 0 else 0)
-        block = synthesize_task(
-            dim, n, cfg.broker.noise_variance, truths[spec.agent_id], rng, out=inputs[lo:lo + n]
-        )
-        labels[lo:lo + n] = block.data.labels
-        lo += n
-    broker_data = LabeledDataset(inputs, labels)
-    return linear_market(cfg, agents, models, broker_data, truths)
-
-
-def linear_models(agents: tuple, tasks: dict) -> dict:
-    """Each agent's training backend on its drawn task; draws nothing.
-
-    The step is the configured one, else 0.9 / L with L = 2 lambda_max / n
-    the smoothness constant of the training loss.
-    """
     models = {}
-    for spec in agents:
-        task = tasks[spec.agent_id]
+
+    def train(spec: AgentSpec, task: LinearTask) -> None:
+        # The configured step, else 0.9 / L with L = 2 lambda_max / n the
+        # smoothness constant of the training loss. Draws nothing.
         step = spec.step_size
         if step is None:
             step = 0.9 / (2.0 * (gram_lambda_max(task.data) / task.data.n_samples))
         models[spec.agent_id] = LinearModel(task, step)
-    return models
 
+    def broker_set(blocks: list) -> LabeledDataset:
+        # Validation samples drawn block by block, (n, truth) each, straight into one array.
+        inputs = np.empty((cfg.broker.n_samples, dim))
+        labels = np.empty(cfg.broker.n_samples)
+        lo = 0
+        for n, truth in blocks:
+            block = synthesize_task(dim, n, cfg.broker.noise_variance, truth, rng, out=inputs[lo:lo + n])
+            labels[lo:lo + n] = block.data.labels
+            lo += n
+        return LabeledDataset(inputs, labels)
 
-def linear_market(
-    cfg: MarketConfig, agents: tuple, models: dict, broker_data: LabeledDataset, truths: dict
-):
-    """Assemble a linear market from its drawn parts; draws nothing.
+    if cfg.endowment is None:
+        truths = {}
+        for spec in agents:
+            theta = theta_base
+            if spec.theta_offset > 0.0:
+                direction = rng.standard_normal(dim)
+                direction /= np.linalg.norm(direction)
+                theta = theta_base + spec.theta_offset * direction
+            truths[spec.agent_id] = truth = ParameterVector(theta)
+            # Step sizes are resolved before the broker set exists, which
+            # keeps the Gram matrices out of the build's memory peak.
+            train(spec, synthesize_task(dim, spec.n_samples, spec.noise_variance, truth, rng))
+        # The broker holds validation samples from every agent's distribution.
+        per_agent, extra = divmod(cfg.broker.n_samples, len(agents))
+        broker_data = broker_set([(per_agent + (extra if i == 0 else 0), truths[spec.agent_id])
+                                  for i, spec in enumerate(agents)])
+    else:
+        # Each agent keeps the fraction `endowment` of one shared pool, drawn
+        # without replacement; `MarketConfig` sees that the agents share n,
+        # noise and the truth, so at fraction 1 they hold identical data.
+        truth = ParameterVector(theta_base)
+        truths = dict.fromkeys((a.agent_id for a in agents), truth)
+        pool_n = agents[0].n_samples
+        pool = synthesize_task(dim, pool_n, agents[0].noise_variance, truth, rng).data
+        broker_data = broker_set([(cfg.broker.n_samples, truth)])
+        k = max(1, int(round(cfg.endowment * pool_n)))
+        for spec in agents:
+            idx = np.sort(rng.choice(pool_n, size=k, replace=False))
+            train(spec, LinearTask(LabeledDataset(pool.inputs[idx], pool.labels[idx]), truth))
 
-    Every agent starts at zero with the model from `linear_models`. Returns
-    (states, broker_engine) as `build_market` does. An error-ratio market's
-    agents share one truth (`MarketConfig` sees to it), which its broker
-    compares merges against.
-    """
-    init = ParameterVector(np.zeros(broker_data.dimension))
+    # Every agent starts at zero. An error-ratio market's agents share one
+    # truth (`MarketConfig` sees to it), which its broker compares merges against.
+    init = ParameterVector(np.zeros(dim))
     states = tuple(AgentState(spec.agent_id, init, models[spec.agent_id]) for spec in agents)
     truth = truths[agents[0].agent_id] if cfg.gain_kind is GainKind.ERROR_RATIO else None
     truth_loss = {a.agent_id: empirical_loss(truths[a.agent_id], broker_data) for a in agents}
@@ -737,8 +753,9 @@ def run_simulation(cfg: MarketConfig) -> MarketLog:
 
 @one_thread()
 def run_prepared_simulation(cfg: MarketConfig, states: tuple, broker_engine) -> MarketLog:
-    """Market loop over pre-built states; entry point for custom endowments.
+    """Market loop over the states and broker that `build_market` returns.
 
+    A market and its twin run on one build (`experiments.run_with_twin`).
     Round 0 reports the starting parameters through a round view of their own.
     Raises `InvariantError` when the curve rows' balances do not replay the
     settled payments.

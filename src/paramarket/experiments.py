@@ -12,20 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._blas import one_thread
 from .config import cell_config
-from .core import LabeledDataset, ParameterVector
-from .engine import (
-    MarketConfig,
-    MarketLog,
-    Policy,
-    PolicyKind,
-    build_market,
-    linear_market,
-    linear_models,
-    run_prepared_simulation,
-)
-from .linear import LinearTask, synthesize_task
+from .engine import MarketConfig, MarketLog, Policy, PolicyKind, build_market, run_prepared_simulation
 
 __all__ = [
     "never_trade_variant",
@@ -44,20 +32,17 @@ def never_trade_variant(cfg: MarketConfig) -> MarketConfig:
     return replace(cfg, agents=agents, pricing=False)
 
 
-def _run_pair(cfg: MarketConfig, states: tuple, broker_engine) -> tuple:
-    # The twin runs on the market's own build; only its config's policies differ.
-    log = run_prepared_simulation(cfg, states, broker_engine)
-    twin = run_prepared_simulation(never_trade_variant(cfg), states, broker_engine)
-    return log, twin
-
-
 def run_with_twin(cfg: MarketConfig) -> tuple:
     """Run the market and its matched out-of-market twin on one market build.
 
     The logs equal those of ``run_simulation(cfg)`` and
     ``run_simulation(never_trade_variant(cfg))``.
     """
-    return _run_pair(cfg, *build_market(cfg))
+    # The twin runs on the market's own build; only its config's policies differ.
+    states, broker_engine = build_market(cfg)
+    log = run_prepared_simulation(cfg, states, broker_engine)
+    twin = run_prepared_simulation(never_trade_variant(cfg), states, broker_engine)
+    return log, twin
 
 
 def relative_improvement(log: MarketLog, twin: MarketLog, metric: str = "broker_loss") -> dict:
@@ -99,37 +84,10 @@ class SweepResult:
         return list(cells.values())
 
 
-@one_thread()
-def _endowment_logs(cfg: MarketConfig, fraction: float) -> tuple:
-    """Market and twin over subsets of one shared data pool.
-
-    Each agent keeps ``fraction`` of a common pool (sampled without
-    replacement); at fraction 1 both agents hold identical information and
-    there is nothing to gain from trading.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    agents = tuple(sorted(cfg.agents, key=lambda a: a.agent_id))
-    dim = agents[0].dim
-    pool_n = max(a.n_samples for a in agents)
-    theta = ParameterVector(rng.standard_normal(dim))
-    noise = max(a.noise_variance for a in agents)
-    pool = synthesize_task(dim, pool_n, noise, theta, rng)
-    broker_task = synthesize_task(dim, cfg.broker.n_samples, cfg.broker.noise_variance, theta, rng)
-
-    k = max(1, int(round(fraction * pool_n)))
-    tasks = {}
-    for a in agents:
-        idx = np.sort(rng.choice(pool_n, size=k, replace=False))
-        tasks[a.agent_id] = LinearTask(LabeledDataset(pool.data.inputs[idx], pool.data.labels[idx]), theta)
-    models = linear_models(agents, tasks)
-    truths = {a.agent_id: theta for a in agents}
-    return _run_pair(cfg, *linear_market(cfg, agents, models, broker_task.data, truths))
-
-
 def _run_cell(args) -> SweepRow:
     base, axis, cell, value, seed = args
     cfg = replace(cell_config(base, axis, value), seed=seed)
-    log, twin = _endowment_logs(cfg, float(value)) if axis == "endowment" else run_with_twin(cfg)
+    log, twin = run_with_twin(cfg)
     improvement_broker = relative_improvement(log, twin, "broker_loss")
     return SweepRow(
         cell=cell,

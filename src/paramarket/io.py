@@ -185,6 +185,8 @@ def _config_echo(cfg: MarketConfig) -> dict:
             )
     if cfg.convergence_epsilon is not None:
         echo["convergence_epsilon"] = cfg.convergence_epsilon
+    if cfg.endowment is not None:
+        echo["endowment"] = cfg.endowment
     return echo
 
 

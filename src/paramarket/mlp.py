@@ -195,11 +195,17 @@ def mlp_loss_gradients(params: MlpParams, data: LabeledDataset):
 
 
 def mlp_gradient_step(params: MlpParams, data: LabeledDataset, step_size: float) -> MlpParams:
+    """One gradient-descent update; raises DivergenceError on non-finite stepped weights."""
     if not step_size > 0:
         raise ValueError(f"step size must be positive, got {step_size}")
-    d_ws, d_bs = mlp_loss_gradients(params, data)
-    ws = tuple(w - step_size * dw for w, dw in zip(params.weights, d_ws))
-    bs = tuple(b - step_size * db for b, db in zip(params.biases, d_bs))
+    # Pre-activations may overflow and still step to finite weights (a ReLU
+    # zeroes -inf); only non-finite stepped weights are a divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_ws, d_bs = mlp_loss_gradients(params, data)
+        ws = tuple(w - step_size * dw for w, dw in zip(params.weights, d_ws))
+        bs = tuple(b - step_size * db for b, db in zip(params.biases, d_bs))
+    if not all(np.isfinite(a).all() for a in ws + bs):
+        raise DivergenceError("gradient update produced non-finite weights")
     return MlpParams(ws, bs)
 
 

@@ -1,11 +1,15 @@
 """The one-thread BLAS pin around market builds and runs."""
 
+from dataclasses import replace
+
 import pytest
 
-from paramarket import _blas, engine, experiments
+from paramarket import _blas, engine
 from paramarket.broker import GainKind
+from paramarket.config import cell_config
 from paramarket.core import DivergenceError
 from paramarket.engine import AgentSpec, BrokerSpec, MarketConfig, run_simulation
+from paramarket.experiments import run_with_twin
 
 
 def small_cfg(step_size=None):
@@ -50,7 +54,8 @@ def spy(monkeypatch, module, name, read) -> list:
 
 
 def test_market_runs_at_one_thread_and_restores_the_callers_count(threads, monkeypatch):
-    built = spy(monkeypatch, engine, "linear_market", threads)
+    # The broker engine is built at the end of every linear build.
+    built = spy(monkeypatch, engine, "LinearBrokerEngine", threads)
     rounds = spy(monkeypatch, engine, "run_round", threads)
     run_simulation(small_cfg())
     ones = [1] * len(threads())
@@ -66,14 +71,26 @@ def test_divergence_restores_the_callers_count(threads, monkeypatch):
     assert set(threads()) == {2}
 
 
-def test_nested_pin_of_an_endowment_cell_restores_the_callers_count(threads, monkeypatch):
-    # The cell pins its build; each run inside it pins again. Between the
-    # market and its twin the outer pin still holds.
+def test_endowment_cell_builds_and_runs_at_one_thread(threads, monkeypatch):
+    # An endowment cell's agents share n and noise.
+    a, b = small_cfg().agents
+    cfg = cell_config(replace(small_cfg(), agents=(a, replace(b, n_samples=40, noise_variance=0.0))),
+                      "endowment", 0.5)
+    built = spy(monkeypatch, engine, "LinearBrokerEngine", threads)
     rounds = spy(monkeypatch, engine, "run_round", threads)
-    between = spy(monkeypatch, experiments, "never_trade_variant", threads)
-    experiments._run_cell((small_cfg(), "endowment", 0, 0.5, 11))
-    assert len(rounds) == 8 and all(set(seen) == {1} for seen in rounds + between)
-    assert set(threads()) == {2}
+    run_with_twin(cfg)
+    ones = [1] * len(threads())
+    assert built == [ones] and rounds == [ones] * 8
+    assert threads() == [2] * len(ones)
+
+
+def test_nested_pin_restores_the_callers_count(threads):
+    ones = [1] * len(threads())
+    with _blas.one_thread():
+        with _blas.one_thread():
+            assert threads() == ones
+        assert threads() == ones  # the inner pin gives back the outer one's count
+    assert threads() == [2] * len(ones)
 
 
 def test_missing_symbols_run_unpinned(threads, monkeypatch):

@@ -55,6 +55,9 @@ noise = 0.3
 n = 300
 """
 
+# An endowment cell's agents split one pool, so they share n and noise.
+POOLED = MINIMAL.replace("n = 20\nnoise = 0.3\n", "n = 40\n")
+
 # The neural market reads no linear-only key, so its fixture drops dim and noise.
 MINIMAL_MLP = (
     MINIMAL.replace("gain_kind = error-ratio", "gain_kind = loss-difference\nmodel = mlp")
@@ -535,24 +538,27 @@ class TestCli:
             (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 3 | x\n", "[sweep] values:"),
             (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 0\n", "[sweep] values:"),
             (MINIMAL + "\n[sweep]\naxis = start\nvalues = 0 | 5\n", "[sweep] values:"),
-            (MINIMAL + "\n[sweep]\naxis = endowment\nvalues = 0.5 | 0\n", "[sweep] values:"),
-            (MINIMAL + "\n[sweep]\naxis = endowment\nvalues = 1.5\n", "[sweep] values:"),
+            (POOLED + "\n[sweep]\naxis = endowment\nvalues = 0.5 | 0\n", "[sweep] values: cannot parse cell '0'"),
+            (POOLED + "\n[sweep]\naxis = endowment\nvalues = 1.5\n", "[sweep] values:"),
             (MINIMAL + "\n[sweep]\naxis = layers\nvalues = all\n", "[sweep] axis:"),
             (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 0 | 4\n", "[sweep] values:"),
             (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 2 | all | 2\n", "[sweep] values:"),
             (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 2,3 | 3,2\n", "[sweep] values:"),
             (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 0,1,2,3 | all\n", "[sweep] values:"),
             (MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 1 | 2,2\n", "[sweep] values:"),
-            (MINIMAL + "\n[sweep]\naxis = endowment\nvalues = 0.5 | 0.50\n", "[sweep] values:"),
+            (POOLED + "\n[sweep]\naxis = endowment\nvalues = 0.5 | 0.50\n", "[sweep] values: cell '0.50' repeats"),
             (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 2\nseed = 3\n", "[sweep] seed: unknown key"),
             (MINIMAL_MLP + "\n[sweep]\naxis = distance\nvalues = 0 | 0.5\n", "[sweep] axis:"),
             (MINIMAL_MLP + "\n[sweep]\naxis = endowment\nvalues = 0.5 | 1\n", "[sweep] axis:"),
             (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 2\nseeds = 0\n", "[sweep] seeds:"),
+            (MINIMAL + "\n[sweep]\naxis = endowment\nvalues = 0.5\n",
+             "[sweep] values: cannot parse cell '0.5': [agent b] n:"),
         ],
         ids=["unparsable", "non-numeric-cell", "zero-frequency", "zero-start", "zero-endowment",
              "endowment-above-one", "layers-on-linear", "layer-out-of-range", "repeated-layer-cell",
              "reordered-layer-cell", "all-as-a-list", "repeated-index-in-cell", "repeated-endowment",
-             "unknown-sweep-key", "distance-on-mlp", "endowment-on-mlp", "zero-seeds"],
+             "unknown-sweep-key", "distance-on-mlp", "endowment-on-mlp", "zero-seeds",
+             "unequal-endowment-agents"],
     )
     def test_invalid_sweep_exit_code_and_diagnostic(self, tmp_path, text, diagnostic):
         bad = tmp_path / "bad.cfg"
@@ -665,7 +671,7 @@ class TestCli:
         assert r.returncode in (0, 2, 3), r.stderr
         assert "Traceback" not in r.stderr
 
-    @pytest.mark.parametrize("model", ["linear", "mlp"])
+    @pytest.mark.parametrize("model", ["linear", "mlp", "mlp-step"])
     def test_divergence_exit_code(self, tmp_path, model):
         cfg = tmp_path / "div.cfg"
         # Both agents must blow up: a lone diverging agent gets rescued by
@@ -674,11 +680,16 @@ class TestCli:
             text = MINIMAL.replace("n = 40", "n = 40\nstep_size = 1e80").replace(
                 "n = 20", "n = 20\nstep_size = 1e80"
             )
-        else:
+        elif model == "mlp":
             # The nets stay finite, but the unit similarities of their
             # alignment in the first trading round (3) overflow.
             text = (CONFIGS / "mlp_subset_sweep.cfg").read_text(encoding="utf-8")
             text = text.replace("rounds = 25", "rounds = 3").replace("step_size = 0.5", "step_size = 1e20")
+        else:
+            # The first gradient step of a one-hidden-layer net overflows its weights.
+            text = (CONFIGS / "mlp_subset_sweep.cfg").read_text(encoding="utf-8")
+            text = (text.replace("rounds = 25", "rounds = 3").replace("step_size = 0.5", "step_size = 1e308")
+                    .replace("hidden = 16,16,16", "hidden = 4"))
         cfg.write_text(text, encoding="utf-8")
         # Non-finite intermediates are checked where they arise, without a numpy warning.
         with warnings.catch_warnings():
@@ -686,6 +697,20 @@ class TestCli:
             r = run_cli("simulate", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert r.returncode == 3, r.stderr
         assert "round" in r.stderr
+
+    def test_overflowing_neural_market_that_stays_finite_exits_0(self, tmp_path):
+        # Pre-activations overflow to -inf, the ReLU zeroes them and every
+        # loss stays finite: only non-finite losses count as divergence.
+        text = (CONFIGS / "mlp_subset_sweep.cfg").read_text(encoding="utf-8")
+        text = text.replace("rounds = 25", "rounds = 12").replace("step_size = 0.5", "step_size = 1e10")
+        text = text.replace("policy = trade-when-beneficial", "policy = never-trade")
+        cfg = tmp_path / "big_step.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = run_cli("simulate", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert "Warning" not in r.stderr
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_config_path_that_is_a_directory_exits_2(self, tmp_path, command):

@@ -132,14 +132,28 @@ class TestConfigValidation:
          ("agent b", "favored")),
         ("agents", (AgentSpec("a", 0, 50), AgentSpec("b", 0, 50, deprived_fraction=0.0)),
          ("agent b", "deprived_fraction")),
+        # An endowment cell's agents split one pool: one n, one noise, one truth.
+        (("endowment", "agents"), (0.5, (AgentSpec("a", 24, 100), AgentSpec("b", 24, 36))),
+         ("agent b", "n")),
+        (("endowment", "agents"), (0.5, (AgentSpec("a", 24, 100), AgentSpec("b", 24, 100, noise_variance=0.5))),
+         ("agent b", "noise")),
+        (("endowment", "gain_kind", "agents"),
+         (0.5, GainKind.LOSS_DIFFERENCE, (AgentSpec("a", 24, 100), AgentSpec("b", 24, 100, theta_offset=1.0))),
+         ("agent b", "theta_offset")),
+        ("endowment", 0.0, ("sweep", "values")),
+        ("endowment", 1.5, ("sweep", "values")),
+        ("endowment", math.nan, ("sweep", "values")),
+        ("endowment", 0.5, ("sweep", "axis")),
     ])
     def test_rule_names_the_key_at_construction(self, field, value, key):
         # A config built in code is checked like a file, under the file's key
-        # names; an mlp-only key is set on a neural market.
-        neural = key[0] == "mlp" or key[1] in ("favored", "deprived_fraction")
+        # names; an mlp-only key (and the linear-only endowment) is set on a
+        # neural market. A tuple of fields is set together.
+        neural = key[0] == "mlp" or key[1] in ("favored", "deprived_fraction", "axis")
         base = neural_cfg() if neural else linear_cfg()
+        changes = dict(zip(field, value)) if isinstance(field, tuple) else {field: value}
         with pytest.raises(ConfigError) as err:
-            dataclasses.replace(base, **{field: value})
+            dataclasses.replace(base, **changes)
         assert (err.value.section, err.value.key) == key
 
     def test_asynchronous_delay_parsing(self):

@@ -1,13 +1,16 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from paramarket.broker import GainKind
-from paramarket.config import ConfigError, load_config, load_sweep
+from paramarket.config import ConfigError, cell_config, load_config, load_sweep
 from paramarket.engine import (
     AgentSpec,
     BrokerSpec,
@@ -15,6 +18,7 @@ from paramarket.engine import (
     MlpMarketSpec,
     Policy,
     PolicyKind,
+    build_market,
     run_simulation,
 )
 from paramarket.experiments import (
@@ -125,6 +129,33 @@ class TestEndowmentSweep:
         full = np.mean([abs(r.improvement_error["a"]) for r in by_cell[1]])
         assert partial > 0.05
         assert full <= 1e-9  # identical information: zero improvement exactly
+
+    @given(
+        fraction=st.one_of(st.sampled_from([0.0, 1.0, -0.25, 1.25, math.nan, math.inf]),
+                           st.floats(-0.5, 1.5, allow_nan=False)),
+        seed=st.integers(0, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_cell_is_rejected_or_a_market_of_the_one_build_path(self, fraction, seed):
+        agents = tuple(AgentSpec(u, dim=6, n_samples=24, noise_variance=0.2) for u in "ab")
+        base = MarketConfig(seed=seed, rounds=6, gain_kind=GainKind.ERROR_RATIO, agents=agents,
+                            broker=BrokerSpec(n_samples=60), pricing=True)
+        try:
+            cfg = cell_config(base, "endowment", fraction)
+        except ConfigError as err:
+            assert (err.section, err.key) == ("sweep", "values")
+            assert not 0 < fraction <= 1
+            return
+        (log, twin), again = run_with_twin(cfg), run_with_twin(cfg)
+        for first, rerun in zip((log, twin), again):
+            assert trades_csv(first).encode() == trades_csv(rerun).encode()
+            assert curves_csv(first).encode() == curves_csv(rerun).encode()
+        assert not twin.trades
+        assert all(0 < r.merge_weight <= 1 for r in log.trades)
+        if fraction == 1:
+            tasks = [s.model.task.data for s in build_market(cfg)[0]]
+            for t in tasks[1:]:
+                assert np.array_equal(t.inputs, tasks[0].inputs) and np.array_equal(t.labels, tasks[0].labels)
 
     def test_fraction_validation(self):
         spec = load_sweep(CONFIGS / "endowment_sweep.cfg")

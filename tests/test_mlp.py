@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from paramarket import mlp
 from paramarket.broker import WEIGHT_FLOOR
-from paramarket.core import DimensionMismatchError, LabeledDataset
+from paramarket.core import DimensionMismatchError, DivergenceError, LabeledDataset
 from paramarket.mlp import (
     LayerPermutations,
     MlpParams,
@@ -18,6 +19,7 @@ from paramarket.mlp import (
     merge_path_loss,
     mlp_forward,
     mlp_forward_loss,
+    mlp_gradient_step,
     mlp_loss_gradients,
     subset_merge,
     two_moons,
@@ -94,6 +96,17 @@ class TestForwardLoss:
                 mlp_forward_loss(unflatten(up, sizes), data) - mlp_forward_loss(unflatten(down, sizes), data)
             ) / (2 * eps)
             assert analytic[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+    @pytest.mark.parametrize("scale, step_size", [(1e200, 0.1), (100.0, 1e308)])
+    def test_non_finite_step_is_a_divergence_without_a_warning(self, scale, step_size):
+        # Weights whose outputs overflow, and finite gradients that a huge step overflows.
+        net = random_net((2, 4, 2), 6)
+        big = MlpParams(tuple(w * scale for w in net.weights), net.biases)
+        data = two_moons(20, 0.1, np.random.default_rng(7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="non-finite weights"):
+                mlp_gradient_step(big, data, step_size)
 
 
 class TestFlatten:

@@ -126,11 +126,16 @@ def _checked_inputs(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def _chain(x: np.ndarray, weights, biases, n_relu: int) -> np.ndarray:
-    """Run consecutive layers over ``x``; the first ``n_relu`` outputs pass a ReLU."""
+    """Run consecutive layers over ``x``; the first ``n_relu`` outputs pass a ReLU.
+
+    Each layer's product is a fresh array, so its bias and ReLU are applied in
+    place. With no layers ``x`` itself comes back, and nothing writes to it.
+    """
     for i, (w, b) in enumerate(zip(weights, biases)):
-        x = x @ w.T + b
+        x = x @ w.T
+        x += b
         if i < n_relu:
-            x = np.maximum(x, 0.0)
+            np.maximum(x, 0.0, out=x)
     return x
 
 
@@ -140,12 +145,23 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     return _chain(x, params.weights, params.biases, params.n_layers - 1)
 
 
-def _softmax_log(z: np.ndarray) -> np.ndarray:
-    # The row maximum folded over the few output columns: max is exact, so this
-    # equals z.max(axis=1) bit for bit without the cost of a row reduction. The
-    # sum stays a row reduction, which a column fold matches only below 8 columns.
+def _shifted_log_sum_exp(z: np.ndarray) -> tuple:
+    """``z`` shifted by its row maxima, and the log of each shifted row's exp sum.
+
+    The maximum is a fold over the output columns, which equals the row
+    reduction bit for bit at any width, since max is exact. The sum is such a
+    fold only below 8 columns, where it too equals the row reduction.
+    """
     z = z - functools.reduce(np.maximum, z.T)[:, None]
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    e = np.exp(z)
+    sums = functools.reduce(np.add, e.T) if z.shape[1] < 8 else e.sum(axis=1)
+    return z, np.log(sums)
+
+
+def _softmax_log(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of ``z``, the formula `_output_loss` scores with."""
+    z, lse = _shifted_log_sum_exp(z)
+    return z - lse[:, None]
 
 
 def mlp_forward_loss(params: MlpParams, data: LabeledDataset) -> float:
@@ -155,21 +171,26 @@ def mlp_forward_loss(params: MlpParams, data: LabeledDataset) -> float:
 
 
 def _loss_targets(labels: np.ndarray, n_out: int) -> np.ndarray:
-    """The labels `_output_loss` scores against, checked against ``n_out`` output units."""
+    """Flat index of each row's class in (n, ``n_out``) outputs; labels must be integer classes."""
     classes = labels.astype(np.intp)
-    if classes.min() < 0 or classes.max() >= n_out:
-        raise ValueError(f"class labels must lie in [0, {n_out - 1}]")
-    return classes
+    if classes.min() < 0 or classes.max() >= n_out or (classes != labels).any():
+        raise ValueError(f"class labels must be integers in [0, {n_out - 1}]")
+    return np.arange(len(classes)) * n_out + classes
 
 
 def _output_loss(out: np.ndarray, targets: np.ndarray) -> float:
-    logp = _softmax_log(out)
-    return float(-logp[np.arange(len(targets)), targets].mean())
+    """Mean of ``-_softmax_log(out)`` at the `_loss_targets` index, bit for bit, formed
+    at the targets only: each one's shifted logit minus its row's log-sum-exp."""
+    z, lse = _shifted_log_sum_exp(out)
+    picked = np.take(z, targets)
+    picked -= lse
+    return float(-picked.mean())
 
 
 def mlp_loss_gradients(params: MlpParams, data: LabeledDataset):
     """Backpropagated gradients of `mlp_forward_loss`: (dWs, dbs) lists."""
-    x = data.inputs
+    x = _checked_inputs(params, data.inputs)
+    targets = _loss_targets(data.labels, params.layer_sizes[-1])
     acts = [x]
     pre = []
     h = x
@@ -181,7 +202,7 @@ def mlp_loss_gradients(params: MlpParams, data: LabeledDataset):
     out = acts[-1]
     n = x.shape[0]
     p = np.exp(_softmax_log(out))
-    p[np.arange(n), data.labels.astype(np.intp)] -= 1.0
+    p.flat[targets] -= 1.0
     d_ws, d_bs = [], []
     delta = p / n
     for i in range(params.n_layers - 1, -1, -1):
@@ -352,14 +373,16 @@ def merge_path_loss(
     and raising the same errors. Everything that does not depend on the
     weight is done once: the architecture, layer-set, input and label checks,
     the forward pass through the buyer layers before the first merged one,
-    and packing each net's merged weights and biases into one flat array.
+    packing each net's merged weights and biases into one flat array, and the
+    layer lists, whose merged layers are views into one blend buffer.
 
-    Each call blends the two flat arrays in one pass, checks them with one
-    finiteness test and runs the layers from the first merged one, reading
-    the merged layers as reshaped slices. The blend is elementwise, so every
-    entry gets the same two products and sum as in a per-layer blend. Only
-    when the finiteness test fails are the layers checked one by one, which
-    raises the per-layer error for the first bad layer.
+    Each call rewrites that buffer in place with the two products and the sum
+    of a per-layer blend, elementwise, so every entry gets the same bits. It
+    checks the buffer with one finiteness test and runs the layers from the
+    first merged one. Only when the finiteness test fails are the layers
+    checked one by one, which raises the per-layer error for the first bad
+    layer. The closure owns its buffer: it is not re-entrant, and no view of
+    the buffer leaves it (`subset_merge` builds the merge that is shipped).
     """
     layers = _merge_layers(buyer, seller_aligned, layer_set)
     x = _checked_inputs(buyer, data.inputs)
@@ -371,22 +394,22 @@ def merge_path_loss(
         np.concatenate([a for i in layers for a in (net.weights[i].ravel(), net.biases[i])])
         for net in (buyer, seller_aligned)
     )
-    spans, end = [], 0  # layer i: weights at flat[start:mid], bias at flat[mid:end]
+    blend, seller_part = np.empty((2, flat_b.size))  # the blend, and the seller's product
+    ws, bs = list(buyer.weights[first:]), list(buyer.biases[first:])
+    end = 0  # layer i: weights at blend[start:mid], bias at blend[mid:end]
     for i in layers:
         start, mid = end, end + buyer.weights[i].size
         end = mid + buyer.biases[i].size
-        spans.append((i, buyer.weights[i].shape, start, mid, end))
+        ws[i - first], bs[i - first] = blend[start:mid].reshape(buyer.weights[i].shape), blend[mid:end]
 
     def loss_at(weight: float) -> float:
         _check_weight(weight)
-        flat = (1.0 - weight) * flat_b + weight * flat_s
-        merged = [(i, flat[start:mid].reshape(shape), flat[mid:end]) for i, shape, start, mid, end in spans]
-        if not np.isfinite(flat).all():
-            for i, w, b in merged:
-                _check_finite(i, w, b)
-        ws, bs = list(buyer.weights[first:]), list(buyer.biases[first:])
-        for i, w, b in merged:
-            ws[i - first], bs[i - first] = w, b
+        np.multiply(flat_b, 1.0 - weight, out=blend)
+        np.multiply(flat_s, weight, out=seller_part)
+        np.add(blend, seller_part, out=blend)
+        if not np.isfinite(blend).all():
+            for i in layers:
+                _check_finite(i, ws[i - first], bs[i - first])
         return _output_loss(_chain(head, ws, bs, n_relu), targets)
 
     return loss_at

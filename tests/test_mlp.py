@@ -1,4 +1,5 @@
 import itertools
+import struct
 import warnings
 
 import numpy as np
@@ -69,6 +70,8 @@ class TestForwardLoss:
         data = LabeledDataset(np.ones((2, 2)), np.zeros(2))
         with pytest.raises(DimensionMismatchError):
             mlp_forward_loss(net, data)
+        with pytest.raises(DimensionMismatchError):
+            mlp_loss_gradients(net, data)
 
     def test_log_softmax_equals_the_row_reduction_version(self):
         rng = np.random.default_rng(30)
@@ -78,6 +81,32 @@ class TestForwardLoss:
             want = z - z.max(axis=1, keepdims=True)
             want = want - np.log(np.exp(want).sum(axis=1, keepdims=True))
             np.testing.assert_array_equal(mlp._softmax_log(z), want)
+
+    def test_loss_is_the_mean_target_log_softmax(self):
+        # A one-layer identity net outputs its inputs exactly, so the loss of
+        # any logit matrix, a 1e300 logit included, can be checked against the
+        # target entries of the full log-softmax matrix, averaged. The mean of
+        # many rows hides a one-ulp change in a row's log-sum-exp, so every
+        # row is also scored on its own.
+        rng = np.random.default_rng(31)
+        for n_out in range(1, 13):
+            z = rng.standard_normal((40, n_out)) * 10.0 ** rng.integers(-3, 4, (40, 1))
+            z[0, -1] = 1e300
+            labels = rng.integers(0, n_out, 40)
+            net = MlpParams((np.eye(n_out),), (np.zeros(n_out),))
+            np.testing.assert_array_equal(mlp_forward(net, z), z)
+            for rows in [slice(None)] + [slice(r, r + 1) for r in range(40)]:
+                data = LabeledDataset(z[rows], labels[rows].astype(float))
+                want = float(-mlp._softmax_log(z[rows])[np.arange(data.n_samples), labels[rows]].mean())
+                assert struct.pack("<d", mlp_forward_loss(net, data)) == struct.pack("<d", want), (n_out, rows)
+
+    @pytest.mark.parametrize("label", [-1.0, 0.5, 2.0])
+    def test_loss_and_gradients_reject_a_label_that_is_not_a_class(self, label):
+        net = random_net((2, 4, 2), 8)
+        data = LabeledDataset(np.ones((3, 2)), np.array([0.0, 1.0, label]))
+        for score in (mlp_forward_loss, mlp_loss_gradients, lambda p, d: merge_path_loss(p, p, (0,), d)):
+            with pytest.raises(ValueError, match=r"class labels must be integers in \[0, 1\]"):
+                score(net, data)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -479,6 +508,44 @@ class TestMergePathLoss:
         for b, s, layers, d, w in cases:
             expected = self.raised(lambda: mlp_forward_loss(subset_merge(b, s, layers, w), d))
             assert self.raised(lambda: merge_path_loss(b, s, layers, d)(w)) == expected
+
+
+def loss_outcome(fn):
+    """The bits of a loss, or the type and message of the error it raised."""
+    try:
+        return struct.pack("<d", fn())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def merge_path_calls(draw):
+    # A buyer and seller of 0-3 hidden layers of width 1-5 and 1-12 outputs,
+    # two layer sets, and a call sequence over both closures: weights in
+    # (0, 1], some repeated, with invalid weights mixed in.
+    sizes = (draw(st.integers(1, 3)), *draw(st.lists(st.integers(1, 5), max_size=3)), draw(st.integers(1, 12)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    layer_sets = draw(st.lists(st.sets(st.integers(0, len(sizes) - 2), min_size=1), min_size=2, max_size=2))
+    valid = st.floats(0.0, 1.0, exclude_min=True)
+    pool = draw(st.lists(valid | st.sampled_from([0.0, -0.5, 1.5, float("nan")]), min_size=1, max_size=5))
+    calls = draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(pool)), min_size=1, max_size=12))
+    n = draw(st.integers(1, 30))
+    return sizes, seed, layer_sets, calls, n
+
+
+class TestMergePathLossProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(merge_path_calls())
+    def test_every_call_equals_the_loss_of_the_built_merge(self, case):
+        sizes, seed, layer_sets, calls, n = case
+        rng = np.random.default_rng(seed)
+        buyer, seller = (MlpParams.random_init(sizes, rng) for _ in range(2))
+        # The dataset's arrays are read-only, so a pass writing to its input raises.
+        data = LabeledDataset(rng.standard_normal((n, sizes[0])), rng.integers(0, sizes[-1], n).astype(float))
+        closures = [merge_path_loss(buyer, seller, layers, data) for layers in layer_sets]
+        for k, w in calls:
+            want = loss_outcome(lambda: mlp_forward_loss(subset_merge(buyer, seller, layer_sets[k], w), data))
+            assert loss_outcome(lambda: closures[k](w)) == want, (k, w)
 
 
 class TestTwoMoons:

@@ -27,6 +27,14 @@ the parsed configs alone:
     PYTHONPATH=src python scripts/output_digests.py mlp_subset_sweep
     PYTHONPATH=src python scripts/output_digests.py cli:
     PYTHONPATH=src python scripts/output_digests.py parsed:
+
+The bytes depend on the BLAS kernel and numpy's SIMD level, which can be
+forced for one process each. Compare two commits within one setting, never
+one setting against another:
+
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python scripts/output_digests.py
+    OPENBLAS_CORETYPE=Sandybridge PYTHONPATH=src python scripts/output_digests.py
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=src python scripts/output_digests.py
 """
 
 import contextlib

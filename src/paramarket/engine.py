@@ -377,6 +377,7 @@ class MlpModel:
 
     def __init__(self, data: LabeledDataset, step_size: float):
         self.data = data
+        self.scored = mlp_mod.ClassMajorSet(data, mlp_mod.MOONS_CLASSES)  # labels checked once
         self.step_size = step_size
 
     def step(self, params):
@@ -384,7 +385,7 @@ class MlpModel:
 
     def own_loss(self, params) -> float:
         with np.errstate(over="ignore", invalid="ignore"):  # `_end_round` checks it for finiteness
-            return mlp_mod.mlp_forward_loss(params, self.data)
+            return mlp_mod.mlp_forward_loss(params, self.scored)
 
     def est_error(self, params) -> float:
         return math.nan
@@ -477,7 +478,7 @@ class MlpBrokerEngine:
     """Broker over a held-out classification set for neural agents."""
 
     def __init__(self, data: LabeledDataset, layer_set: tuple | None):
-        self.data = data
+        self.scored = mlp_mod.ClassMajorSet(data, mlp_mod.MOONS_CLASSES)  # labels checked once
         self.layer_set = layer_set
         self.truth_loss = {}  # neural agents have no known true parameters
 
@@ -493,7 +494,7 @@ class MlpRoundView:
         # weight search. No such loss is logged: `_end_round` checks every
         # curve row's losses for finiteness.
         with np.errstate(over="ignore", invalid="ignore"):
-            self._dot_loss = {u: mlp_mod.mlp_forward_loss(p, engine.data) for u, p in dots.items()}
+            self._dot_loss = {u: mlp_mod.mlp_forward_loss(p, engine.scored) for u, p in dots.items()}
 
     def dot_loss(self, u: str) -> float:
         return self._dot_loss[u]
@@ -503,7 +504,7 @@ class MlpRoundView:
         perms = mlp_mod.weight_matching_alignment(self.dots[buyer], self.dots[seller])
         aligned = mlp_mod.apply_permutation(self.dots[seller], perms)
         layers = eng.layer_set or tuple(range(self.dots[buyer].n_layers))
-        loss_at = mlp_mod.merge_path_loss(self.dots[buyer], aligned, layers, eng.data)
+        loss_at = mlp_mod.merge_path_loss(self.dots[buyer], aligned, layers, eng.scored)
         with np.errstate(over="ignore", invalid="ignore"):
             weight, loss_after = optimize_merge_weight_searched(loss_at)
         return MergeProposal(

@@ -6,6 +6,11 @@ re-indexes the candidate's hidden units to match a reference via layer-wise
 weight matching: coordinate descent where each pass solves an exact linear
 assignment on inner-product similarities. Re-indexing never changes the
 function the net computes, which is what makes post-alignment merging safe.
+
+`mlp_forward`, `mlp_forward_loss` and `merge_path_loss` run one forward
+chain on class-major activations, (features, n) in and (classes, n) out,
+each layer a product ``w @ h`` of contiguous operands. Only the gradients
+run row-major.
 """
 
 import functools
@@ -19,6 +24,7 @@ from .core import DimensionMismatchError, DivergenceError, LabeledDataset, _chec
 __all__ = [
     "MlpParams",
     "LayerPermutations",
+    "ClassMajorSet",
     "mlp_forward",
     "mlp_forward_loss",
     "mlp_loss_gradients",
@@ -125,62 +131,97 @@ def _checked_inputs(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _chain(x: np.ndarray, weights, biases, n_relu: int) -> np.ndarray:
-    """Run consecutive layers over ``x``; the first ``n_relu`` outputs pass a ReLU.
+class ClassMajorSet:
+    """A labeled set in the forward chain's layout; raises ValueError unless
+    its labels are integer classes below ``n_classes``.
 
-    Each layer's product is a fresh array, so its bias and ReLU are applied in
-    place. With no layers ``x`` itself comes back, and nothing writes to it.
+    ``inputs`` is (features, n) and contiguous; ``targets[row]`` is the flat
+    index ``class * n + row`` of the row's class in (classes, n) outputs.
+    """
+
+    def __init__(self, data: LabeledDataset, n_classes: int):
+        self.inputs = _frozen(data.inputs.T, np.float64)
+        self.targets = _loss_targets(data.labels, n_classes)
+        self.n_classes = n_classes
+
+
+def _class_major(params: MlpParams, data: LabeledDataset | ClassMajorSet) -> ClassMajorSet:
+    """A `LabeledDataset` checked and laid out, or a `ClassMajorSet` matched to the net's widths."""
+    if not isinstance(data, ClassMajorSet):
+        _checked_inputs(params, data.inputs)
+        return ClassMajorSet(data, params.layer_sizes[-1])
+    sizes = params.layer_sizes[0], params.layer_sizes[-1]
+    if (data.inputs.shape[0], data.n_classes) != sizes:
+        raise DimensionMismatchError(sizes, (data.inputs.shape[0], data.n_classes), "input features, classes")
+    return data
+
+
+def _chain(h: np.ndarray, weights, biases, n_relu: int) -> np.ndarray:
+    """Run consecutive layers over class-major activations ``h``, (features, n);
+    the first ``n_relu`` outputs pass a ReLU.
+
+    Each layer is ``w @ h`` on two contiguous operands: the sums of the
+    row-major ``x @ w.T``, though on some kernels not bit for bit at every
+    row count (README). The product is fresh, so its bias and ReLU are
+    applied in place. With no layers ``h`` itself comes back, and nothing
+    writes to it.
     """
     for i, (w, b) in enumerate(zip(weights, biases)):
-        x = x @ w.T
-        x += b
+        h = w @ h
+        h += b[:, None]
         if i < n_relu:
-            np.maximum(x, 0.0, out=x)
-    return x
+            np.maximum(h, 0.0, out=h)
+    return h
 
 
 def mlp_forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
-    """Outputs of the net on a batch of row-vector inputs."""
+    """Outputs of the net on a batch of row-vector inputs, one row per input."""
     x = _checked_inputs(params, inputs)
-    return _chain(x, params.weights, params.biases, params.n_layers - 1)
+    return _chain(np.ascontiguousarray(x.T), params.weights, params.biases, params.n_layers - 1).T
 
 
 def _shifted_log_sum_exp(z: np.ndarray) -> tuple:
-    """``z`` shifted by its row maxima, and the log of each shifted row's exp sum.
+    """Class-major ``z`` (classes, n) shifted by each point's maximum, and the log of its exp sum.
 
-    The maximum is a fold over the output columns, which equals the row
-    reduction bit for bit at any width, since max is exact. The sum is such a
-    fold only below 8 columns, where it too equals the row reduction.
+    The maximum is a fold over the class rows, which equals the per-point
+    reduction bit for bit at any class count, since max is exact. The sum is
+    such a fold only below 8 classes; from 8 on, a fold is not the pairwise
+    sum, so each point's classes are summed as one contiguous row.
     """
-    z = z - functools.reduce(np.maximum, z.T)[:, None]
+    z = z - functools.reduce(np.maximum, z)
     e = np.exp(z)
-    sums = functools.reduce(np.add, e.T) if z.shape[1] < 8 else e.sum(axis=1)
+    sums = functools.reduce(np.add, e) if z.shape[0] < 8 else np.ascontiguousarray(e.T).sum(axis=1)
     return z, np.log(sums)
 
 
 def _softmax_log(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of ``z``, the formula `_output_loss` scores with."""
-    z, lse = _shifted_log_sum_exp(z)
-    return z - lse[:, None]
+    """Row-wise log-softmax of row-major ``z``, through its class-major view."""
+    s, lse = _shifted_log_sum_exp(z.T)
+    s -= lse
+    return np.ascontiguousarray(s.T)
 
 
-def mlp_forward_loss(params: MlpParams, data: LabeledDataset) -> float:
-    """Mean softmax cross-entropy of the net against integer class labels."""
-    out = mlp_forward(params, data.inputs)
-    return _output_loss(out, _loss_targets(data.labels, out.shape[1]))
+def mlp_forward_loss(params: MlpParams, data: LabeledDataset | ClassMajorSet) -> float:
+    """Mean softmax cross-entropy of the net against integer class labels.
+
+    ``data`` is a `LabeledDataset`, checked on every call, or a `ClassMajorSet`.
+    """
+    s = _class_major(params, data)
+    return _output_loss(_chain(s.inputs, params.weights, params.biases, params.n_layers - 1), s.targets)
 
 
 def _loss_targets(labels: np.ndarray, n_out: int) -> np.ndarray:
-    """Flat index of each row's class in (n, ``n_out``) outputs; labels must be integer classes."""
+    """Flat index of each row's class in (``n_out``, n) outputs; labels must be integer classes."""
     classes = labels.astype(np.intp)
     if classes.min() < 0 or classes.max() >= n_out or (classes != labels).any():
         raise ValueError(f"class labels must be integers in [0, {n_out - 1}]")
-    return np.arange(len(classes)) * n_out + classes
+    return classes * len(classes) + np.arange(len(classes))
 
 
 def _output_loss(out: np.ndarray, targets: np.ndarray) -> float:
-    """Mean of ``-_softmax_log(out)`` at the `_loss_targets` index, bit for bit, formed
-    at the targets only: each one's shifted logit minus its row's log-sum-exp."""
+    """Mean of ``-_softmax_log(out.T)`` at each row's class, bit for bit, from the
+    chain's (classes, n) ``out``: each point's shifted target logit minus its
+    log-sum-exp, gathered at the `_loss_targets` index in row order."""
     z, lse = _shifted_log_sum_exp(out)
     picked = np.take(z, targets)
     picked -= lse
@@ -188,7 +229,7 @@ def _output_loss(out: np.ndarray, targets: np.ndarray) -> float:
 
 
 def mlp_loss_gradients(params: MlpParams, data: LabeledDataset):
-    """Backpropagated gradients of `mlp_forward_loss`: (dWs, dbs) lists."""
+    """Backpropagated gradients of `mlp_forward_loss`, by a row-major pass: (dWs, dbs) lists."""
     x = _checked_inputs(params, data.inputs)
     targets = _loss_targets(data.labels, params.layer_sizes[-1])
     acts = [x]
@@ -202,7 +243,7 @@ def mlp_loss_gradients(params: MlpParams, data: LabeledDataset):
     out = acts[-1]
     n = x.shape[0]
     p = np.exp(_softmax_log(out))
-    p.flat[targets] -= 1.0
+    p.T.flat[targets] -= 1.0
     d_ws, d_bs = [], []
     delta = p / n
     for i in range(params.n_layers - 1, -1, -1):
@@ -356,7 +397,8 @@ def subset_merge(
     _check_weight(weight)
     ws, bs = list(buyer.weights), list(buyer.biases)
     for i in layers:
-        ws[i], bs[i] = _blend(buyer, seller_aligned, i, weight)
+        ws[i] = (1.0 - weight) * buyer.weights[i] + weight * seller_aligned.weights[i]
+        bs[i] = (1.0 - weight) * buyer.biases[i] + weight * seller_aligned.biases[i]
     return MlpParams(tuple(ws), tuple(bs))
 
 
@@ -364,31 +406,32 @@ def merge_path_loss(
     buyer: MlpParams,
     seller_aligned: MlpParams,
     layer_set,
-    data: LabeledDataset,
+    data: LabeledDataset | ClassMajorSet,
 ):
     """Loss along a subset merge path, scored without building merged nets.
 
     Returns ``loss_at(weight)``, equal bit for bit to ``mlp_forward_loss(
     subset_merge(buyer, seller_aligned, layer_set, weight), data)``
-    and raising the same errors. Everything that does not depend on the
-    weight is done once: the architecture, layer-set, input and label checks,
-    the forward pass through the buyer layers before the first merged one,
-    packing each net's merged weights and biases into one flat array, and the
-    layer lists, whose merged layers are views into one blend buffer.
+    and raising the same errors; ``data`` is as for `mlp_forward_loss`.
+    Everything that does not depend on the weight is done once: the
+    architecture, layer-set, input and label checks, the class-major forward
+    chain through the buyer layers before the first merged one, packing each
+    net's merged weights and biases into one flat array, and the layer
+    lists, whose merged layers are views into one blend buffer.
 
     Each call rewrites that buffer in place with the two products and the sum
-    of a per-layer blend, elementwise, so every entry gets the same bits. It
-    checks the buffer with one finiteness test and runs the layers from the
-    first merged one. Only when the finiteness test fails are the layers
+    of `subset_merge`'s blend, elementwise, so every entry gets the same
+    bits. It checks the buffer with one finiteness test and runs the chain of
+    `mlp_forward_loss` from the first merged layer on, so the bits match on
+    any BLAS kernel. Only when the finiteness test fails are the layers
     checked one by one, which raises the per-layer error for the first bad
     layer. The closure owns its buffer: it is not re-entrant, and no view of
     the buffer leaves it (`subset_merge` builds the merge that is shipped).
     """
     layers = _merge_layers(buyer, seller_aligned, layer_set)
-    x = _checked_inputs(buyer, data.inputs)
-    targets = _loss_targets(data.labels, buyer.layer_sizes[-1])
+    scored = _class_major(buyer, data)
     first = layers[0]
-    head = _chain(x, buyer.weights[:first], buyer.biases[:first], first)
+    head = _chain(scored.inputs, buyer.weights[:first], buyer.biases[:first], first)
     n_relu = buyer.n_layers - 1 - first
     flat_b, flat_s = (
         np.concatenate([a for i in layers for a in (net.weights[i].ravel(), net.biases[i])])
@@ -410,7 +453,7 @@ def merge_path_loss(
         if not np.isfinite(blend).all():
             for i in layers:
                 _check_finite(i, ws[i - first], bs[i - first])
-        return _output_loss(_chain(head, ws, bs, n_relu), targets)
+        return _output_loss(_chain(head, ws, bs, n_relu), scored.targets)
 
     return loss_at
 
@@ -427,14 +470,6 @@ def _merge_layers(buyer: MlpParams, seller_aligned: MlpParams, layer_set) -> lis
     if layers[0] < 0 or layers[-1] >= buyer.n_layers:
         raise ValueError(f"layer indices {layers} out of range for {buyer.n_layers} layers")
     return layers
-
-
-def _blend(buyer: MlpParams, seller_aligned: MlpParams, i: int, weight: float) -> tuple:
-    """Layer ``i``'s weight matrix and bias at ``weight`` along the merge path."""
-    return (
-        (1.0 - weight) * buyer.weights[i] + weight * seller_aligned.weights[i],
-        (1.0 - weight) * buyer.biases[i] + weight * seller_aligned.biases[i],
-    )
 
 
 def two_moons(n: int, noise: float, rng: np.random.Generator) -> LabeledDataset:

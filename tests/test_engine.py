@@ -461,7 +461,7 @@ class TestMlpRoundView:
         calls = []
 
         def forward_loss(params, data):
-            if data is engine.data:
+            if data is engine.scored:
                 calls.append(params)
             return mlp_forward_loss(params, data)
 

@@ -45,6 +45,15 @@ def nets_equal(a, b):
     )
 
 
+# Nets with hidden widths up to the bundled markets' 16 units. The tests
+# that draw them also draw up to 700 points, past the broker's 600: BLAS
+# kernels switch with the shape, so small shapes alone would not reach the
+# products markets run.
+net_sizes = st.tuples(
+    st.integers(1, 3), st.lists(st.integers(1, 16), max_size=3), st.integers(1, 12)
+).map(lambda t: (t[0], *t[1], t[2]))
+
+
 def reference_forward(net, x):
     # Deliberately slow per-sample, per-unit evaluation.
     outputs = []
@@ -82,6 +91,17 @@ class TestForwardLoss:
             want = want - np.log(np.exp(want).sum(axis=1, keepdims=True))
             np.testing.assert_array_equal(mlp._softmax_log(z), want)
 
+    def test_log_sum_exp_of_class_major_outputs_is_the_row_reduction(self):
+        # The chain's outputs are (classes, n) and contiguous. A loss over
+        # many points averages away a one-ulp change in one point's
+        # log-sum-exp, so each point's value is checked here.
+        rng = np.random.default_rng(32)
+        for n_out in range(1, 13):
+            z = rng.standard_normal((40, n_out)) * 10.0 ** rng.integers(-3, 4, (40, 1))
+            shifted = z - z.max(axis=1, keepdims=True)
+            _, lse = mlp._shifted_log_sum_exp(np.ascontiguousarray(z.T))
+            np.testing.assert_array_equal(lse, np.log(np.exp(shifted).sum(axis=1)))
+
     def test_loss_is_the_mean_target_log_softmax(self):
         # A one-layer identity net outputs its inputs exactly, so the loss of
         # any logit matrix, a 1e300 logit included, can be checked against the
@@ -99,6 +119,37 @@ class TestForwardLoss:
                 data = LabeledDataset(z[rows], labels[rows].astype(float))
                 want = float(-mlp._softmax_log(z[rows])[np.arange(data.n_samples), labels[rows]].mean())
                 assert struct.pack("<d", mlp_forward_loss(net, data)) == struct.pack("<d", want), (n_out, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(net_sizes, st.integers(1, 700), st.integers(0, 2**32 - 1))
+    def test_forward_matches_the_row_major_products(self, sizes, n, seed):
+        # The class-major chain forms the sums of the row-major x @ w.T. Each
+        # output is within 1e-12 of the size of its terms, which a pass on
+        # absolute values bounds, so a sum that cancels is still checked.
+        rng = np.random.default_rng(seed)
+        net = MlpParams.random_init(sizes, rng)
+        x = rng.standard_normal((n, sizes[0]))
+        want, size = x, np.abs(x)
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            want, size = want @ w.T + b, size @ np.abs(w).T + np.abs(b)
+            if i < net.n_layers - 1:
+                want = np.maximum(want, 0.0)
+        got = mlp_forward(net, x)
+        assert got.shape == (n, sizes[-1])
+        assert np.all(np.abs(got - want) <= 1e-12 * size)
+
+    def test_class_major_set_is_checked_once_and_matched_to_the_net(self):
+        net = random_net((2, 4, 3), 9)
+        data = LabeledDataset(np.ones((3, 2)), np.array([0.0, 2.0, 1.0]))
+        scored = mlp.ClassMajorSet(data, 3)
+        assert struct.pack("<d", mlp_forward_loss(net, scored)) == struct.pack("<d", mlp_forward_loss(net, data))
+        with pytest.raises(ValueError, match=r"class labels must be integers in \[0, 1\]"):
+            mlp.ClassMajorSet(data, 2)
+        for other in (random_net((3, 4, 3), 9), random_net((2, 4, 4), 9)):
+            with pytest.raises(DimensionMismatchError):
+                mlp_forward_loss(other, scored)
+            with pytest.raises(DimensionMismatchError):
+                merge_path_loss(other, other, (0,), scored)
 
     @pytest.mark.parametrize("label", [-1.0, 0.5, 2.0])
     def test_loss_and_gradients_reject_a_label_that_is_not_a_class(self, label):
@@ -520,16 +571,17 @@ def loss_outcome(fn):
 
 @st.composite
 def merge_path_calls(draw):
-    # A buyer and seller of 0-3 hidden layers of width 1-5 and 1-12 outputs,
-    # two layer sets, and a call sequence over both closures: weights in
-    # (0, 1], some repeated, with invalid weights mixed in.
-    sizes = (draw(st.integers(1, 3)), *draw(st.lists(st.integers(1, 5), max_size=3)), draw(st.integers(1, 12)))
+    # A buyer and seller of 0-3 hidden layers of width 1-16 and 1-12 outputs,
+    # 1-700 points (often the broker's 600), two layer sets, and a call
+    # sequence over both closures: weights in (0, 1], some repeated, with
+    # invalid weights mixed in.
+    sizes = draw(net_sizes)
     seed = draw(st.integers(0, 2**32 - 1))
     layer_sets = draw(st.lists(st.sets(st.integers(0, len(sizes) - 2), min_size=1), min_size=2, max_size=2))
     valid = st.floats(0.0, 1.0, exclude_min=True)
     pool = draw(st.lists(valid | st.sampled_from([0.0, -0.5, 1.5, float("nan")]), min_size=1, max_size=5))
     calls = draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(pool)), min_size=1, max_size=12))
-    n = draw(st.integers(1, 30))
+    n = draw(st.just(600) | st.integers(1, 700))
     return sizes, seed, layer_sets, calls, n
 
 
@@ -542,7 +594,9 @@ class TestMergePathLossProperty:
         buyer, seller = (MlpParams.random_init(sizes, rng) for _ in range(2))
         # The dataset's arrays are read-only, so a pass writing to its input raises.
         data = LabeledDataset(rng.standard_normal((n, sizes[0])), rng.integers(0, sizes[-1], n).astype(float))
-        closures = [merge_path_loss(buyer, seller, layers, data) for layers in layer_sets]
+        # The second closure scores the same points laid out once, as markets do.
+        scored = [data, mlp.ClassMajorSet(data, sizes[-1])]
+        closures = [merge_path_loss(buyer, seller, layers, d) for layers, d in zip(layer_sets, scored)]
         for k, w in calls:
             want = loss_outcome(lambda: mlp_forward_loss(subset_merge(buyer, seller, layer_sets[k], w), data))
             assert loss_outcome(lambda: closures[k](w)) == want, (k, w)

@@ -4,7 +4,10 @@ It first prints, per bundled config, the digest of the ``repr`` of what the
 parser makes of it (a ``MarketConfig``, or a ``SweepSpec`` for a sweep
 config), under names such as ``parsed:paper_linear``. Then, for each
 bundled config (sweep configs contribute their base market), every layer
-set of the layer-subset sweep, every cell of the endowment sweep (as
+set of the layer-subset sweep, that sweep's base at 100 broker and 180
+agent rows (``mlp_subset_sweep@broker100``: 99 rows kept per agent, a row
+count at which a change of the forward layout changes bytes on some BLAS
+kernels), every cell of the endowment sweep (as
 ``cell_config`` makes it), two fedavg variants and two priced variants
 that ask the Myerson price (``pricing`` with ``seller_pricing = myerson``,
 ``three_agents`` with pricing on), runs the market and its never-trade twin
@@ -15,7 +18,7 @@ temporary directory (``sweep`` on each bundled sweep config with its seeds
 cut to 2, ``bounds-check --trials 2000`` and ``align-demo``) and prints the
 exit code and the digest of every file the command wrote, under names such
 as ``cli:sweep:endowment_sweep``. A refactor that must not change results
-gives identical output on both commits:
+gives identical output, 192 lines, on both commits:
 
     PYTHONPATH=src python scripts/output_digests.py > after.txt
 
@@ -64,6 +67,11 @@ def _markets():
         label = "all" if layer_set is None else ",".join(map(str, layer_set))
         mlp = replace(layers.base.mlp, layer_set=layer_set)
         yield f"mlp_subset_sweep[{label}]", replace(layers.base, mlp=mlp)
+    # A row count at which class-major and row-major products need not agree
+    # bit for bit, so a change of the forward layout shows in the bytes.
+    agents = tuple(replace(a, n_samples=180) for a in layers.base.agents)
+    broker = replace(layers.base.broker, n_samples=100)
+    yield "mlp_subset_sweep@broker100", replace(layers.base, agents=agents, broker=broker)
     endowment = load_sweep(str(CONFIGS / "endowment_sweep.cfg"))
     for fraction in endowment.values:
         yield f"endowment_sweep[{fraction}]", cell_config(endowment.base, "endowment", fraction)

@@ -24,11 +24,13 @@ the starting parameters in round 0, over the agents' post-step parameters
 after that. Every broker loss the market reports is read through a view, and
 every round ends in the same curve-row code. Every view offers ``dot_loss``
 (broker loss before a merge, computed once per agent per round) and
-``propose`` (the merge at the searched weight, or at a fixed one for fedavg). The linear view also offers
-``merged_loss`` along a merge, from cached residuals; the mlp view scores
-each searched weight on the merge path (``mlp.merge_path_loss``) and builds a
-network only for the merge it proposes. The ``MergeProposal`` a buyer settles
-on is the merge that ships: its ``merged`` parameters and
+``propose`` (the merge at the searched weight, or at a fixed one for
+fedavg). The linear view also offers ``merged_loss`` along a merge, from
+cached residuals; the mlp view scores each searched weight on the merge
+path (``mlp.merge_path_loss``) and builds a network only for the merge it
+proposes. Each neural agent's and the broker's data is one ``mlp.ClassMajorSet``,
+its labels checked when the market is built. The ``MergeProposal`` a buyer
+settles on is the merge that ships: its ``merged`` parameters and
 ``broker_loss_after`` become the agent's new state and curve row.
 """
 
@@ -112,12 +114,6 @@ class Policy:
 
     kind: PolicyKind
     delay: int = 0
-
-    def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError(f"delay must be non-negative, got {self.delay}")
-        if self.delay > 0 and self.kind is not PolicyKind.ASYNCHRONOUS:
-            raise ValueError("only the asynchronous policy takes a delay")
 
     @staticmethod
     def parse(text: str) -> "Policy":
@@ -241,6 +237,10 @@ class MarketConfig:
                 raise ConfigError(section, "n", f"must be >= {min_n}, got {a.n_samples}")
             if a.step_size is not None and not 0 < a.step_size < math.inf:
                 raise ConfigError(section, "step_size", f"must be auto or finite and > 0, got {a.step_size}")
+            if a.policy.delay < 0:
+                raise ConfigError(section, "policy", f"a delay must be >= 0, got {a.policy.delay}")
+            if a.policy.delay > 0 and a.policy.kind is not PolicyKind.ASYNCHRONOUS:
+                raise ConfigError(section, "policy", "only the asynchronous policy takes a delay")
             if mlp:
                 favored, classes = a.favored_classes, mlp_mod.MOONS_CLASSES
                 if len(set(favored)) < len(favored) or not all(0 <= c < classes for c in favored):
@@ -376,12 +376,11 @@ class MlpModel:
     """Per-agent training backend for a neural task."""
 
     def __init__(self, data: LabeledDataset, step_size: float):
-        self.data = data
         self.scored = mlp_mod.ClassMajorSet(data, mlp_mod.MOONS_CLASSES)  # labels checked once
         self.step_size = step_size
 
     def step(self, params):
-        return mlp_mod.mlp_gradient_step(params, self.data, self.step_size)
+        return mlp_mod.mlp_gradient_step(params, self.scored, self.step_size)
 
     def own_loss(self, params) -> float:
         with np.errstate(over="ignore", invalid="ignore"):  # `_end_round` checks it for finiteness

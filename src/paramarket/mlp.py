@@ -10,7 +10,8 @@ function the net computes, which is what makes post-alignment merging safe.
 `mlp_forward`, `mlp_forward_loss` and `merge_path_loss` run one forward
 chain on class-major activations, (features, n) in and (classes, n) out,
 each layer a product ``w @ h`` of contiguous operands. Only the gradients
-run row-major.
+run row-major. The loss, its gradients and the merge path take a labeled set
+as one `ClassMajorSet`, whose labels are checked once, when it is built.
 """
 
 import functools
@@ -124,32 +125,24 @@ class LayerPermutations:
         object.__setattr__(self, "perms", tuple(checked))
 
 
-def _checked_inputs(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if x.shape[1] != params.layer_sizes[0]:
-        raise DimensionMismatchError(params.layer_sizes[0], x.shape[1], "input features")
-    return x
-
-
 class ClassMajorSet:
-    """A labeled set in the forward chain's layout; raises ValueError unless
+    """A labeled set laid out for the net's passes; raises ValueError unless
     its labels are integer classes below ``n_classes``.
 
-    ``inputs`` is (features, n) and contiguous; ``targets[row]`` is the flat
+    ``rows`` is the dataset's own (n, features) inputs, read by the gradients,
+    ``inputs`` their contiguous (features, n) copy and ``targets[row]`` the flat
     index ``class * n + row`` of the row's class in (classes, n) outputs.
     """
 
     def __init__(self, data: LabeledDataset, n_classes: int):
+        self.rows = data.inputs
         self.inputs = _frozen(data.inputs.T, np.float64)
         self.targets = _loss_targets(data.labels, n_classes)
         self.n_classes = n_classes
 
 
-def _class_major(params: MlpParams, data: LabeledDataset | ClassMajorSet) -> ClassMajorSet:
-    """A `LabeledDataset` checked and laid out, or a `ClassMajorSet` matched to the net's widths."""
-    if not isinstance(data, ClassMajorSet):
-        _checked_inputs(params, data.inputs)
-        return ClassMajorSet(data, params.layer_sizes[-1])
+def _class_major(params: MlpParams, data: ClassMajorSet) -> ClassMajorSet:
+    """``data``, once its feature and class counts match the net's input and output widths."""
     sizes = params.layer_sizes[0], params.layer_sizes[-1]
     if (data.inputs.shape[0], data.n_classes) != sizes:
         raise DimensionMismatchError(sizes, (data.inputs.shape[0], data.n_classes), "input features, classes")
@@ -176,7 +169,9 @@ def _chain(h: np.ndarray, weights, biases, n_relu: int) -> np.ndarray:
 
 def mlp_forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     """Outputs of the net on a batch of row-vector inputs, one row per input."""
-    x = _checked_inputs(params, inputs)
+    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    if x.shape[1] != params.layer_sizes[0]:
+        raise DimensionMismatchError(params.layer_sizes[0], x.shape[1], "input features")
     return _chain(np.ascontiguousarray(x.T), params.weights, params.biases, params.n_layers - 1).T
 
 
@@ -201,11 +196,8 @@ def _softmax_log(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(s.T)
 
 
-def mlp_forward_loss(params: MlpParams, data: LabeledDataset | ClassMajorSet) -> float:
-    """Mean softmax cross-entropy of the net against integer class labels.
-
-    ``data`` is a `LabeledDataset`, checked on every call, or a `ClassMajorSet`.
-    """
+def mlp_forward_loss(params: MlpParams, data: ClassMajorSet) -> float:
+    """Mean softmax cross-entropy of the net against the set's class labels."""
     s = _class_major(params, data)
     return _output_loss(_chain(s.inputs, params.weights, params.biases, params.n_layers - 1), s.targets)
 
@@ -228,24 +220,20 @@ def _output_loss(out: np.ndarray, targets: np.ndarray) -> float:
     return float(-picked.mean())
 
 
-def mlp_loss_gradients(params: MlpParams, data: LabeledDataset):
+def mlp_loss_gradients(params: MlpParams, data: ClassMajorSet):
     """Backpropagated gradients of `mlp_forward_loss`, by a row-major pass: (dWs, dbs) lists."""
-    x = _checked_inputs(params, data.inputs)
-    targets = _loss_targets(data.labels, params.layer_sizes[-1])
-    acts = [x]
+    h = _class_major(params, data).rows
+    acts = [h]
     pre = []
-    h = x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w.T + b
         pre.append(z)
         h = np.maximum(z, 0.0) if i < params.n_layers - 1 else z
         acts.append(h)
-    out = acts[-1]
-    n = x.shape[0]
-    p = np.exp(_softmax_log(out))
-    p.T.flat[targets] -= 1.0
+    p = np.exp(_softmax_log(h))
+    p.T.flat[data.targets] -= 1.0
     d_ws, d_bs = [], []
-    delta = p / n
+    delta = p / len(p)
     for i in range(params.n_layers - 1, -1, -1):
         d_ws.append(delta.T @ acts[i])
         d_bs.append(delta.sum(axis=0))
@@ -256,7 +244,7 @@ def mlp_loss_gradients(params: MlpParams, data: LabeledDataset):
     return d_ws, d_bs
 
 
-def mlp_gradient_step(params: MlpParams, data: LabeledDataset, step_size: float) -> MlpParams:
+def mlp_gradient_step(params: MlpParams, data: ClassMajorSet, step_size: float) -> MlpParams:
     """One gradient-descent update; raises DivergenceError on non-finite stepped weights."""
     if not step_size > 0:
         raise ValueError(f"step size must be positive, got {step_size}")
@@ -406,15 +394,15 @@ def merge_path_loss(
     buyer: MlpParams,
     seller_aligned: MlpParams,
     layer_set,
-    data: LabeledDataset | ClassMajorSet,
+    data: ClassMajorSet,
 ):
     """Loss along a subset merge path, scored without building merged nets.
 
     Returns ``loss_at(weight)``, equal bit for bit to ``mlp_forward_loss(
     subset_merge(buyer, seller_aligned, layer_set, weight), data)``
-    and raising the same errors; ``data`` is as for `mlp_forward_loss`.
-    Everything that does not depend on the weight is done once: the
-    architecture, layer-set, input and label checks, the class-major forward
+    and raising the same errors. Everything that does not depend on the
+    weight is done once: the architecture, layer-set and width checks (the
+    set's labels were checked when it was built), the class-major forward
     chain through the buyer layers before the first merged one, packing each
     net's merged weights and biases into one flat array, and the layer
     lists, whose merged layers are views into one blend buffer.

@@ -85,7 +85,10 @@ def nash_price_difference(q: ValuationQuadruple) -> float:
     round settle; with truthful valuations it equals the difference of the
     two gains-from-trade.
     """
-    return 0.5 * (q.v_b_of_a + q.v_a_self - q.v_a_of_b - q.v_b_self)
+    delta = 0.5 * (q.v_b_of_a + q.v_a_self - q.v_a_of_b - q.v_b_self)
+    if math.isinf(delta):  # overflowed: halve each term first (not always: that rounds subnormal terms)
+        delta = 0.5 * q.v_b_of_a + 0.5 * q.v_a_self - 0.5 * q.v_a_of_b - 0.5 * q.v_b_self
+    return delta
 
 
 def cobb_douglas_revenue(q: ValuationQuadruple, delta_p: float) -> float:
@@ -128,7 +131,8 @@ def seller_virtual_valuation(gain_a: float, alpha: float, beta: float) -> float:
 def settle(buyer_valuation: float, seller_valuation: float) -> float | None:
     """Midpoint payment when the bid covers the ask; None when negotiation fails."""
     if buyer_valuation >= seller_valuation:
-        return 0.5 * (buyer_valuation + seller_valuation)
+        payment = 0.5 * (buyer_valuation + seller_valuation)  # on overflow, halves as in nash_price_difference
+        return payment if math.isfinite(payment) else 0.5 * buyer_valuation + 0.5 * seller_valuation
     return None
 
 

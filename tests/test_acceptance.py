@@ -34,6 +34,8 @@ from paramarket.experiments import (
 )
 from paramarket.io import curves_csv, trades_csv
 from paramarket.mlp import (
+    MOONS_CLASSES,
+    ClassMajorSet,
     LayerPermutations,
     MlpParams,
     apply_permutation,
@@ -242,7 +244,7 @@ def test_07_linear_decay_factor():
 def test_08_permuted_clone_alignment():
     rng = np.random.default_rng(8)
     sizes = (2, 16, 16, 16, 2)
-    data = two_moons(256, 0.15, rng)
+    data = ClassMajorSet(two_moons(256, 0.15, rng), MOONS_CLASSES)
     recovered = 0
     worst_dev = 0.0
     worst_loss_gap = 0.0

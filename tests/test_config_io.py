@@ -17,7 +17,7 @@ from paramarket import cli, engine
 from paramarket import io as io_mod
 from paramarket.broker import GainKind
 from paramarket.config import ConfigError, load_config, load_sweep, parse_config, parse_sweep
-from paramarket.engine import PolicyKind, run_simulation
+from paramarket.engine import AgentSpec, BrokerSpec, MarketConfig, MlpMarketSpec, Policy, PolicyKind, run_simulation
 from paramarket.experiments import layer_subset_table
 from paramarket.io import (
     CURVES_HEADER,
@@ -386,15 +386,92 @@ def _section_keys(text: str) -> dict:
     return keys
 
 
+# The keys of each section of README's schema.
+README_SCHEMA = _section_keys(
+    re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S).group(1)
+)
+
+
 def test_readme_schema_lists_the_keys_of_the_small_markets():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    documented = _section_keys(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
     used = {}
     for text in (SMALL_LINEAR, SMALL_MLP):
         for section, keys in _section_keys(text).items():
             used.setdefault(section, set()).update(keys)
     for section in ("market", "agent", "broker", "mlp"):
-        assert documented[section] == used[section], section
+        assert README_SCHEMA[section] == used[section], section
+
+
+MARKET_FIELDS = ("agents", "seed", "rounds", "gain_kind", "broker.n", "broker.noise", "trade_every",
+                 "trade_start", "pricing", "convergence_epsilon", "seller_pricing", "endowment", "hidden",
+                 "data_noise", "layer_set", "agent_id", "dim", "n", "noise", "policy", "step_size",
+                 "theta_offset", "favored", "deprived_fraction")
+
+
+@st.composite
+def market_fields(draw):
+    """`MarketConfig` fields: up to two (an agent field in any agent) drawn
+    beyond their README range, any float including nan and the infinities,
+    and every other one inside it."""
+    beyond = draw(st.sets(st.sampled_from(MARKET_FIELDS), max_size=2))
+
+    def pick(name, inside, outside):
+        return draw(outside if name in beyond else inside)
+
+    mlp, floats, dim = draw(st.booleans()), st.floats(), draw(st.integers(1, 4))
+    ids = ["a", "b", "c"][: pick("agents", st.integers(2, 3), st.integers(0, 1))]
+    kinds = [k for k in PolicyKind if k is not PolicyKind.FEDAVG]
+    agents = tuple(
+        AgentSpec(
+            agent_id=pick("agent_id", st.just(u), st.sampled_from(ids)),
+            dim=pick("dim", st.just(0 if mlp else dim), st.integers(-1, 4)),
+            n_samples=pick("n", st.integers(2, 40), st.integers(-2, 1)),
+            noise_variance=pick("noise", st.just(0.0) if mlp else st.floats(0.0, 2.0), floats),
+            policy=pick("policy", st.builds(Policy, st.sampled_from(kinds)),
+                        st.builds(Policy, st.sampled_from(PolicyKind), st.integers(-2, 3))),
+            step_size=pick("step_size", st.none() | st.floats(1e-3, 2.0), floats),
+            theta_offset=pick("theta_offset", st.just(0.0), floats),
+            favored_classes=pick("favored", st.lists(st.integers(0, 1), max_size=2, unique=True).map(tuple)
+                                 if mlp else st.just(()), st.lists(st.integers(-1, 3), max_size=3).map(tuple)),
+            deprived_fraction=pick("deprived_fraction", st.floats(0.01, 1.0) if mlp else st.just(1.0), floats),
+        )
+        for u in ids
+    )
+    spec = None
+    if mlp:
+        hidden = pick("hidden", st.lists(st.integers(1, 16), max_size=3), st.lists(st.integers(-1, 16), max_size=3))
+        layer_sets = st.lists(st.integers(0, len(hidden)), min_size=1, unique=True).map(tuple)
+        any_layers = st.lists(st.integers(-1, 5), max_size=4).map(tuple)
+        spec = MlpMarketSpec(tuple(hidden), pick("data_noise", st.floats(0.0, 1.0), floats),
+                             pick("layer_set", st.none() | layer_sets, any_layers))
+    counts = st.integers(1, 40), st.integers(-2, 0)
+    return dict(
+        seed=pick("seed", st.integers(0, 2**32), st.integers(-3, -1)),
+        rounds=pick("rounds", *counts),
+        gain_kind=pick("gain_kind", st.just(GainKind.LOSS_DIFFERENCE) if mlp else st.sampled_from(GainKind),
+                       st.sampled_from(GainKind)),
+        agents=agents,
+        broker=BrokerSpec(pick("broker.n", st.integers(3, 100), st.integers(-2, 2)),
+                          pick("broker.noise", st.just(0.0) if mlp else st.floats(0.0, 2.0), floats)),
+        trade_every=pick("trade_every", *counts),
+        trade_start=pick("trade_start", *counts),
+        pricing=pick("pricing", st.just(False), st.booleans()),
+        convergence_epsilon=pick("convergence_epsilon", st.none() | st.floats(1e-6, 1.0), floats),
+        mlp=spec,
+        seller_pricing=pick("seller_pricing", st.sampled_from(["myerson", "lower-bound"]), st.text(max_size=4)),
+        endowment=pick("endowment", st.none(), floats),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(market_fields())
+def test_market_config_constructs_or_names_a_documented_key(fields):
+    # Builds configs only; no market runs. An [agent <id>] key is checked
+    # against the schema's [agent a] keys.
+    try:
+        MarketConfig(**fields)
+    except ConfigError as err:
+        section = err.section.split(" ", 1)[0]
+        assert section in README_SCHEMA and err.key in README_SCHEMA[section] | {"-"}, err
 
 
 def _sizes_stay_small(raw: str) -> bool:
@@ -632,6 +709,7 @@ class TestCli:
             (MINIMAL, "rounds = 12", "rounds = 12\ninit = zeros", "[market] init: unknown key"),
             (MINIMAL_MLP, "n = 300", "n = 300\n\n[mlp]\nclasses = 2", "[mlp] classes: unknown key"),
             (MINIMAL_MLP, "n = 300", "n = 300\n\n[mlp]\nalign_sweeps = 10", "[mlp] align_sweeps: unknown key"),
+            (MINIMAL, "n = 40", "n = 40\npolicy = asynchronous:-1", "[agent a] policy: a delay must be >= 0"),
         ],
         ids=["seed-negative",
              "epsilon-zero", "epsilon-negative", "epsilon-inf", "offset-under-error-ratio",
@@ -644,7 +722,7 @@ class TestCli:
              "mlp-section-on-linear", "dim-on-mlp", "noise-on-mlp", "theta-offset-on-mlp",
              "broker-noise-on-mlp", "init-on-mlp", "loss-on-mlp", "favored-on-linear",
              "deprived-fraction-on-linear", "loss-on-linear", "init-on-linear", "classes-on-mlp",
-             "align-sweeps-on-mlp"],
+             "align-sweeps-on-mlp", "negative-delay"],
     )
     def test_invalid_market_or_agent_key_exit_code_and_diagnostic(
         self, tmp_path, base, old, new, diagnostic
@@ -791,6 +869,13 @@ class TestCli:
         )
         assert r.returncode == 0, r.stderr
         assert "nash_price_difference=1" in r.stdout
+
+    def test_price_near_the_float_maximum_stays_finite(self, tmp_path):
+        r = run_cli("price", "--va-self", "1e308", "--vb-of-a", "1e308", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == [
+            "nash_price_difference=1e+308", "surplus_product=0", "payment_for_a=1e+308", "payment_for_b=0",
+        ]
 
     def test_price_prior_line(self, tmp_path):
         r = run_cli("price", "--prior", "uniform:0,3", cwd=tmp_path)

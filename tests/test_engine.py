@@ -144,6 +144,8 @@ class TestConfigValidation:
         ("endowment", 1.5, ("sweep", "values")),
         ("endowment", math.nan, ("sweep", "values")),
         ("endowment", 0.5, ("sweep", "axis")),
+        ("agents", (AgentSpec("a", 24, 100), AgentSpec("b", 24, 36, policy=Policy(PolicyKind.ASYNCHRONOUS, -1))),
+         ("agent b", "policy")),
     ])
     def test_rule_names_the_key_at_construction(self, field, value, key):
         # A config built in code is checked like a file, under the file's key
@@ -159,8 +161,9 @@ class TestConfigValidation:
     def test_asynchronous_delay_parsing(self):
         p = Policy.parse("asynchronous:7")
         assert p.kind is PolicyKind.ASYNCHRONOUS and p.delay == 7
-        with pytest.raises(ValueError):
-            Policy(PolicyKind.ALWAYS_TRADE, delay=3)
+        # A policy is a plain record; the market that holds it checks its delay.
+        with pytest.raises(ConfigError, match=r"\[agent a\] policy: only the asynchronous policy takes a delay"):
+            linear_cfg(policies=(Policy(PolicyKind.ALWAYS_TRADE, delay=3), BENEFICIAL))
 
 
 class TestRoundSemantics:
@@ -473,6 +476,28 @@ class TestMlpRoundView:
         assert [(r.buyer, r.seller) for r in records] == [("a", "b"), ("b", "a")]
         assert len(calls) == 2
         assert len(rows) == 2
+
+    def test_labels_are_checked_once_per_dataset_per_build(self, monkeypatch):
+        # Each agent's set and the broker's are built once; no step, loss or
+        # merge search checks labels again.
+        from paramarket import mlp as mlp_mod
+
+        cfg = MarketConfig(
+            seed=3, rounds=4, gain_kind=GainKind.LOSS_DIFFERENCE,
+            agents=(AgentSpec("a", 0, 40), AgentSpec("b", 0, 40)),
+            broker=BrokerSpec(60), mlp=MlpMarketSpec(hidden=(4, 4)),
+        )
+        calls = []
+
+        def loss_targets(labels, n_out):
+            calls.append(len(labels))
+            return loss_targets_of(labels, n_out)
+
+        loss_targets_of = mlp_mod._loss_targets
+        monkeypatch.setattr(mlp_mod, "_loss_targets", loss_targets)
+        log, twin = run_with_twin(cfg)
+        assert sorted(calls) == [40, 40, 60]
+        assert len(log.trades) > 0
 
 
 class TestMarketOutcomes:

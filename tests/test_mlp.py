@@ -76,7 +76,7 @@ class TestForwardLoss:
 
     def test_dimension_mismatch(self):
         net = random_net((3, 4, 2), 3)
-        data = LabeledDataset(np.ones((2, 2)), np.zeros(2))
+        data = mlp.ClassMajorSet(LabeledDataset(np.ones((2, 2)), np.zeros(2)), 2)
         with pytest.raises(DimensionMismatchError):
             mlp_forward_loss(net, data)
         with pytest.raises(DimensionMismatchError):
@@ -116,8 +116,8 @@ class TestForwardLoss:
             net = MlpParams((np.eye(n_out),), (np.zeros(n_out),))
             np.testing.assert_array_equal(mlp_forward(net, z), z)
             for rows in [slice(None)] + [slice(r, r + 1) for r in range(40)]:
-                data = LabeledDataset(z[rows], labels[rows].astype(float))
-                want = float(-mlp._softmax_log(z[rows])[np.arange(data.n_samples), labels[rows]].mean())
+                data = mlp.ClassMajorSet(LabeledDataset(z[rows], labels[rows].astype(float)), n_out)
+                want = float(-mlp._softmax_log(z[rows])[np.arange(len(data.targets)), labels[rows]].mean())
                 assert struct.pack("<d", mlp_forward_loss(net, data)) == struct.pack("<d", want), (n_out, rows)
 
     @settings(max_examples=100, deadline=None)
@@ -142,7 +142,9 @@ class TestForwardLoss:
         net = random_net((2, 4, 3), 9)
         data = LabeledDataset(np.ones((3, 2)), np.array([0.0, 2.0, 1.0]))
         scored = mlp.ClassMajorSet(data, 3)
-        assert struct.pack("<d", mlp_forward_loss(net, scored)) == struct.pack("<d", mlp_forward_loss(net, data))
+        assert scored.rows is data.inputs  # the gradients read the dataset's own inputs
+        want = float(-mlp._softmax_log(mlp_forward(net, data.inputs))[np.arange(3), [0, 2, 1]].mean())
+        assert struct.pack("<d", mlp_forward_loss(net, scored)) == struct.pack("<d", want)
         with pytest.raises(ValueError, match=r"class labels must be integers in \[0, 1\]"):
             mlp.ClassMajorSet(data, 2)
         for other in (random_net((3, 4, 3), 9), random_net((2, 4, 4), 9)):
@@ -150,20 +152,23 @@ class TestForwardLoss:
                 mlp_forward_loss(other, scored)
             with pytest.raises(DimensionMismatchError):
                 merge_path_loss(other, other, (0,), scored)
+            with pytest.raises(DimensionMismatchError):
+                mlp_loss_gradients(other, scored)
+            with pytest.raises(DimensionMismatchError):
+                mlp_gradient_step(other, scored, 0.1)
 
     @pytest.mark.parametrize("label", [-1.0, 0.5, 2.0])
-    def test_loss_and_gradients_reject_a_label_that_is_not_a_class(self, label):
-        net = random_net((2, 4, 2), 8)
+    def test_set_rejects_a_label_that_is_not_a_class(self, label):
         data = LabeledDataset(np.ones((3, 2)), np.array([0.0, 1.0, label]))
-        for score in (mlp_forward_loss, mlp_loss_gradients, lambda p, d: merge_path_loss(p, p, (0,), d)):
-            with pytest.raises(ValueError, match=r"class labels must be integers in \[0, 1\]"):
-                score(net, data)
+        with pytest.raises(ValueError, match=r"class labels must be integers in \[0, 1\]"):
+            mlp.ClassMajorSet(data, 2)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
         sizes = (3, 6, 4)
         net = random_net(sizes, 5)
-        data = LabeledDataset(rng.standard_normal((12, 3)), rng.integers(0, 4, 12).astype(float))
+        x = rng.standard_normal((12, 3))
+        data = mlp.ClassMajorSet(LabeledDataset(x, rng.integers(0, 4, 12).astype(float)), 4)
         d_ws, d_bs = mlp_loss_gradients(net, data)
         analytic = np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in zip(d_ws, d_bs)])
         flat = flatten(net)
@@ -182,7 +187,7 @@ class TestForwardLoss:
         # Weights whose outputs overflow, and finite gradients that a huge step overflows.
         net = random_net((2, 4, 2), 6)
         big = MlpParams(tuple(w * scale for w in net.weights), net.biases)
-        data = two_moons(20, 0.1, np.random.default_rng(7))
+        data = mlp.ClassMajorSet(two_moons(20, 0.1, np.random.default_rng(7)), 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DivergenceError, match="non-finite weights"):
@@ -521,7 +526,8 @@ class TestMergePathLoss:
         rng = np.random.default_rng(40)
         x = rng.standard_normal((50, 2))
         labels = rng.integers(0, 3, 50)
-        return random_net(sizes, 41), random_net(sizes, 42), LabeledDataset(x, labels.astype(float))
+        data = mlp.ClassMajorSet(LabeledDataset(x, labels.astype(float)), 3)
+        return random_net(sizes, 41), random_net(sizes, 42), data
 
     def test_equals_loss_of_built_merge_bit_for_bit(self):
         buyer, seller, data = self.pair()
@@ -540,7 +546,8 @@ class TestMergePathLoss:
 
     def test_errors_match_the_built_merge(self):
         buyer, seller, data = self.pair()
-        narrow = LabeledDataset(np.ones((5, 3)), np.zeros(5))
+        narrow = mlp.ClassMajorSet(LabeledDataset(np.ones((5, 3)), np.zeros(5)), 3)
+        wide = mlp.ClassMajorSet(LabeledDataset(np.ones((5, 2)), np.zeros(5)), 4)
         # A blend of two validated nets stays finite, so the non-finite check
         # needs a seller whose arrays changed after validation.
         broken = random_net((2, 6, 5, 4, 3), 44)
@@ -552,8 +559,7 @@ class TestMergePathLoss:
             (buyer, seller, (-1, 2), data, 0.5),
             (buyer, random_net((2, 6, 5, 5, 3), 43), (3,), data, 0.5),
             (buyer, seller, (1,), narrow, 0.5),
-            (buyer, seller, (2,), LabeledDataset(data.inputs, data.labels + 1.0), 0.5),
-            (buyer, seller, (2,), LabeledDataset(data.inputs, data.labels - 1.0), 0.5),
+            (buyer, seller, (2,), wide, 0.5),
             (buyer, broken, (1, 2), data, 0.5),
         ]
         for b, s, layers, d, w in cases:
@@ -592,11 +598,10 @@ class TestMergePathLossProperty:
         sizes, seed, layer_sets, calls, n = case
         rng = np.random.default_rng(seed)
         buyer, seller = (MlpParams.random_init(sizes, rng) for _ in range(2))
-        # The dataset's arrays are read-only, so a pass writing to its input raises.
-        data = LabeledDataset(rng.standard_normal((n, sizes[0])), rng.integers(0, sizes[-1], n).astype(float))
-        # The second closure scores the same points laid out once, as markets do.
-        scored = [data, mlp.ClassMajorSet(data, sizes[-1])]
-        closures = [merge_path_loss(buyer, seller, layers, d) for layers, d in zip(layer_sets, scored)]
+        # The set's arrays are read-only, so a pass writing to its input raises.
+        x = rng.standard_normal((n, sizes[0]))
+        data = mlp.ClassMajorSet(LabeledDataset(x, rng.integers(0, sizes[-1], n).astype(float)), sizes[-1])
+        closures = [merge_path_loss(buyer, seller, layers, data) for layers in layer_sets]
         for k, w in calls:
             want = loss_outcome(lambda: mlp_forward_loss(subset_merge(buyer, seller, layer_sets[k], w), data))
             assert loss_outcome(lambda: closures[k](w)) == want, (k, w)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -152,6 +153,40 @@ class TestSettle:
             assert buyer < seller
         else:
             assert seller <= payment <= buyer
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestHalvedSums:
+    def test_valuations_near_the_float_maximum_settle_finite(self):
+        # Summed before halving, the two 1e308 terms overflowed to inf.
+        q = ValuationQuadruple(v_a_self=1e308, v_b_of_a=1e308, v_b_self=0.0, v_a_of_b=0.0)
+        delta = nash_price_difference(q)
+        assert delta == 1e308
+        assert cobb_douglas_revenue(q, delta) == 0.0
+        assert settle(1e308, 1e308) == 1e308
+        assert settle(0.0, 0.0) == 0.0
+        assert 1.6e308 <= settle(1.7e308, 1.6e308) <= 1.7e308
+
+    @settings(max_examples=500)
+    @given(finite_floats, finite_floats, finite_floats, finite_floats)
+    def test_the_sum_halved_whole_wherever_it_is_finite(self, va_self, vb_of_a, vb_self, va_of_b):
+        # Bit for bit the plain forms wherever those are finite, subnormal
+        # sums included (halving a subnormal term first can round it to 0);
+        # the sum of halves where they overflow.
+        q = ValuationQuadruple(v_a_self=va_self, v_b_of_a=vb_of_a, v_b_self=vb_self, v_a_of_b=va_of_b)
+        whole = 0.5 * (vb_of_a + va_self - va_of_b - vb_self)
+        halves = 0.5 * vb_of_a + 0.5 * va_self - 0.5 * va_of_b - 0.5 * vb_self
+        assert bits(nash_price_difference(q)) == bits(whole if math.isfinite(whole) else halves)
+        buyer, seller = max(vb_of_a, va_self), min(vb_of_a, va_self)
+        whole, halves = 0.5 * (buyer + seller), 0.5 * buyer + 0.5 * seller
+        assert bits(settle(buyer, seller)) == bits(whole if math.isfinite(whole) else halves)
+        assert seller <= settle(buyer, seller) <= buyer
 
 
 class TestQuote:

@@ -18,7 +18,9 @@ temporary directory (``sweep`` on each bundled sweep config with its seeds
 cut to 2, ``bounds-check --trials 2000`` and ``align-demo``) and prints the
 exit code and the digest of every file the command wrote, under names such
 as ``cli:sweep:endowment_sweep``. A refactor that must not change results
-gives identical output, 192 lines, on both commits:
+gives identical output, 192 lines, on both commits. The ``parsed:`` lines
+hash a config's ``repr``, so they change when a config class gains or
+loses a field; the output lines must not:
 
     PYTHONPATH=src python scripts/output_digests.py > after.txt
 

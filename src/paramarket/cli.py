@@ -116,7 +116,7 @@ def _cmd_price(args) -> int:
 def _cmd_align_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     sizes = (MOONS_FEATURES, *([args.width] * args.depth), MOONS_CLASSES)
-    data = ClassMajorSet(two_moons(512, 0.15, rng), MOONS_CLASSES)
+    data = ClassMajorSet(two_moons(512, rng), MOONS_CLASSES)
     net = MlpParams.random_init(sizes, rng)
     planted = LayerPermutations(tuple(rng.permutation(h) for h in net.hidden_sizes))
     clone = apply_permutation(net, planted)

@@ -54,12 +54,10 @@ def _reader(parser: configparser.ConfigParser, section: str, read: set):
 
 
 def _bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("on", "true", "1", "yes"):
-        return True
-    if lowered in ("off", "false", "0", "no"):
-        return False
-    raise ValueError(f"expected on/off, got {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected on/off, got {raw!r}") from None
 
 
 def _int_list(raw: str) -> tuple:
@@ -117,7 +115,6 @@ def parse_config(text: str) -> MarketConfig:
         m = _reader(parser, "mlp", read)
         mlp_spec = MlpMarketSpec(
             hidden=m("hidden", _int_list, default=(16, 16, 16)),
-            data_noise=m("data_noise", float, default=0.15),
             layer_set=m("layer_set", _layer_set, default=None),
         )
 
@@ -152,10 +149,7 @@ def parse_config(text: str) -> MarketConfig:
     if not parser.has_section("broker"):
         raise ConfigError("broker", "-", "missing [broker] section")
     b = _reader(parser, "broker", read)
-    broker = BrokerSpec(
-        n_samples=b("n", int, required=True),
-        **({"noise_variance": b("noise", float, default=0.0)} if linear else {}),
-    )
+    broker = BrokerSpec(n_samples=b("n", int, required=True))
     settings = dict(
         seed=market("seed", int, required=True),
         rounds=market("rounds", int, required=True),

@@ -28,10 +28,12 @@ every round ends in the same curve-row code. Every view offers ``dot_loss``
 fedavg). The linear view also offers ``merged_loss`` along a merge, from
 cached residuals; the mlp view scores each searched weight on the merge
 path (``mlp.merge_path_loss``) and builds a network only for the merge it
-proposes. Each neural agent's and the broker's data is one ``mlp.ClassMajorSet``,
-its labels checked when the market is built. The ``MergeProposal`` a buyer
-settles on is the merge that ships: its ``merged`` parameters and
-``broker_loss_after`` become the agent's new state and curve row.
+proposes. Each neural agent's and the broker's data is one ``mlp.ClassMajorSet``
+of `mlp.two_moons`, its labels checked when the market is built. A linear
+broker's validation labels are noiseless: ``X theta`` of each block's truth.
+The ``MergeProposal`` a buyer settles on is the merge that ships: its
+``merged`` parameters and ``broker_loss_after`` become the agent's new state
+and curve row.
 """
 
 import math
@@ -151,15 +153,13 @@ class AgentSpec:
 @dataclass(frozen=True)
 class BrokerSpec:
     n_samples: int
-    noise_variance: float = 0.0
 
 
 @dataclass(frozen=True)
 class MlpMarketSpec:
-    """Network and data shape for neural markets."""
+    """Network shape and traded layers for neural markets."""
 
     hidden: tuple = (16, 16, 16)
-    data_noise: float = 0.15
     layer_set: tuple | None = None  # None trades every layer
 
 
@@ -212,8 +212,6 @@ class MarketConfig:
             spec = self.mlp
             if not all(w >= 1 for w in spec.hidden):
                 raise ConfigError("mlp", "hidden", f"expected hidden widths >= 1, got {spec.hidden}")
-            if not 0 <= spec.data_noise < math.inf:
-                raise ConfigError("mlp", "data_noise", f"must be finite and >= 0, got {spec.data_noise}")
             layers, n_hidden = spec.layer_set, len(spec.hidden)  # weight layers 0..n_hidden
             if layers is not None and not (
                 layers and len(set(layers)) == len(layers) and all(0 <= i <= n_hidden for i in layers)
@@ -226,8 +224,7 @@ class MarketConfig:
         # Each market kind ignores the other kind's settings, so they must
         # keep their defaults.
         other = _LINEAR_ONLY if mlp else _MLP_ONLY
-        unused = [("broker", "noise_variance", "noise", self.broker.noise_variance, 0.0),
-                  ("sweep", "endowment", "axis", self.endowment, None)] if mlp else []
+        unused = [("sweep", "endowment", "axis", self.endowment, None)] if mlp else []
         min_n = 2 if mlp else 1  # two_moons draws a point of each class
         for a in self.agents:
             section = f"agent {a.agent_id}"
@@ -280,8 +277,6 @@ class MarketConfig:
         if self.broker.n_samples < n_min:
             raise ConfigError("broker", "n", f"must be >= {n_min}{'' if mlp else ' (one per agent)'}, "
                                              f"got {self.broker.n_samples}")
-        if not 0 <= self.broker.noise_variance < math.inf:
-            raise ConfigError("broker", "noise", f"must be finite and >= 0, got {self.broker.noise_variance}")
         if mlp and self.gain_kind is not GainKind.LOSS_DIFFERENCE:
             raise ConfigError("market", "gain_kind",
                               "neural markets have no known true parameters; use loss-difference gain")
@@ -677,12 +672,12 @@ def _build_linear_market(cfg: MarketConfig, agents: tuple, rng: np.random.Genera
         models[spec.agent_id] = LinearModel(task, step)
 
     def broker_set(blocks: list) -> LabeledDataset:
-        # Validation samples drawn block by block, (n, truth) each, straight into one array.
+        # Noiseless validation samples drawn block by block, (n, truth) each, straight into one array.
         inputs = np.empty((cfg.broker.n_samples, dim))
         labels = np.empty(cfg.broker.n_samples)
         lo = 0
         for n, truth in blocks:
-            block = synthesize_task(dim, n, cfg.broker.noise_variance, truth, rng, out=inputs[lo:lo + n])
+            block = synthesize_task(dim, n, 0.0, truth, rng, out=inputs[lo:lo + n])
             labels[lo:lo + n] = block.data.labels
             lo += n
         return LabeledDataset(inputs, labels)
@@ -731,9 +726,9 @@ def _build_mlp_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator
     sizes = (mlp_mod.MOONS_FEATURES, *spec.hidden, mlp_mod.MOONS_CLASSES)
     tasks = {}
     for a in agents:
-        full = mlp_mod.two_moons(a.n_samples, spec.data_noise, rng)
+        full = mlp_mod.two_moons(a.n_samples, rng)
         tasks[a.agent_id] = _imbalanced_subset(full, a.favored_classes, a.deprived_fraction, rng)
-    broker_data = mlp_mod.two_moons(cfg.broker.n_samples, spec.data_noise, rng)
+    broker_data = mlp_mod.two_moons(cfg.broker.n_samples, rng)
 
     states = tuple(
         AgentState(
@@ -805,9 +800,9 @@ def _replay_ledger(trades: list, curves: list) -> None:
 def convergence_metrics(log: MarketLog, epsilon: float) -> dict:
     """Earliest round at which each agent's broker-evaluated excess loss is <= epsilon.
 
-    Excess is measured against the broker loss of the agent's true parameters
-    (zero for a noiseless broker set). Agents that never reach the threshold
-    map to None.
+    Excess is measured against the broker loss of the agent's true parameters:
+    zero (to rounding) on the noiseless broker labels unless the agents' truths
+    differ. Agents that never reach the threshold map to None.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")

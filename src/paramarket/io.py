@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .engine import MarketConfig, MarketLog, convergence_metrics
-from .mlp import ALIGN_SWEEPS, MOONS_CLASSES, MOONS_FEATURES
+from .mlp import ALIGN_SWEEPS, MOONS_CLASSES, MOONS_FEATURES, MOONS_NOISE
 
 __all__ = [
     "TRADES_HEADER",
@@ -143,8 +143,8 @@ def violations_csv(violations) -> str:
 
 
 def _config_echo(cfg: MarketConfig) -> dict:
-    # The fixed conventions (loss, zero start, class count, sweep cap) stay in
-    # the echo, so every summary keeps the same keys.
+    # The fixed conventions (loss, zero start, broker noise, class count, moons
+    # noise, sweep cap) stay in the echo, so every summary keeps the same keys.
     echo = {
         "seed": cfg.seed,
         "rounds": cfg.rounds,
@@ -156,7 +156,7 @@ def _config_echo(cfg: MarketConfig) -> dict:
         "loss": "mean-per-sample",
         "init": "zeros",
         "model": cfg.model,
-        "broker": {"n": cfg.broker.n_samples, "noise": cfg.broker.noise_variance},
+        "broker": {"n": cfg.broker.n_samples, "noise": 0.0},
         "agents": {
             a.agent_id: {
                 "dim": a.dim,
@@ -175,7 +175,7 @@ def _config_echo(cfg: MarketConfig) -> dict:
             "hidden": list(cfg.mlp.hidden),
             "input_dim": MOONS_FEATURES,
             "n_classes": MOONS_CLASSES,
-            "data_noise": cfg.mlp.data_noise,
+            "data_noise": MOONS_NOISE,
             "layer_set": list(cfg.mlp.layer_set) if cfg.mlp.layer_set else "all",
             "align_sweeps": ALIGN_SWEEPS,
         }

@@ -38,12 +38,14 @@ __all__ = [
     "merge_path_loss",
     "MOONS_FEATURES",
     "MOONS_CLASSES",
+    "MOONS_NOISE",
     "ALIGN_SWEEPS",
     "two_moons",
 ]
 
 MOONS_FEATURES = 2  # input features of every `two_moons` point
 MOONS_CLASSES = 2  # `two_moons` labels every point 0 or 1
+MOONS_NOISE = 0.15  # standard deviation of the Gaussian noise on every `two_moons` input
 # At most this many sweeps per alignment descent. The cap does not bind on
 # the bundled layer-subset sweep: each of its 2,300 descents stops after 2 to
 # 8 sweeps, on a sweep that changes nothing.
@@ -460,8 +462,8 @@ def _merge_layers(buyer: MlpParams, seller_aligned: MlpParams, layer_set) -> lis
     return layers
 
 
-def two_moons(n: int, noise: float, rng: np.random.Generator) -> LabeledDataset:
-    """Seeded two-interleaving-half-circles classification set with 0/1 labels."""
+def two_moons(n: int, rng: np.random.Generator) -> LabeledDataset:
+    """Seeded two-interleaving-half-circles set with 0/1 labels and `MOONS_NOISE` input noise."""
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     n0 = n // 2
@@ -470,7 +472,7 @@ def two_moons(n: int, noise: float, rng: np.random.Generator) -> LabeledDataset:
     t1 = rng.uniform(0.0, np.pi, n1)
     x0 = np.column_stack([np.cos(t0), np.sin(t0)])
     x1 = np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)])
-    x = np.vstack([x0, x1]) + noise * rng.standard_normal((n, MOONS_FEATURES))
+    x = np.vstack([x0, x1]) + MOONS_NOISE * rng.standard_normal((n, MOONS_FEATURES))
     y = np.concatenate([np.zeros(n0), np.ones(n1)])
     order = rng.permutation(n)
     return LabeledDataset(x[order], y[order])

@@ -244,7 +244,7 @@ def test_07_linear_decay_factor():
 def test_08_permuted_clone_alignment():
     rng = np.random.default_rng(8)
     sizes = (2, 16, 16, 16, 2)
-    data = ClassMajorSet(two_moons(256, 0.15, rng), MOONS_CLASSES)
+    data = ClassMajorSet(two_moons(256, rng), MOONS_CLASSES)
     recovered = 0
     worst_dev = 0.0
     worst_loss_gap = 0.0

@@ -116,8 +116,6 @@ class TestConfigParsing:
         "section, key, text",
         [
             ("agent b", "noise", MINIMAL.replace("noise = 0.3", "noise = {}")),
-            ("broker", "noise", MINIMAL + "noise = {}\n"),
-            ("mlp", "data_noise", MINIMAL_MLP + "\n[mlp]\ndata_noise = {}\n"),
         ],
     )
     def test_noise_must_be_finite_and_non_negative(self, section, key, text, value):
@@ -244,13 +242,16 @@ class TestFormatting:
 
     def test_summary_echoes_the_mlp_only_keys(self):
         echo = summary_dict(run_simulation(parse_config(SMALL_MLP)))["config"]
+        # Fixed conventions keep their echo.
         assert echo["mlp"]["align_sweeps"] == 10
+        assert echo["mlp"]["data_noise"] == 0.15 and echo["broker"]["noise"] == 0.0
         assert echo["agents"]["a"]["favored"] == [0]
         assert echo["agents"]["a"]["deprived_fraction"] == 0.5
         assert echo["agents"]["b"]["favored"] == []
         assert echo["agents"]["b"]["deprived_fraction"] == 1.0
         linear = summary_dict(run_simulation(parse_config(MINIMAL)))["config"]
         assert "mlp" not in linear
+        assert linear["broker"]["noise"] == 0.0
         assert not {"favored", "deprived_fraction"} & set(linear["agents"]["a"])
 
     def test_violations_csv_rows(self):
@@ -345,7 +346,6 @@ policy = always-trade
 
 [broker]
 n = 20
-noise = 0.1
 """
 
 SMALL_MLP = """
@@ -370,7 +370,6 @@ n = 12
 
 [mlp]
 hidden = 4,4
-data_noise = 0.1
 layer_set = 0,1
 """
 
@@ -401,10 +400,10 @@ def test_readme_schema_lists_the_keys_of_the_small_markets():
         assert README_SCHEMA[section] == used[section], section
 
 
-MARKET_FIELDS = ("agents", "seed", "rounds", "gain_kind", "broker.n", "broker.noise", "trade_every",
-                 "trade_start", "pricing", "convergence_epsilon", "seller_pricing", "endowment", "hidden",
-                 "data_noise", "layer_set", "agent_id", "dim", "n", "noise", "policy", "step_size",
-                 "theta_offset", "favored", "deprived_fraction")
+MARKET_FIELDS = ("agents", "seed", "rounds", "gain_kind", "broker.n", "trade_every", "trade_start",
+                 "pricing", "convergence_epsilon", "seller_pricing", "endowment", "hidden", "layer_set",
+                 "agent_id", "dim", "n", "noise", "policy", "step_size", "theta_offset", "favored",
+                 "deprived_fraction")
 
 
 @st.composite
@@ -441,8 +440,7 @@ def market_fields(draw):
         hidden = pick("hidden", st.lists(st.integers(1, 16), max_size=3), st.lists(st.integers(-1, 16), max_size=3))
         layer_sets = st.lists(st.integers(0, len(hidden)), min_size=1, unique=True).map(tuple)
         any_layers = st.lists(st.integers(-1, 5), max_size=4).map(tuple)
-        spec = MlpMarketSpec(tuple(hidden), pick("data_noise", st.floats(0.0, 1.0), floats),
-                             pick("layer_set", st.none() | layer_sets, any_layers))
+        spec = MlpMarketSpec(tuple(hidden), pick("layer_set", st.none() | layer_sets, any_layers))
     counts = st.integers(1, 40), st.integers(-2, 0)
     return dict(
         seed=pick("seed", st.integers(0, 2**32), st.integers(-3, -1)),
@@ -450,8 +448,7 @@ def market_fields(draw):
         gain_kind=pick("gain_kind", st.just(GainKind.LOSS_DIFFERENCE) if mlp else st.sampled_from(GainKind),
                        st.sampled_from(GainKind)),
         agents=agents,
-        broker=BrokerSpec(pick("broker.n", st.integers(3, 100), st.integers(-2, 2)),
-                          pick("broker.noise", st.just(0.0) if mlp else st.floats(0.0, 2.0), floats)),
+        broker=BrokerSpec(pick("broker.n", st.integers(3, 100), st.integers(-2, 2))),
         trade_every=pick("trade_every", *counts),
         trade_start=pick("trade_start", *counts),
         pricing=pick("pricing", st.just(False), st.booleans()),
@@ -699,7 +696,12 @@ class TestCli:
             (MINIMAL_MLP, "n = 20", "n = 20\ndim = 8", "[agent b] dim: unknown key"),
             (MINIMAL_MLP, "n = 20", "n = 20\nnoise = 3.0", "[agent b] noise: unknown key"),
             (MINIMAL_MLP, "n = 20", "n = 20\ntheta_offset = 0", "[agent b] theta_offset: unknown key"),
+            # Broker labels are noiseless and the two-moons noise is fixed,
+            # in both market kinds.
             (MINIMAL_MLP, "n = 300", "n = 300\nnoise = 0.0", "[broker] noise: unknown key"),
+            (MINIMAL, "n = 300", "n = 300\nnoise = 0.0", "[broker] noise: unknown key"),
+            (MINIMAL_MLP, "n = 300", "n = 300\n\n[mlp]\ndata_noise = 0.15", "[mlp] data_noise: unknown key"),
+            (MINIMAL, "n = 300", "n = 300\n\n[mlp]\ndata_noise = 0.15", "[mlp] data_noise: unknown key"),
             (MINIMAL_MLP, "rounds = 12", "rounds = 12\ninit = zeros", "[market] init: unknown key"),
             (MINIMAL_MLP, "rounds = 12", "rounds = 12\nloss = sum-of-squares", "[market] loss: unknown key"),
             (MINIMAL, "n = 20", "n = 20\nfavored = 0", "[agent b] favored: unknown key"),
@@ -720,7 +722,8 @@ class TestCli:
              "favored-empty-entries", "favored-trailing-comma", "favored-repeated",
              "unknown-market-key", "unknown-agent-key", "unknown-broker-key", "unknown-section",
              "mlp-section-on-linear", "dim-on-mlp", "noise-on-mlp", "theta-offset-on-mlp",
-             "broker-noise-on-mlp", "init-on-mlp", "loss-on-mlp", "favored-on-linear",
+             "broker-noise-on-mlp", "broker-noise-on-linear", "data-noise-on-mlp",
+             "data-noise-on-linear", "init-on-mlp", "loss-on-mlp", "favored-on-linear",
              "deprived-fraction-on-linear", "loss-on-linear", "init-on-linear", "classes-on-mlp",
              "align-sweeps-on-mlp", "negative-delay"],
     )

@@ -11,7 +11,7 @@ import scipy.linalg
 
 from paramarket import engine
 from paramarket.broker import GainKind
-from paramarket.config import load_config, load_sweep
+from paramarket.config import cell_config, load_config, load_sweep
 from paramarket.core import DivergenceError, LabeledDataset, ParameterVector, empirical_loss
 from paramarket.engine import (
     AgentSpec,
@@ -93,7 +93,6 @@ class TestConfigValidation:
         ({"dim": 4}, {}, "dim"),
         ({"noise_variance": 0.5}, {}, "noise_variance"),
         ({"theta_offset": 1.0}, {}, "theta_offset"),
-        ({}, {"broker": BrokerSpec(100, noise_variance=2.0)}, "broker noise_variance"),
     ])
     def test_mlp_market_rejects_linear_settings(self, agent_b, market, field):
         def mlp_cfg(agent_b, market):
@@ -382,11 +381,14 @@ class TestBaselines:
 def bundled_linear(name: str) -> MarketConfig:
     """A bundled linear config by file stem; a sweep gives its base market.
 
-    Every bundled broker set is noiseless, so ``noisy_broker`` adds a market
-    whose labels lie outside the span of the broker's inputs.
+    Broker labels are noiseless, so a broker set's labels lie outside the
+    span of its inputs only when its blocks come from different truths:
+    ``distance_cell`` is the related-tasks base with agent b's truth 1.0
+    away. Markets that can be priced share one truth, so none of them has
+    such a set.
     """
-    if name == "noisy_broker":
-        return dataclasses.replace(linear_cfg(pricing=True), broker=BrokerSpec(1500, noise_variance=0.3))
+    if name == "distance_cell":
+        return cell_config(load_sweep(CONFIGS / "related_tasks_sweep.cfg").base, "distance", 1.0)
     if name == "three_agents+pricing":
         return dataclasses.replace(load_config(CONFIGS / "three_agents.cfg"), pricing=True)
     if name.endswith("_sweep"):
@@ -398,10 +400,12 @@ class TestFactoredBroker:
     @pytest.mark.parametrize(
         "name",
         ["pricing", "three_agents", "three_agents+pricing", "fedavg", "async",
-         "related_tasks_sweep", "endowment_sweep", "frequency_sweep", "start_sweep", "noisy_broker"],
+         "related_tasks_sweep", "endowment_sweep", "frequency_sweep", "start_sweep", "distance_cell"],
     )
     def test_matches_the_raw_reference(self, name, monkeypatch):
         cfg = bundled_linear(name)
+        if name == "distance_cell":  # the least-squares residual c of the factored form is positive
+            assert build_market(cfg)[1]._c > 0.0
         factored = run_with_twin(cfg)
         monkeypatch.setattr(engine, "LinearBrokerEngine", RawLinearBroker)
         raw = run_with_twin(cfg)

@@ -187,7 +187,7 @@ class TestForwardLoss:
         # Weights whose outputs overflow, and finite gradients that a huge step overflows.
         net = random_net((2, 4, 2), 6)
         big = MlpParams(tuple(w * scale for w in net.weights), net.biases)
-        data = mlp.ClassMajorSet(two_moons(20, 0.1, np.random.default_rng(7)), 2)
+        data = mlp.ClassMajorSet(two_moons(20, np.random.default_rng(7)), 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DivergenceError, match="non-finite weights"):
@@ -609,11 +609,11 @@ class TestMergePathLossProperty:
 
 class TestTwoMoons:
     def test_shapes_and_labels(self):
-        data = two_moons(101, 0.1, np.random.default_rng(0))
+        data = two_moons(101, np.random.default_rng(0))
         assert data.inputs.shape == (101, 2)
         assert set(np.unique(data.labels)) == {0.0, 1.0}
 
     def test_seeded_determinism(self):
-        d1 = two_moons(64, 0.2, np.random.default_rng(5))
-        d2 = two_moons(64, 0.2, np.random.default_rng(5))
+        d1 = two_moons(64, np.random.default_rng(5))
+        d2 = two_moons(64, np.random.default_rng(5))
         np.testing.assert_array_equal(d1.inputs, d2.inputs)

@@ -16,10 +16,11 @@ config, run (market or twin), artifact (trades_csv, curves_csv,
 summary_dict JSON) and digest. It then runs ``paramarket.cli`` into a
 temporary directory (``sweep`` on each bundled sweep config with its seeds
 cut to 2, ``bounds-check --trials 2000`` and ``align-demo``) and prints the
-exit code and the digest of every file the command wrote, under names such
-as ``cli:sweep:endowment_sweep``. A refactor that must not change results
-gives identical output, 192 lines, on both commits. The ``parsed:`` lines
-hash a config's ``repr``, so they change when a config class gains or
+exit code, the digest of what the command printed (with the temporary
+directory written as ``<tmp>``) and the digest of every file it wrote, under
+names such as ``cli:sweep:endowment_sweep``. A refactor that must not change
+results gives identical output, 199 lines, on both commits. The ``parsed:``
+lines hash a config's ``repr``, so they change when a config class gains or
 loses a field; the output lines must not:
 
     PYTHONPATH=src python scripts/output_digests.py > after.txt
@@ -134,9 +135,12 @@ def main(prefixes) -> int:
                 continue
             matched = True
             out = tmp / "out" / name.replace(":", "_")
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
                 code = cli_main([*argv, "--out", str(out)])
             print(f"{name} cli exit_code {code}")
+            # The printed counts (bounds-check's clamps, say) are output too;
+            # the temporary directory's name is not.
+            print(f"{name} cli stdout {_digest(stdout.getvalue().replace(str(tmp), '<tmp>'))}")
             for path in sorted(out.iterdir()):
                 print(f"{name} cli {path.name} {_digest(path.read_text(encoding='utf-8'))}")
             sys.stdout.flush()

@@ -12,7 +12,8 @@ interval propagation:
 * the upper endpoint on the buyer's gain divides by the smallest achievable
   magnitude of a linear sweep over the ratio interval. When that magnitude
   straddles zero the bound is reported as the +inf sentinel, because a merge
-  can land exactly on the true parameters.
+  can land exactly on the true parameters;
+* an endpoint whose square overflows the float range is +inf.
 """
 
 import math
@@ -56,7 +57,6 @@ class GainBounds:
 
     lower: float
     upper: float
-    scenario: TradeScenario
     lower_clamped: bool = False
 
     def __post_init__(self):
@@ -71,13 +71,21 @@ class GainBounds:
         return lo <= value <= hi
 
 
-def _check_domain(gain_a: float, alpha: float, beta: float | None) -> None:
+def _check_domain(gain_a: float, alpha: float, beta: float) -> None:
     if not gain_a > 0 or not math.isfinite(gain_a):
         raise ValueError(f"gain ratio must be positive and finite, got {gain_a}")
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if beta is not None and not (0.0 < beta <= 1.0):
+    if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
+
+
+def _square(v: float) -> float:
+    # ``v ** 2``, or +inf where that overflows (Python raises there).
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
 
 
 def buyer_gain_bounds(gain_a: float, alpha: float, beta: float) -> GainBounds:
@@ -90,7 +98,8 @@ def buyer_gain_bounds(gain_a: float, alpha: float, beta: float) -> GainBounds:
 
     where ``f`` is the least magnitude the upper denominator can take over the
     feasible ratio interval; ``f <= 1e-12`` reports the +inf sentinel. At
-    alpha = beta = 1 both endpoints collapse to ``1 / gain_a`` exactly.
+    alpha = beta = 1 both endpoints collapse to ``(1/s)^2``, within two ulps
+    of ``1 / gain_a`` (for ``s <= 1e-12`` the upper end is the sentinel).
     """
     _check_domain(gain_a, alpha, beta)
     s = math.sqrt(gain_a)
@@ -98,7 +107,7 @@ def buyer_gain_bounds(gain_a: float, alpha: float, beta: float) -> GainBounds:
     y = 1.0 + s * (1.0 - alpha)
     den_lo = (1.0 - beta) + s * (1.0 - alpha - beta + 2.0 * alpha * beta)
     clamped = x < 0.0
-    lower = (max(x, 0.0) / den_lo) ** 2
+    lower = _square(max(x, 0.0) / den_lo)
 
     # Denominator sweep endpoints: a at the smallest achievable ratio |x|,
     # b at the largest ratio y. Straddling zero means the denominator can
@@ -111,48 +120,34 @@ def buyer_gain_bounds(gain_a: float, alpha: float, beta: float) -> GainBounds:
         f = -b
     else:
         f = 0.0
-    upper = UNBOUNDED if f <= _DEN_EPS else (y / f) ** 2
-    return GainBounds(lower, upper, TradeScenario.BUYER_GAIN, lower_clamped=clamped)
+    upper = UNBOUNDED if f <= _DEN_EPS else _square(y / f)
+    return GainBounds(lower, upper, clamped)
 
 
-def perf_ratio_bounds(
-    scenario: TradeScenario,
-    gain_a: float,
-    alpha: float,
-    beta: float | None = None,
-) -> GainBounds:
-    """Bounds on the post-decision performance ratio for one trade scenario.
+def perf_ratio_bounds(gain_a: float, alpha: float, beta: float) -> dict[TradeScenario, GainBounds]:
+    """Bounds on the post-decision performance ratio in every trade scenario.
 
-    The no-buy/no-sell interval comes from the triangle inequality on the
-    seller's merge identity; the sell variants widen it by the buyer's merge
-    sweep (``beta`` required), and the buy variants scale the corresponding
-    no-buy interval by ``gain_a`` exactly.
+    Returns ``{TradeScenario: GainBounds}`` for NO_BUY_NO_SELL, BUY_NO_SELL,
+    NO_BUY_SELL and BUY_SELL, in that order. The no-buy/no-sell interval
+    comes from the triangle inequality on the seller's merge identity; the
+    sell variants widen it by the buyer's merge sweep, and each buy variant
+    is its no-buy interval times ``gain_a`` exactly.
     """
-    if scenario is TradeScenario.BUYER_GAIN:
-        raise ValueError("use buyer_gain_bounds for the buyer-gain scenario")
-    needs_beta = scenario in (TradeScenario.NO_BUY_SELL, TradeScenario.BUY_SELL)
-    if needs_beta and beta is None:
-        raise ValueError(f"scenario {scenario.value} requires beta")
-    _check_domain(gain_a, alpha, beta if needs_beta else None)
-
+    _check_domain(gain_a, alpha, beta)
     s = math.sqrt(gain_a)
     e_minus = 1.0 / (alpha * s) - (1.0 - alpha) / alpha
     e_plus = 1.0 / (alpha * s) + (1.0 - alpha) / alpha
-
-    if needs_beta:
-        lo_expr = (1.0 - beta) * e_minus - beta
-        hi_expr = (1.0 - beta) * e_plus + beta
-    else:
-        lo_expr = e_minus
-        hi_expr = e_plus
-
-    clamped = lo_expr < 0.0
-    lower = max(lo_expr, 0.0) ** 2
-    upper = hi_expr**2
-    if scenario in (TradeScenario.BUY_NO_SELL, TradeScenario.BUY_SELL):
-        lower *= gain_a
-        upper *= gain_a
-    return GainBounds(lower, upper, scenario, lower_clamped=clamped)
+    intervals = {}
+    for no_buy, buy, lo_expr, hi_expr in (
+        (TradeScenario.NO_BUY_NO_SELL, TradeScenario.BUY_NO_SELL, e_minus, e_plus),
+        (TradeScenario.NO_BUY_SELL, TradeScenario.BUY_SELL,
+         (1.0 - beta) * e_minus - beta, (1.0 - beta) * e_plus + beta),
+    ):
+        clamped = lo_expr < 0.0
+        lower, upper = _square(max(lo_expr, 0.0)), _square(hi_expr)
+        intervals[no_buy] = GainBounds(lower, upper, clamped)
+        intervals[buy] = GainBounds(lower * gain_a, upper * gain_a, clamped)
+    return intervals
 
 
 @dataclass(frozen=True)
@@ -178,8 +173,7 @@ def soundness_sweep(trials: int, rng: np.random.Generator) -> SoundnessReport:
     ``AUDIT_REL_SLACK``.
     """
     violations: list[dict] = []
-    clamps = 0
-    unbounded = 0
+    clamps = unbounded = 0
     for trial in range(trials):
         theta_star = rng.standard_normal(AUDIT_DIM)
         scale_a = math.exp(rng.uniform(-2.0, 2.0))
@@ -198,32 +192,20 @@ def soundness_sweep(trials: int, rng: np.random.Generator) -> SoundnessReport:
             continue  # measure-zero degenerate draw
         gain_a = err_dot_a / err_bar_a
 
-        checks = [
-            (buyer_gain_bounds(gain_a, alpha, beta), err_dot_b / err_bar_b),
-            (perf_ratio_bounds(TradeScenario.NO_BUY_NO_SELL, gain_a, alpha), err_dot_b / err_dot_a),
-            (perf_ratio_bounds(TradeScenario.BUY_NO_SELL, gain_a, alpha), err_dot_b / err_bar_a),
-            (perf_ratio_bounds(TradeScenario.NO_BUY_SELL, gain_a, alpha, beta), err_bar_b / err_dot_a),
-            (perf_ratio_bounds(TradeScenario.BUY_SELL, gain_a, alpha, beta), err_bar_b / err_bar_a),
-        ]
-        for bound, realized in checks:
+        bounds = {
+            TradeScenario.BUYER_GAIN: buyer_gain_bounds(gain_a, alpha, beta),
+            **perf_ratio_bounds(gain_a, alpha, beta),
+        }
+        realized = (  # in the order of ``bounds``
+            err_dot_b / err_bar_b, err_dot_b / err_dot_a, err_dot_b / err_bar_a,
+            err_bar_b / err_dot_a, err_bar_b / err_bar_a,
+        )
+        for (scenario, bound), value in zip(bounds.items(), realized):
             clamps += bound.lower_clamped
             unbounded += math.isinf(bound.upper)
-            if not bound.contains(realized, AUDIT_REL_SLACK):
-                violations.append(
-                    {
-                        "trial": trial,
-                        "scenario": bound.scenario.value,
-                        "realized": realized,
-                        "lower": bound.lower,
-                        "upper": bound.upper,
-                        "gain_a": gain_a,
-                        "alpha": alpha,
-                        "beta": beta,
-                    }
-                )
-    return SoundnessReport(
-        trials=trials,
-        violations=tuple(violations),
-        lower_clamp_count=clamps,
-        unbounded_upper_count=unbounded,
-    )
+            if not bound.contains(value, AUDIT_REL_SLACK):
+                violations.append(dict(
+                    trial=trial, scenario=scenario.value, realized=value, lower=bound.lower,
+                    upper=bound.upper, gain_a=gain_a, alpha=alpha, beta=beta,
+                ))
+    return SoundnessReport(trials, tuple(violations), clamps, unbounded)

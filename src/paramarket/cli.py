@@ -45,9 +45,10 @@ from .pricing import (
 )
 
 
-def _make_out_dir(out: str) -> None:
+def _make_out_dir(out: str | None) -> None:
     # Before the run, so an --out that cannot be a directory fails at once.
-    os.makedirs(os.path.abspath(out), exist_ok=True)
+    if out:
+        os.makedirs(os.path.abspath(out), exist_ok=True)
 
 
 def _cmd_simulate(args) -> int:
@@ -82,8 +83,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    report = soundness_sweep(args.trials, rng)
+    _make_out_dir(args.out)
+    report = soundness_sweep(args.trials, np.random.default_rng(args.seed))
     if args.out:
         path = os.path.join(args.out, "bounds_violations.csv")
         io_mod.atomic_write_text(path, io_mod.violations_csv(report.violations))
@@ -114,6 +115,7 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_align_demo(args) -> int:
+    _make_out_dir(args.out)
     rng = np.random.default_rng(args.seed)
     sizes = (MOONS_FEATURES, *([args.width] * args.depth), MOONS_CLASSES)
     data = ClassMajorSet(two_moons(512, rng), MOONS_CLASSES)
@@ -224,9 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUATION_FLAGS = ("--va-self", "--vb-of-a", "--vb-self", "--va-of-b")
-
-
 def _is_number(word: str) -> bool:
     try:
         float(word)
@@ -236,25 +235,21 @@ def _is_number(word: str) -> bool:
 
 
 def _attach_signed_values(argv: list) -> list:
-    """Join each valuation flag to a following number that starts with ``-``.
+    """Join each ``--flag`` but ``--help`` to a following number that starts with ``-``.
 
     argparse reads a separate word such as ``-1e5`` or ``-inf`` as an option
-    unless it looks like a plain negative number, so ``--vb-self -1e5`` would
-    end in ``expected one argument``. Written as ``--vb-self=-1e5``, the value
-    reaches the flag's finite-number check. Abbreviated flags are joined too;
-    words after ``--`` are left as they are.
+    unless it looks like a plain negative number, so ``--seed -1e3`` would
+    end in ``expected one argument``. Joined as ``--seed=-1e3``, the value
+    reaches the flag's own check (every other flag takes a value). Words
+    after ``--`` are left as they are.
     """
     out = []
     for k, word in enumerate(argv):
         if word == "--":
             return out + argv[k:]
         flag = out[-1] if out else ""
-        if (
-            flag.startswith("--v")
-            and any(f.startswith(flag) for f in _VALUATION_FLAGS)
-            and word.startswith("-")
-            and _is_number(word)
-        ):
+        takes_value = flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+        if takes_value and word.startswith("-") and _is_number(word):
             out[-1] = f"{flag}={word}"
         else:
             out.append(word)

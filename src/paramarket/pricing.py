@@ -1,18 +1,19 @@
 """Valuations, Nash-bargaining settlement, and Bayesian-optimal seller pricing.
 
 Buyers value a counterparty's parameters at their own gain-from-trade. A
-seller cannot observe the buyer's gain, so it builds an interval on it from
-the trade bounds and asks the revenue-maximizing price under a prior on that
-interval (the virtual valuation). The broker settles at the price difference
-that maximizes the product of both agents' surpluses, which for the
-Cobb-Douglas objective is the midpoint rule implemented here.
+seller cannot observe the buyer's gain, so it builds one interval on it from
+the trade bounds and asks either the interval's lower end or the
+revenue-maximizing price under a prior on it (the virtual valuation). The
+broker settles at the price difference that maximizes the product of both
+agents' surpluses, which for the Cobb-Douglas objective is the midpoint rule
+implemented here.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .bounds import buyer_gain_bounds
+from .bounds import GainBounds, buyer_gain_bounds
 
 __all__ = [
     "PriorKind",
@@ -114,18 +115,17 @@ def myerson_price(prior: PriorDistribution) -> float:
     return 1.0 / prior.rate
 
 
-def seller_virtual_valuation(gain_a: float, alpha: float, beta: float) -> float:
-    """Seller's estimate of the buyer's willingness to pay.
+def seller_virtual_valuation(bounds: GainBounds) -> float:
+    """Seller's estimate of the buyer's willingness to pay, from its interval.
 
-    Boxes the buyer's gain with `buyer_gain_bounds`, then prices it: a finite
-    interval gets the Bayesian-optimal price under a uniform prior on the
-    interval, which lies in it; an unbounded interval falls back to its
+    Prices the interval `buyer_gain_bounds` boxes the buyer's gain in: a
+    finite interval gets the Bayesian-optimal price under a uniform prior on
+    the interval, which lies in it; an unbounded interval falls back to its
     lower endpoint, the only certain part of the estimate.
     """
-    b = buyer_gain_bounds(gain_a, alpha, beta)
-    if math.isinf(b.upper):
-        return b.lower
-    return myerson_price(PriorDistribution.uniform(b.lower, b.upper))
+    if math.isinf(bounds.upper):
+        return bounds.lower
+    return myerson_price(PriorDistribution.uniform(bounds.lower, bounds.upper))
 
 
 def settle(buyer_valuation: float, seller_valuation: float) -> float | None:
@@ -139,19 +139,17 @@ def settle(buyer_valuation: float, seller_valuation: float) -> float | None:
 def quote(rule: str, bid: float, reverse_gain: float, alpha: float, beta: float) -> tuple:
     """``(ask, payment)`` for one priced offer; the payment is None when negotiation fails.
 
-    The seller asks from its own reverse gain and both merge weights (alpha
-    its own, beta the buyer's): the lower end of `buyer_gain_bounds`
-    (``lower-bound``) or `seller_virtual_valuation` (``myerson``). A reverse
-    gain of 0 or +inf (the seller, or its merge, is exactly at the truth)
-    carries no information, so the seller asks the bid, or 0.0 when the bid
-    is unbounded. A finite bid settles with `settle`; an unbounded one buys
-    at the ask.
+    The seller boxes the buyer's gain once, with `buyer_gain_bounds` on its
+    own reverse gain and both merge weights (alpha its own, beta the buyer's),
+    and asks the interval's lower end (``lower-bound``) or prices it with
+    `seller_virtual_valuation` (``myerson``). A reverse gain of 0 or +inf (the
+    seller, or its merge, is exactly at the truth) carries no information, so
+    the seller asks the bid, or 0.0 when the bid is unbounded. A finite bid
+    settles with `settle`; an unbounded one buys at the ask.
     """
     if 0.0 < reverse_gain < math.inf:
-        if rule == "lower-bound":
-            ask = buyer_gain_bounds(reverse_gain, alpha, beta).lower
-        else:
-            ask = seller_virtual_valuation(reverse_gain, alpha, beta)
+        bounds = buyer_gain_bounds(reverse_gain, alpha, beta)
+        ask = bounds.lower if rule == "lower-bound" else seller_virtual_valuation(bounds)
     else:
         ask = bid if math.isfinite(bid) else 0.0
     return ask, settle(bid, ask) if math.isfinite(bid) else ask

@@ -2,14 +2,64 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from paramarket.bounds import (
+    _DEN_EPS,
+    AUDIT_DIM,
+    AUDIT_REL_SLACK,
     GainBounds,
     TradeScenario,
     buyer_gain_bounds,
     perf_ratio_bounds,
     soundness_sweep,
 )
+from paramarket.broker import WEIGHT_FLOOR
+
+# Every positive finite gain, subnormal to the float maximum, with the
+# extremes and 1 as explicit corners.
+gains = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-24, 1.0, 1e300, 1.7976931348623157e308]),
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+)
+# Every merge weight a market quotes, [WEIGHT_FLOOR, 1], with that floor, the
+# audit's floor 1e-3 and the full weight 1 as explicit corners.
+weights = st.one_of(
+    st.sampled_from([WEIGHT_FLOOR, 1e-3, 1.0]),
+    st.floats(min_value=WEIGHT_FLOOR, max_value=1.0),
+)
+
+
+def _nudged(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.inf if ulps > 0 else 0.0)
+    return value
+
+
+@st.composite
+def clamp_boundary(draw):
+    """(gain, alpha, beta) within a few ulps of ``1 - s(1 - alpha) = 0``."""
+    alpha = draw(st.floats(min_value=WEIGHT_FLOOR, max_value=1.0, exclude_max=True))
+    s = 1.0 / (1.0 - alpha)
+    return _nudged(s * s, draw(st.integers(-4, 4))), alpha, draw(weights)
+
+
+@st.composite
+def den_eps_straddle(draw):
+    """(gain, alpha, beta) within a few ulps of a zero of the upper denominator's sweep.
+
+    The sweep end at the least ratio, ``(1 - beta) |x| - alpha beta s`` with
+    ``x = 1 - s(1 - alpha) > 0``, vanishes at
+    ``s = (1 - beta) / ((1 - beta)(1 - alpha) + alpha beta)``.
+    """
+    alpha = draw(weights)
+    beta = draw(st.floats(min_value=WEIGHT_FLOOR, max_value=1.0, exclude_max=True))
+    s = (1.0 - beta) / ((1.0 - beta) * (1.0 - alpha) + alpha * beta)
+    return _nudged(s * s, draw(st.integers(-4, 4))), alpha, beta
+
+
+triples = st.one_of(st.tuples(gains, weights, weights), clamp_boundary(), den_eps_straddle())
 
 
 class TestBuyerGainBounds:
@@ -66,31 +116,119 @@ class TestBuyerGainBounds:
 
 class TestScenarioBounds:
     def test_no_buy_no_sell_collapses_at_full_weight(self):
-        b = perf_ratio_bounds(TradeScenario.NO_BUY_NO_SELL, 4.0, 1.0)
+        b = perf_ratio_bounds(4.0, 1.0, 1.0)[TradeScenario.NO_BUY_NO_SELL]
         assert (b.lower, b.upper) == (0.25, 0.25)
 
     def test_buy_scenarios_scale_by_gain_exactly(self):
-        b1 = perf_ratio_bounds(TradeScenario.BUY_NO_SELL, 4.0, 1.0)
+        b1 = perf_ratio_bounds(4.0, 1.0, 1.0)[TradeScenario.BUY_NO_SELL]
         assert (b1.lower, b1.upper) == (1.0, 1.0)
         rng = np.random.default_rng(1)
         for _ in range(500):
             g = math.exp(rng.uniform(-4, 4))
             a, be = rng.uniform(1e-3, 1.0), rng.uniform(1e-3, 1.0)
-            nb = perf_ratio_bounds(TradeScenario.NO_BUY_NO_SELL, g, a)
-            buy = perf_ratio_bounds(TradeScenario.BUY_NO_SELL, g, a)
+            bounds = perf_ratio_bounds(g, a, be)
+            nb, buy = bounds[TradeScenario.NO_BUY_NO_SELL], bounds[TradeScenario.BUY_NO_SELL]
             assert buy.lower == nb.lower * g and buy.upper == nb.upper * g
-            nbs = perf_ratio_bounds(TradeScenario.NO_BUY_SELL, g, a, be)
-            bs = perf_ratio_bounds(TradeScenario.BUY_SELL, g, a, be)
+            nbs, bs = bounds[TradeScenario.NO_BUY_SELL], bounds[TradeScenario.BUY_SELL]
             assert bs.lower == nbs.lower * g and bs.upper == nbs.upper * g
 
-    def test_sell_scenarios_require_beta(self):
-        with pytest.raises(ValueError, match="requires beta"):
-            perf_ratio_bounds(TradeScenario.NO_BUY_SELL, 2.0, 0.5)
-        perf_ratio_bounds(TradeScenario.NO_BUY_NO_SELL, 2.0, 0.5)  # beta optional
+    def test_all_four_scenarios_in_order(self):
+        assert list(perf_ratio_bounds(2.0, 0.5, 0.5)) == [
+            TradeScenario.NO_BUY_NO_SELL,
+            TradeScenario.BUY_NO_SELL,
+            TradeScenario.NO_BUY_SELL,
+            TradeScenario.BUY_SELL,
+        ]
 
-    def test_buyer_gain_scenario_redirects(self):
-        with pytest.raises(ValueError):
-            perf_ratio_bounds(TradeScenario.BUYER_GAIN, 2.0, 0.5, 0.5)
+    def test_domain_errors(self):
+        for args in [(0.0, 0.5, 0.5), (math.inf, 0.5, 0.5), (1.0, 0.0, 0.5), (1.0, 0.5, 0.0), (1.0, 0.5, 1.5)]:
+            with pytest.raises(ValueError):
+                perf_ratio_bounds(*args)
+
+
+class TestScalarBoundProperties:
+    @settings(max_examples=600, deadline=None)
+    @given(triples)
+    def test_construction_never_raises_and_buy_is_no_buy_times_gain(self, triple):
+        gain, alpha, beta = triple
+        buyer_gain_bounds(gain, alpha, beta)
+        bounds = perf_ratio_bounds(gain, alpha, beta)
+        for no_buy, buy in [(TradeScenario.NO_BUY_NO_SELL, TradeScenario.BUY_NO_SELL),
+                            (TradeScenario.NO_BUY_SELL, TradeScenario.BUY_SELL)]:
+            assert bounds[buy] == GainBounds(
+                bounds[no_buy].lower * gain, bounds[no_buy].upper * gain, bounds[no_buy].lower_clamped
+            )
+
+    @settings(max_examples=600, deadline=None)
+    @given(triples)
+    def test_lower_clamped_exactly_when_the_numerator_is_negative(self, triple):
+        gain, alpha, beta = triple
+        s = math.sqrt(gain)
+        e_minus = 1.0 / (alpha * s) - (1.0 - alpha) / alpha
+        numerators = {
+            TradeScenario.BUYER_GAIN: 1.0 - s * (1.0 - alpha),
+            TradeScenario.NO_BUY_NO_SELL: e_minus,
+            TradeScenario.BUY_NO_SELL: e_minus,
+            TradeScenario.NO_BUY_SELL: (1.0 - beta) * e_minus - beta,
+            TradeScenario.BUY_SELL: (1.0 - beta) * e_minus - beta,
+        }
+        bounds = {TradeScenario.BUYER_GAIN: buyer_gain_bounds(gain, alpha, beta),
+                  **perf_ratio_bounds(gain, alpha, beta)}
+        for scenario, bound in bounds.items():
+            assert bound.lower_clamped == (numerators[scenario] < 0.0), scenario
+            assert not bound.lower_clamped or bound.lower == 0.0
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(den_eps_straddle(), triples))
+    def test_a_finite_upper_end_divides_by_more_than_den_eps(self, triple):
+        # The upper end is (y / f)^2 with f > _DEN_EPS, else the +inf sentinel.
+        gain, alpha, beta = triple
+        y = 1.0 + math.sqrt(gain) * (1.0 - alpha)
+        upper = buyer_gain_bounds(gain, alpha, beta).upper
+        assert math.isinf(upper) or math.sqrt(upper) * _DEN_EPS <= y * (1.0 + 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gains)
+    def test_full_weights_collapse_the_buyer_interval_to_reciprocal_gain(self, gain):
+        # Within two ulps of 1/gain; below s = _DEN_EPS the upper end is the
+        # +inf sentinel, as the denominator sweep ends at s.
+        b = buyer_gain_bounds(gain, 1.0, 1.0)
+        assert b.lower == pytest.approx(1.0 / gain, rel=4.5e-16)
+        assert b.upper == b.lower if math.sqrt(gain) > _DEN_EPS else math.isinf(b.upper)
+
+    # Instances as soundness_sweep draws them; hypothesis also reaches the
+    # ends of each range (scale exponents +-2, weights 1e-3 and 1).
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scale_a=st.floats(-2.0, 2.0),
+        log_scale_b=st.floats(-2.0, 2.0),
+        alpha=st.floats(1e-3, 1.0),
+        beta=st.floats(1e-3, 1.0),
+    )
+    def test_audit_instances_lie_in_every_interval(self, seed, log_scale_a, log_scale_b, alpha, beta):
+        rng = np.random.default_rng(seed)
+        theta_star = rng.standard_normal(AUDIT_DIM)
+        dot_a = theta_star + math.exp(log_scale_a) * rng.standard_normal(AUDIT_DIM)
+        dot_b = theta_star + math.exp(log_scale_b) * rng.standard_normal(AUDIT_DIM)
+        bar_a = (1.0 - alpha) * dot_a + alpha * dot_b
+        bar_b = (1.0 - beta) * dot_b + beta * dot_a
+        err_dot_a, err_dot_b, err_bar_a, err_bar_b = (
+            float(np.sum((v - theta_star) ** 2)) for v in (dot_a, dot_b, bar_a, bar_b)
+        )
+        assume(min(err_dot_a, err_dot_b, err_bar_a, err_bar_b) > 1e-300)
+        gain = err_dot_a / err_bar_a
+        realized = {
+            TradeScenario.BUYER_GAIN: err_dot_b / err_bar_b,
+            TradeScenario.NO_BUY_NO_SELL: err_dot_b / err_dot_a,
+            TradeScenario.BUY_NO_SELL: err_dot_b / err_bar_a,
+            TradeScenario.NO_BUY_SELL: err_bar_b / err_dot_a,
+            TradeScenario.BUY_SELL: err_bar_b / err_bar_a,
+        }
+        bounds = {TradeScenario.BUYER_GAIN: buyer_gain_bounds(gain, alpha, beta),
+                  **perf_ratio_bounds(gain, alpha, beta)}
+        for scenario, bound in bounds.items():
+            assert bound.contains(realized[scenario], AUDIT_REL_SLACK), (scenario, realized[scenario], bound)
 
 
 class TestSoundness:
@@ -159,12 +297,12 @@ class TestSoundness:
 class TestGainBoundsType:
     def test_rejects_negative_lower(self):
         with pytest.raises(ValueError):
-            GainBounds(-0.1, 1.0, TradeScenario.BUYER_GAIN)
+            GainBounds(-0.1, 1.0)
 
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError):
-            GainBounds(2.0, 1.0, TradeScenario.BUYER_GAIN)
+            GainBounds(2.0, 1.0)
 
     def test_unbounded_upper_allowed(self):
-        b = GainBounds(2.0, math.inf, TradeScenario.BUYER_GAIN)
+        b = GainBounds(2.0, math.inf)
         assert b.contains(1e300)

@@ -826,14 +826,16 @@ class TestCli:
             ("simulate", str(CONFIGS / "paper_linear.cfg")),
             ("sweep", str(CONFIGS / "related_tasks_sweep.cfg")),
             ("sweep", str(CONFIGS / "mlp_subset_sweep.cfg")),
+            ("bounds-check", "--trials", "20000"),
+            ("align-demo",),
         ],
-        ids=["simulate", "sweep", "layer-sweep"],
+        ids=["simulate", "sweep", "layer-sweep", "bounds-check", "align-demo"],
     )
     def test_out_through_an_existing_file_fails_before_the_run(self, tmp_path, monkeypatch, capsys, args):
         def reached(*_, **__):
             raise AssertionError("the run started")
 
-        for name in ("run_simulation", "run_sweep", "layer_subset_table"):
+        for name in ("run_simulation", "run_sweep", "layer_subset_table", "soundness_sweep", "two_moons"):
             monkeypatch.setattr(cli, name, reached)
         (tmp_path / "taken").write_text("", encoding="utf-8")
         assert cli.main([*args, "--out", str(tmp_path / "taken" / "sub")]) == 2
@@ -916,6 +918,30 @@ class TestCli:
         assert r.returncode == 0 and joined.returncode == 0, r.stderr + joined.stderr
         assert r.stdout == joined.stdout
         assert "nash_price_difference=" in r.stdout
+
+    @pytest.mark.parametrize(
+        "args, diagnostic",
+        [
+            (("bounds-check", "--seed", "-1e3"), "argument --seed: invalid int value: '-1e3'"),
+            (("bounds-check", "--trials", "-inf"), "argument --trials: invalid int value: '-inf'"),
+            (("align-demo", "--width", "-1.5"), "argument --width: invalid int value: '-1.5'"),
+            (("bounds-check", "--seed", "-1"), "argument --seed: expected an integer >= 0, got -1"),
+        ],
+        ids=["seed-exponent", "trials-minus-inf", "width-fraction", "seed-minus-one"],
+    )
+    def test_every_flag_takes_a_separate_negative_number(self, tmp_path, args, diagnostic):
+        # Not "expected one argument": the value reaches the flag's own check.
+        r = run_cli(*args, cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert diagnostic in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_help_and_words_after_a_double_dash_stay_apart(self):
+        assert cli._attach_signed_values(["price", "--va-self", "-1", "--", "--vb-self", "-2"]) == [
+            "price", "--va-self=-1", "--", "--vb-self", "-2",
+        ]
+        for flag in ("--help", "--he"):
+            assert cli._attach_signed_values(["bounds-check", flag, "-1"]) == ["bounds-check", flag, "-1"]
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -111,26 +111,26 @@ class TestMyersonPrice:
 
 class TestSellerVirtualValuation:
     def test_point_interval(self):
-        assert seller_virtual_valuation(4.0, 1.0, 1.0) == pytest.approx(0.25, abs=1e-12)
+        assert seller_virtual_valuation(buyer_gain_bounds(4.0, 1.0, 1.0)) == pytest.approx(0.25, abs=1e-12)
 
     def test_finite_interval_prices_at_clamped_half_upper(self):
         b = buyer_gain_bounds(4.0, 0.9, 0.9)
         expected = min(max(b.upper / 2.0, b.lower), b.upper)
         assert math.isfinite(b.upper)
-        assert seller_virtual_valuation(4.0, 0.9, 0.9) == pytest.approx(expected, rel=1e-12)
+        assert seller_virtual_valuation(b) == pytest.approx(expected, rel=1e-12)
 
     def test_unbounded_interval_falls_back_to_lower(self):
         b = buyer_gain_bounds(1.0, 0.5, 0.5)
         assert math.isinf(b.upper)
-        assert seller_virtual_valuation(1.0, 0.5, 0.5) == b.lower
+        assert seller_virtual_valuation(b) == b.lower
 
     def test_result_always_inside_bounds(self):
         rng = np.random.default_rng(1)
         for _ in range(500):
             g = math.exp(rng.uniform(-3, 3))
             a, be = rng.uniform(1e-3, 1.0), rng.uniform(1e-3, 1.0)
-            v = seller_virtual_valuation(g, a, be)
             bounds = buyer_gain_bounds(g, a, be)
+            v = seller_virtual_valuation(bounds)
             assert bounds.lower <= v
             assert math.isinf(bounds.upper) or v <= bounds.upper
 
@@ -193,7 +193,7 @@ class TestQuote:
     @pytest.mark.parametrize("rule", ["lower-bound", "myerson"])
     def test_informative_reverse_gain_settles_at_the_midpoint(self, rule):
         ask = (buyer_gain_bounds(4.0, 0.9, 0.9).lower if rule == "lower-bound"
-               else seller_virtual_valuation(4.0, 0.9, 0.9))
+               else seller_virtual_valuation(buyer_gain_bounds(4.0, 0.9, 0.9)))
         assert quote(rule, 9.0, 4.0, 0.9, 0.9) == (ask, settle(9.0, ask))
 
     @pytest.mark.parametrize("rule", ["lower-bound", "myerson"])
@@ -205,7 +205,7 @@ class TestQuote:
         assert quote(rule, bid, reverse_gain, 0.5, 0.5) == expected
 
     def test_unbounded_bid_buys_at_the_ask(self):
-        ask = seller_virtual_valuation(4.0, 0.9, 0.9)
+        ask = seller_virtual_valuation(buyer_gain_bounds(4.0, 0.9, 0.9))
         assert quote("myerson", math.inf, 4.0, 0.9, 0.9) == (ask, ask)
 
     def test_bid_below_the_ask_fails(self):

@@ -51,6 +51,28 @@ class TradeScenario(Enum):
     BUY_SELL = "buy-sell"
 
 
+# The audit's intervals in declaration order: the buyer's gain, then
+# perf_ratio_bounds' four scenarios in its return order.
+_AUDIT_LABELS = tuple(scenario.value for scenario in TradeScenario)
+_SCENARIOS = tuple(TradeScenario)[1:]
+
+
+def _check_interval(lower: float, upper: float, *inputs: float) -> None:
+    """The interval rule: ``0 <= lower <= upper``, upper possibly +inf, no NaN end.
+
+    The error names ``inputs``, the (gain, alpha, beta) the ends came from.
+    """
+    if not 0.0 <= lower <= upper:
+        source = " from gain {!r}, alpha {!r}, beta {!r}".format(*inputs) if inputs else ""
+        raise ValueError(f"not an interval: [{lower}, {upper}]{source}; needs 0 <= lower <= upper")
+
+
+def _contains(lower: float, upper: float, value: float, rel_slack: float) -> bool:
+    lo = lower * (1.0 - rel_slack)
+    hi = upper if math.isinf(upper) else upper * (1.0 + rel_slack)
+    return lo <= value <= hi
+
+
 @dataclass(frozen=True)
 class GainBounds:
     """Closed interval (upper possibly +inf) on a squared-norm ratio."""
@@ -60,15 +82,10 @@ class GainBounds:
     lower_clamped: bool = False
 
     def __post_init__(self):
-        if self.lower < 0:
-            raise ValueError(f"lower bound must be non-negative, got {self.lower}")
-        if math.isfinite(self.upper) and self.lower > self.upper:
-            raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
+        _check_interval(self.lower, self.upper)
 
     def contains(self, value: float, rel_slack: float = 0.0) -> bool:
-        lo = self.lower * (1.0 - rel_slack)
-        hi = self.upper if math.isinf(self.upper) else self.upper * (1.0 + rel_slack)
-        return lo <= value <= hi
+        return _contains(self.lower, self.upper, value, rel_slack)
 
 
 def _check_domain(gain_a: float, alpha: float, beta: float) -> None:
@@ -88,26 +105,16 @@ def _square(v: float) -> float:
         return math.inf
 
 
-def buyer_gain_bounds(gain_a: float, alpha: float, beta: float) -> GainBounds:
-    """Bounds on the buyer's gain ratio from (own gain, both merge weights).
-
-    With ``s = sqrt(gain_a)`` the closed forms are
-
-        lower = (max(1 - s(1-alpha), 0) / ((1-beta) + s(1-alpha-beta+2 alpha beta)))^2
-        upper = ((1 + s(1-alpha)) / f)^2
-
-    where ``f`` is the least magnitude the upper denominator can take over the
-    feasible ratio interval; ``f <= 1e-12`` reports the +inf sentinel. At
-    alpha = beta = 1 both endpoints collapse to ``(1/s)^2``, within two ulps
-    of ``1 / gain_a`` (for ``s <= 1e-12`` the upper end is the sentinel).
-    """
+def _buyer_ends(gain_a: float, alpha: float, beta: float) -> tuple[float, float, bool]:
+    """``(lower, upper, lower_clamped)`` of ``buyer_gain_bounds``."""
     _check_domain(gain_a, alpha, beta)
     s = math.sqrt(gain_a)
     x = 1.0 - s * (1.0 - alpha)  # lower numerator; sign not fixed
     y = 1.0 + s * (1.0 - alpha)
     den_lo = (1.0 - beta) + s * (1.0 - alpha - beta + 2.0 * alpha * beta)
     clamped = x < 0.0
-    lower = _square(max(x, 0.0) / den_lo)
+    # den_lo underflows to 0 only for weights near the smallest floats: NaN fails the interval rule.
+    lower = _square(max(x, 0.0) / den_lo) if den_lo else math.nan
 
     # Denominator sweep endpoints: a at the smallest achievable ratio |x|,
     # b at the largest ratio y. Straddling zero means the denominator can
@@ -121,7 +128,47 @@ def buyer_gain_bounds(gain_a: float, alpha: float, beta: float) -> GainBounds:
     else:
         f = 0.0
     upper = UNBOUNDED if f <= _DEN_EPS else _square(y / f)
-    return GainBounds(lower, upper, clamped)
+    return lower, upper, clamped
+
+
+def _scenario_ends(gain_a: float, alpha: float, beta: float) -> list[tuple[float, float, bool]]:
+    """``(lower, upper, lower_clamped)`` of each ``perf_ratio_bounds`` interval,
+    in ``_SCENARIOS`` order."""
+    _check_domain(gain_a, alpha, beta)
+    alpha_s = alpha * math.sqrt(gain_a)
+    inv = 1.0 / alpha_s if alpha_s else math.nan  # as den_lo in _buyer_ends
+    spread = (1.0 - alpha) / alpha
+    e_minus, e_plus = inv - spread, inv + spread
+    sell_lo, sell_hi = (1.0 - beta) * e_minus - beta, (1.0 - beta) * e_plus + beta
+    ends = []
+    for lo_expr, hi_expr in ((e_minus, e_plus), (sell_lo, sell_hi)):
+        clamped = lo_expr < 0.0
+        lower, upper = _square(max(lo_expr, 0.0)), _square(hi_expr)
+        ends += (lower, upper, clamped), (lower * gain_a, upper * gain_a, clamped)
+    return ends
+
+
+def _bounds(ends: tuple[float, float, bool], gain_a: float, alpha: float, beta: float) -> GainBounds:
+    _check_interval(ends[0], ends[1], gain_a, alpha, beta)
+    return GainBounds(*ends)
+
+
+def buyer_gain_bounds(gain_a: float, alpha: float, beta: float) -> GainBounds:
+    """Bounds on the buyer's gain ratio from (own gain, both merge weights).
+
+    With ``s = sqrt(gain_a)`` the closed forms are
+
+        lower = (max(1 - s(1-alpha), 0) / ((1-beta) + s(1-alpha-beta+2 alpha beta)))^2
+        upper = ((1 + s(1-alpha)) / f)^2
+
+    where ``f`` is the least magnitude the upper denominator can take over the
+    feasible ratio interval; ``f <= 1e-12`` reports the +inf sentinel. At
+    alpha = beta = 1 both endpoints collapse to ``(1/s)^2``, within two ulps
+    of ``1 / gain_a`` (for ``s <= 1e-12`` the upper end is the sentinel).
+    Raises ``ValueError`` naming the inputs where the closed forms leave the
+    float range (weights near the smallest floats).
+    """
+    return _bounds(_buyer_ends(gain_a, alpha, beta), gain_a, alpha, beta)
 
 
 def perf_ratio_bounds(gain_a: float, alpha: float, beta: float) -> dict[TradeScenario, GainBounds]:
@@ -131,23 +178,11 @@ def perf_ratio_bounds(gain_a: float, alpha: float, beta: float) -> dict[TradeSce
     NO_BUY_SELL and BUY_SELL, in that order. The no-buy/no-sell interval
     comes from the triangle inequality on the seller's merge identity; the
     sell variants widen it by the buyer's merge sweep, and each buy variant
-    is its no-buy interval times ``gain_a`` exactly.
+    is its no-buy interval times ``gain_a`` exactly. Raises ``ValueError``
+    naming the inputs where the closed forms leave the float range.
     """
-    _check_domain(gain_a, alpha, beta)
-    s = math.sqrt(gain_a)
-    e_minus = 1.0 / (alpha * s) - (1.0 - alpha) / alpha
-    e_plus = 1.0 / (alpha * s) + (1.0 - alpha) / alpha
-    intervals = {}
-    for no_buy, buy, lo_expr, hi_expr in (
-        (TradeScenario.NO_BUY_NO_SELL, TradeScenario.BUY_NO_SELL, e_minus, e_plus),
-        (TradeScenario.NO_BUY_SELL, TradeScenario.BUY_SELL,
-         (1.0 - beta) * e_minus - beta, (1.0 - beta) * e_plus + beta),
-    ):
-        clamped = lo_expr < 0.0
-        lower, upper = _square(max(lo_expr, 0.0)), _square(hi_expr)
-        intervals[no_buy] = GainBounds(lower, upper, clamped)
-        intervals[buy] = GainBounds(lower * gain_a, upper * gain_a, clamped)
-    return intervals
+    ends = _scenario_ends(gain_a, alpha, beta)
+    return {scenario: _bounds(e, gain_a, alpha, beta) for scenario, e in zip(_SCENARIOS, ends)}
 
 
 @dataclass(frozen=True)
@@ -164,48 +199,56 @@ class SoundnessReport:
         return not self.violations
 
 
+def _squared_errors(rows: np.ndarray, center: np.ndarray) -> list[float]:
+    """``float(np.sum((row - center) ** 2))`` for each row, bit for bit; overwrites ``rows``."""
+    rows -= center
+    np.square(rows, out=rows)
+    return rows.sum(axis=1).tolist()
+
+
 def soundness_sweep(trials: int, rng: np.random.Generator) -> SoundnessReport:
     """Construct random trade instances and check every bound family on them.
 
     Each trial draws true parameters, both agents' parameter estimates, and
     merge weights, then verifies that the realized buyer gain and all four
     scenario ratios fall inside the corresponding computed intervals, up to
-    ``AUDIT_REL_SLACK``.
+    ``AUDIT_REL_SLACK``. It applies ``GainBounds``' rules to the closed forms'
+    plain ends, building no object per interval.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     violations: list[dict] = []
     clamps = unbounded = 0
+    estimates = np.empty((4, AUDIT_DIM))
+    dot_a, dot_b, bar_a, bar_b = estimates
     for trial in range(trials):
         theta_star = rng.standard_normal(AUDIT_DIM)
         scale_a = math.exp(rng.uniform(-2.0, 2.0))
         scale_b = math.exp(rng.uniform(-2.0, 2.0))
-        dot_a = theta_star + scale_a * rng.standard_normal(AUDIT_DIM)
-        dot_b = theta_star + scale_b * rng.standard_normal(AUDIT_DIM)
+        np.add(theta_star, scale_a * rng.standard_normal(AUDIT_DIM), out=dot_a)
+        np.add(theta_star, scale_b * rng.standard_normal(AUDIT_DIM), out=dot_b)
         alpha = rng.uniform(1e-3, 1.0)
         beta = rng.uniform(1e-3, 1.0)
+        np.add((1.0 - alpha) * dot_a, alpha * dot_b, out=bar_a)
+        np.add((1.0 - beta) * dot_b, beta * dot_a, out=bar_b)
 
-        bar_a = (1.0 - alpha) * dot_a + alpha * dot_b
-        bar_b = (1.0 - beta) * dot_b + beta * dot_a
-        err = lambda v: float(np.sum((v - theta_star) ** 2))  # noqa: E731
-        err_dot_a, err_dot_b = err(dot_a), err(dot_b)
-        err_bar_a, err_bar_b = err(bar_a), err(bar_b)
+        err_dot_a, err_dot_b, err_bar_a, err_bar_b = _squared_errors(estimates, theta_star)
         if min(err_dot_a, err_dot_b, err_bar_a, err_bar_b) <= 1e-300:
             continue  # measure-zero degenerate draw
         gain_a = err_dot_a / err_bar_a
 
-        bounds = {
-            TradeScenario.BUYER_GAIN: buyer_gain_bounds(gain_a, alpha, beta),
-            **perf_ratio_bounds(gain_a, alpha, beta),
-        }
-        realized = (  # in the order of ``bounds``
+        intervals = (_buyer_ends(gain_a, alpha, beta), *_scenario_ends(gain_a, alpha, beta))
+        realized = (  # in the order of ``_AUDIT_LABELS``
             err_dot_b / err_bar_b, err_dot_b / err_dot_a, err_dot_b / err_bar_a,
             err_bar_b / err_dot_a, err_bar_b / err_bar_a,
         )
-        for (scenario, bound), value in zip(bounds.items(), realized):
-            clamps += bound.lower_clamped
-            unbounded += math.isinf(bound.upper)
-            if not bound.contains(value, AUDIT_REL_SLACK):
+        for label, (lower, upper, clamped), value in zip(_AUDIT_LABELS, intervals, realized):
+            _check_interval(lower, upper, gain_a, alpha, beta)
+            clamps += clamped
+            unbounded += math.isinf(upper)
+            if not _contains(lower, upper, value, AUDIT_REL_SLACK):
                 violations.append(dict(
-                    trial=trial, scenario=scenario.value, realized=value, lower=bound.lower,
-                    upper=bound.upper, gain_a=gain_a, alpha=alpha, beta=beta,
+                    trial=trial, scenario=label, realized=value, lower=lower,
+                    upper=upper, gain_a=gain_a, alpha=alpha, beta=beta,
                 ))
     return SoundnessReport(trials, tuple(violations), clamps, unbounded)

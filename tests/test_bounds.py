@@ -5,12 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from paramarket import bounds as bounds_module
 from paramarket.bounds import (
     _DEN_EPS,
     AUDIT_DIM,
     AUDIT_REL_SLACK,
     GainBounds,
+    SoundnessReport,
     TradeScenario,
+    _squared_errors,
     buyer_gain_bounds,
     perf_ratio_bounds,
     soundness_sweep,
@@ -60,6 +63,53 @@ def den_eps_straddle(draw):
 
 
 triples = st.one_of(st.tuples(gains, weights, weights), clamp_boundary(), den_eps_straddle())
+# Every weight _check_domain accepts, subnormals included.
+any_weights = st.one_of(
+    st.sampled_from([5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-162, 1.0]),
+    st.floats(min_value=5e-324, max_value=1.0, allow_subnormal=True),
+)
+
+
+def _reference_sweep(trials: int, rng: np.random.Generator) -> SoundnessReport:
+    """The audit as a plain loop: one ``GainBounds`` per interval, one ``np.sum`` per vector."""
+    slack = bounds_module.AUDIT_REL_SLACK
+    violations: list[dict] = []
+    clamps = unbounded = 0
+    for trial in range(trials):
+        theta_star = rng.standard_normal(AUDIT_DIM)
+        scale_a = math.exp(rng.uniform(-2.0, 2.0))
+        scale_b = math.exp(rng.uniform(-2.0, 2.0))
+        dot_a = theta_star + scale_a * rng.standard_normal(AUDIT_DIM)
+        dot_b = theta_star + scale_b * rng.standard_normal(AUDIT_DIM)
+        alpha = rng.uniform(1e-3, 1.0)
+        beta = rng.uniform(1e-3, 1.0)
+
+        bar_a = (1.0 - alpha) * dot_a + alpha * dot_b
+        bar_b = (1.0 - beta) * dot_b + beta * dot_a
+        err = lambda v: float(np.sum((v - theta_star) ** 2))  # noqa: E731
+        err_dot_a, err_dot_b = err(dot_a), err(dot_b)
+        err_bar_a, err_bar_b = err(bar_a), err(bar_b)
+        if min(err_dot_a, err_dot_b, err_bar_a, err_bar_b) <= 1e-300:
+            continue
+        gain_a = err_dot_a / err_bar_a
+
+        intervals = {
+            TradeScenario.BUYER_GAIN: buyer_gain_bounds(gain_a, alpha, beta),
+            **perf_ratio_bounds(gain_a, alpha, beta),
+        }
+        realized = (
+            err_dot_b / err_bar_b, err_dot_b / err_dot_a, err_dot_b / err_bar_a,
+            err_bar_b / err_dot_a, err_bar_b / err_bar_a,
+        )
+        for (scenario, bound), value in zip(intervals.items(), realized):
+            clamps += bound.lower_clamped
+            unbounded += math.isinf(bound.upper)
+            if not bound.contains(value, slack):
+                violations.append(dict(
+                    trial=trial, scenario=scenario.value, realized=value, lower=bound.lower,
+                    upper=bound.upper, gain_a=gain_a, alpha=alpha, beta=beta,
+                ))
+    return SoundnessReport(trials, tuple(violations), clamps, unbounded)
 
 
 class TestBuyerGainBounds:
@@ -231,11 +281,73 @@ class TestScalarBoundProperties:
             assert bound.contains(realized[scenario], AUDIT_REL_SLACK), (scenario, realized[scenario], bound)
 
 
+class TestWeightsNearTheSmallestFloats:
+    """Weights that pass the domain check but where the closed forms leave the float range."""
+
+    @pytest.mark.parametrize("bound, args", [
+        (perf_ratio_bounds, (5e-324, 5e-324, 1e-3)),  # alpha * sqrt(gain) underflows to 0
+        (buyer_gain_bounds, (5e-324, 5e-324, 1.0)),  # the lower denominator underflows to 0
+        (perf_ratio_bounds, (1.0, 5e-324, 1e-3)),  # inf - inf in the lower numerator
+    ])
+    def test_closed_forms_out_of_range_raise_naming_the_inputs(self, bound, args):
+        with pytest.raises(ValueError, match="from gain {!r}, alpha {!r}, beta {!r}".format(*args)):
+            bound(*args)
+
+    @settings(max_examples=600, deadline=None)
+    @given(gains, any_weights, any_weights)
+    def test_every_accepted_input_gives_intervals_or_names_itself(self, gain, alpha, beta):
+        for bound in (buyer_gain_bounds, perf_ratio_bounds):
+            try:
+                result = bound(gain, alpha, beta)
+            except ValueError as error:
+                assert f"from gain {gain!r}, alpha {alpha!r}, beta {beta!r}" in str(error)
+                continue
+            for interval in [result] if isinstance(result, GainBounds) else result.values():
+                assert 0.0 <= interval.lower <= interval.upper, interval
+
+
 class TestSoundness:
     def test_randomized_sweep_has_zero_violations(self):
         report = soundness_sweep(3000, np.random.default_rng(7))
         assert report.ok
         assert report.trials == 3000
+
+    def test_negative_trials_raise(self):
+        with pytest.raises(ValueError, match="trials"):
+            soundness_sweep(-5, np.random.default_rng(0))
+        assert soundness_sweep(0, np.random.default_rng(0)) == SoundnessReport(0, (), 0, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_report_equals_the_reference_loop(self, seed):
+        got = soundness_sweep(2000, np.random.default_rng(seed))
+        assert repr(got) == repr(_reference_sweep(2000, np.random.default_rng(seed)))
+
+    def test_forced_violation_rows_equal_the_reference_loop(self, monkeypatch):
+        # A negative slack turns ends that realized ratios reach into violations.
+        monkeypatch.setattr(bounds_module, "AUDIT_REL_SLACK", -1e-3)
+        got = soundness_sweep(2000, np.random.default_rng(3))
+        assert len(got.violations) == 18
+        assert repr(got) == repr(_reference_sweep(2000, np.random.default_rng(3)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-1e150, -1e-150), st.floats(1e-150, 1e150)),
+                    min_size=5 * AUDIT_DIM, max_size=5 * AUDIT_DIM))
+    def test_stacked_row_sums_equal_np_sum_per_vector(self, values):
+        rows = np.array(values[:4 * AUDIT_DIM]).reshape(4, AUDIT_DIM)
+        center = np.array(values[4 * AUDIT_DIM:])
+        expected = [float(np.sum((row - center) ** 2)) for row in rows]
+        assert _squared_errors(rows.copy(), center) == expected
+
+    @pytest.mark.parametrize("core", ["_buyer_ends", "_scenario_ends"])
+    @pytest.mark.parametrize("ends", [(2.0, 1.0, False), (math.nan, 1.0, False)])
+    def test_audit_enforces_the_interval_rule(self, monkeypatch, core, ends):
+        original = getattr(bounds_module, core)
+        if core == "_buyer_ends":
+            monkeypatch.setattr(bounds_module, core, lambda *args: ends)
+        else:
+            monkeypatch.setattr(bounds_module, core, lambda *args: [*original(*args)[:3], ends])
+        with pytest.raises(ValueError, match="not an interval"):
+            soundness_sweep(10, np.random.default_rng(0))
 
     def test_collinear_witnesses_are_contained(self):
         # The two collinear configurations realize the extreme attainable
@@ -302,6 +414,11 @@ class TestGainBoundsType:
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError):
             GainBounds(2.0, 1.0)
+
+    @pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_rejects_nan_ends(self, lower, upper):
+        with pytest.raises(ValueError):
+            GainBounds(lower, upper)
 
     def test_unbounded_upper_allowed(self):
         b = GainBounds(2.0, math.inf)

@@ -225,8 +225,11 @@ def soundness_sweep(trials: int, rng: np.random.Generator) -> SoundnessReport:
         theta_star = rng.standard_normal(AUDIT_DIM)
         scale_a = math.exp(rng.uniform(-2.0, 2.0))
         scale_b = math.exp(rng.uniform(-2.0, 2.0))
-        np.add(theta_star, scale_a * rng.standard_normal(AUDIT_DIM), out=dot_a)
-        np.add(theta_star, scale_b * rng.standard_normal(AUDIT_DIM), out=dot_b)
+        rng.standard_normal(out=estimates[:2])  # both noises in one draw, dot_a's first
+        dot_a *= scale_a
+        dot_a += theta_star
+        dot_b *= scale_b
+        dot_b += theta_star
         alpha = rng.uniform(1e-3, 1.0)
         beta = rng.uniform(1e-3, 1.0)
         np.add((1.0 - alpha) * dot_a, alpha * dot_b, out=bar_a)

@@ -1,4 +1,4 @@
-"""Run-config files: a flat keyed text format parsed into MarketConfig.
+"""Run-config files: a flat keyed text format parsed into MarketConfig, and its echo.
 
 The format is INI-style with one ``[market]`` section, one ``[broker]``
 section, one ``[agent <id>]`` section per agent, and optional ``[mlp]`` and
@@ -6,6 +6,11 @@ section, one ``[agent <id>]`` section per agent, and optional ``[mlp]`` and
 the parser does not read, is an error. Each market kind reads only the keys
 it acts on, so a linear-only key in a neural market (and the reverse) is an
 unknown key too. See README for the schema and the bundled example configs.
+
+Each section's keys are declared once, as ``(key, field, reader)`` rows: the
+parser reads a file through them and `config_echo` writes a market back in the
+file's words for ``summary.json``. A key a file omits takes its field's
+default in the config dataclass; a field without a default is required.
 
 The parser only reads text into types and checks what is about the file
 itself: its sections and keys, the market kind, agent ids, which sweep axis
@@ -15,12 +20,13 @@ sweep cell is checked by building the market it runs (`cell_config`).
 """
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .broker import GainKind
 from .engine import AgentSpec, BrokerSpec, ConfigError, MarketConfig, MlpMarketSpec, Policy
+from .mlp import ALIGN_SWEEPS, MOONS_CLASSES, MOONS_FEATURES, MOONS_NOISE
 
-__all__ = ["ConfigError", "SweepSpec", "cell_config", "load_config", "load_sweep", "parse_config"]
+__all__ = ["ConfigError", "SweepSpec", "cell_config", "config_echo", "load_config", "load_sweep", "parse_config"]
 
 
 @dataclass(frozen=True)
@@ -29,28 +35,12 @@ class SweepSpec:
 
     axis: str
     values: tuple
-    seeds: int
-    base: MarketConfig
+    seeds: int = 5
+    base: MarketConfig = field(kw_only=True)
 
     def __post_init__(self):
         if self.seeds < 1:
             raise ConfigError("sweep", "seeds", f"must be >= 1, got {self.seeds}")
-
-
-def _reader(parser: configparser.ConfigParser, section: str, read: set):
-    def get(key: str, cast, default=None, required: bool = False):
-        read.add((section, key))
-        if not parser.has_option(section, key):
-            if required:
-                raise ConfigError(section, key, "required key is missing")
-            return default
-        raw = parser.get(section, key).strip()
-        try:
-            return cast(raw)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(section, key, f"cannot parse {raw!r}: {exc}") from exc
-
-    return get
 
 
 def _bool(raw: str) -> bool:
@@ -78,6 +68,78 @@ def _step_size(raw: str):
     return None if raw == "auto" else float(raw)
 
 
+# Each section's keys as (file key, config field, reader), in reading order.
+_MARKET = (
+    ("seed", "seed", int), ("rounds", "rounds", int), ("gain_kind", "gain_kind", GainKind),
+    ("trade_every", "trade_every", int), ("trade_start", "trade_start", int), ("pricing", "pricing", _bool),
+    ("seller_pricing", "seller_pricing", str), ("convergence_epsilon", "convergence_epsilon", float),
+)
+_BROKER = (("n", "n_samples", int),)
+_MLP = (("hidden", "hidden", _int_list), ("layer_set", "layer_set", _layer_set))
+# An agent section reads its market kind's own keys first, then the shared ones.
+_AGENT = (("n", "n_samples", int), ("policy", "policy", Policy.parse), ("step_size", "step_size", _step_size))
+_LINEAR_AGENT = (("dim", "dim", int), ("noise", "noise_variance", float), ("theta_offset", "theta_offset", float))
+_MLP_AGENT = (("favored", "favored_classes", _int_list), ("deprived_fraction", "deprived_fraction", float))
+
+# A value in the file's words, per reader; any other reader's value is its own word.
+_WORDS = {
+    _bool: lambda on: "on" if on else "off",
+    _int_list: list,
+    _layer_set: lambda layers: "all" if layers is None else list(layers),
+    _step_size: lambda step: "auto" if step is None else step,
+    GainKind: lambda kind: kind.value,
+    Policy.parse: lambda policy: policy.kind.value + (f":{policy.delay}" if policy.delay else ""),
+}
+
+
+def _section(parser: configparser.ConfigParser, section: str, rows, cls, read: set) -> dict:
+    """``{field: value}`` for the keys of ``rows`` that ``section`` sets, each marked as read.
+
+    An omitted key keeps its field's default in dataclass ``cls``; one whose field has none is required.
+    """
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    values = {}
+    for key, name, reader in rows:
+        read.add((section, key))
+        if not parser.has_option(section, key):
+            if name in required:
+                raise ConfigError(section, key, "required key is missing")
+            continue
+        raw = parser.get(section, key).strip()
+        try:
+            values[name] = reader(raw)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(section, key, f"cannot parse {raw!r}: {exc}") from exc
+    return values
+
+
+def _echo(obj, rows, **fixed) -> dict:
+    """``fixed`` plus each row's value on ``obj`` by file key, in the file's words.
+
+    A None that has no word (an unset epsilon) is left out.
+    """
+    words = {key: _WORDS.get(reader, lambda value: value)(getattr(obj, name)) for key, name, reader in rows}
+    return fixed | {key: word for key, word in words.items() if word is not None}
+
+
+def config_echo(cfg: MarketConfig) -> dict:
+    """The market as its config file states it, for ``summary.json``.
+
+    An mlp market's agents echo the linear keys too, at the values it requires. The fixed conventions
+    (loss, zero start, broker noise, moons data, alignment sweep cap) stay, so every summary keeps its keys.
+    """
+    echo = _echo(cfg, _MARKET, model=cfg.model, loss="mean-per-sample", init="zeros")
+    echo["broker"] = _echo(cfg.broker, _BROKER, noise=0.0)
+    agent_rows = _AGENT + _LINEAR_AGENT + (_MLP_AGENT if cfg.mlp is not None else ())
+    echo["agents"] = {a.agent_id: _echo(a, agent_rows) for a in cfg.agents}
+    if cfg.mlp is not None:
+        echo["mlp"] = _echo(cfg.mlp, _MLP, input_dim=MOONS_FEATURES, n_classes=MOONS_CLASSES,
+                            data_noise=MOONS_NOISE, align_sweeps=ALIGN_SWEEPS)
+    if cfg.endowment is not None:
+        echo["endowment"] = cfg.endowment
+    return echo
+
+
 def _read(text: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -101,65 +163,28 @@ def _reject_unread(parser: configparser.ConfigParser, read: set, sections) -> No
 def parse_config(text: str) -> MarketConfig:
     """Parse config text; raises ConfigError with a section/key diagnostic."""
     parser = _read(text)
-    read = set()
+    read = {("market", "model")}
     if not parser.has_section("market"):
         raise ConfigError("market", "-", "missing [market] section")
-    market = _reader(parser, "market", read)
-    model = market("model", str, default="linear")
+    model = parser.get("market", "model", fallback="linear").strip()
     if model not in ("linear", "mlp"):
         raise ConfigError("market", "model", f"expected linear or mlp, got {model!r}")
-    linear = model == "linear"
+    mlp_spec = None if model == "linear" else MlpMarketSpec(**_section(parser, "mlp", _MLP, MlpMarketSpec, read))
 
-    mlp_spec = None
-    if not linear:
-        m = _reader(parser, "mlp", read)
-        mlp_spec = MlpMarketSpec(
-            hidden=m("hidden", _int_list, default=(16, 16, 16)),
-            layer_set=m("layer_set", _layer_set, default=None),
-        )
-
+    # An mlp agent reads no dim; its market requires 0.
+    kind_rows, kind_values = (_LINEAR_AGENT, {}) if mlp_spec is None else (_MLP_AGENT, {"dim": 0})
     agents = []
     for section in sorted(s for s in parser.sections() if s.startswith("agent ")):
         agent_id = section.split(" ", 1)[1].strip()
         if not agent_id:
             raise ConfigError(section, "-", "empty agent id")
-        a = _reader(parser, section, read)
-        if linear:
-            kind_keys = dict(
-                dim=a("dim", int, required=True),
-                noise_variance=a("noise", float, default=0.0),
-                theta_offset=a("theta_offset", float, default=0.0),
-            )
-        else:
-            kind_keys = dict(
-                dim=0,
-                favored_classes=a("favored", _int_list, default=()),
-                deprived_fraction=a("deprived_fraction", float, default=1.0),
-            )
-        agents.append(
-            AgentSpec(
-                agent_id=agent_id,
-                n_samples=a("n", int, required=True),
-                policy=a("policy", Policy.parse, default=Policy.parse("trade-when-beneficial")),
-                step_size=a("step_size", _step_size, default=None),
-                **kind_keys,
-            )
-        )
+        values = _section(parser, section, kind_rows + _AGENT, AgentSpec, read)
+        agents.append(AgentSpec(agent_id=agent_id, **kind_values, **values))
 
     if not parser.has_section("broker"):
         raise ConfigError("broker", "-", "missing [broker] section")
-    b = _reader(parser, "broker", read)
-    broker = BrokerSpec(n_samples=b("n", int, required=True))
-    settings = dict(
-        seed=market("seed", int, required=True),
-        rounds=market("rounds", int, required=True),
-        gain_kind=market("gain_kind", GainKind, required=True),
-        trade_every=market("trade_every", int, default=1),
-        trade_start=market("trade_start", int, default=1),
-        pricing=market("pricing", _bool, default=False),
-        seller_pricing=market("seller_pricing", str, default="myerson"),
-        convergence_epsilon=market("convergence_epsilon", float, default=None),
-    )
+    broker = BrokerSpec(**_section(parser, "broker", _BROKER, BrokerSpec, read))
+    settings = _section(parser, "market", _MARKET, MarketConfig, read)
     # The [sweep] keys are left to parse_sweep.
     _reject_unread(parser, read, [s for s in parser.sections() if s != "sweep"])
     # MarketConfig's rules raise ConfigError naming the key at fault.
@@ -209,15 +234,16 @@ def parse_sweep(text: str) -> SweepSpec:
     if not parser.has_section("sweep"):
         raise ConfigError("sweep", "-", "missing [sweep] section")
     read = set()
-    s = _reader(parser, "sweep", read)
-    axis = s("axis", str, required=True)
+    # One key at a time, so each is checked before the next is read.
+    sweep_key = lambda key, reader: _section(parser, "sweep", [(key, key, reader)], SweepSpec, read)  # noqa: E731
+    axis = sweep_key("axis", str)["axis"]
     if axis not in _SWEEP_CELLS:
         raise ConfigError("sweep", "axis", f"expected one of {tuple(_SWEEP_CELLS)}, got {axis!r}")
-    raw_values = s("values", str, required=True)
+    raw_values = sweep_key("values", str)["values"]
     cells = tuple(v.strip() for v in raw_values.split("|") if v.strip() != "")
     if not cells:
         raise ConfigError("sweep", "values", "no cells given (separate cells with '|')")
-    seeds = s("seeds", int, default=5)
+    seeds = sweep_key("seeds", int)
     base = parse_config(text)
     _reject_unread(parser, read, ["sweep"])
     if axis in ("distance", "endowment") and base.mlp is not None:
@@ -238,7 +264,7 @@ def parse_sweep(text: str) -> SweepSpec:
             raise ConfigError("sweep", "values", f"cell {raw!r} repeats cell {seen[key]!r}")
         seen[key] = raw
         values.append(value)
-    return SweepSpec(axis=axis, values=tuple(values), seeds=seeds, base=base)
+    return SweepSpec(axis=axis, values=tuple(values), base=base, **seeds)
 
 
 def load_sweep(path: str) -> SweepSpec:

@@ -7,6 +7,7 @@ process pool; output rows are keyed and ordered by (cell, seed) regardless of
 scheduling.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -103,17 +104,29 @@ def _run_cell(args) -> SweepRow:
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of the host's where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(
     base: MarketConfig, axis: str, values, seeds: int, jobs: int = 1
 ) -> SweepResult:
-    """Run every (cell, seed) pair; rows come back ordered by cell then seed."""
+    """Run every (cell, seed) pair; rows come back ordered by cell then seed.
+
+    At most ``jobs`` worker processes run the pairs, and never more than there
+    are pairs or usable CPUs; with one worker the pairs run in this process.
+    """
     work = [
         (base, axis, cell, value, base.seed + seed)
         for cell, value in enumerate(values)
         for seed in range(seeds)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(work), _usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, work))
     else:
         rows = [_run_cell(w) for w in work]

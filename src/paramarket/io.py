@@ -7,6 +7,9 @@ bounds_violations.csv and align_demo.csv. All outputs are UTF-8 with LF line
 endings and 17-significant-digit decimals, written atomically (temp file in
 the target directory, then rename), so a rerun with the same seed produces
 byte-identical files.
+
+``summary.json`` echoes the run's config in the config file's key names and
+words, as `config.config_echo` writes it.
 """
 
 import json
@@ -16,8 +19,8 @@ import tempfile
 
 import numpy as np
 
-from .engine import MarketConfig, MarketLog, convergence_metrics
-from .mlp import ALIGN_SWEEPS, MOONS_CLASSES, MOONS_FEATURES, MOONS_NOISE
+from .config import config_echo
+from .engine import MarketLog, convergence_metrics
 
 __all__ = [
     "TRADES_HEADER",
@@ -142,54 +145,6 @@ def violations_csv(violations) -> str:
     return csv_text(VIOLATIONS_HEADER, ([v[k] for k in keys] for v in violations))
 
 
-def _config_echo(cfg: MarketConfig) -> dict:
-    # The fixed conventions (loss, zero start, broker noise, class count, moons
-    # noise, sweep cap) stay in the echo, so every summary keeps the same keys.
-    echo = {
-        "seed": cfg.seed,
-        "rounds": cfg.rounds,
-        "gain_kind": cfg.gain_kind.value,
-        "trade_every": cfg.trade_every,
-        "trade_start": cfg.trade_start,
-        "pricing": "on" if cfg.pricing else "off",
-        "seller_pricing": cfg.seller_pricing,
-        "loss": "mean-per-sample",
-        "init": "zeros",
-        "model": cfg.model,
-        "broker": {"n": cfg.broker.n_samples, "noise": 0.0},
-        "agents": {
-            a.agent_id: {
-                "dim": a.dim,
-                "n": a.n_samples,
-                "noise": a.noise_variance,
-                "policy": a.policy.kind.value
-                + (f":{a.policy.delay}" if a.policy.delay else ""),
-                "step_size": a.step_size if a.step_size is not None else "auto",
-                "theta_offset": a.theta_offset,
-            }
-            for a in cfg.agents
-        },
-    }
-    if cfg.mlp is not None:
-        echo["mlp"] = {
-            "hidden": list(cfg.mlp.hidden),
-            "input_dim": MOONS_FEATURES,
-            "n_classes": MOONS_CLASSES,
-            "data_noise": MOONS_NOISE,
-            "layer_set": list(cfg.mlp.layer_set) if cfg.mlp.layer_set else "all",
-            "align_sweeps": ALIGN_SWEEPS,
-        }
-        for a in cfg.agents:
-            echo["agents"][a.agent_id].update(
-                favored=list(a.favored_classes), deprived_fraction=a.deprived_fraction
-            )
-    if cfg.convergence_epsilon is not None:
-        echo["convergence_epsilon"] = cfg.convergence_epsilon
-    if cfg.endowment is not None:
-        echo["endowment"] = cfg.endowment
-    return echo
-
-
 def summary_dict(log: MarketLog) -> dict:
     agents = {}
     for u in log.agent_ids:
@@ -202,10 +157,8 @@ def summary_dict(log: MarketLog) -> dict:
             "executed_trades": sum(1 for r in log.trades if r.buyer == u and r.indicator),
             "declined_or_failed": sum(1 for r in log.trades if r.buyer == u and not r.indicator),
         }
-    config = _config_echo(log.config)
-    config["resolved_step_sizes"] = dict(log.step_sizes)
     out = {
-        "config": config,
+        "config": {**config_echo(log.config), "resolved_step_sizes": dict(log.step_sizes)},
         "agents": agents,
         "total_trades_executed": sum(1 for r in log.trades if r.indicator),
         "rounds": max((r.round_index for r in log.curves), default=0),

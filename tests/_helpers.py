@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 from scipy import stats
 
-from paramarket._search import golden_section_min
+from paramarket.broker import golden_section_min
 from paramarket.broker import GainKind
 from paramarket.core import LabeledDataset, empirical_loss
 from paramarket.engine import LinearRoundView, MarketLog

@@ -1,12 +1,14 @@
 
 import contextlib
 import io
+import json
 import math
 import os
 import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,15 @@ from hypothesis import strategies as st
 from paramarket import cli, engine
 from paramarket import io as io_mod
 from paramarket.broker import GainKind
-from paramarket.config import ConfigError, load_config, load_sweep, parse_config, parse_sweep
+from paramarket.config import (
+    ConfigError,
+    SweepSpec,
+    config_echo,
+    load_config,
+    load_sweep,
+    parse_config,
+    parse_sweep,
+)
 from paramarket.engine import AgentSpec, BrokerSpec, MarketConfig, MlpMarketSpec, Policy, PolicyKind, run_simulation
 from paramarket.experiments import layer_subset_table
 from paramarket.io import (
@@ -400,6 +410,78 @@ def test_readme_schema_lists_the_keys_of_the_small_markets():
         assert README_SCHEMA[section] == used[section], section
 
 
+def echo_as_config_text(echo: dict) -> str:
+    """Config text of the keys in a summary echo that its market's kind reads, lists as comma lists.
+
+    The rest of the echo (fixed conventions, resolved step sizes, and the
+    linear keys an mlp market echoes at their required values) is left out.
+    """
+    linear_only = {"dim", "noise", "theta_offset"} if echo["model"] == "mlp" else set()
+
+    def section(name, values, keys):
+        lines = [f"[{name}]"] + [f"{k} = {','.join(map(str, v)) if isinstance(v, list) else v}"
+                                 for k, v in values.items() if k in keys]
+        return "\n".join(lines) + "\n"
+
+    parts = [section("market", echo, README_SCHEMA["market"]),
+             section("broker", echo["broker"], README_SCHEMA["broker"])]
+    parts += [section(f"agent {u}", a, README_SCHEMA["agent"] - linear_only) for u, a in echo["agents"].items()]
+    if "mlp" in echo:
+        parts.append(section("mlp", echo["mlp"], README_SCHEMA["mlp"]))
+    return "\n".join(parts)
+
+
+def _bundled_or_small_market(name: str) -> MarketConfig:
+    if name == "SMALL_MLP":
+        return parse_config(SMALL_MLP)
+    text = (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
+    return parse_sweep(text).base if "\n[sweep]" in text else parse_config(text)
+
+
+@pytest.mark.parametrize("name", [*(p.stem for p in BUNDLED), "SMALL_MLP"])
+def test_summary_echo_reads_back_as_the_same_market(name):
+    cfg = _bundled_or_small_market(name)
+    echo = json.loads(json_text(config_echo(cfg)))
+    assert repr(parse_config(echo_as_config_text(echo))) == repr(cfg)
+
+
+def test_summary_json_holds_the_config_echo():
+    cfg = parse_config(SMALL_MLP)
+    log = run_simulation(cfg)
+    assert summary_dict(log)["config"] == {**config_echo(cfg), "resolved_step_sizes": log.step_sizes}
+
+
+REQUIRED_ONLY = """
+[market]
+seed = 3
+rounds = 5
+gain_kind = {gain}
+{model}
+[agent a]
+{dim}n = 10
+
+[agent b]
+{dim}n = 8
+
+[broker]
+n = 30
+"""
+
+
+def test_a_file_of_required_keys_equals_the_market_built_in_code():
+    linear = MarketConfig(seed=3, rounds=5, gain_kind=GainKind.ERROR_RATIO,
+                          agents=(AgentSpec("a", dim=4, n_samples=10), AgentSpec("b", dim=4, n_samples=8)),
+                          broker=BrokerSpec(30))
+    text = REQUIRED_ONLY.format(gain="error-ratio", model="", dim="dim = 4\n")
+    assert parse_config(text) == linear
+    sweep = parse_sweep(text + "\n[sweep]\naxis = start\nvalues = 1 | 2\n")
+    assert sweep == SweepSpec("start", (1, 2), base=linear)
+    mlp = MarketConfig(seed=3, rounds=5, gain_kind=GainKind.LOSS_DIFFERENCE,
+                       agents=(AgentSpec("a", dim=0, n_samples=10), AgentSpec("b", dim=0, n_samples=8)),
+                       broker=BrokerSpec(30), mlp=MlpMarketSpec())
+    assert parse_config(REQUIRED_ONLY.format(gain="loss-difference", model="model = mlp\n", dim="")) == mlp
+
+
 MARKET_FIELDS = ("agents", "seed", "rounds", "gain_kind", "broker.n", "trade_every", "trade_start",
                  "pricing", "convergence_epsilon", "seller_pricing", "endowment", "hidden", "layer_set",
                  "agent_id", "dim", "n", "noise", "policy", "step_size", "theta_offset", "favored",
@@ -469,6 +551,19 @@ def test_market_config_constructs_or_names_a_documented_key(fields):
     except ConfigError as err:
         section = err.section.split(" ", 1)[0]
         assert section in README_SCHEMA and err.key in README_SCHEMA[section] | {"-"}, err
+
+
+@settings(max_examples=150, deadline=None)
+@given(market_fields())
+def test_summary_echo_of_any_market_reads_back_as_it(fields):
+    try:
+        cfg = MarketConfig(**fields)
+    except ConfigError:
+        return
+    echo = json.loads(json_text(config_echo(cfg)))
+    # The parser orders agents by id, and an endowment is a sweep cell's, not a key.
+    want = replace(cfg, agents=tuple(sorted(cfg.agents, key=lambda a: a.agent_id)), endowment=None)
+    assert repr(parse_config(echo_as_config_text(echo))) == repr(want)
 
 
 def _sizes_stay_small(raw: str) -> bool:

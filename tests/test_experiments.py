@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from paramarket import experiments
 from paramarket.broker import GainKind
 from paramarket.config import ConfigError, cell_config, load_config, load_sweep
 from paramarket.engine import (
@@ -199,6 +201,46 @@ class TestAsynchronousMarket:
         assert min(r.round_index for r in log.trades if "a" in (r.buyer, r.seller)) >= 11
         imp = relative_improvement(log, twin, "broker_loss")
         assert imp["a"] > 0 and imp["b"] > 0
+
+
+class TestSweepWorkers:
+    """How many worker processes a sweep asks for; a stand-in pool starts none."""
+
+    def test_workers_are_capped_by_the_pairs_and_the_usable_cpus(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:  # records its size and maps in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        cfg = small_cfg(rounds=3)
+        want = run_sweep(cfg, "frequency", [1, 2, 3], seeds=2)  # 6 (cell, seed) pairs
+        assert sizes == []
+        # (jobs, usable CPUs, workers started; None: no pool, the pairs run here)
+        for jobs, cpus, workers in [(64, 4, 4), (64, 100, 6), (3, 100, 3), (64, 1, None), (1, 8, None)]:
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda n=cpus: n)
+            sizes.clear()
+            assert run_sweep(cfg, "frequency", [1, 2, 3], seeds=2, jobs=jobs) == want
+            assert sizes == ([] if workers is None else [workers]), (jobs, cpus)
+
+    def test_usable_cpus_are_the_affinity_else_the_cpu_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert experiments._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert experiments._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert experiments._usable_cpus() == 1
 
 
 class TestSpearman:

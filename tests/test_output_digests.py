@@ -1,0 +1,45 @@
+"""Smoke test of ``scripts/output_digests.py``, the before/after check of every output.
+
+The script is loaded from its path and run in this process, with the source
+tree first on the import path, on prefixes that keep it to about a second.
+"""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "output_digests.py"
+CONFIGS = ROOT / "configs"
+
+
+@pytest.fixture
+def digests(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parsed_prefix_prints_one_line_per_bundled_config(digests, capsys):
+    assert digests.main(["parsed:"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(list(CONFIGS.glob("*.cfg"))) == 11
+    assert all(re.fullmatch(r"parsed:\w+ config (MarketConfig|SweepSpec) [0-9a-f]{64}", line) for line in lines)
+
+
+def test_one_market_prints_three_artifacts_per_run(digests, capsys):
+    assert digests.main(["fedavg+loss-difference"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1:3] for line in lines] == [
+        [run, artifact] for run in ("market", "twin") for artifact in ("trades_csv", "curves_csv", "summary_dict")
+    ]
+
+
+def test_unmatched_prefix_exits_2(digests, capsys):
+    assert digests.main(["no-such-market"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "no market name starts with" in err

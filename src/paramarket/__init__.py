@@ -9,6 +9,7 @@ from .broker import (
     gain_error_ratio,
     gain_loss_difference,
 )
+from .config import AgentSpec, BrokerSpec, MarketConfig, Policy, PolicyKind
 from .core import (
     DimensionMismatchError,
     DivergenceError,
@@ -18,18 +19,7 @@ from .core import (
     gradient_step,
     merge,
 )
-from .engine import (
-    AgentSpec,
-    BrokerSpec,
-    MarketConfig,
-    MarketLog,
-    Policy,
-    PolicyKind,
-    TradeRecord,
-    convergence_metrics,
-    run_round,
-    run_simulation,
-)
+from .engine import MarketLog, TradeRecord, convergence_metrics, run_round, run_simulation
 from .linear import LinearTask, estimation_error, synthesize_task
 from .pricing import (
     PriorDistribution,

@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .bounds import soundness_sweep
 from .config import ConfigError, load_config, load_sweep
 from .core import DivergenceError
 from .engine import InvariantError, run_simulation
-from .experiments import layer_subset_table, run_sweep
+from .experiments import _usable_cpus, layer_subset_table, run_sweep
 from .mlp import (
     MOONS_CLASSES,
     MOONS_FEATURES,
@@ -30,8 +31,8 @@ from .mlp import (
     LayerPermutations,
     MlpParams,
     apply_permutation,
+    merge_path_loss,
     mlp_forward_loss,
-    subset_merge,
     two_moons,
     weight_matching_alignment,
 )
@@ -54,17 +55,14 @@ def _make_out_dir(out: str | None) -> None:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     _make_out_dir(args.out)
     log = run_simulation(cfg)
     paths = io_mod.write_run_outputs(log, args.out)
-    summary = io_mod.summary_dict(log)
     print(f"wrote {paths['trades']}, {paths['curves']}, {paths['summary']}")
-    print(f"executed trades: {summary['total_trades_executed']}")
-    for agent, stats in sorted(summary["agents"].items()):
-        print(f"  {agent}: final broker loss {stats['final_broker_loss']:.6g}")
+    print(f"executed trades: {sum(r.indicator for r in log.trades)}")
+    for agent in sorted(log.agent_ids):
+        print(f"  {agent}: final broker loss {log.final_row(agent).broker_loss:.6g}")
     return 0
 
 
@@ -130,15 +128,10 @@ def _cmd_align_demo(args) -> int:
     print(f"planted permutation recovered exactly: {exact}")
 
     layers = tuple(range(net.n_layers))
-    points = []
-    for w in np.linspace(0.0, 1.0, args.points):
-        w = float(w)
-        if w == 0.0:
-            la = lu = mlp_forward_loss(net, data)
-        else:
-            la = mlp_forward_loss(subset_merge(net, recovered, layers, w), data)
-            lu = mlp_forward_loss(subset_merge(net, clone, layers, w), data)
-        points.append((w, la, lu))
+    aligned, plain = (merge_path_loss(net, seller, layers, data) for seller in (recovered, clone))
+    own = mlp_forward_loss(net, data)  # weight 0 is no merge: both curves start at the net's own loss
+    weights = map(float, np.linspace(0.0, 1.0, args.points))
+    points = [(w, own, own) if w == 0.0 else (w, aligned(w), plain(w)) for w in weights]
     curve = io_mod.csv_text(io_mod.ALIGN_DEMO_HEADER, points)
     if args.out:
         io_mod.atomic_write_text(os.path.join(args.out, "align_demo.csv"), curve)
@@ -199,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run an ablation sweep config")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--out", default="out")
-    p_sweep.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p_sweep.add_argument("--jobs", type=_int_at_least(1), default=_usable_cpus())
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_bounds = sub.add_parser("bounds-check", help="randomized soundness audit of trade bounds")

@@ -10,12 +10,11 @@ midpoint payment), in collaborative mode the merge ships for free. Baseline
 policies (never trade, always trade, fixed-weight averaging) and per-agent
 start delays slot into the same loop.
 
-Every market setting lives in `MarketConfig`, and so does every rule on
-those settings: a config file, a config built in code and a sweep cell are
-checked alike when one is constructed. `build_market` is the only code that
-draws a market, an endowment cell's shared data pool included. The round
-loop reads each agent's policy and start round from it, and picks the gain
-rule once. Fedavg and loss-difference markets score a merge by its
+The engine owns the market mechanics; the settings, and every rule on them,
+live in `config.MarketConfig`. `build_market` is the only code that draws a
+market, an endowment cell's shared data pool included. The round loop reads
+each agent's policy and start round from the config, and picks the gain rule
+once. Fedavg and loss-difference markets score a merge by its
 broker-loss difference, every other market by its estimation-error ratio
 against the broker's truth.
 
@@ -38,7 +37,6 @@ and curve row.
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -63,18 +61,12 @@ from .core import (
     merge,
     residual,
 )
+from .config import AgentSpec, MarketConfig, Policy, PolicyKind
 from .linear import LinearTask, estimation_error, gram_lambda_max, synthesize_task
 from .pricing import quote
 
 __all__ = [
-    "ConfigError",
     "InvariantError",
-    "PolicyKind",
-    "Policy",
-    "AgentSpec",
-    "BrokerSpec",
-    "MlpMarketSpec",
-    "MarketConfig",
     "AgentState",
     "TradeRecord",
     "CurveRow",
@@ -89,40 +81,8 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
-    """A malformed config or market setting, with its section and key attached."""
-
-    def __init__(self, section: str, key: str, message: str):
-        self.section = section
-        self.key = key
-        super().__init__(f"[{section}] {key}: {message}")
-
-
 class InvariantError(RuntimeError):
     """A market invariant checked at the end of a run does not hold."""
-
-
-class PolicyKind(Enum):
-    TRADE_WHEN_BENEFICIAL = "trade-when-beneficial"
-    NEVER_TRADE = "never-trade"
-    ALWAYS_TRADE = "always-trade"
-    ASYNCHRONOUS = "asynchronous"
-    FEDAVG = "fedavg"
-
-
-@dataclass(frozen=True)
-class Policy:
-    """Buying behavior plus an optional start delay (asynchronous trading)."""
-
-    kind: PolicyKind
-    delay: int = 0
-
-    @staticmethod
-    def parse(text: str) -> "Policy":
-        text = text.strip()
-        if text.startswith("asynchronous:"):
-            return Policy(PolicyKind.ASYNCHRONOUS, delay=int(text.split(":", 1)[1]))
-        return Policy(PolicyKind(text))
 
 
 def wants_to_buy(policy: Policy, gain: GainReport) -> bool:
@@ -133,168 +93,6 @@ def wants_to_buy(policy: Policy, gain: GainReport) -> bool:
     Never-trade buyers are skipped before any offer is evaluated.
     """
     return policy.kind in (PolicyKind.ALWAYS_TRADE, PolicyKind.FEDAVG) or gain.trade_beneficial
-
-
-@dataclass(frozen=True)
-class AgentSpec:
-    """Declarative description of one agent; the engine builds state from it."""
-
-    agent_id: str
-    dim: int  # linear only
-    n_samples: int
-    noise_variance: float = 0.0  # linear only
-    policy: Policy = Policy(PolicyKind.TRADE_WHEN_BENEFICIAL)
-    step_size: float | None = None  # None: 0.9 / smoothness of the training loss
-    theta_offset: float = 0.0  # linear only: distance of this agent's truth from the shared base
-    favored_classes: tuple = ()  # mlp only: classes kept in full
-    deprived_fraction: float = 1.0  # mlp only: fraction kept of the other classes
-
-
-@dataclass(frozen=True)
-class BrokerSpec:
-    n_samples: int
-
-
-@dataclass(frozen=True)
-class MlpMarketSpec:
-    """Network shape and traded layers for neural markets."""
-
-    hidden: tuple = (16, 16, 16)
-    layer_set: tuple | None = None  # None trades every layer
-
-
-# Agent settings only one market kind reads: (field, config key, the value
-# the other kind requires). An mlp agent's dim is 0.
-_LINEAR_ONLY = (("dim", "dim", 0), ("noise_variance", "noise", 0.0), ("theta_offset", "theta_offset", 0.0))
-_MLP_ONLY = (("favored_classes", "favored", ()), ("deprived_fraction", "deprived_fraction", 1.0))
-
-
-@dataclass(frozen=True)
-class MarketConfig:
-    seed: int
-    rounds: int
-    gain_kind: GainKind
-    agents: tuple
-    broker: BrokerSpec
-    trade_every: int = 1
-    trade_start: int = 1
-    pricing: bool = False
-    convergence_epsilon: float | None = None
-    mlp: MlpMarketSpec | None = None  # None: a linear market
-    # Seller-side ask in competitive rounds: the Bayesian-optimal price on the
-    # gain interval, or its lower endpoint (trades settle whenever beneficial).
-    seller_pricing: str = "myerson"
-    # Linear only, set by an endowment sweep cell: each agent keeps this
-    # fraction of one shared data pool. None: each agent draws its own task.
-    endowment: float | None = None
-
-    def __post_init__(self):
-        # Every rule of every setting lives here and names the config file's
-        # section and key, so a market built in code (or by
-        # dataclasses.replace) fails like a file that sets the same value.
-        # Messages are formatted only on failure: every twin run builds one.
-        if self.seed < 0:
-            raise ConfigError("market", "seed", f"must be an integer >= 0, got {self.seed}")
-        for key in ("rounds", "trade_every", "trade_start"):
-            if getattr(self, key) < 1:
-                raise ConfigError("market", key, f"must be >= 1, got {getattr(self, key)}")
-        eps = self.convergence_epsilon
-        if eps is not None and not 0 < eps < math.inf:
-            raise ConfigError("market", "convergence_epsilon", f"must be finite and > 0, got {eps}")
-        if self.seller_pricing not in ("myerson", "lower-bound"):
-            raise ConfigError("market", "seller_pricing",
-                              f"must be 'myerson' or 'lower-bound', got {self.seller_pricing!r}")
-        mlp = self.model == "mlp"
-        pooled = self.endowment is not None
-        if pooled and not 0 < self.endowment <= 1:
-            raise ConfigError("sweep", "values", f"an endowment fraction must lie in (0, 1], got {self.endowment}")
-        if mlp:
-            spec = self.mlp
-            if not all(w >= 1 for w in spec.hidden):
-                raise ConfigError("mlp", "hidden", f"expected hidden widths >= 1, got {spec.hidden}")
-            layers, n_hidden = spec.layer_set, len(spec.hidden)  # weight layers 0..n_hidden
-            if layers is not None and not (
-                layers and len(set(layers)) == len(layers) and all(0 <= i <= n_hidden for i in layers)
-            ):
-                raise ConfigError("mlp", "layer_set", "expected all or a non-empty list of distinct "
-                                                      f"layer indices in [0, {n_hidden}], got {layers}")
-        if len(self.agents) < 2:
-            raise ConfigError("agent <id>", "-", "a market needs at least two agents")
-        ids = [a.agent_id for a in self.agents]
-        # Each market kind ignores the other kind's settings, so they must
-        # keep their defaults.
-        other = _LINEAR_ONLY if mlp else _MLP_ONLY
-        unused = [("sweep", "endowment", "axis", self.endowment, None)] if mlp else []
-        min_n = 2 if mlp else 1  # two_moons draws a point of each class
-        for a in self.agents:
-            section = f"agent {a.agent_id}"
-            if ids.count(a.agent_id) > 1:
-                raise ConfigError(section, "-", f"duplicate agent id {a.agent_id!r}")
-            if a.n_samples < min_n:
-                raise ConfigError(section, "n", f"must be >= {min_n}, got {a.n_samples}")
-            if a.step_size is not None and not 0 < a.step_size < math.inf:
-                raise ConfigError(section, "step_size", f"must be auto or finite and > 0, got {a.step_size}")
-            if a.policy.delay < 0:
-                raise ConfigError(section, "policy", f"a delay must be >= 0, got {a.policy.delay}")
-            if a.policy.delay > 0 and a.policy.kind is not PolicyKind.ASYNCHRONOUS:
-                raise ConfigError(section, "policy", "only the asynchronous policy takes a delay")
-            if mlp:
-                favored, classes = a.favored_classes, mlp_mod.MOONS_CLASSES
-                if len(set(favored)) < len(favored) or not all(0 <= c < classes for c in favored):
-                    raise ConfigError(section, "favored",
-                                      f"expected distinct class indices in [0, {classes - 1}], got {favored}")
-                if not 0 < a.deprived_fraction <= 1:
-                    raise ConfigError(section, "deprived_fraction",
-                                      f"expected a fraction in (0, 1], got {a.deprived_fraction}")
-            else:
-                if a.dim < 1:
-                    raise ConfigError(section, "dim", f"must be >= 1, got {a.dim}")
-                if a.dim != self.agents[0].dim:
-                    raise ConfigError(section, "dim", "all agents must share one parameter dimension")
-                if not 0 <= a.noise_variance < math.inf:
-                    raise ConfigError(section, "noise", f"must be finite and >= 0, got {a.noise_variance}")
-                offset = a.theta_offset
-                if not 0 <= offset < math.inf:
-                    raise ConfigError(section, "theta_offset", f"must be finite and >= 0, got {offset}")
-                if offset > 0 and self.gain_kind is GainKind.ERROR_RATIO:
-                    raise ConfigError(section, "theta_offset", "expected 0: the error-ratio gain "
-                                                               "needs one shared true parameter vector")
-                if pooled:  # the agents split one pool: one n, one noise, one truth
-                    first = self.agents[0]
-                    for field, key in (("n_samples", "n"), ("noise_variance", "noise")):
-                        if getattr(a, field) != getattr(first, field):
-                            raise ConfigError(section, key, "an endowment cell's agents share one data "
-                                                            f"pool, so must equal agent {first.agent_id}'s")
-                    if offset > 0:
-                        raise ConfigError(section, "theta_offset", "expected 0: an endowment cell's "
-                                                                   "agents share one task")
-            unused += [(section, field, key, getattr(a, field), v) for field, key, v in other]
-        for section, field, key, value, default in unused:
-            if value != default:
-                raise ConfigError(section, key, f"{section} {field} is ignored by the {self.model} market")
-        # A linear broker draws at least one validation sample per agent.
-        n_min = 2 if mlp else len(self.agents)
-        if self.broker.n_samples < n_min:
-            raise ConfigError("broker", "n", f"must be >= {n_min}{'' if mlp else ' (one per agent)'}, "
-                                             f"got {self.broker.n_samples}")
-        if mlp and self.gain_kind is not GainKind.LOSS_DIFFERENCE:
-            raise ConfigError("market", "gain_kind",
-                              "neural markets have no known true parameters; use loss-difference gain")
-        if self.pricing and self.gain_kind is not GainKind.ERROR_RATIO:
-            raise ConfigError("market", "pricing",
-                              "competitive pricing builds on the error-ratio gain of the linear market")
-        fedavg = [a.policy.kind is PolicyKind.FEDAVG for a in self.agents]
-        if any(fedavg):
-            if self.pricing:
-                raise ConfigError("market", "pricing", "the fedavg baseline runs without pricing")
-            if not all(fedavg) or len(ids) != 2 or mlp:
-                u = ids[fedavg.index(False)] if not all(fedavg) else ids[0]
-                raise ConfigError(f"agent {u}", "policy",
-                                  "fedavg is a market-wide baseline of exactly two linear agents")
-
-    @property
-    def model(self) -> str:
-        return "linear" if self.mlp is None else "mlp"
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import cell_config
-from .engine import MarketConfig, MarketLog, Policy, PolicyKind, build_market, run_prepared_simulation
+from .config import MarketConfig, Policy, PolicyKind, cell_config
+from .engine import MarketLog, build_market, run_prepared_simulation
 
 __all__ = [
     "never_trade_variant",

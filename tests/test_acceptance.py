@@ -13,18 +13,8 @@ import numpy as np
 
 from paramarket.bounds import AUDIT_REL_SLACK, soundness_sweep
 from paramarket.broker import GainKind
-from paramarket.config import load_config, load_sweep
-from paramarket.engine import (
-    AgentSpec,
-    BrokerSpec,
-    MarketConfig,
-    Policy,
-    PolicyKind,
-    build_market,
-    convergence_metrics,
-    run_prepared_simulation,
-    run_simulation,
-)
+from paramarket.config import AgentSpec, BrokerSpec, MarketConfig, Policy, PolicyKind, load_config, load_sweep
+from paramarket.engine import build_market, convergence_metrics, run_prepared_simulation, run_simulation
 from paramarket.experiments import (
     layer_subset_table,
     never_trade_variant,

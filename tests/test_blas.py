@@ -6,9 +6,9 @@ import pytest
 
 from paramarket import _blas, engine
 from paramarket.broker import GainKind
-from paramarket.config import cell_config
+from paramarket.config import AgentSpec, BrokerSpec, MarketConfig, cell_config
 from paramarket.core import DivergenceError
-from paramarket.engine import AgentSpec, BrokerSpec, MarketConfig, run_simulation
+from paramarket.engine import run_simulation
 from paramarket.experiments import run_with_twin
 
 

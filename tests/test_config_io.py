@@ -19,7 +19,13 @@ from paramarket import cli, engine
 from paramarket import io as io_mod
 from paramarket.broker import GainKind
 from paramarket.config import (
+    AgentSpec,
+    BrokerSpec,
     ConfigError,
+    MarketConfig,
+    MlpMarketSpec,
+    Policy,
+    PolicyKind,
     SweepSpec,
     config_echo,
     load_config,
@@ -27,7 +33,7 @@ from paramarket.config import (
     parse_config,
     parse_sweep,
 )
-from paramarket.engine import AgentSpec, BrokerSpec, MarketConfig, MlpMarketSpec, Policy, PolicyKind, run_simulation
+from paramarket.engine import run_simulation
 from paramarket.experiments import layer_subset_table
 from paramarket.io import (
     CURVES_HEADER,
@@ -732,10 +738,12 @@ class TestCli:
     def test_invalid_sweep_exit_code_and_diagnostic(self, tmp_path, text, diagnostic):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text, encoding="utf-8")
-        r = run_cli("sweep", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
-        assert r.returncode == 2, r.stderr
-        assert diagnostic in r.stderr
-        assert "Traceback" not in r.stderr
+        # simulate reads the whole file too, so a bad [sweep] section fails it alike.
+        for command in ("sweep", "simulate"):
+            r = run_cli(command, str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
+            assert r.returncode == 2, (command, r.stderr)
+            assert diagnostic in r.stderr, command
+            assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize(
         "args, flag",
@@ -863,7 +871,8 @@ class TestCli:
             text = text.replace("rounds = 25", "rounds = 3").replace("step_size = 0.5", "step_size = 1e20")
         else:
             # The first gradient step of a one-hidden-layer net overflows its weights.
-            text = (CONFIGS / "mlp_subset_sweep.cfg").read_text(encoding="utf-8")
+            # The [sweep] section goes: its cells 3 and 2,3 name layers a one-hidden-layer net lacks.
+            text = (CONFIGS / "mlp_subset_sweep.cfg").read_text(encoding="utf-8").split("[sweep]")[0]
             text = (text.replace("rounds = 25", "rounds = 3").replace("step_size = 0.5", "step_size = 1e308")
                     .replace("hidden = 16,16,16", "hidden = 4"))
         cfg.write_text(text, encoding="utf-8")
@@ -1066,6 +1075,10 @@ class TestCli:
         cells = [int(line.split(",")[0]) for line in rows[1:]]
         assert cells == sorted(cells)
         assert (tmp_path / "o" / "sweep_aggregate.csv").exists()
+
+    def test_sweep_jobs_default_to_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert cli.build_parser().parse_args(["sweep", "any.cfg"]).jobs == 3
 
 
 class TestStartup:

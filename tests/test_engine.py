@@ -11,21 +11,20 @@ import scipy.linalg
 
 from paramarket import engine
 from paramarket.broker import GainKind
-from paramarket.config import cell_config, load_config, load_sweep
-from paramarket.core import DivergenceError, LabeledDataset, ParameterVector, empirical_loss
-from paramarket.engine import (
+from paramarket.config import (
     AgentSpec,
     BrokerSpec,
     ConfigError,
-    LinearBrokerEngine,
     MarketConfig,
     MlpMarketSpec,
     Policy,
     PolicyKind,
-    build_market,
-    convergence_metrics,
-    run_simulation,
+    cell_config,
+    load_config,
+    load_sweep,
 )
+from paramarket.core import DivergenceError, LabeledDataset, ParameterVector, empirical_loss
+from paramarket.engine import LinearBrokerEngine, build_market, convergence_metrics, run_simulation
 from paramarket.experiments import never_trade_variant, relative_improvement, run_with_twin
 
 from _helpers import RawLinearBroker, geometric_decay_check, post_step_losses, record_post_step_params

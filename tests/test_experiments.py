@@ -12,17 +12,19 @@ from scipy import stats
 
 from paramarket import experiments
 from paramarket.broker import GainKind
-from paramarket.config import ConfigError, cell_config, load_config, load_sweep
-from paramarket.engine import (
+from paramarket.config import (
     AgentSpec,
     BrokerSpec,
+    ConfigError,
     MarketConfig,
     MlpMarketSpec,
     Policy,
     PolicyKind,
-    build_market,
-    run_simulation,
+    cell_config,
+    load_config,
+    load_sweep,
 )
+from paramarket.engine import build_market, run_simulation
 from paramarket.experiments import (
     never_trade_variant,
     relative_improvement,

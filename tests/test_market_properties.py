@@ -6,9 +6,9 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from paramarket.broker import GainKind
-from paramarket.config import cell_config
+from paramarket.config import AgentSpec, BrokerSpec, MarketConfig, MlpMarketSpec, Policy, PolicyKind, cell_config
 from paramarket.core import DivergenceError
-from paramarket.engine import AgentSpec, BrokerSpec, MarketConfig, MlpMarketSpec, Policy, PolicyKind, wants_to_buy
+from paramarket.engine import wants_to_buy
 from paramarket.experiments import run_with_twin
 from paramarket.io import curves_csv, trades_csv
 

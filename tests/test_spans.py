@@ -10,7 +10,8 @@ import importlib.util
 from pathlib import Path
 
 from paramarket.broker import GainKind
-from paramarket.engine import AgentSpec, BrokerSpec, MarketConfig, run_simulation
+from paramarket.config import AgentSpec, BrokerSpec, MarketConfig
+from paramarket.engine import run_simulation
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 

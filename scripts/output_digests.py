@@ -15,13 +15,15 @@ through ``experiments.run_with_twin`` and prints one line per output:
 config, run (market or twin), artifact (trades_csv, curves_csv,
 summary_dict JSON) and digest. It then runs ``paramarket.cli`` into a
 temporary directory (``sweep`` on each bundled sweep config with its seeds
-cut to 2, ``bounds-check --trials 2000`` and ``align-demo``) and prints the
-exit code, the digest of what the command printed (with the temporary
-directory written as ``<tmp>``) and the digest of every file it wrote, under
-names such as ``cli:sweep:endowment_sweep``. A refactor that must not change
-results gives identical output, 199 lines, on both commits. The ``parsed:``
-lines hash a config's ``repr``, so they change when a config class gains or
-loses a field; the output lines must not:
+cut to 2, ``bounds-check --trials 2000``, ``align-demo``, and ``simulate`` on
+``three_agents`` with pricing on, run twice into one ``--out`` so that the
+second run rewrites existing files) and prints the exit code, the digest of
+what the command printed (with the temporary directory written as ``<tmp>``)
+and the digest of every file it wrote, under names such as
+``cli:sweep:endowment_sweep``; for ``simulate`` these are the second run's.
+A refactor that must not change results gives identical output, 204 lines,
+on both commits. The ``parsed:`` lines hash a config's ``repr``, so they
+change when a config class gains or loses a field; the output lines must not:
 
     PYTHONPATH=src python scripts/output_digests.py > after.txt
 
@@ -94,16 +96,21 @@ def _parsed_configs():
 
 
 def _cli_commands(tmp: Path):
-    """(name, argv without --out) per CLI run; sweep configs get 2 seeds."""
+    """(name, argv without --out, runs into that --out) per CLI command; sweep configs get 2 seeds."""
     for path in sorted(CONFIGS.glob("*.cfg")):
         text = path.read_text(encoding="utf-8")
         if "[sweep]" not in text:
             continue
         cut = tmp / path.name
         cut.write_text(re.sub(r"(?m)^seeds\s*=.*$", "seeds = 2", text), encoding="utf-8")
-        yield f"cli:sweep:{path.stem}", ["sweep", str(cut)]
-    yield "cli:bounds-check", ["bounds-check", "--trials", "2000"]
-    yield "cli:align-demo", ["align-demo"]
+        yield f"cli:sweep:{path.stem}", ["sweep", str(cut)], 1
+    yield "cli:bounds-check", ["bounds-check", "--trials", "2000"], 1
+    yield "cli:align-demo", ["align-demo"], 1
+    # The second run rewrites the first run's files.
+    priced = tmp / "three_agents+pricing.cfg"
+    text = (CONFIGS / "three_agents.cfg").read_text(encoding="utf-8")
+    priced.write_text(text.replace("[market]\n", "[market]\npricing = on\n"), encoding="utf-8")
+    yield "cli:simulate:three_agents+pricing", ["simulate", str(priced)], 2
 
 
 def _digest(text: str) -> str:
@@ -130,13 +137,14 @@ def main(prefixes) -> int:
             sys.stdout.flush()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, argv in _cli_commands(tmp):
+        for name, argv, runs in _cli_commands(tmp):
             if not wanted(name):
                 continue
             matched = True
             out = tmp / "out" / name.replace(":", "_")
-            with contextlib.redirect_stdout(io.StringIO()) as stdout:
-                code = cli_main([*argv, "--out", str(out)])
+            for _ in range(runs):  # the last run's exit code, printed lines and files count
+                with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                    code = cli_main([*argv, "--out", str(out)])
             print(f"{name} cli exit_code {code}")
             # The printed counts (bounds-check's clamps, say) are output too;
             # the temporary directory's name is not.

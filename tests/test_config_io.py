@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -293,6 +294,92 @@ class TestFormatting:
         assert lines[0] == "layer_set,a,b"
         assert [line.split(",")[0] for line in lines[1:]] == ["2", "0;1", "all"]
         assert sorted(report["winners"]) == [4, 5]
+
+
+# What the exchange is in each case: libc's, absent, or one that fails as
+# renameat2 does (-1, errno EINVAL) on a filesystem that cannot exchange.
+EXCHANGES = {"renameat2": None, "no-renameat2": lambda: None, "einval": lambda: lambda *_: -1}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("exchange", EXCHANGES)
+    def test_rewrite_leaves_the_new_bytes_in_a_new_inode(self, tmp_path, monkeypatch, exchange):
+        if EXCHANGES[exchange] is not None:
+            monkeypatch.setattr(io_mod, "_renameat2", EXCHANGES[exchange])
+        path = tmp_path / "trades.csv"
+        io_mod.atomic_write_text(str(path), "old,contents\n" * 50)
+        inode = path.stat().st_ino
+        io_mod.atomic_write_text(str(path), "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert path.stat().st_ino != inode
+        assert os.listdir(tmp_path) == ["trades.csv"]
+
+    def test_rewrite_exchanges_and_never_replaces(self, tmp_path, monkeypatch):
+        if io_mod._renameat2() is None:
+            pytest.skip("libc has no renameat2")
+        path = tmp_path / "curves.csv"
+        io_mod.atomic_write_text(str(path), "old\n")
+
+        def replaced(*_):
+            raise AssertionError("os.replace over an existing file")
+
+        monkeypatch.setattr(io_mod.os, "replace", replaced)
+        io_mod.atomic_write_text(str(path), "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert os.listdir(tmp_path) == ["curves.csv"]
+
+    @pytest.mark.parametrize("mask", [0o022, 0o027, 0o077])
+    def test_files_get_the_mode_open_gives(self, tmp_path, mask):
+        saved = os.umask(mask)
+        try:
+            path = tmp_path / "summary.json"
+            io_mod.atomic_write_text(str(path), "{}\n")
+            created = path.stat().st_mode & 0o777
+            io_mod.atomic_write_text(str(path), "[]\n")
+            rewritten = path.stat().st_mode & 0o777
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            left = os.umask(saved)
+        assert created == rewritten == (tmp_path / "plain").stat().st_mode & 0o777 == 0o666 & ~mask
+        assert left == mask
+
+    def test_a_symlink_is_replaced_and_its_target_kept(self, tmp_path):
+        target = tmp_path / "elsewhere.csv"
+        target.write_text("kept\n", encoding="utf-8")
+        link = tmp_path / "out" / "trades.csv"
+        link.parent.mkdir()
+        link.symlink_to(target)
+        io_mod.atomic_write_text(str(link), "new\n")
+        assert not link.is_symlink() and link.read_bytes() == b"new\n"
+        assert target.read_bytes() == b"kept\n"
+        assert os.listdir(link.parent) == ["trades.csv"]
+
+    def test_a_reader_sees_one_whole_file_or_the_other(self, tmp_path):
+        # The documented atomicity: an existing output is never absent or partial.
+        path = tmp_path / "trades.csv"
+        texts = ["a," * 4000 + "\n", "b," * 6000 + "\n"]
+        io_mod.atomic_write_text(str(path), texts[0])
+        seen, done = set(), threading.Event()
+
+        def read():
+            while not done.is_set():
+                try:
+                    seen.add(path.read_text(encoding="utf-8"))
+                except OSError as exc:  # the path named no file
+                    seen.add(repr(exc))
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            for k in range(60):
+                io_mod.atomic_write_text(str(path), texts[k % 2])
+        finally:
+            done.set()
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert seen <= set(texts) and seen
+        assert os.listdir(tmp_path) == ["trades.csv"]
 
 
 def run_python(*args, cwd, extra_env=None):
@@ -955,6 +1042,29 @@ class TestCli:
         out = tmp_path / "locked"
         assert cli.main(["bounds-check", "--trials", "10", "--out", str(out)]) == 2
         assert f"Permission denied: '{out}'" in capsys.readouterr().err
+
+    def test_directory_at_an_output_name_exits_2_and_stays(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL, encoding="utf-8")
+        out = tmp_path / "o"
+        (out / "trades.csv" / "inner").mkdir(parents=True)
+        (out / "trades.csv" / "inner" / "kept").write_text("kept\n", encoding="utf-8")
+        r = run_cli("simulate", str(cfg), "--out", str(out), cwd=tmp_path)
+        assert r.returncode == 2 and "path error:" in r.stderr, r.stderr
+        assert "Traceback" not in r.stderr
+        assert os.listdir(out) == ["trades.csv"]
+        assert (out / "trades.csv" / "inner" / "kept").read_bytes() == b"kept\n"
+
+    def test_simulate_twice_into_one_out_gives_the_fresh_bytes(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL, encoding="utf-8")
+        again, fresh = tmp_path / "again", tmp_path / "fresh"
+        for out in (again, again, fresh):
+            assert run_cli("simulate", str(cfg), "--out", str(out), cwd=tmp_path).returncode == 0
+        names = ["curves.csv", "summary.json", "trades.csv"]
+        assert sorted(os.listdir(again)) == names
+        for name in names:
+            assert (again / name).read_bytes() == (fresh / name).read_bytes(), name
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, command):

@@ -43,3 +43,13 @@ def test_unmatched_prefix_exits_2(digests, capsys):
     assert digests.main(["no-such-market"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "no market name starts with" in err
+
+
+def test_simulate_run_twice_prints_the_rewritten_files(digests, capsys):
+    assert digests.main(["three_agents+pricing", "cli:simulate:three_agents+pricing"]) == 0
+    digest = {tuple(line.split()[:-1]): line.split()[-1] for line in capsys.readouterr().out.splitlines()}
+    cli = "cli:simulate:three_agents+pricing", "cli"
+    assert digest[(*cli, "exit_code")] == "0"
+    assert digest[(*cli, "trades.csv")] == digest[("three_agents+pricing", "market", "trades_csv")]
+    assert digest[(*cli, "curves.csv")] == digest[("three_agents+pricing", "market", "curves_csv")]
+    assert len(digest) == 6 + 5

@@ -11,11 +11,13 @@ kernels), every cell of the endowment sweep (as
 ``cell_config`` makes it), two fedavg variants and two priced variants
 that ask the Myerson price (``pricing`` with ``seller_pricing = myerson``,
 ``three_agents`` with pricing on), runs the market and its never-trade twin
-through ``experiments.run_with_twin`` and prints one line per output:
-config, run (market or twin), artifact (trades_csv, curves_csv,
-summary_dict JSON) and digest. It then runs ``paramarket.cli`` into a
-temporary directory (``sweep`` on each bundled sweep config with its seeds
-cut to 2, ``bounds-check --trials 2000``, ``align-demo``, and ``simulate`` on
+through ``experiments.run_with_twin``, writes each run's files with
+``io.write_run_outputs`` into a temporary directory and prints one line per
+file: config, run (market or twin), artifact (trades_csv, curves_csv and
+summary_dict for trades.csv, curves.csv and summary.json) and the digest of
+the file's bytes. It then runs ``paramarket.cli`` into the same temporary
+directory (``sweep`` on each bundled sweep config with its seeds cut to 2,
+``bounds-check --trials 2000``, ``align-demo``, and ``simulate`` on
 ``three_agents`` with pricing on, run twice into one ``--out`` so that the
 second run rewrites existing files) and prints the exit code, the digest of
 what the command printed (with the temporary directory written as ``<tmp>``)
@@ -48,7 +50,6 @@ one setting against another:
 import contextlib
 import hashlib
 import io
-import json
 import re
 import sys
 import tempfile
@@ -59,7 +60,7 @@ from paramarket.broker import GainKind
 from paramarket.cli import main as cli_main
 from paramarket.config import cell_config, load_config, load_sweep
 from paramarket.experiments import run_with_twin
-from paramarket.io import curves_csv, summary_dict, trades_csv
+from paramarket.io import write_run_outputs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -117,6 +118,10 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _file_digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def main(prefixes) -> int:
     wanted = lambda name: not prefixes or name.startswith(tuple(prefixes))  # noqa: E731
     matched = False
@@ -124,19 +129,18 @@ def main(prefixes) -> int:
         if wanted(name):
             matched = True
             print(f"{name} config {type(parsed).__name__} {_digest(repr(parsed))}")
-    for name, cfg in _markets():
-        if not wanted(name):
-            continue
-        matched = True
-        for run, log in zip(("market", "twin"), run_with_twin(cfg)):
-            summary = json.dumps(summary_dict(log), indent=2, sort_keys=True)
-            for artifact, text in (("trades_csv", trades_csv(log)),
-                                   ("curves_csv", curves_csv(log)),
-                                   ("summary_dict", summary)):
-                print(f"{name} {run} {artifact} {_digest(text)}")
-            sys.stdout.flush()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        for name, cfg in _markets():
+            if not wanted(name):
+                continue
+            matched = True
+            for run, log in zip(("market", "twin"), run_with_twin(cfg)):
+                paths = write_run_outputs(log, str(tmp / "runs" / name / run))
+                for artifact, key in (("trades_csv", "trades"), ("curves_csv", "curves"),
+                                      ("summary_dict", "summary")):
+                    print(f"{name} {run} {artifact} {_file_digest(paths[key])}")
+                sys.stdout.flush()
         for name, argv, runs in _cli_commands(tmp):
             if not wanted(name):
                 continue
@@ -150,7 +154,7 @@ def main(prefixes) -> int:
             # the temporary directory's name is not.
             print(f"{name} cli stdout {_digest(stdout.getvalue().replace(str(tmp), '<tmp>'))}")
             for path in sorted(out.iterdir()):
-                print(f"{name} cli {path.name} {_digest(path.read_text(encoding='utf-8'))}")
+                print(f"{name} cli {path.name} {_file_digest(path)}")
             sys.stdout.flush()
     if not matched:
         print(f"no market name starts with any of {prefixes}", file=sys.stderr)

@@ -12,27 +12,28 @@ start delays slot into the same loop.
 
 The engine owns the market mechanics; the settings, and every rule on them,
 live in `config.MarketConfig`. `build_market` is the only code that draws a
-market, an endowment cell's shared data pool included. The round loop reads
-each agent's policy and start round from the config, and picks the gain rule
-once. Fedavg and loss-difference markets score a merge by its
-broker-loss difference, every other market by its estimation-error ratio
-against the broker's truth.
+market, an endowment cell's shared data pool included, and it fixes the
+broker's rules: fedavg's data-share weights, the truth that only an
+error-ratio market scores merges against, and the broker loss of each
+agent's truth. The round loop reads each agent's policy and start round from
+the config and has one path for every market: a broker without a truth
+scores a merge by its broker-loss difference.
 
 The broker engine opens one round view per round, round 0 included: over
 the starting parameters in round 0, over the agents' post-step parameters
 after that. Every broker loss the market reports is read through a view, and
 every round ends in the same curve-row code. Every view offers ``dot_loss``
 (broker loss before a merge, computed once per agent per round) and
-``propose`` (the merge at the searched weight, or at a fixed one for
-fedavg). The linear view also offers ``merged_loss`` along a merge, from
-cached residuals; the mlp view scores each searched weight on the merge
-path (``mlp.merge_path_loss``) and builds a network only for the merge it
-proposes. Each neural agent's and the broker's data is one ``mlp.ClassMajorSet``
-of `mlp.two_moons`, its labels checked when the market is built. A linear
-broker's validation labels are noiseless: ``X theta`` of each block's truth.
-The ``MergeProposal`` a buyer settles on is the merge that ships: its
-``merged`` parameters and ``broker_loss_after`` become the agent's new state
-and curve row.
+``propose`` (the merge at the searched weight, or at the broker's fixed
+data-share weight for fedavg). The linear view also offers ``merged_loss``
+along a merge, from cached residuals; the mlp view scores each searched
+weight on the merge path (``mlp.merge_path_loss``) and builds a network only
+for the merge it proposes. Each neural agent's and the broker's data is one
+``mlp.ClassMajorSet`` of `mlp.two_moons`, its labels checked when the market
+is built. A linear broker's validation labels are noiseless: ``X theta`` of
+each block's truth. The ``MergeProposal`` a buyer settles on is the merge
+that ships: its ``merged`` parameters and ``broker_loss_after`` become the
+agent's new state and curve row.
 """
 
 import math
@@ -194,11 +195,13 @@ class LinearBrokerEngine:
     the round is a vector combination instead of a matrix product.
     """
 
-    def __init__(self, data: LabeledDataset, truth: ParameterVector | None, truth_loss: dict):
-        self.truth = truth  # the shared true parameters the error-ratio gain compares against
-        self.truth_loss = truth_loss  # agent id -> broker loss of that agent's true parameters
+    def __init__(self, data: LabeledDataset, truth: ParameterVector | None, truths: dict, fedavg=None):
+        self.truth = truth  # the shared true parameters an error-ratio market scores merges against
+        self.fedavg = fedavg  # (buyer, seller) -> fedavg's fixed weight; None: weights are searched
         self._n = data.n_samples
         self._a, self._t, self._b, self._c = _least_squares_form(data)
+        # agent id -> broker loss of that agent's true parameters
+        self.truth_loss = {u: self.resid_loss(self.residual(p)) for u, p in truths.items()}
 
     def begin_round(self, dots: dict) -> "LinearRoundView":
         return LinearRoundView(self, dots)
@@ -252,11 +255,13 @@ class LinearRoundView:
         r = (1.0 - weight) * self._resid[buyer] + weight * self._resid[seller]
         return self.engine.resid_loss(r)
 
-    def propose(self, buyer: str, seller: str, weight: float | None = None) -> MergeProposal:
-        """Merge at the loss-minimizing weight, or at ``weight`` when one is fixed."""
-        rb = self._resid[buyer]
-        if weight is None:
+    def propose(self, buyer: str, seller: str) -> MergeProposal:
+        """Merge at the loss-minimizing weight, or at the broker's fixed fedavg weight."""
+        if self.engine.fedavg is None:
+            rb = self._resid[buyer]
             weight = optimal_weight_from_residuals(rb, self._resid[seller] - rb)
+        else:
+            weight = self.engine.fedavg[buyer, seller]
         merged = merge(self.dots[buyer], self.dots[seller], weight)
         return MergeProposal(
             weight=weight,
@@ -272,7 +277,7 @@ class MlpBrokerEngine:
     def __init__(self, data: LabeledDataset, layer_set: tuple | None):
         self.scored = mlp_mod.ClassMajorSet(data, mlp_mod.MOONS_CLASSES)  # labels checked once
         self.layer_set = layer_set
-        self.truth_loss = {}  # neural agents have no known true parameters
+        self.truth, self.truth_loss = None, {}  # neural agents have no known true parameters
 
     def begin_round(self, dots: dict) -> "MlpRoundView":
         return MlpRoundView(self, dots)
@@ -334,10 +339,6 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
     start = cfg.trade_start
     trading = round_index >= start and (round_index - start + 1) % cfg.trade_every == 0
     active = {u: trading and round_index >= start + policy[u].delay for u in by_id}
-    fedavg = cfg.agents[0].policy.kind is PolicyKind.FEDAVG
-    # A fedavg merge is logged with its realized broker-loss difference,
-    # whatever the configured kind.
-    loss_difference = fedavg or cfg.gain_kind is GainKind.LOSS_DIFFERENCE
 
     records: list[TradeRecord] = []
     chosen: dict = {}  # agent id -> the MergeProposal that ships
@@ -345,12 +346,8 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
 
     def evaluate(buyer: str, seller: str):
         if (buyer, seller) not in evaluated:
-            if fedavg:  # fixed data-share weight of the linear tasks, no search
-                n_buyer, n_seller = (by_id[u].model.task.data.n_samples for u in (buyer, seller))
-                p = view.propose(buyer, seller, fedavg_weight(n_buyer, n_seller))
-            else:
-                p = view.propose(buyer, seller)
-            if loss_difference:
+            p = view.propose(buyer, seller)
+            if broker.truth is None:
                 gain = gain_loss_difference(p)
             else:
                 gain = gain_error_ratio(dots[buyer], p.merged, broker.truth)
@@ -441,8 +438,8 @@ def build_market(cfg: MarketConfig):
 
     Returns (states, broker_engine), drawn from ``default_rng(cfg.seed)``.
     Draw order is fixed, so two configs differing only in policies see
-    identical tasks; states carry no policy, so a twin runs on the market's
-    own states. This is the only code that draws a market.
+    identical tasks; states carry no policy, and a twin never trades, so it
+    runs on the market's own build. This is the only code that draws a market.
     """
     agents = tuple(sorted(cfg.agents, key=lambda a: a.agent_id))
     rng = np.random.default_rng(cfg.seed)
@@ -515,8 +512,11 @@ def _build_linear_market(cfg: MarketConfig, agents: tuple, rng: np.random.Genera
     init = ParameterVector(np.zeros(dim))
     states = tuple(AgentState(spec.agent_id, init, models[spec.agent_id]) for spec in agents)
     truth = truths[agents[0].agent_id] if cfg.gain_kind is GainKind.ERROR_RATIO else None
-    truth_loss = {a.agent_id: empirical_loss(truths[a.agent_id], broker_data) for a in agents}
-    return states, LinearBrokerEngine(broker_data, truth, truth_loss)
+    fedavg = None
+    if agents[0].policy.kind is PolicyKind.FEDAVG:  # the tasks' data shares, whatever the gain kind
+        n = {u: m.task.data.n_samples for u, m in models.items()}
+        truth, fedavg = None, {(u, v): fedavg_weight(n[u], n[v]) for u in n for v in n if u != v}
+    return states, LinearBrokerEngine(broker_data, truth, truths, fedavg)
 
 
 def _build_mlp_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator):

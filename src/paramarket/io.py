@@ -16,8 +16,9 @@ file, median of a series, on a shared virtio disk), and not for an exchange. Any
 file yet, a symlink, a directory), a libc without ``renameat2`` or a
 filesystem that cannot exchange gets a plain `os.replace`. Nothing is
 fsynced, so after a power loss a file may be empty; the outputs are
-deterministic, so rerun. Files get the mode `open` would give, ``0o666``
-less the umask.
+deterministic, so rerun. The temp file is created at ``0o666`` and the kernel
+takes the umask off, so files get the mode `open` would give; the umask is
+never changed.
 
 ``summary.json`` echoes the run's config in the config file's key names and
 words, as `config.config_echo` writes it.
@@ -30,7 +31,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 
 import numpy as np
 
@@ -114,12 +114,10 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` so that the path never names a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")  # unpredictable, made exclusively
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the kernel takes the umask off
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            umask = os.umask(0o022)  # Python reads the umask only by setting it
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             fh.write(text)
         if _exchanged(tmp, path):
             os.unlink(tmp)  # now the previous contents

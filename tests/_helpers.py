@@ -64,10 +64,11 @@ class RawLinearBroker:
     for checking the factored broker against.
     """
 
-    def __init__(self, data: LabeledDataset, truth, truth_loss: dict):
+    def __init__(self, data: LabeledDataset, truth, truths: dict, fedavg=None):
         self.data = data
         self.truth = truth
-        self.truth_loss = truth_loss
+        self.fedavg = fedavg
+        self.truth_loss = {u: self.resid_loss(self.residual(p)) for u, p in truths.items()}
 
     def begin_round(self, dots: dict) -> LinearRoundView:
         return LinearRoundView(self, dots)

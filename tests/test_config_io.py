@@ -344,6 +344,23 @@ class TestAtomicWrite:
         assert created == rewritten == (tmp_path / "plain").stat().st_mode & 0o777 == 0o666 & ~mask
         assert left == mask
 
+    def test_a_rewrite_never_sets_the_umask_or_a_mode(self, tmp_path, monkeypatch):
+        # The temp file is created at 0o666 and the kernel takes the umask off,
+        # as for open: the process umask never changes, even for an instant.
+        path = tmp_path / "trades.csv"
+        io_mod.atomic_write_text(str(path), "old\n")
+        with open(tmp_path / "plain", "w"):
+            pass
+
+        def changed(*_):
+            raise AssertionError("the umask or a file mode was set")
+
+        monkeypatch.setattr(io_mod.os, "umask", changed)
+        monkeypatch.setattr(io_mod.os, "chmod", changed)
+        io_mod.atomic_write_text(str(path), "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert path.stat().st_mode & 0o777 == (tmp_path / "plain").stat().st_mode & 0o777
+
     def test_a_symlink_is_replaced_and_its_target_kept(self, tmp_path):
         target = tmp_path / "elsewhere.csv"
         target.write_text("kept\n", encoding="utf-8")
@@ -1033,13 +1050,16 @@ class TestCli:
         assert "path error:" in capsys.readouterr().err
 
     def test_unwritable_out_directory_exits_2(self, tmp_path, monkeypatch, capsys):
-        # Mode bits do not stop root, so the temporary-file call raises the
+        # Mode bits do not stop root, so creating the temporary file raises the
         # error the system gives for a directory without write permission.
-        def denied(dir, **_):
-            raise PermissionError(13, "Permission denied", dir)
-
-        monkeypatch.setattr(io_mod.tempfile, "mkstemp", denied)
         out = tmp_path / "locked"
+
+        def denied(path, *args, real=os.open, **kwargs):
+            if os.path.dirname(path) == str(out):
+                raise PermissionError(13, "Permission denied", str(out))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(io_mod.os, "open", denied)
         assert cli.main(["bounds-check", "--trials", "10", "--out", str(out)]) == 2
         assert f"Permission denied: '{out}'" in capsys.readouterr().err
 

@@ -181,7 +181,7 @@ class TestRoundSemantics:
         smoothness = 2 * np.linalg.eigvalsh(task.data.inputs.T @ task.data.inputs / 80).max()
         model = LinearModel(task, 0.9 / smoothness)
         states = tuple(AgentState(u, init, model) for u in ("a", "b"))
-        engine = LinearBrokerEngine(broker_task.data, truth, {"a": 0.0, "b": 0.0})
+        engine = LinearBrokerEngine(broker_task.data, truth, {"a": truth, "b": truth})
         log = run_prepared_simulation(cfg, states, engine)
         assert all(not r.indicator for r in log.trades)
         by_round = defaultdict(dict)

@@ -52,4 +52,6 @@ def test_simulate_run_twice_prints_the_rewritten_files(digests, capsys):
     assert digest[(*cli, "exit_code")] == "0"
     assert digest[(*cli, "trades.csv")] == digest[("three_agents+pricing", "market", "trades_csv")]
     assert digest[(*cli, "curves.csv")] == digest[("three_agents+pricing", "market", "curves_csv")]
+    # A market's lines hash the files `write_run_outputs` wrote, as simulate's do.
+    assert digest[(*cli, "summary.json")] == digest[("three_agents+pricing", "market", "summary_dict")]
     assert len(digest) == 6 + 5

@@ -25,26 +25,29 @@ and the digest of every file it wrote, under names such as
 ``cli:sweep:endowment_sweep``; for ``simulate`` these are the second run's.
 A refactor that must not change results gives identical output, 204 lines,
 on both commits. The ``parsed:`` lines hash a config's ``repr``, so they
-change when a config class gains or loses a field; the output lines must not:
+change when a config class gains or loses a field; the output lines must not.
+Run from a checkout's root, the script imports that checkout's
+``src/paramarket``, so one copy of it checks each tree in turn:
 
-    PYTHONPATH=src python scripts/output_digests.py > after.txt
+    python scripts/output_digests.py > after.txt
+    cd ../parent && python ../repo/scripts/output_digests.py > before.txt
 
 Market-name prefixes as arguments keep only the markets whose name starts
 with one of them, for a quicker check of one path; with none, every market
 runs. For example, the neural merge path alone, the CLI files alone, or
 the parsed configs alone:
 
-    PYTHONPATH=src python scripts/output_digests.py mlp_subset_sweep
-    PYTHONPATH=src python scripts/output_digests.py cli:
-    PYTHONPATH=src python scripts/output_digests.py parsed:
+    python scripts/output_digests.py mlp_subset_sweep
+    python scripts/output_digests.py cli:
+    python scripts/output_digests.py parsed:
 
 The bytes depend on the BLAS kernel and numpy's SIMD level, which can be
 forced for one process each. Compare two commits within one setting, never
 one setting against another:
 
-    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python scripts/output_digests.py
-    OPENBLAS_CORETYPE=Sandybridge PYTHONPATH=src python scripts/output_digests.py
-    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=src python scripts/output_digests.py
+    OPENBLAS_CORETYPE=Haswell python scripts/output_digests.py
+    OPENBLAS_CORETYPE=Sandybridge python scripts/output_digests.py
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" python scripts/output_digests.py
 """
 
 import contextlib
@@ -56,11 +59,15 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from paramarket.broker import GainKind
-from paramarket.cli import main as cli_main
-from paramarket.config import cell_config, load_config, load_sweep
-from paramarket.experiments import run_with_twin
-from paramarket.io import write_run_outputs
+# The package of the checkout the script runs in, ahead of any other on the path.
+if (Path.cwd() / "src" / "paramarket" / "__init__.py").is_file():
+    sys.path.insert(0, str(Path.cwd() / "src"))
+
+from paramarket.broker import GainKind  # noqa: E402
+from paramarket.cli import main as cli_main  # noqa: E402
+from paramarket.config import cell_config, load_config, load_sweep  # noqa: E402
+from paramarket.experiments import run_with_twin  # noqa: E402
+from paramarket.io import write_run_outputs  # noqa: E402
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

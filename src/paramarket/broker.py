@@ -53,12 +53,12 @@ class GainReport:
 
 @dataclass(frozen=True, eq=False)
 class MergeProposal:
-    """Outcome of the broker's try-before-purchase weight search."""
+    """The broker's try-before-purchase merge, with the buyer's gain scored by the broker's rule."""
 
     weight: float
     merged: ParameterVector
-    broker_loss_before: float
     broker_loss_after: float
+    gain: GainReport
 
 
 def optimal_weight_from_residuals(buyer_residual: np.ndarray, delta_pred: np.ndarray) -> float:
@@ -140,9 +140,9 @@ def optimize_merge_weight_searched(loss_at_weight) -> tuple[float, float]:
     return grid_then_golden(loss_at_weight, WEIGHT_FLOOR, 1.0, 1e-6)
 
 
-def gain_loss_difference(proposal: MergeProposal) -> GainReport:
-    """Gain-from-trade as the proposal's broker loss before the merge minus after."""
-    value = proposal.broker_loss_before - proposal.broker_loss_after
+def gain_loss_difference(before: float, after: float) -> GainReport:
+    """Gain-from-trade as the broker loss before the merge minus after."""
+    value = before - after
     return GainReport(GainKind.LOSS_DIFFERENCE, value, trade_beneficial=value > 0.0)
 
 

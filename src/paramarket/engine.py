@@ -15,20 +15,23 @@ live in `config.MarketConfig`. `build_market` is the only code that draws a
 market, an endowment cell's shared data pool included, and it fixes the
 broker's rules: fedavg's data-share weights, the truth that only an
 error-ratio market scores merges against, and the broker loss of each
-agent's truth. The round loop reads each agent's policy and start round from
-the config and has one path for every market: a broker without a truth
-scores a merge by its broker-loss difference.
+agent's truth. Each agent's model resolves its own step size. The round loop
+has one path for every market: it reads each agent's policy and start round
+from the config, takes each offer and its gain from the broker, decides and
+settles.
 
 The broker engine opens one round view per round, round 0 included: over
 the starting parameters in round 0, over the agents' post-step parameters
 after that. Every broker loss the market reports is read through a view, and
 every round ends in the same curve-row code. Every view offers ``dot_loss``
 (broker loss before a merge, computed once per agent per round) and
-``propose`` (the merge at the searched weight, or at the broker's fixed
-data-share weight for fedavg). The linear view also offers ``merged_loss``
-along a merge, from cached residuals; the mlp view scores each searched
-weight on the merge path (``mlp.merge_path_loss``) and builds a network only
-for the merge it proposes. Each neural agent's and the broker's data is one
+``propose``: the merge at the searched weight, or at the broker's fixed
+data-share weight for fedavg, with the buyer's gain scored by the broker's
+rule (the error ratio against its truth, else the broker-loss difference).
+The linear view also offers ``merged_loss`` along a merge, from cached
+residuals; the mlp view scores each searched weight on the merge path
+(``mlp.merge_path_loss``) and builds a network only for the merge it
+proposes. Each neural agent's and the broker's data is one
 ``mlp.ClassMajorSet`` of `mlp.two_moons`, its labels checked when the market
 is built. A linear broker's validation labels are noiseless: ``X theta`` of
 each block's truth. The ``MergeProposal`` a buyer settles on is the merge
@@ -37,7 +40,8 @@ agent's new state and curve row.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -62,7 +66,7 @@ from .core import (
     merge,
     residual,
 )
-from .config import AgentSpec, MarketConfig, Policy, PolicyKind
+from .config import MarketConfig, Policy, PolicyKind
 from .linear import LinearTask, estimation_error, gram_lambda_max, synthesize_task
 from .pricing import quote
 
@@ -148,8 +152,10 @@ class LinearModel:
     the parameters the next round steps from, so the step reuses it.
     """
 
-    def __init__(self, task: LinearTask, step_size: float):
+    def __init__(self, task: LinearTask, step_size: float | None):
         self.task = task
+        if step_size is None:  # auto: 0.9 / L, L = 2 lambda_max / n the training loss's smoothness
+            step_size = 0.9 / (2.0 * (gram_lambda_max(task.data) / task.data.n_samples))
         self.step_size = step_size
         self._last = (None, None)  # (params, residual) of the latest own_loss
 
@@ -169,9 +175,9 @@ class LinearModel:
 class MlpModel:
     """Per-agent training backend for a neural task."""
 
-    def __init__(self, data: LabeledDataset, step_size: float):
+    def __init__(self, data: LabeledDataset, step_size: float | None):
         self.scored = mlp_mod.ClassMajorSet(data, mlp_mod.MOONS_CLASSES)  # labels checked once
-        self.step_size = step_size
+        self.step_size = 0.1 if step_size is None else step_size
 
     def step(self, params):
         return mlp_mod.mlp_gradient_step(params, self.scored, self.step_size)
@@ -256,19 +262,22 @@ class LinearRoundView:
         return self.engine.resid_loss(r)
 
     def propose(self, buyer: str, seller: str) -> MergeProposal:
-        """Merge at the loss-minimizing weight, or at the broker's fixed fedavg weight."""
+        """Merge at the loss-minimizing weight, or at the broker's fixed fedavg weight.
+
+        The buyer's gain is its error ratio against the broker's truth, else its broker-loss difference.
+        """
         if self.engine.fedavg is None:
             rb = self._resid[buyer]
             weight = optimal_weight_from_residuals(rb, self._resid[seller] - rb)
         else:
             weight = self.engine.fedavg[buyer, seller]
         merged = merge(self.dots[buyer], self.dots[seller], weight)
-        return MergeProposal(
-            weight=weight,
-            merged=merged,
-            broker_loss_before=self.dot_loss(buyer),
-            broker_loss_after=self.merged_loss(buyer, seller, weight),
-        )
+        after = self.merged_loss(buyer, seller, weight)
+        if self.engine.truth is None:
+            gain = gain_loss_difference(self.dot_loss(buyer), after)
+        else:
+            gain = gain_error_ratio(self.dots[buyer], merged, self.engine.truth)
+        return MergeProposal(weight, merged, after, gain)
 
 
 class MlpBrokerEngine:
@@ -277,7 +286,7 @@ class MlpBrokerEngine:
     def __init__(self, data: LabeledDataset, layer_set: tuple | None):
         self.scored = mlp_mod.ClassMajorSet(data, mlp_mod.MOONS_CLASSES)  # labels checked once
         self.layer_set = layer_set
-        self.truth, self.truth_loss = None, {}  # neural agents have no known true parameters
+        self.truth_loss = {}  # neural agents have no known true parameters
 
     def begin_round(self, dots: dict) -> "MlpRoundView":
         return MlpRoundView(self, dots)
@@ -303,13 +312,9 @@ class MlpRoundView:
         layers = eng.layer_set or tuple(range(self.dots[buyer].n_layers))
         loss_at = mlp_mod.merge_path_loss(self.dots[buyer], aligned, layers, eng.scored)
         with np.errstate(over="ignore", invalid="ignore"):
-            weight, loss_after = optimize_merge_weight_searched(loss_at)
-        return MergeProposal(
-            weight=weight,
-            merged=mlp_mod.subset_merge(self.dots[buyer], aligned, layers, weight),
-            broker_loss_before=self.dot_loss(buyer),
-            broker_loss_after=loss_after,
-        )
+            weight, after = optimize_merge_weight_searched(loss_at)
+        merged = mlp_mod.subset_merge(self.dots[buyer], aligned, layers, weight)
+        return MergeProposal(weight, merged, after, gain_loss_difference(self.dot_loss(buyer), after))
 
 
 def run_round(states: tuple, broker, cfg: MarketConfig, round_index: int, cum_payments: dict) -> tuple:
@@ -327,7 +332,6 @@ def run_round(states: tuple, broker, cfg: MarketConfig, round_index: int, cum_pa
 
 
 def _round_body(states, broker, cfg, round_index, cum_payments):
-    by_id = {s.agent_id: s for s in states}
     policy = {a.agent_id: a.policy for a in cfg.agents}
 
     dots = {s.agent_id: s.model.step(s.params) for s in states}
@@ -338,40 +342,30 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
     # after the window opens.
     start = cfg.trade_start
     trading = round_index >= start and (round_index - start + 1) % cfg.trade_every == 0
-    active = {u: trading and round_index >= start + policy[u].delay for u in by_id}
+    active = {u: trading and round_index >= start + policy[u].delay for u in dots}
 
     records: list[TradeRecord] = []
     chosen: dict = {}  # agent id -> the MergeProposal that ships
-    evaluated: dict = {}  # (buyer, seller) -> (proposal, gain)
-
-    def evaluate(buyer: str, seller: str):
-        if (buyer, seller) not in evaluated:
-            p = view.propose(buyer, seller)
-            if broker.truth is None:
-                gain = gain_loss_difference(p)
-            else:
-                gain = gain_error_ratio(dots[buyer], p.merged, broker.truth)
-            evaluated[(buyer, seller)] = p, gain
-        return evaluated[(buyer, seller)]
+    evaluate = cache(view.propose)  # each (buyer, seller) offer and its gain, proposed once per round
 
     for st in states:
         u = st.agent_id
         if not active[u] or policy[u].kind is PolicyKind.NEVER_TRADE:
             continue
-        sellers = [v for v in by_id if v != u and active[v]]
+        sellers = [v for v in dots if v != u and active[v]]
         if not sellers:
             continue
-        offers = [(v, *evaluate(u, v)) for v in sorted(sellers)]
+        offers = [(v, evaluate(u, v)) for v in sorted(sellers)]
         # Target the seller offering the largest gain; ties take the lowest id.
-        seller, proposal, gain = min(offers, key=lambda e: (-e[2].value, e[0]))
+        seller, proposal = min(offers, key=lambda e: (-e[1].gain.value, e[0]))
         bid = ask = payment = None
-        executed = wants_to_buy(policy[u], gain)
+        executed = wants_to_buy(policy[u], proposal.gain)
         if executed and cfg.pricing:
             # Competitive settlement: the buyer bids its gain; the seller
             # quotes from its own reverse gain and both weights.
-            bid = gain.value
-            reverse, reverse_gain = evaluate(seller, u)
-            ask, payment = quote(cfg.seller_pricing, bid, reverse_gain.value,
+            bid = proposal.gain.value
+            reverse = evaluate(seller, u)
+            ask, payment = quote(cfg.seller_pricing, bid, reverse.gain.value,
                                  reverse.weight, proposal.weight)
             executed = payment is not None
         elif executed:
@@ -381,7 +375,7 @@ def _round_body(states, broker, cfg, round_index, cum_payments):
             cum_payments[u] -= payment
             cum_payments[seller] += payment
         records.append(
-            TradeRecord(round_index, u, seller, proposal.weight, gain,
+            TradeRecord(round_index, u, seller, proposal.weight, proposal.gain,
                         bid, ask, payment, executed)
         )
 
@@ -403,7 +397,7 @@ def _end_round(states, view, round_index, cum_payments, chosen) -> tuple:
             final, broker_loss = view.dots[u], view.dot_loss(u)
         else:
             final, broker_loss = shipped.merged, shipped.broker_loss_after
-        new_states.append(replace(st, params=final))
+        new_states.append(AgentState(u, final, st.model))
         # The round's one own loss, on the parameters the next round steps from.
         own_loss = st.model.own_loss(final)
         if not (math.isfinite(broker_loss) and math.isfinite(own_loss)):
@@ -458,14 +452,6 @@ def _build_linear_market(cfg: MarketConfig, agents: tuple, rng: np.random.Genera
     theta_base = rng.standard_normal(dim)
     models = {}
 
-    def train(spec: AgentSpec, task: LinearTask) -> None:
-        # The configured step, else 0.9 / L with L = 2 lambda_max / n the
-        # smoothness constant of the training loss. Draws nothing.
-        step = spec.step_size
-        if step is None:
-            step = 0.9 / (2.0 * (gram_lambda_max(task.data) / task.data.n_samples))
-        models[spec.agent_id] = LinearModel(task, step)
-
     def broker_set(blocks: list) -> LabeledDataset:
         # Noiseless validation samples drawn block by block, (n, truth) each, straight into one array.
         inputs = np.empty((cfg.broker.n_samples, dim))
@@ -486,9 +472,10 @@ def _build_linear_market(cfg: MarketConfig, agents: tuple, rng: np.random.Genera
                 direction /= np.linalg.norm(direction)
                 theta = theta_base + spec.theta_offset * direction
             truths[spec.agent_id] = truth = ParameterVector(theta)
-            # Step sizes are resolved before the broker set exists, which
-            # keeps the Gram matrices out of the build's memory peak.
-            train(spec, synthesize_task(dim, spec.n_samples, spec.noise_variance, truth, rng))
+            # Each model resolves its step size before the broker set exists,
+            # which keeps the Gram matrices out of the build's memory peak.
+            task = synthesize_task(dim, spec.n_samples, spec.noise_variance, truth, rng)
+            models[spec.agent_id] = LinearModel(task, spec.step_size)
         # The broker holds validation samples from every agent's distribution.
         per_agent, extra = divmod(cfg.broker.n_samples, len(agents))
         broker_data = broker_set([(per_agent + (extra if i == 0 else 0), truths[spec.agent_id])
@@ -505,7 +492,8 @@ def _build_linear_market(cfg: MarketConfig, agents: tuple, rng: np.random.Genera
         k = max(1, int(round(cfg.endowment * pool_n)))
         for spec in agents:
             idx = np.sort(rng.choice(pool_n, size=k, replace=False))
-            train(spec, LinearTask(LabeledDataset(pool.inputs[idx], pool.labels[idx]), truth))
+            task = LinearTask(LabeledDataset(pool.inputs[idx], pool.labels[idx]), truth)
+            models[spec.agent_id] = LinearModel(task, spec.step_size)
 
     # Every agent starts at zero. An error-ratio market's agents share one
     # truth (`MarketConfig` sees to it), which its broker compares merges against.
@@ -532,7 +520,7 @@ def _build_mlp_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator
         AgentState(
             agent_id=a.agent_id,
             params=mlp_mod.MlpParams.random_init(sizes, rng),
-            model=MlpModel(tasks[a.agent_id], 0.1 if a.step_size is None else a.step_size),
+            model=MlpModel(tasks[a.agent_id], a.step_size),
         )
         for a in agents
     )

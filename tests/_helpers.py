@@ -1,8 +1,10 @@
 """Statistics, parameter views, prior densities, reference searches, a reference broker and audits that only the tests use."""
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 import scipy.linalg
@@ -78,6 +80,36 @@ class RawLinearBroker:
 
     def resid_loss(self, r: np.ndarray) -> float:
         return float(r @ r) / self.data.n_samples
+
+
+def exact_perf_ratios(theta, dot_a, dot_b, alpha: float, beta: float) -> list:
+    """``perf_ratio_bounds``' four intervals and the ratios they bound, in decimal at 60 digits.
+
+    Takes the exact values of float draws: the truth and both agents'
+    estimates as sequences of floats, and both merge weights. Both merges,
+    the squared errors, the buyer's gain and the closed forms are computed
+    with every operation rounded to 60 digits.
+    Returns ``(lower, upper, realized)`` per scenario, in
+    ``perf_ratio_bounds``' order; the realized ratios are the audit's.
+    """
+    with decimal.localcontext(decimal.Context(prec=60)):
+        t, da, db = ([Decimal(v) for v in vec] for vec in (theta, dot_a, dot_b))
+        a, b = Decimal(alpha), Decimal(beta)
+        bar_a = [(1 - a) * x + a * y for x, y in zip(da, db)]
+        bar_b = [(1 - b) * y + b * x for x, y in zip(da, db)]
+        err_dot_a, err_dot_b, err_bar_a, err_bar_b = (
+            sum((v - c) ** 2 for v, c in zip(vec, t)) for vec in (da, db, bar_a, bar_b))
+        gain = err_dot_a / err_bar_a
+        inv, spread = 1 / (a * gain.sqrt()), (1 - a) / a
+        e_minus, e_plus = inv - spread, inv + spread
+        no_sell = max(e_minus, Decimal(0)) ** 2, e_plus ** 2
+        sell = max((1 - b) * e_minus - b, Decimal(0)) ** 2, ((1 - b) * e_plus + b) ** 2
+        return [
+            (*no_sell, err_dot_b / err_dot_a),
+            (no_sell[0] * gain, no_sell[1] * gain, err_dot_b / err_bar_a),
+            (*sell, err_bar_b / err_dot_a),
+            (sell[0] * gain, sell[1] * gain, err_bar_b / err_bar_a),
+        ]
 
 
 def cdf(prior: PriorDistribution, p: float) -> float:

@@ -16,6 +16,7 @@ from paramarket.broker import GainKind
 from paramarket.config import AgentSpec, BrokerSpec, MarketConfig, Policy, PolicyKind, load_config, load_sweep
 from paramarket.engine import build_market, convergence_metrics, run_prepared_simulation, run_simulation
 from paramarket.experiments import (
+    _usable_cpus,
     layer_subset_table,
     never_trade_variant,
     relative_improvement,
@@ -303,7 +304,6 @@ class _RecordingBroker:
     """Wraps a built broker's every try-before-purchase proposal to compare against the fixed half weight."""
 
     def __init__(self, engine):
-        self.truth = engine.truth
         self.truth_loss = engine.truth_loss
         self._begin_round = engine.begin_round
         self.events = []
@@ -366,7 +366,8 @@ def test_12_determinism_and_money_conservation():
 
 def test_13_layer_subset_harness():
     spec = load_sweep(CONFIGS / "mlp_subset_sweep.cfg")
-    report = layer_subset_table(spec.base, list(spec.values), seeds=spec.seeds)
+    # Rows do not depend on scheduling, so the sweep runs on every usable CPU.
+    report = layer_subset_table(spec.base, list(spec.values), seeds=spec.seeds, jobs=_usable_cpus())
     wins = sum(1 for w in report["winners"].values() if w == "all")
     passed = wins >= 3
     table = {k: {u: f"{v:.1%}" for u, v in perf.items()} for k, perf in report["table"].items()}

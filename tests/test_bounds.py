@@ -1,4 +1,5 @@
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from paramarket.bounds import (
     soundness_sweep,
 )
 from paramarket.broker import WEIGHT_FLOOR
+
+from _helpers import exact_perf_ratios
 
 # Every positive finite gain, subnormal to the float maximum, with the
 # extremes and 1 as explicit corners.
@@ -423,3 +426,42 @@ class TestGainBoundsType:
     def test_unbounded_upper_allowed(self):
         b = GainBounds(2.0, math.inf)
         assert b.contains(1e300)
+
+
+def test_one_dimensional_misses_are_float_rounding_of_exactly_tight_bounds():
+    # In one dimension every estimate and merge lies on one line, so each
+    # triangle inequality behind the scenario intervals is tight: a realized
+    # ratio sits on an interval end, and float rounding can push it outside
+    # by more than the audit's slack. In exact arithmetic it stays inside.
+    rng = np.random.default_rng(5)
+    log_floor = math.log(1e-6)
+    slack = Decimal("1e-40")  # far above the 60-digit rounding
+    misses = 0
+    for _ in range(3000):
+        theta = float(rng.standard_normal())
+        scale_a = math.exp(rng.uniform(-8.0, 8.0))
+        scale_b = math.exp(rng.uniform(-8.0, 8.0))
+        dot_a = theta + scale_a * float(rng.standard_normal())
+        dot_b = theta + scale_b * float(rng.standard_normal())
+        alpha = math.exp(rng.uniform(log_floor, 0.0))
+        beta = math.exp(rng.uniform(log_floor, 0.0))
+        bar_a = (1.0 - alpha) * dot_a + alpha * dot_b
+        bar_b = (1.0 - beta) * dot_b + beta * dot_a
+        err_dot_a, err_dot_b, err_bar_a, err_bar_b = (
+            (v - theta) * (v - theta) for v in (dot_a, dot_b, bar_a, bar_b))
+        if min(err_dot_a, err_dot_b, err_bar_a, err_bar_b) <= 1e-300:
+            continue  # measure-zero degenerate draw, as the audit skips it
+        realized = (err_dot_b / err_dot_a, err_dot_b / err_bar_a, err_bar_b / err_dot_a, err_bar_b / err_bar_a)
+        bounds = perf_ratio_bounds(err_dot_a / err_bar_a, alpha, beta)
+        missed = [i for i, (interval, value) in enumerate(zip(bounds.values(), realized))
+                  if not interval.contains(value, AUDIT_REL_SLACK)]
+        if not missed:
+            continue
+        exact = exact_perf_ratios([theta], [dot_a], [dot_b], alpha, beta)
+        for i in missed:
+            lower, upper, value = exact[i]
+            with localcontext(Context(prec=60)):
+                inside = lower * (1 - slack) <= value <= upper * (1 + slack)
+            assert inside, (list(bounds)[i], theta, dot_a, dot_b, alpha, beta)
+            misses += 1
+    assert misses > 0, "the float closed forms missed no realized ratio"

@@ -10,7 +10,6 @@ from paramarket.broker import (
     WEIGHT_FLOOR,
     GainKind,
     GainReport,
-    MergeProposal,
     fedavg_weight,
     gain_error_ratio,
     gain_loss_difference,
@@ -35,13 +34,7 @@ def propose(buyer, seller, data):
 
 def loss_difference(dot, merged, data):
     """Loss-difference gain of replacing ``dot`` by ``merged``."""
-    proposal = MergeProposal(
-        weight=1.0,
-        merged=merged,
-        broker_loss_before=empirical_loss(dot, data),
-        broker_loss_after=empirical_loss(merged, data),
-    )
-    return gain_loss_difference(proposal)
+    return gain_loss_difference(empirical_loss(dot, data), empirical_loss(merged, data))
 
 
 class TestOptimizeMergeWeight:
@@ -65,7 +58,7 @@ class TestOptimizeMergeWeight:
         data = LabeledDataset(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]))
         p = propose(pv(3.0), pv(3.0), data)
         assert p.weight == WEIGHT_FLOOR
-        assert p.broker_loss_after == pytest.approx(p.broker_loss_before, rel=1e-9)
+        assert p.broker_loss_after == pytest.approx(empirical_loss(pv(3.0), data), rel=1e-9)
 
     def test_dominates_fine_grid(self):
         rng = np.random.default_rng(1)

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 from paramarket import engine
-from paramarket.broker import GainKind
+from paramarket.broker import GainKind, GainReport, gain_error_ratio
 from paramarket.config import (
     AgentSpec,
     BrokerSpec,
@@ -24,8 +24,9 @@ from paramarket.config import (
     load_sweep,
 )
 from paramarket.core import DivergenceError, LabeledDataset, ParameterVector, empirical_loss
-from paramarket.engine import LinearBrokerEngine, build_market, convergence_metrics, run_simulation
+from paramarket.engine import LinearBrokerEngine, build_market, convergence_metrics, run_round, run_simulation
 from paramarket.experiments import never_trade_variant, relative_improvement, run_with_twin
+from paramarket.linear import gram_lambda_max
 
 from _helpers import RawLinearBroker, geometric_decay_check, post_step_losses, record_post_step_params
 
@@ -190,6 +191,14 @@ class TestRoundSemantics:
         for losses in by_round.values():
             assert losses["a"] == losses["b"]
 
+    def test_each_model_resolves_an_auto_step_size(self):
+        linear, _ = build_market(linear_cfg(rounds=1))
+        task = linear[0].model.task
+        assert linear[0].model.step_size == 0.9 / (2.0 * (gram_lambda_max(task.data) / task.data.n_samples))
+        assert engine.LinearModel(task, 0.25).step_size == 0.25
+        neural, _ = build_market(neural_cfg())
+        assert [s.model.step_size for s in neural] == [0.1, 0.1]
+
     def test_never_trade_log_equals_gradient_descent_traces(self):
         log = run_simulation(linear_cfg(policies=(NEVER, NEVER)))
         assert log.trades == []
@@ -325,6 +334,61 @@ class TestConfidentiality:
             assert gain is record.gain
             assert gain.kind is GainKind.ERROR_RATIO
             assert 0.0 < record.merge_weight <= 1.0
+
+
+class TestBrokerReportsTheGain:
+    def test_the_round_loop_trades_on_the_reported_gain_alone(self):
+        cfg = linear_cfg(rounds=1)
+        states, broker = build_market(cfg)
+        # Neither kind nor value is what the error-ratio broker would report.
+        crafted = {("a", "b"): GainReport(GainKind.LOSS_DIFFERENCE, 0.25, True),
+                   ("b", "a"): GainReport(GainKind.LOSS_DIFFERENCE, 4.0, False)}
+        real = {}
+
+        def begin_round(dots, inner=broker.begin_round):
+            view = inner(dots)
+            propose = view.propose
+
+            def crafted_propose(buyer, seller):
+                real[buyer, seller] = p = propose(buyer, seller)
+                return dataclasses.replace(p, gain=crafted[buyer, seller])
+
+            view.propose = crafted_propose
+            return view
+
+        broker.begin_round = begin_round
+        new_states, records, _ = run_round(states, broker, cfg, 1, {"a": 0.0, "b": 0.0})
+        assert [(r.buyer, r.seller, r.indicator) for r in records] == [("a", "b", True), ("b", "a", False)]
+        for r in records:
+            sent = crafted[r.buyer, r.seller]
+            assert (r.gain.kind, r.gain.value, r.gain.trade_beneficial) == (
+                sent.kind, sent.value, sent.trade_beneficial)
+        # b's real offer was beneficial: only the reported gain made it decline.
+        assert real["b", "a"].gain.trade_beneficial
+        assert new_states[0].params is real["a", "b"].merged
+        assert new_states[1].params is not real["b", "a"].merged
+
+    @pytest.mark.parametrize("market", ["error-ratio", "loss-difference", "fedavg", "mlp"])
+    def test_each_view_scores_the_gain_by_its_broker_rule(self, market):
+        fedavg = Policy(PolicyKind.FEDAVG)
+        cfg = {
+            "error-ratio": linear_cfg(),
+            "loss-difference": linear_cfg(gain=GainKind.LOSS_DIFFERENCE),
+            "fedavg": linear_cfg(policies=(fedavg, fedavg)),
+            "mlp": neural_cfg(),
+        }[market]
+        states, broker = build_market(cfg)
+        dots = {s.agent_id: s.model.step(s.params) for s in states}
+        view = broker.begin_round(dots)
+        for buyer, seller in (("a", "b"), ("b", "a")):
+            p = view.propose(buyer, seller)
+            if market == "error-ratio":
+                expected = gain_error_ratio(dots[buyer], p.merged, broker.truth)
+            else:
+                value = view.dot_loss(buyer) - p.broker_loss_after
+                expected = GainReport(GainKind.LOSS_DIFFERENCE, value, value > 0.0)
+            assert p.gain == expected
+            assert p.gain.value.hex() == expected.value.hex()
 
 
 class TestBaselines:
@@ -524,7 +588,7 @@ class TestMarketOutcomes:
         cfg = linear_cfg(rounds=30)
         states, engine = build_market(cfg)
 
-        proposals = []  # per round: (buyer, seller) -> the proposal evaluated
+        proposals = []  # per round: (buyer, seller) -> (broker loss before, the proposal evaluated)
 
         def begin_round(dots, inner=engine.begin_round):
             view = inner(dots)
@@ -532,8 +596,9 @@ class TestMarketOutcomes:
             proposals.append({})
 
             def propose(buyer, seller):
-                proposals[-1][buyer, seller] = inner_propose(buyer, seller)
-                return proposals[-1][buyer, seller]
+                p = inner_propose(buyer, seller)
+                proposals[-1][buyer, seller] = view.dot_loss(buyer), p
+                return p
 
             view.propose = propose
             return view
@@ -545,8 +610,8 @@ class TestMarketOutcomes:
         events = []
         for r in log.trades:
             if r.gain.trade_beneficial:
-                p = proposals[r.round_index][r.buyer, r.seller]
-                events.append((p.broker_loss_before, p.broker_loss_after))
+                before, p = proposals[r.round_index][r.buyer, r.seller]
+                events.append((before, p.broker_loss_after))
         assert events
         for before, after in events:
             assert after <= before + 1e-9 * (1 + before)

@@ -1,11 +1,15 @@
 """Smoke test of ``scripts/output_digests.py``, the before/after check of every output.
 
 The script is loaded from its path and run in this process, with the source
-tree first on the import path, on prefixes that keep it to about a second.
+tree first on the import path, on prefixes that keep it to about a second;
+one test runs it as a command from the repository root.
 """
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +59,11 @@ def test_simulate_run_twice_prints_the_rewritten_files(digests, capsys):
     # A market's lines hash the files `write_run_outputs` wrote, as simulate's do.
     assert digest[(*cli, "summary.json")] == digest[("three_agents+pricing", "market", "summary_dict")]
     assert len(digest) == 6 + 5
+
+
+def test_runs_from_the_repository_root_without_pythonpath():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run([sys.executable, str(SCRIPT), "parsed:"], cwd=ROOT, env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert len(r.stdout.splitlines()) == 11

@@ -17,14 +17,15 @@ file: config, run (market or twin), artifact (trades_csv, curves_csv and
 summary_dict for trades.csv, curves.csv and summary.json) and the digest of
 the file's bytes. It then runs ``paramarket.cli`` into the same temporary
 directory (``sweep`` on each bundled sweep config with its seeds cut to 2,
-``bounds-check --trials 2000``, ``align-demo``, and ``simulate`` on
-``three_agents`` with pricing on, run twice into one ``--out`` so that the
-second run rewrites existing files) and prints the exit code, the digest of
-what the command printed (with the temporary directory written as ``<tmp>``)
-and the digest of every file it wrote, under names such as
-``cli:sweep:endowment_sweep``; for ``simulate`` these are the second run's.
-A refactor that must not change results gives identical output, 204 lines,
-on both commits. The ``parsed:`` lines hash a config's ``repr``, so they
+``bounds-check --trials 2000``, ``align-demo``, ``price`` on a valuation
+quadruple and on a prior, which takes no ``--out`` and writes no file, and
+``simulate`` on ``three_agents`` with pricing on, run twice into one
+``--out`` so that the second run rewrites existing files) and prints the
+exit code, the digest of what the command printed (with the temporary
+directory written as ``<tmp>``) and the digest of every file it wrote, under
+names such as ``cli:sweep:endowment_sweep``; for ``simulate`` these are the
+second run's. A refactor that must not change results gives identical
+output, 208 lines, on both commits. The ``parsed:`` lines hash a config's ``repr``, so they
 change when a config class gains or loses a field; the output lines must not.
 Run from a checkout's root, the script imports that checkout's
 ``src/paramarket``, so one copy of it checks each tree in turn:
@@ -104,7 +105,10 @@ def _parsed_configs():
 
 
 def _cli_commands(tmp: Path):
-    """(name, argv without --out, runs into that --out) per CLI command; sweep configs get 2 seeds."""
+    """(name, argv without --out, runs into that --out) per CLI command; sweep configs get 2 seeds.
+
+    Every command but ``price`` takes an ``--out``.
+    """
     for path in sorted(CONFIGS.glob("*.cfg")):
         text = path.read_text(encoding="utf-8")
         if "[sweep]" not in text:
@@ -114,6 +118,9 @@ def _cli_commands(tmp: Path):
         yield f"cli:sweep:{path.stem}", ["sweep", str(cut)], 1
     yield "cli:bounds-check", ["bounds-check", "--trials", "2000"], 1
     yield "cli:align-demo", ["align-demo"], 1
+    quadruple = ["--va-self", "2", "--vb-of-a", "4", "--vb-self", "1", "--va-of-b", "3"]
+    yield "cli:price:quadruple", ["price", *quadruple], 1
+    yield "cli:price:prior", ["price", "--prior", "uniform:0,3"], 1
     # The second run rewrites the first run's files.
     priced = tmp / "three_agents+pricing.cfg"
     text = (CONFIGS / "three_agents.cfg").read_text(encoding="utf-8")
@@ -153,14 +160,15 @@ def main(prefixes) -> int:
                 continue
             matched = True
             out = tmp / "out" / name.replace(":", "_")
+            writes = argv[0] != "price"
             for _ in range(runs):  # the last run's exit code, printed lines and files count
                 with contextlib.redirect_stdout(io.StringIO()) as stdout:
-                    code = cli_main([*argv, "--out", str(out)])
+                    code = cli_main([*argv, "--out", str(out)] if writes else argv)
             print(f"{name} cli exit_code {code}")
             # The printed counts (bounds-check's clamps, say) are output too;
             # the temporary directory's name is not.
             print(f"{name} cli stdout {_digest(stdout.getvalue().replace(str(tmp), '<tmp>'))}")
-            for path in sorted(out.iterdir()):
+            for path in sorted(out.iterdir()) if writes else ():
                 print(f"{name} cli {path.name} {_file_digest(path)}")
             sys.stdout.flush()
     if not matched:

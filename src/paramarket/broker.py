@@ -48,7 +48,10 @@ class GainReport:
 
     kind: GainKind
     value: float
-    trade_beneficial: bool
+
+    @property
+    def trade_beneficial(self) -> bool:  # +inf is beneficial and NaN is not
+        return self.value > (0.0 if self.kind is GainKind.LOSS_DIFFERENCE else 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +145,7 @@ def optimize_merge_weight_searched(loss_at_weight) -> tuple[float, float]:
 
 def gain_loss_difference(before: float, after: float) -> GainReport:
     """Gain-from-trade as the broker loss before the merge minus after."""
-    value = before - after
-    return GainReport(GainKind.LOSS_DIFFERENCE, value, trade_beneficial=value > 0.0)
+    return GainReport(GainKind.LOSS_DIFFERENCE, before - after)
 
 
 def gain_error_ratio(
@@ -158,9 +160,8 @@ def gain_error_ratio(
     """
     err_after = estimation_error(merged, theta_star)
     if err_after <= 1e-15:
-        return GainReport(GainKind.ERROR_RATIO, math.inf, trade_beneficial=True)
-    value = estimation_error(dot, theta_star) / err_after
-    return GainReport(GainKind.ERROR_RATIO, value, trade_beneficial=value > 1.0)
+        return GainReport(GainKind.ERROR_RATIO, math.inf)
+    return GainReport(GainKind.ERROR_RATIO, estimation_error(dot, theta_star) / err_after)
 
 
 def fedavg_weight(n_buyer: int, n_seller: int) -> float:

@@ -94,15 +94,17 @@ def _cmd_bounds_check(args) -> int:
 
 
 def _cmd_price(args) -> int:
+    given = {"--va-self": args.va_self, "--vb-of-a": args.vb_of_a, "--vb-self": args.vb_self,
+             "--va-of-b": args.va_of_b}  # in ValuationQuadruple's field order
     if args.prior:
+        for flag in (f for f, value in given.items() if value is not None):
+            args.usage_error(f"argument {flag}: not allowed with argument --prior")
         print(f"myerson_price={io_mod.fmt(myerson_price(args.prior))}")
         return 0
-    q = ValuationQuadruple(
-        v_a_self=args.va_self, v_b_of_a=args.vb_of_a, v_b_self=args.vb_self, v_a_of_b=args.va_of_b
-    )
+    q = ValuationQuadruple(*(0.0 if value is None else value for value in given.values()))
     delta = nash_price_difference(q)
-    pay_a = settle(args.vb_of_a, args.va_self)  # B buying A's parameters
-    pay_b = settle(args.va_of_b, args.vb_self)  # A buying B's parameters
+    pay_a = settle(q.v_b_of_a, q.v_a_self)  # B buying A's parameters
+    pay_b = settle(q.v_a_of_b, q.v_b_self)  # A buying B's parameters
     print(
         f"nash_price_difference={io_mod.fmt(delta)} "
         f"surplus_product={io_mod.fmt(cobb_douglas_revenue(q, delta))} "
@@ -203,11 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_price = sub.add_parser("price", help="evaluate a valuation quadruple or a prior")
     p_price.add_argument("--prior", type=_prior, default=None, help="uniform:lo,hi or exponential:rate")
-    p_price.add_argument("--va-self", type=_finite_float, default=0.0, dest="va_self")
-    p_price.add_argument("--vb-of-a", type=_finite_float, default=0.0, dest="vb_of_a")
-    p_price.add_argument("--vb-self", type=_finite_float, default=0.0, dest="vb_self")
-    p_price.add_argument("--va-of-b", type=_finite_float, default=0.0, dest="va_of_b")
-    p_price.set_defaults(func=_cmd_price)
+    for flag in ("--va-self", "--vb-of-a", "--vb-self", "--va-of-b"):  # None when not given: --prior refuses it
+        p_price.add_argument(flag, type=_finite_float, default=None)
+    p_price.set_defaults(func=_cmd_price, usage_error=p_price.error)
 
     p_align = sub.add_parser("align-demo", help="permuted-clone alignment demonstration")
     p_align.add_argument("--seed", type=_int_at_least(0), default=0)

@@ -159,6 +159,9 @@ class MarketConfig:
             section = f"agent {a.agent_id}"
             if ids.count(a.agent_id) > 1:
                 raise ConfigError(section, "-", f"duplicate agent id {a.agent_id!r}")
+            if any(c in a.agent_id for c in ',"\r\n'):  # the CSV files write ids as bare fields
+                raise ConfigError(section, "-", f"an agent id may not hold a comma, a double quote "
+                                                f"or a line break, got {a.agent_id!r}")
             if a.n_samples < min_n:
                 raise ConfigError(section, "n", f"must be >= {min_n}, got {a.n_samples}")
             if a.step_size is not None and not 0 < a.step_size < math.inf:

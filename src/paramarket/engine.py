@@ -20,10 +20,11 @@ has one path for every market: it reads each agent's policy and start round
 from the config, takes each offer and its gain from the broker, decides and
 settles.
 
-The broker engine opens one round view per round, round 0 included: over
-the starting parameters in round 0, over the agents' post-step parameters
-after that. Every broker loss the market reports is read through a view, and
-every round ends in the same curve-row code. Every view offers ``dot_loss``
+Every round, round 0 included, is one `run_round` call. Round 0 steps no
+agent and opens no trading window, so its curve rows report the starting
+parameters. A merge ships exactly when its trade record carries a payment.
+The broker engine opens one round view per round, and every broker loss the
+market reports is read through a view. Every view offers ``dot_loss``
 (broker loss before a merge, computed once per agent per round) and
 ``propose``: the merge at the searched weight, or at the broker's fixed
 data-share weight for fedavg, with the buyer's gain scored by the broker's
@@ -109,7 +110,7 @@ class AgentState:
 
 @dataclass(frozen=True)
 class TradeRecord:
-    """One buyer-side evaluation in one round (executed or declined)."""
+    """One buyer-side evaluation in one round; the merge shipped exactly when a payment is set."""
 
     round_index: int
     buyer: str
@@ -119,7 +120,10 @@ class TradeRecord:
     buyer_valuation: float | None
     seller_valuation: float | None
     payment: float | None
-    indicator: bool
+
+    @property
+    def indicator(self) -> bool:
+        return self.payment is not None
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,7 @@ class MlpModel:
         return mlp_mod.mlp_gradient_step(params, self.scored, self.step_size)
 
     def own_loss(self, params) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):  # `_end_round` checks it for finiteness
+        with np.errstate(over="ignore", invalid="ignore"):  # `run_round` checks it for finiteness
             return mlp_mod.mlp_forward_loss(params, self.scored)
 
     def est_error(self, params) -> float:
@@ -297,7 +301,7 @@ class MlpRoundView:
         self.engine = engine
         self.dots = dots
         # A net whose outputs overflow has a non-finite loss, here and in the
-        # weight search. No such loss is logged: `_end_round` checks every
+        # weight search. No such loss is logged: `run_round` checks every
         # curve row's losses for finiteness.
         with np.errstate(over="ignore", invalid="ignore"):
             self._dot_loss = {u: mlp_mod.mlp_forward_loss(p, engine.scored) for u, p in dots.items()}
@@ -320,93 +324,78 @@ class MlpRoundView:
 def run_round(states: tuple, broker, cfg: MarketConfig, round_index: int, cum_payments: dict) -> tuple:
     """Execute one full market round; returns (new states, trade records, curve rows).
 
+    Every agent steps, except in round 0, which reports the starting
+    parameters: no trading window is open then, as ``trade_start >= 1``.
+    Each active buyer takes the offer with the largest gain, and a merge
+    ships exactly when a payment is set. Each agent ends on its shipped
+    merge, else on its parameters in the round view, and logs one curve row.
     ``cum_payments`` (agent id -> balance) is mutated in place. Divergence
     anywhere in the round aborts with the offending round attached.
     """
     try:
-        return _round_body(states, broker, cfg, round_index, cum_payments)
+        policy = {a.agent_id: a.policy for a in cfg.agents}
+        dots = {s.agent_id: s.model.step(s.params) if round_index else s.params for s in states}
+        view = broker.begin_round(dots)
+        # Within the trading window every trade_every-th round is a market round,
+        # the first being start + trade_every - 1, so a frequency beyond the
+        # horizon disables trading entirely. An agent joins its policy's delay
+        # after the window opens.
+        start = cfg.trade_start
+        trading = round_index >= start and (round_index - start + 1) % cfg.trade_every == 0
+        active = {u: trading and round_index >= start + policy[u].delay for u in dots}
+
+        records: list[TradeRecord] = []
+        chosen: dict = {}  # agent id -> the MergeProposal that ships
+        evaluate = cache(view.propose)  # each (buyer, seller) offer and its gain, proposed once per round
+        for st in states:
+            u = st.agent_id
+            if not active[u] or policy[u].kind is PolicyKind.NEVER_TRADE:
+                continue
+            sellers = [v for v in dots if v != u and active[v]]
+            if not sellers:
+                continue
+            offers = [(v, evaluate(u, v)) for v in sorted(sellers)]
+            # Target the seller offering the largest gain; ties take the lowest id.
+            seller, proposal = min(offers, key=lambda e: (-e[1].gain.value, e[0]))
+            bid = ask = payment = None
+            if wants_to_buy(policy[u], proposal.gain):
+                if cfg.pricing:
+                    # Competitive settlement: the buyer bids its gain; the seller
+                    # quotes from its own reverse gain and both weights.
+                    bid = proposal.gain.value
+                    reverse = evaluate(seller, u)
+                    ask, payment = quote(cfg.seller_pricing, bid, reverse.gain.value,
+                                         reverse.weight, proposal.weight)
+                else:
+                    payment = 0.0  # collaborative: the merge ships for free
+            if payment is not None:
+                chosen[u] = proposal
+                cum_payments[u] -= payment
+                cum_payments[seller] += payment
+            records.append(TradeRecord(round_index, u, seller, proposal.weight, proposal.gain,
+                                       bid, ask, payment))
+
+        new_states = []
+        rows = []
+        for st in states:
+            u = st.agent_id
+            shipped = chosen.get(u)
+            if shipped is None:
+                final, broker_loss = dots[u], view.dot_loss(u)
+            else:
+                final, broker_loss = shipped.merged, shipped.broker_loss_after
+            new_states.append(AgentState(u, final, st.model))
+            # The round's one own loss, on the parameters the next round steps from.
+            own_loss = st.model.own_loss(final)
+            if not (math.isfinite(broker_loss) and math.isfinite(own_loss)):
+                raise DivergenceError(f"non-finite loss for agent {u}", round_index)
+            rows.append(CurveRow(round_index, u, broker_loss, own_loss,
+                                 st.model.est_error(final), cum_payments[u]))
+        return tuple(new_states), records, rows
     except DivergenceError as exc:
         if exc.round_index is None:
             raise DivergenceError(str(exc), round_index) from exc
         raise
-
-
-def _round_body(states, broker, cfg, round_index, cum_payments):
-    policy = {a.agent_id: a.policy for a in cfg.agents}
-
-    dots = {s.agent_id: s.model.step(s.params) for s in states}
-    view = broker.begin_round(dots)
-    # Within the trading window every trade_every-th round is a market round,
-    # the first being start + trade_every - 1, so a frequency beyond the
-    # horizon disables trading entirely. An agent joins its policy's delay
-    # after the window opens.
-    start = cfg.trade_start
-    trading = round_index >= start and (round_index - start + 1) % cfg.trade_every == 0
-    active = {u: trading and round_index >= start + policy[u].delay for u in dots}
-
-    records: list[TradeRecord] = []
-    chosen: dict = {}  # agent id -> the MergeProposal that ships
-    evaluate = cache(view.propose)  # each (buyer, seller) offer and its gain, proposed once per round
-
-    for st in states:
-        u = st.agent_id
-        if not active[u] or policy[u].kind is PolicyKind.NEVER_TRADE:
-            continue
-        sellers = [v for v in dots if v != u and active[v]]
-        if not sellers:
-            continue
-        offers = [(v, evaluate(u, v)) for v in sorted(sellers)]
-        # Target the seller offering the largest gain; ties take the lowest id.
-        seller, proposal = min(offers, key=lambda e: (-e[1].gain.value, e[0]))
-        bid = ask = payment = None
-        executed = wants_to_buy(policy[u], proposal.gain)
-        if executed and cfg.pricing:
-            # Competitive settlement: the buyer bids its gain; the seller
-            # quotes from its own reverse gain and both weights.
-            bid = proposal.gain.value
-            reverse = evaluate(seller, u)
-            ask, payment = quote(cfg.seller_pricing, bid, reverse.gain.value,
-                                 reverse.weight, proposal.weight)
-            executed = payment is not None
-        elif executed:
-            payment = 0.0  # collaborative: the merge ships for free
-        if executed:
-            chosen[u] = proposal
-            cum_payments[u] -= payment
-            cum_payments[seller] += payment
-        records.append(
-            TradeRecord(round_index, u, seller, proposal.weight, proposal.gain,
-                        bid, ask, payment, executed)
-        )
-
-    new_states, rows = _end_round(states, view, round_index, cum_payments, chosen)
-    return new_states, records, rows
-
-
-def _end_round(states, view, round_index, cum_payments, chosen) -> tuple:
-    """Each agent's state and curve row at the end of a round.
-
-    An agent ends on its ``chosen`` merge where one shipped, else on its parameters in ``view``.
-    """
-    new_states = []
-    rows = []
-    for st in states:
-        u = st.agent_id
-        shipped = chosen.get(u)
-        if shipped is None:
-            final, broker_loss = view.dots[u], view.dot_loss(u)
-        else:
-            final, broker_loss = shipped.merged, shipped.broker_loss_after
-        new_states.append(AgentState(u, final, st.model))
-        # The round's one own loss, on the parameters the next round steps from.
-        own_loss = st.model.own_loss(final)
-        if not (math.isfinite(broker_loss) and math.isfinite(own_loss)):
-            raise DivergenceError(f"non-finite loss for agent {u}", round_index)
-        rows.append(
-            CurveRow(round_index, u, broker_loss, own_loss,
-                     st.model.est_error(final), cum_payments[u])
-        )
-    return tuple(new_states), rows
 
 
 def _imbalanced_subset(
@@ -537,16 +526,15 @@ def run_prepared_simulation(cfg: MarketConfig, states: tuple, broker_engine) -> 
     """Market loop over the states and broker that `build_market` returns.
 
     A market and its twin run on one build (`experiments.run_with_twin`).
-    Round 0 reports the starting parameters through a round view of their own.
-    Raises `InvariantError` when the curve rows' balances do not replay the
-    settled payments.
+    Every round is one `run_round` call, round 0 included, which reports the
+    starting parameters. Raises `InvariantError` when the curve rows'
+    balances do not replay the settled payments, or when a settlement lies
+    outside its ask and bid.
     """
     cum = {s.agent_id: 0.0 for s in states}
-    view = broker_engine.begin_round({s.agent_id: s.params for s in states})
-    states, curves = _end_round(states, view, 0, cum, {})
-
     trades: list[TradeRecord] = []
-    for t in range(1, cfg.rounds + 1):
+    curves: list[CurveRow] = []
+    for t in range(cfg.rounds + 1):
         states, records, rows = run_round(states, broker_engine, cfg, t, cum)
         trades.extend(records)
         curves.extend(rows)
@@ -565,7 +553,8 @@ def _replay_ledger(trades: list, curves: list) -> None:
     """Replay the settled payments in engine order against every row's ``cum_payment``.
 
     The replay repeats the round loop's float operations in its order, so
-    the balances must match exactly.
+    the balances must match exactly. Every priced settlement must lie between
+    its ask and its bid, which `pricing.settle` guarantees in floats too.
     """
     cum = {row.agent: 0.0 for row in curves}
     pending = iter(trades)
@@ -573,6 +562,12 @@ def _replay_ledger(trades: list, curves: list) -> None:
     for row in curves:
         while record is not None and record.round_index <= row.round_index:
             if record.indicator:
+                ask, bid = record.seller_valuation, record.buyer_valuation
+                if bid is not None and not ask <= record.payment <= bid:
+                    raise InvariantError(
+                        f"settlement: round {record.round_index}, buyer {record.buyer} pays seller "
+                        f"{record.seller} {record.payment!r} outside its ask {ask!r} and bid {bid!r}"
+                    )
                 cum[record.buyer] -= record.payment
                 cum[record.seller] += record.payment
             record = next(pending, None)

@@ -64,7 +64,6 @@ def relative_improvement(log: MarketLog, twin: MarketLog, metric: str = "broker_
 @dataclass(frozen=True)
 class SweepRow:
     cell: int
-    axis: str
     value: object
     seed: int
     improvement_broker: dict
@@ -92,7 +91,6 @@ def _run_cell(args) -> SweepRow:
     improvement_broker = relative_improvement(log, twin, "broker_loss")
     return SweepRow(
         cell=cell,
-        axis=axis,
         value=value,
         seed=seed,
         improvement_broker=improvement_broker,

@@ -74,9 +74,7 @@ def fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.17g}"
+        return f"{value:.17g}"  # nan, inf and -inf included
     return str(value)
 
 
@@ -161,7 +159,7 @@ def sweep_csv(result) -> str:
     names = ("improvement_broker", "improvement_error", "final_broker")
     header = ",".join(["cell,axis,value,seed", *(f"{n}_{u}" for n in names for u in agents)])
     return csv_text(header, (
-        (r.cell, r.axis, str(r.value), r.seed,
+        (r.cell, result.axis, str(r.value), r.seed,
          *(getattr(r, n)[u] for n in names for u in agents))
         for r in result.rows
     ))

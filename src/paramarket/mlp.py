@@ -103,8 +103,9 @@ class MlpParams:
             bs.append(rng.standard_normal(h_out) * 0.1)
         return cls(tuple(ws), tuple(bs))
 
-    def same_architecture(self, other: "MlpParams") -> bool:
-        return self.layer_sizes == other.layer_sizes
+    def require_same_architecture(self, other: "MlpParams") -> None:
+        if self.layer_sizes != other.layer_sizes:
+            raise ValueError(f"architecture mismatch: {self.layer_sizes} vs {other.layer_sizes}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,10 +343,7 @@ def weight_matching_alignment(reference: MlpParams, candidate: MlpParams) -> Lay
     the higher matching objective wins (ties keep the forward one). Nets
     whose unit similarities overflow raise `DivergenceError`.
     """
-    if not reference.same_architecture(candidate):
-        raise ValueError(
-            f"architecture mismatch: {reference.layer_sizes} vs {candidate.layer_sizes}"
-        )
+    reference.require_same_architecture(candidate)
     n_hidden = len(reference.hidden_sizes)
     forward = _descend(reference, candidate, list(range(n_hidden)))
     if n_hidden < 2:
@@ -450,10 +448,7 @@ def merge_path_loss(
 
 def _merge_layers(buyer: MlpParams, seller_aligned: MlpParams, layer_set) -> list:
     """Sorted indices of a non-empty layer set of two nets of one architecture."""
-    if not buyer.same_architecture(seller_aligned):
-        raise ValueError(
-            f"architecture mismatch: {buyer.layer_sizes} vs {seller_aligned.layer_sizes}"
-        )
+    buyer.require_same_architecture(seller_aligned)
     layers = sorted(set(int(i) for i in layer_set))
     if not layers:
         raise ValueError("layer set must be non-empty")

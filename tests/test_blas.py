@@ -59,7 +59,7 @@ def test_market_runs_at_one_thread_and_restores_the_callers_count(threads, monke
     rounds = spy(monkeypatch, engine, "run_round", threads)
     run_simulation(small_cfg())
     ones = [1] * len(threads())
-    assert built == [ones] and rounds == [ones] * 4
+    assert built == [ones] and rounds == [ones] * 5
     assert threads() == [2] * len(ones)
 
 
@@ -80,7 +80,7 @@ def test_endowment_cell_builds_and_runs_at_one_thread(threads, monkeypatch):
     rounds = spy(monkeypatch, engine, "run_round", threads)
     run_with_twin(cfg)
     ones = [1] * len(threads())
-    assert built == [ones] and rounds == [ones] * 8
+    assert built == [ones] and rounds == [ones] * 10
     assert threads() == [2] * len(ones)
 
 

@@ -153,7 +153,7 @@ class TestGains:
     def test_error_ratio_perfect_merge_signals(self):
         # A merge that hits the truth has an unbounded gain, always taken.
         g = gain_error_ratio(pv(2.0), pv(0.0), pv(0.0))
-        assert g == GainReport(GainKind.ERROR_RATIO, math.inf, trade_beneficial=True)
+        assert g == GainReport(GainKind.ERROR_RATIO, math.inf) and g.trade_beneficial
 
     def test_gain_notions_agree_on_isotropic_noiseless_broker(self):
         # With orthonormal broker columns the broker loss is exactly the

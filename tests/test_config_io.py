@@ -211,14 +211,26 @@ class TestConfigParsing:
             (MINIMAL_MLP.replace("n = 40", "n = 40\npolicy = fedavg").replace("n = 20", "n = 20\npolicy = fedavg"),
              "agent a", "policy"),
             (MINIMAL + "\n[agent  a ]\ndim = 8\nn = 10\n", "agent a", "-"),
+            (MINIMAL.replace("[agent a]", "[agent a,c]"), "agent a,c", "-"),
         ],
         ids=["dims-differ", "pricing-on-loss-difference", "mlp-error-ratio", "mlp-pricing",
-             "fedavg-on-some", "fedavg-pricing", "fedavg-three-agents", "fedavg-mlp", "duplicate-id"],
+             "fedavg-on-some", "fedavg-pricing", "fedavg-three-agents", "fedavg-mlp", "duplicate-id",
+             "comma-in-id"],
     )
     def test_cross_key_rule_names_its_key(self, text, section, key):
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert (err.value.section, err.value.key) == (section, key), err.value
+
+    @pytest.mark.parametrize("agent_id", ["a,b", 'a"b', "a\nb", "a\rb"])
+    def test_agent_id_that_breaks_a_csv_field_is_rejected(self, agent_id):
+        # Built in code: a file cannot spell a line break in a section name.
+        cfg = parse_config(MINIMAL)
+        a, b = cfg.agents
+        with pytest.raises(ConfigError) as err:
+            replace(cfg, agents=(replace(a, agent_id=agent_id), b))
+        assert (err.value.section, err.value.key) == (f"agent {agent_id}", "-"), err.value
+        assert "comma, a double quote or a line break" in str(err.value)
 
     def test_layer_axis_values(self):
         spec = parse_sweep(MINIMAL_MLP + "\n[sweep]\naxis = layers\nvalues = 0,1 | all\nseeds = 2\n")
@@ -230,7 +242,8 @@ class TestFormatting:
         assert fmt(1 / 3) == "0.33333333333333331"
         assert fmt(None) == ""
         assert fmt(True) == "1" and fmt(False) == "0"
-        assert fmt(float("nan")) == "nan"
+        assert fmt(float("nan")) == "nan" and fmt(-math.nan) == "nan"
+        assert fmt(math.inf) == "inf" and fmt(-math.inf) == "-inf"
 
     def test_headers_are_pinned(self):
         assert TRADES_HEADER == (
@@ -742,6 +755,32 @@ class TestCli:
         assert "internal check failed: ledger: agent a's cum_payment" in r.stderr
         assert "round 3" in r.stderr and "Traceback" not in r.stderr
 
+    def test_settlement_outside_its_ask_and_bid_exits_1(self, tmp_path, monkeypatch):
+        real = engine.quote
+
+        def overpaying_quote(rule, bid, reverse_gain, alpha, beta):
+            ask, payment = real(rule, bid, reverse_gain, alpha, beta)
+            return ask, None if payment is None else bid + 1.0  # above every finite bid
+
+        monkeypatch.setattr(engine, "quote", overpaying_quote)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL.replace("seed = 9", "seed = 9\npricing = on\nseller_pricing = lower-bound"),
+                       encoding="utf-8")
+        r = run_cli("simulate", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert "internal check failed: settlement: round " in r.stderr
+        assert "outside its ask" in r.stderr and "Traceback" not in r.stderr
+
+    def test_agent_id_with_a_comma_exits_2(self, tmp_path):
+        # Its trades.csv rows would hold one field more than the header.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MINIMAL.replace("[agent a]", "[agent a,b]").replace("[agent b]", "[agent c]")
+                       .replace("rounds = 12", "rounds = 2"), encoding="utf-8")
+        r = run_cli("simulate", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "config error: [agent a,b] -:" in r.stderr
+        assert not (tmp_path / "o" / "trades.csv").exists()
+
     def test_never_trade_config_has_zero_trade_records(self, tmp_path):
         r = run_cli(
             "simulate", str(CONFIGS / "never_trade.cfg"), "--out", str(tmp_path / "o"), cwd=tmp_path
@@ -1108,6 +1147,11 @@ class TestCli:
         )
         assert r.returncode == 0, r.stderr
         assert "nash_price_difference=1" in r.stdout
+        # A given -0.0 keeps its sign; a flag not given is +0.0.
+        r = run_cli("price", "--va-self=-0.0", "--vb-of-a=-0.0", cwd=tmp_path)
+        assert r.stdout.split() == [
+            "nash_price_difference=-0", "surplus_product=0", "payment_for_a=-0", "payment_for_b=0",
+        ]
 
     def test_price_near_the_float_maximum_stays_finite(self, tmp_path):
         r = run_cli("price", "--va-self", "1e308", "--vb-of-a", "1e308", cwd=tmp_path)
@@ -1143,6 +1187,15 @@ class TestCli:
         assert r.returncode == 2, r.stderr
         assert f"argument {flag}:" in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("flag", ["--va-self", "--vb-of-a", "--vb-self", "--va-of-b"])
+    def test_price_prior_with_a_valuation_flag_exits_2(self, tmp_path, flag):
+        # A prior prices no quadruple, so a valuation beside it would be dropped unseen.
+        for args in (("--prior", "uniform:0,1", flag, "3"), (flag, "-0.0", "--prior", "uniform:0,1")):
+            r = run_cli("price", *args, cwd=tmp_path)
+            assert r.returncode == 2 and r.stdout == "", r.stderr
+            assert f"argument {flag}: not allowed with argument --prior" in r.stderr
+            assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("flag", ["--va-self", "--vb-of-a", "--vb-self", "--va-of-b", "--vb-s"])
     def test_price_flag_takes_a_separate_negative_number(self, tmp_path, flag):

@@ -199,6 +199,17 @@ class TestRoundSemantics:
         neural, _ = build_market(neural_cfg())
         assert [s.model.step_size for s in neural] == [0.1, 0.1]
 
+    @pytest.mark.parametrize("market", ["linear", "mlp"])
+    def test_round_zero_is_a_run_round_call_that_reports_the_start(self, market):
+        cfg = dataclasses.replace(linear_cfg() if market == "linear" else neural_cfg(), rounds=1)
+        log = run_simulation(cfg)
+        states, broker = build_market(cfg)
+        new_states, records, rows = run_round(states, broker, cfg, 0, {s.agent_id: 0.0 for s in states})
+        # No agent steps and no trading window is open.
+        assert all(new.params is old.params for new, old in zip(new_states, states))
+        assert records == []
+        assert rows == [row for row in log.curves if row.round_index == 0]
+
     def test_never_trade_log_equals_gradient_descent_traces(self):
         log = run_simulation(linear_cfg(policies=(NEVER, NEVER)))
         assert log.trades == []
@@ -280,6 +291,17 @@ class TestPricingRounds:
             per_round[row.round_index] += row.cum_payment
         assert all(v == 0.0 for v in per_round.values())
 
+    def test_a_settlement_above_the_bid_fails_the_run(self, monkeypatch):
+        real = engine.quote
+
+        def overpaying_quote(rule, bid, reverse_gain, alpha, beta):
+            ask, payment = real(rule, bid, reverse_gain, alpha, beta)
+            return ask, None if payment is None else bid + 1.0  # above every finite bid
+
+        monkeypatch.setattr(engine, "quote", overpaying_quote)
+        with pytest.raises(engine.InvariantError, match=r"^settlement: round \d+, buyer \w pays seller \w "):
+            run_simulation(linear_cfg(pricing=True, seller_pricing="lower-bound", rounds=5))
+
     def test_payment_between_valuations(self):
         log = run_simulation(linear_cfg(pricing=True, seller_pricing="lower-bound", rounds=30))
         for r in log.trades:
@@ -341,8 +363,8 @@ class TestBrokerReportsTheGain:
         cfg = linear_cfg(rounds=1)
         states, broker = build_market(cfg)
         # Neither kind nor value is what the error-ratio broker would report.
-        crafted = {("a", "b"): GainReport(GainKind.LOSS_DIFFERENCE, 0.25, True),
-                   ("b", "a"): GainReport(GainKind.LOSS_DIFFERENCE, 4.0, False)}
+        crafted = {("a", "b"): GainReport(GainKind.LOSS_DIFFERENCE, 0.25),
+                   ("b", "a"): GainReport(GainKind.LOSS_DIFFERENCE, -0.25)}
         real = {}
 
         def begin_round(dots, inner=broker.begin_round):
@@ -386,7 +408,7 @@ class TestBrokerReportsTheGain:
                 expected = gain_error_ratio(dots[buyer], p.merged, broker.truth)
             else:
                 value = view.dot_loss(buyer) - p.broker_loss_after
-                expected = GainReport(GainKind.LOSS_DIFFERENCE, value, value > 0.0)
+                expected = GainReport(GainKind.LOSS_DIFFERENCE, value)
             assert p.gain == expected
             assert p.gain.value.hex() == expected.value.hex()
 

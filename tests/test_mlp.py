@@ -337,8 +337,10 @@ class TestAlignment:
         assert all(later >= earlier - 1e-9 for earlier, later in zip(trace, trace[1:]))
 
     def test_architecture_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="architecture"):
-            weight_matching_alignment(random_net((2, 8, 2), 1), random_net((2, 9, 2), 1))
+        a, b = random_net((2, 8, 2), 1), random_net((2, 9, 2), 1)
+        for entry in (weight_matching_alignment, lambda a, b: subset_merge(a, b, {0}, 0.5)):
+            with pytest.raises(ValueError, match=r"^architecture mismatch: \(2, 8, 2\) vs \(2, 9, 2\)$"):
+                entry(a, b)
 
     def test_entry_points_agree(self):
         backward_won = False

@@ -5,6 +5,7 @@ tree first on the import path, on prefixes that keep it to about a second;
 one test runs it as a command from the repository root.
 """
 
+import hashlib
 import importlib.util
 import os
 import re
@@ -59,6 +60,16 @@ def test_simulate_run_twice_prints_the_rewritten_files(digests, capsys):
     # A market's lines hash the files `write_run_outputs` wrote, as simulate's do.
     assert digest[(*cli, "summary.json")] == digest[("three_agents+pricing", "market", "summary_dict")]
     assert len(digest) == 6 + 5
+
+
+def test_price_prints_its_exit_code_and_stdout_and_takes_no_out(digests, capsys):
+    assert digests.main(["cli:price"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[:3] for line in lines] == [
+        [f"cli:price:{kind}", "cli", field] for kind in ("quadruple", "prior") for field in ("exit_code", "stdout")
+    ]
+    assert lines[0][3] == lines[2][3] == "0"
+    assert lines[3][3] == hashlib.sha256(b"myerson_price=1.5\n").hexdigest()
 
 
 def test_runs_from_the_repository_root_without_pythonpath():

@@ -64,7 +64,7 @@ def test_every_span_installs_traces_and_undoes():
     finally:
         undo()
     assert all(resolve(name) is fn for name, fn in originals.items())
-    assert tracer.stats["engine.run_round"][0] == cfg.rounds
+    assert tracer.stats["engine.run_round"][0] == cfg.rounds + 1  # round 0 included
     assert tracer.stats["engine.LinearRoundView.propose"][0] > 0
 
 

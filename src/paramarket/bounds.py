@@ -17,7 +17,7 @@ interval propagation:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 
 import numpy as np
@@ -75,14 +75,19 @@ def _contains(lower: float, upper: float, value: float, rel_slack: float) -> boo
 
 @dataclass(frozen=True)
 class GainBounds:
-    """Closed interval (upper possibly +inf) on a squared-norm ratio."""
+    """Closed interval (upper possibly +inf) on a squared-norm ratio.
+
+    ``source``, the (gain, alpha, beta) the ends came from, is not kept: only
+    the interval rule's error names it.
+    """
 
     lower: float
     upper: float
     lower_clamped: bool = False
+    source: InitVar[tuple] = ()
 
-    def __post_init__(self):
-        _check_interval(self.lower, self.upper)
+    def __post_init__(self, source):
+        _check_interval(self.lower, self.upper, *source)
 
     def contains(self, value: float, rel_slack: float = 0.0) -> bool:
         return _contains(self.lower, self.upper, value, rel_slack)
@@ -148,11 +153,6 @@ def _scenario_ends(gain_a: float, alpha: float, beta: float) -> list[tuple[float
     return ends
 
 
-def _bounds(ends: tuple[float, float, bool], gain_a: float, alpha: float, beta: float) -> GainBounds:
-    _check_interval(ends[0], ends[1], gain_a, alpha, beta)
-    return GainBounds(*ends)
-
-
 def buyer_gain_bounds(gain_a: float, alpha: float, beta: float) -> GainBounds:
     """Bounds on the buyer's gain ratio from (own gain, both merge weights).
 
@@ -168,7 +168,7 @@ def buyer_gain_bounds(gain_a: float, alpha: float, beta: float) -> GainBounds:
     Raises ``ValueError`` naming the inputs where the closed forms leave the
     float range (weights near the smallest floats).
     """
-    return _bounds(_buyer_ends(gain_a, alpha, beta), gain_a, alpha, beta)
+    return GainBounds(*_buyer_ends(gain_a, alpha, beta), (gain_a, alpha, beta))
 
 
 def perf_ratio_bounds(gain_a: float, alpha: float, beta: float) -> dict[TradeScenario, GainBounds]:
@@ -182,7 +182,7 @@ def perf_ratio_bounds(gain_a: float, alpha: float, beta: float) -> dict[TradeSce
     naming the inputs where the closed forms leave the float range.
     """
     ends = _scenario_ends(gain_a, alpha, beta)
-    return {scenario: _bounds(e, gain_a, alpha, beta) for scenario, e in zip(_SCENARIOS, ends)}
+    return {scenario: GainBounds(*e, (gain_a, alpha, beta)) for scenario, e in zip(_SCENARIOS, ends)}
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ class ParameterVector:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
             raise ValueError(f"parameters must be a non-empty 1-D vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("parameters contain non-finite entries")
         object.__setattr__(self, "values", _frozen(v, np.float64))
 
@@ -100,7 +100,7 @@ class LabeledDataset:
             raise ValueError(f"inputs must be a non-empty n-by-d matrix, got shape {x.shape}")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise DimensionMismatchError(x.shape[0], y.shape[0], "label count vs input rows")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("dataset contains non-finite entries")
         object.__setattr__(self, "inputs", _frozen(x, np.float64))
         object.__setattr__(self, "labels", _frozen(y, np.float64))
@@ -156,10 +156,10 @@ def gradient_step(
     if not step_size > 0:
         raise ValueError(f"step size must be positive, got {step_size}")
     g = loss_gradient(params, data, resid)
-    new = params.values - step_size * g
-    if not np.all(np.isfinite(new)):
-        raise DivergenceError("gradient update produced non-finite parameters")
-    return ParameterVector(new)
+    try:  # the shape is the input's, so only the constructor's finiteness check can fail
+        return ParameterVector(params.values - step_size * g)
+    except ValueError:
+        raise DivergenceError("gradient update produced non-finite parameters") from None
 
 
 def merge(buyer: ParameterVector, seller: ParameterVector, weight: float) -> ParameterVector:

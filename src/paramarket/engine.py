@@ -346,11 +346,10 @@ def run_round(states: tuple, broker, cfg: MarketConfig, round_index: int, cum_pa
 
         records: list[TradeRecord] = []
         chosen: dict = {}  # agent id -> the MergeProposal that ships
-        evaluate = cache(view.propose)  # each (buyer, seller) offer and its gain, proposed once per round
-        for st in states:
-            u = st.agent_id
-            if not active[u] or policy[u].kind is PolicyKind.NEVER_TRADE:
-                continue
+        buyers = [u for u in dots if active[u] and policy[u].kind is not PolicyKind.NEVER_TRADE]
+        if buyers:  # a round where nobody can buy builds no offer cache
+            evaluate = cache(view.propose)  # each (buyer, seller) offer and its gain, proposed once per round
+        for u in buyers:
             sellers = [v for v in dots if v != u and active[v]]
             if not sellers:
                 continue

@@ -138,19 +138,26 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# The run logs write `fmt`'s fields with each column's type fixed, one format per row.
+def _optional(x: float | None) -> str:
+    return "" if x is None else f"{x:.17g}"
+
+
 def trades_csv(log: MarketLog) -> str:
-    return csv_text(TRADES_HEADER, (
-        (r.round_index, r.buyer, r.seller, r.merge_weight, r.gain.kind.value, r.gain.value,
-         r.gain.trade_beneficial, r.buyer_valuation, r.seller_valuation, r.payment, r.indicator)
+    return "\n".join([TRADES_HEADER, *(
+        f"{r.round_index},{r.buyer},{r.seller},{r.merge_weight:.17g},{r.gain.kind.value},"
+        f"{r.gain.value:.17g},{'1' if r.gain.trade_beneficial else '0'},{_optional(r.buyer_valuation)},"
+        f"{_optional(r.seller_valuation)},{_optional(r.payment)},{'1' if r.indicator else '0'}"
         for r in log.trades
-    ))
+    )]) + "\n"
 
 
 def curves_csv(log: MarketLog) -> str:
-    return csv_text(CURVES_HEADER, (
-        (row.round_index, row.agent, row.broker_loss, row.own_loss, row.est_error, row.cum_payment)
+    return "\n".join([CURVES_HEADER, *(
+        f"{row.round_index},{row.agent},{row.broker_loss:.17g},{row.own_loss:.17g},"
+        f"{row.est_error:.17g},{row.cum_payment:.17g}"
         for row in log.curves
-    ))
+    )]) + "\n"
 
 
 def sweep_csv(result) -> str:

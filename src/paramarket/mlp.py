@@ -257,9 +257,10 @@ def mlp_gradient_step(params: MlpParams, data: ClassMajorSet, step_size: float) 
         d_ws, d_bs = mlp_loss_gradients(params, data)
         ws = tuple(w - step_size * dw for w, dw in zip(params.weights, d_ws))
         bs = tuple(b - step_size * db for b, db in zip(params.biases, d_bs))
-    if not all(np.isfinite(a).all() for a in ws + bs):
-        raise DivergenceError("gradient update produced non-finite weights")
-    return MlpParams(ws, bs)
+    try:  # the shapes are the input's, so only the constructor's finiteness check can fail
+        return MlpParams(ws, bs)
+    except ValueError:
+        raise DivergenceError("gradient update produced non-finite weights") from None
 
 
 def linear_sum_assignment(c: np.ndarray):

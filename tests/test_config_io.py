@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from paramarket import cli, engine
 from paramarket import io as io_mod
-from paramarket.broker import GainKind
+from paramarket.broker import GainKind, GainReport
 from paramarket.config import (
     AgentSpec,
     BrokerSpec,
@@ -34,12 +34,13 @@ from paramarket.config import (
     parse_config,
     parse_sweep,
 )
-from paramarket.engine import run_simulation
-from paramarket.experiments import layer_subset_table
+from paramarket.engine import CurveRow, MarketLog, TradeRecord, run_simulation
+from paramarket.experiments import layer_subset_table, run_with_twin
 from paramarket.io import (
     CURVES_HEADER,
     TRADES_HEADER,
     VIOLATIONS_HEADER,
+    csv_text,
     curves_csv,
     fmt,
     json_text,
@@ -237,7 +238,45 @@ class TestConfigParsing:
         assert spec.values == ((0, 1), None)
 
 
+# Every float the run logs can hold: the corners that `fmt` formats specially or
+# that shorter formats would round, then any float at all.
+LOG_FLOATS = st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 3.0, -2.0, 1e16, 1 / 3,
+]) | st.floats()
+TRADE_RECORDS = st.builds(
+    TradeRecord, st.integers(0, 10**6), st.text(), st.text(), LOG_FLOATS,
+    st.builds(GainReport, st.sampled_from(GainKind), LOG_FLOATS),
+    st.none() | LOG_FLOATS, st.none() | LOG_FLOATS, st.none() | LOG_FLOATS,
+)
+CURVE_ROWS = st.builds(CurveRow, st.integers(0, 10**6), st.text(), LOG_FLOATS, LOG_FLOATS, LOG_FLOATS, LOG_FLOATS)
+
+
+def fmt_fields_csvs(log: MarketLog) -> tuple:
+    """``trades.csv`` and ``curves.csv`` with every field through `fmt`, the form the writers must equal."""
+    return csv_text(TRADES_HEADER, (
+        (r.round_index, r.buyer, r.seller, r.merge_weight, r.gain.kind.value, r.gain.value,
+         r.gain.trade_beneficial, r.buyer_valuation, r.seller_valuation, r.payment, r.indicator)
+        for r in log.trades
+    )), csv_text(CURVES_HEADER, (
+        (row.round_index, row.agent, row.broker_loss, row.own_loss, row.est_error, row.cum_payment)
+        for row in log.curves
+    ))
+
+
 class TestFormatting:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(TRADE_RECORDS, max_size=4), st.lists(CURVE_ROWS, max_size=4))
+    def test_run_logs_equal_their_fields_through_fmt(self, trades, curves):
+        log = MarketLog(None, {}, (), curves, trades, {})
+        assert (trades_csv(log), curves_csv(log)) == fmt_fields_csvs(log)
+
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+    def test_bundled_run_logs_equal_their_fields_through_fmt(self, path):
+        text = path.read_text(encoding="utf-8")
+        cfg = parse_sweep(text).base if "\n[sweep]" in text else parse_config(text)
+        for log in run_with_twin(cfg):
+            assert (trades_csv(log), curves_csv(log)) == fmt_fields_csvs(log)
+
     def test_seventeen_significant_digits(self):
         assert fmt(1 / 3) == "0.33333333333333331"
         assert fmt(None) == ""

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paramarket
+from paramarket import mlp
 from paramarket.core import (
     DimensionMismatchError,
+    DivergenceError,
     LabeledDataset,
     ParameterVector,
     empirical_loss,
@@ -124,6 +126,29 @@ class TestGradientStep:
         data = LabeledDataset(np.array([[1.0]]), np.array([0.0]))
         with pytest.raises(ValueError):
             gradient_step(pv(1.0), data, 0.0)
+
+
+# A finite gradient that a huge step overflows: the stepped arrays' own checks
+# find it, and it surfaces as a divergence, never as their ValueError.
+class TestDivergence:
+    def test_overflowing_linear_step_is_a_divergence(self):
+        data = LabeledDataset(np.array([[1.0], [2.0]]), np.array([0.0, 1.0]))
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+            gradient_step(pv(1e10), data, 1e308)
+        assert not isinstance(err.value, ValueError)
+        assert str(err.value) == "gradient update produced non-finite parameters"
+        assert err.value.round_index is None and err.value.__cause__ is None
+
+    def test_overflowing_neural_step_is_a_divergence(self):
+        rng = np.random.default_rng(7)
+        net = mlp.MlpParams.random_init((2, 4, 2), rng)
+        net = mlp.MlpParams(tuple(100.0 * w for w in net.weights), net.biases)  # gradients above 1
+        data = mlp.ClassMajorSet(mlp.two_moons(20, rng), mlp.MOONS_CLASSES)
+        with pytest.raises(DivergenceError) as err:
+            mlp.mlp_gradient_step(net, data, 1e308)
+        assert not isinstance(err.value, ValueError)
+        assert str(err.value) == "gradient update produced non-finite weights"
+        assert err.value.round_index is None and err.value.__cause__ is None
 
 
 class TestMerge:

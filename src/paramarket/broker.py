@@ -73,13 +73,12 @@ def optimal_weight_from_residuals(buyer_residual: np.ndarray, delta_pred: np.nda
     ``[WEIGHT_FLOOR, 1]``; a flat direction (``s = 0``) resolves to the floor,
     the least-intervention choice.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        ss = float(delta_pred @ delta_pred)
-        if not math.isfinite(ss):
-            raise DivergenceError("merge-weight optimization hit non-finite predictions")
-        if ss == 0.0:
-            return WEIGHT_FLOOR
-        nu = -float(buyer_residual @ delta_pred) / ss
+    ss = float(delta_pred @ delta_pred)
+    if not math.isfinite(ss):
+        raise DivergenceError("merge-weight optimization hit non-finite predictions")
+    if ss == 0.0:
+        return WEIGHT_FLOOR
+    nu = -float(buyer_residual @ delta_pred) / ss
     if not math.isfinite(nu):
         raise DivergenceError("merge-weight optimization hit non-finite predictions")
     return min(max(nu, WEIGHT_FLOOR), 1.0)

@@ -20,8 +20,8 @@ kind-only agent row adds the value the other kind's market requires.
 
 A config text is read once, into its market and its ``[sweep]``, if any. The
 parser checks only what is about the file itself: its sections and keys, the
-market kind, agent ids, which sweep axis needs which kind, and repeated sweep
-cells. A sweep cell is checked by building the market it runs (`cell_config`).
+market kind, agent ids and repeated sweep cells. A sweep cell is checked by
+building the market it runs (`cell_config`), its axis's market kind included.
 """
 
 import configparser
@@ -369,29 +369,32 @@ def load_config(path: str) -> MarketConfig:
     return parse_config(_read_file(path))
 
 
-# Cell reader per sweep axis; `cell_config` checks each cell as the market it runs.
-_SWEEP_CELLS = {"distance": float, "endowment": float, "frequency": int, "start": int, "layers": _layer_set}
+# Per sweep axis: its cell reader, the market kind it needs (None: either) and the market a cell runs.
+_AXES = {
+    # Sweep the gap between the first agent's task and everyone else's.
+    "distance": (float, "linear", lambda base, v: replace(
+        base, agents=(base.agents[0], *(replace(a, theta_offset=float(v)) for a in base.agents[1:])))),
+    # Each agent keeps the fraction v of one shared data pool (`MarketConfig.endowment`).
+    "endowment": (float, "linear", lambda base, v: replace(base, endowment=float(v))),
+    "frequency": (int, None, lambda base, v: replace(base, trade_every=int(v))),
+    "start": (int, None, lambda base, v: replace(base, trade_start=int(v))),
+    "layers": (_layer_set, "mlp", lambda base, v: replace(base, mlp=replace(base.mlp, layer_set=v))),
+}
+
+
+def _axis(base: MarketConfig, axis: str) -> tuple:
+    """The `_AXES` row of ``axis``; ConfigError naming ``[sweep] axis`` when ``base`` is of the other kind."""
+    if axis not in _AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    kind = _AXES[axis][1]
+    if kind not in (None, base.model):
+        raise ConfigError("sweep", "axis", f"the {axis} axis needs model = {kind}, got {base.model}")
+    return _AXES[axis]
 
 
 def cell_config(base: MarketConfig, axis: str, value) -> MarketConfig:
-    """The market one sweep cell runs: ``base`` with ``value`` on ``axis``.
-
-    An endowment cell is ``base`` whose agents each keep the fraction
-    ``value`` of one shared data pool (`MarketConfig.endowment`).
-    """
-    if axis == "distance":
-        # Sweep the gap between the first agent's task and everyone else's.
-        first, *rest = base.agents
-        return replace(base, agents=(first, *(replace(a, theta_offset=float(value)) for a in rest)))
-    if axis == "frequency":
-        return replace(base, trade_every=int(value))
-    if axis == "start":
-        return replace(base, trade_start=int(value))
-    if axis == "layers":
-        return replace(base, mlp=replace(base.mlp, layer_set=value))
-    if axis == "endowment":
-        return replace(base, endowment=float(value))
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    """The market one sweep cell runs: ``base`` with ``value`` on ``axis``."""
+    return _axis(base, axis)[2](base, value)
 
 
 def _parse(text: str) -> tuple:
@@ -407,8 +410,8 @@ def _parse(text: str) -> tuple:
     if sweep:
         sweep_key = lambda key, reader: _section(parser, "sweep", [(key, key, reader)], SweepSpec, read)  # noqa: E731
         axis = sweep_key("axis", str)["axis"]
-        if axis not in _SWEEP_CELLS:
-            raise ConfigError("sweep", "axis", f"expected one of {tuple(_SWEEP_CELLS)}, got {axis!r}")
+        if axis not in _AXES:
+            raise ConfigError("sweep", "axis", f"expected one of {tuple(_AXES)}, got {axis!r}")
         raw_values = sweep_key("values", str)["values"]
         cells = tuple(v.strip() for v in raw_values.split("|") if v.strip() != "")
         if not cells:
@@ -444,14 +447,11 @@ def _parse(text: str) -> tuple:
     if not sweep:
         return base, None
 
-    if axis in ("distance", "endowment") and base.mlp is not None:
-        raise ConfigError("sweep", "axis", f"the {axis} axis needs a linear market (model = linear)")
-    if axis == "layers" and base.mlp is None:
-        raise ConfigError("sweep", "axis", "the layers axis needs an mlp market (model = mlp)")
+    read_cell = _axis(base, axis)[0]
     values, seen = [], {}
     for raw in cells:
         try:
-            value = _SWEEP_CELLS[axis](raw)
+            value = read_cell(raw)
             cell_config(base, axis, value)
         except ValueError as exc:  # ConfigError included: a market rule names its own key
             why = str(exc).removeprefix("[sweep] values: ")

@@ -187,8 +187,7 @@ class MlpModel:
         return mlp_mod.mlp_gradient_step(params, self.scored, self.step_size)
 
     def own_loss(self, params) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):  # `run_round` checks it for finiteness
-            return mlp_mod.mlp_forward_loss(params, self.scored)
+        return mlp_mod.mlp_forward_loss(params, self.scored)
 
     def est_error(self, params) -> float:
         return math.nan
@@ -300,11 +299,7 @@ class MlpRoundView:
     def __init__(self, engine: MlpBrokerEngine, dots: dict):
         self.engine = engine
         self.dots = dots
-        # A net whose outputs overflow has a non-finite loss, here and in the
-        # weight search. No such loss is logged: `run_round` checks every
-        # curve row's losses for finiteness.
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._dot_loss = {u: mlp_mod.mlp_forward_loss(p, engine.scored) for u, p in dots.items()}
+        self._dot_loss = {u: mlp_mod.mlp_forward_loss(p, engine.scored) for u, p in dots.items()}
 
     def dot_loss(self, u: str) -> float:
         return self._dot_loss[u]
@@ -315,12 +310,14 @@ class MlpRoundView:
         aligned = mlp_mod.apply_permutation(self.dots[seller], perms)
         layers = eng.layer_set or tuple(range(self.dots[buyer].n_layers))
         loss_at = mlp_mod.merge_path_loss(self.dots[buyer], aligned, layers, eng.scored)
-        with np.errstate(over="ignore", invalid="ignore"):
-            weight, after = optimize_merge_weight_searched(loss_at)
+        weight, after = optimize_merge_weight_searched(loss_at)
         merged = mlp_mod.subset_merge(self.dots[buyer], aligned, layers, weight)
         return MergeProposal(weight, merged, after, gain_loss_difference(self.dot_loss(buyer), after))
 
 
+# An overflow is found by the check on the value it reaches, not by a numpy warning: a stepped
+# vector or net, the weight solve, the alignment similarities or a curve row's losses.
+@np.errstate(over="ignore", invalid="ignore")
 def run_round(states: tuple, broker, cfg: MarketConfig, round_index: int, cum_payments: dict) -> tuple:
     """Execute one full market round; returns (new states, trade records, curve rows).
 
@@ -387,14 +384,12 @@ def run_round(states: tuple, broker, cfg: MarketConfig, round_index: int, cum_pa
             # The round's one own loss, on the parameters the next round steps from.
             own_loss = st.model.own_loss(final)
             if not (math.isfinite(broker_loss) and math.isfinite(own_loss)):
-                raise DivergenceError(f"non-finite loss for agent {u}", round_index)
+                raise DivergenceError(f"non-finite loss for agent {u}")
             rows.append(CurveRow(round_index, u, broker_loss, own_loss,
                                  st.model.est_error(final), cum_payments[u]))
         return tuple(new_states), records, rows
     except DivergenceError as exc:
-        if exc.round_index is None:
-            raise DivergenceError(str(exc), round_index) from exc
-        raise
+        raise DivergenceError(str(exc), round_index) from exc
 
 
 def _imbalanced_subset(

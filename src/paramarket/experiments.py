@@ -85,18 +85,17 @@ class SweepResult:
 
 
 def _run_cell(args) -> SweepRow:
-    base, axis, cell, value, seed = args
-    cfg = replace(cell_config(base, axis, value), seed=seed)
+    cell, value, cfg = args
     log, twin = run_with_twin(cfg)
     improvement_broker = relative_improvement(log, twin, "broker_loss")
     return SweepRow(
         cell=cell,
         value=value,
-        seed=seed,
+        seed=cfg.seed,
         improvement_broker=improvement_broker,
         # A neural market has no estimation error; its broker improvement stands in.
         improvement_error=relative_improvement(log, twin, "est_error")
-        if base.model == "linear"
+        if cfg.model == "linear"
         else improvement_broker,
         final_broker={u: log.final_row(u).broker_loss for u in log.agent_ids},
     )
@@ -114,11 +113,13 @@ def run_sweep(
 ) -> SweepResult:
     """Run every (cell, seed) pair; rows come back ordered by cell then seed.
 
-    At most ``jobs`` worker processes run the pairs, and never more than there
-    are pairs or usable CPUs; with one worker the pairs run in this process.
+    Each pair's market is built here, so a bad cell raises its own ConfigError
+    at any ``jobs``. At most ``jobs`` worker processes run the pairs, and never
+    more than there are pairs or usable CPUs; with one worker the pairs run in
+    this process.
     """
     work = [
-        (base, axis, cell, value, base.seed + seed)
+        (cell, value, replace(cell_config(base, axis, value), seed=base.seed + seed))
         for cell, value in enumerate(values)
         for seed in range(seeds)
     ]
@@ -136,10 +137,8 @@ def layer_subset_table(base: MarketConfig, layer_sets, seeds: int, jobs: int = 1
 
     Returns per-set mean improvements plus, per seed, which set won (largest
     mean improvement across agents). The full layer set is expected to win
-    most seeds.
+    most seeds. A linear ``base`` raises ConfigError naming ``[sweep] axis``.
     """
-    if base.model != "mlp":
-        raise ValueError("layer subset comparison needs an mlp market config")
     result = run_sweep(base, "layers", list(layer_sets), seeds, jobs=jobs)
     label = lambda v: "all" if v is None else ",".join(map(str, v))  # noqa: E731
     table, per_seed = {}, {}

@@ -1065,6 +1065,24 @@ class TestCli:
         assert r.returncode == 3, r.stderr
         assert "round" in r.stderr
 
+    def test_diverging_twin_exits_3_without_a_warning(self, tmp_path):
+        # Agent a's step overflows; in the market it buys b's parameters and
+        # recovers, but its never-trade twin's loss overflows in round 2.
+        cfg = tmp_path / "twin.cfg"
+        cfg.write_text(
+            "[market]\nseed = 1\nrounds = 5\ngain_kind = error-ratio\n\n"
+            "[agent a]\ndim = 5\nn = 20\nstep_size = 1e150\n\n[agent b]\ndim = 5\nn = 20\n\n"
+            "[broker]\nn = 50\n\n[sweep]\naxis = frequency\nvalues = 1\nseeds = 1\n",
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            market = run_cli("simulate", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
+            sweep = run_cli("sweep", str(cfg), "--jobs", "1", "--out", str(tmp_path / "s"), cwd=tmp_path)
+        assert market.returncode == 0, market.stderr
+        assert sweep.returncode == 3, sweep.stderr
+        assert sweep.stderr == "divergence: non-finite loss for agent a (round 2)\n"
+
     def test_overflowing_neural_market_that_stays_finite_exits_0(self, tmp_path):
         # Pre-activations overflow to -inf, the ReLU zeroes them and every
         # loss stays finite: only non-finite losses count as divergence.

@@ -162,10 +162,24 @@ class TestEndowmentSweep:
                 assert np.array_equal(t.inputs, tasks[0].inputs) and np.array_equal(t.labels, tasks[0].labels)
 
     def test_fraction_validation(self):
+        # Two pairs, so that two jobs would start a pool: the bad cell's own
+        # error reaches the caller either way.
         spec = load_sweep(CONFIGS / "endowment_sweep.cfg")
+        for jobs in (1, 2):
+            with pytest.raises(ConfigError) as err:
+                run_sweep(spec.base, "endowment", [0.0, 0.5], seeds=1, jobs=jobs)
+            assert (err.value.section, err.value.key) == ("sweep", "values"), jobs
+            assert str(err.value).startswith("[sweep] values:"), jobs
+
+    def test_an_axis_of_the_other_market_kind_names_the_axis(self):
+        three = load_config(CONFIGS / "three_agents.cfg")
         with pytest.raises(ConfigError) as err:
-            run_sweep(spec.base, "endowment", [0.0], seeds=1)
-        assert (err.value.section, err.value.key) == ("sweep", "values")
+            cell_config(three, "layers", (0,))
+        assert (err.value.section, err.value.key) == ("sweep", "axis")
+        assert "mlp" in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            experiments.layer_subset_table(three, [(0,)], 1)
+        assert err.value.key == "axis"
 
 
 class TestFrequencySweep:

@@ -1,6 +1,7 @@
 """Whole-market properties: markets drawn in code, each run checked for the invariants every market keeps."""
 
 import math
+from dataclasses import fields
 
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -109,3 +110,44 @@ def test_linear_market_invariants(cfg):
 @given(mlp_markets())
 def test_mlp_market_invariants(cfg):
     assert_market_invariants(cfg)
+
+
+def setting_fields(cfg: MarketConfig) -> dict:
+    """Every setting of a market: its own fields, each agent's by position and its mlp spec's."""
+    out = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("agents", "mlp")}
+    for i, a in enumerate(cfg.agents):
+        out |= {(i, f.name): getattr(a, f.name) for f in fields(a)}
+    if cfg.mlp is not None:
+        out |= {("mlp", f.name): getattr(cfg.mlp, f.name) for f in fields(cfg.mlp)}
+    return out
+
+
+@st.composite
+def sweep_cells(draw):
+    """(base, axis, value, the settings that cell sets): a valid cell of every axis."""
+    axis = draw(st.sampled_from(["distance", "endowment", "frequency", "start", "layers"]))
+    if axis == "layers":
+        base = draw(mlp_markets())
+        n_layers = len(base.mlp.hidden) + 1
+        value = draw(st.none() | st.lists(st.integers(0, n_layers - 1), min_size=1, unique=True).map(tuple))
+        return base, axis, value, {("mlp", "layer_set")}
+    # Agents that share n and noise under the loss-difference gain admit every linear cell.
+    n, noise = draw(st.integers(1, 30)), draw(st.floats(0.0, 1.0))
+    agents = tuple(AgentSpec(u, 2, n, noise) for u in "abc"[: draw(st.integers(2, 3))])
+    base = MarketConfig(gain_kind=GainKind.LOSS_DIFFERENCE, agents=agents, broker=BrokerSpec(10), **schedule(draw))
+    value, fields_set = {
+        "distance": (st.floats(0.0, 2.0), {(i, "theta_offset") for i in range(1, len(agents))}),
+        "endowment": (st.floats(0.05, 1.0), {"endowment"}),
+        "frequency": (st.integers(1, 5), {"trade_every"}),
+        "start": (st.integers(1, 5), {"trade_start"}),
+    }[axis]
+    return base, axis, draw(value), fields_set
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_cells())
+def test_each_axis_sets_only_its_own_settings(drawn):
+    base, axis, value, fields_set = drawn
+    before, after = setting_fields(base), setting_fields(cell_config(base, axis, value))
+    assert {k for k in before if before[k] != after[k]} <= fields_set
+    assert all(after[k] == value for k in fields_set)

@@ -20,7 +20,7 @@ from .core import (
     merge,
 )
 from .engine import MarketLog, TradeRecord, convergence_metrics, run_round, run_simulation
-from .linear import LinearTask, estimation_error, synthesize_task
+from .linear import estimation_error, synthesize_task
 from .pricing import (
     PriorDistribution,
     ValuationQuadruple,
@@ -45,7 +45,6 @@ __all__ = [
     "GainKind",
     "GainReport",
     "LabeledDataset",
-    "LinearTask",
     "MarketConfig",
     "MarketLog",
     "MergeProposal",

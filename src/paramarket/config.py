@@ -241,6 +241,8 @@ class SweepSpec:
     base: MarketConfig = field(kw_only=True)
 
     def __post_init__(self):
+        if not self.values:
+            raise ConfigError("sweep", "values", "no cells given (separate cells with '|')")
         if self.seeds < 1:
             raise ConfigError("sweep", "seeds", f"must be >= 1, got {self.seeds}")
 
@@ -414,8 +416,6 @@ def _parse(text: str) -> tuple:
             raise ConfigError("sweep", "axis", f"expected one of {tuple(_AXES)}, got {axis!r}")
         raw_values = sweep_key("values", str)["values"]
         cells = tuple(v.strip() for v in raw_values.split("|") if v.strip() != "")
-        if not cells:
-            raise ConfigError("sweep", "values", "no cells given (separate cells with '|')")
         seeds = sweep_key("seeds", int)
 
     if not parser.has_section("market"):

@@ -34,10 +34,11 @@ residuals; the mlp view scores each searched weight on the merge path
 (``mlp.merge_path_loss``) and builds a network only for the merge it
 proposes. Each neural agent's and the broker's data is one
 ``mlp.ClassMajorSet`` of `mlp.two_moons`, its labels checked when the market
-is built. A linear broker's validation labels are noiseless: ``X theta`` of
-each block's truth. The ``MergeProposal`` a buyer settles on is the merge
-that ships: its ``merged`` parameters and ``broker_loss_after`` become the
-agent's new state and curve row.
+is built. A linear broker's validation set is one design draw, each agent's
+block of rows labelled noiselessly with ``X theta`` of that agent's truth.
+The ``MergeProposal`` a buyer settles on is the merge that ships: its
+``merged`` parameters and ``broker_loss_after`` become the agent's new state
+and curve row.
 """
 
 import math
@@ -68,7 +69,7 @@ from .core import (
     residual,
 )
 from .config import MarketConfig, Policy, PolicyKind
-from .linear import LinearTask, estimation_error, gram_lambda_max, synthesize_task
+from .linear import estimation_error, gram_lambda_max, synthesize_task
 from .pricing import quote
 
 __all__ = [
@@ -150,30 +151,31 @@ class MarketLog:
 
 
 class LinearModel:
-    """Per-agent training backend for a linear task.
+    """Per-agent training backend for a linear task: its data, its true parameters and its step size.
 
     Holds the residual of its latest `own_loss`: a round ends on the loss of
     the parameters the next round steps from, so the step reuses it.
     """
 
-    def __init__(self, task: LinearTask, step_size: float | None):
-        self.task = task
+    def __init__(self, data: LabeledDataset, truth: ParameterVector, step_size: float | None):
+        self.data = data
+        self.truth = truth
         if step_size is None:  # auto: 0.9 / L, L = 2 lambda_max / n the training loss's smoothness
-            step_size = 0.9 / (2.0 * (gram_lambda_max(task.data) / task.data.n_samples))
+            step_size = 0.9 / (2.0 * (gram_lambda_max(data) / data.n_samples))
         self.step_size = step_size
         self._last = (None, None)  # (params, residual) of the latest own_loss
 
     def step(self, params: ParameterVector) -> ParameterVector:
         last, r = self._last
-        return gradient_step(params, self.task.data, self.step_size, r if last is params else None)
+        return gradient_step(params, self.data, self.step_size, r if last is params else None)
 
     def own_loss(self, params: ParameterVector) -> float:
-        r = residual(params, self.task.data)
+        r = residual(params, self.data)
         self._last = (params, r)
-        return empirical_loss(params, self.task.data, r)
+        return empirical_loss(params, self.data, r)
 
     def est_error(self, params: ParameterVector) -> float:
-        return estimation_error(params, self.task.true_params)
+        return estimation_error(params, self.truth)
 
 
 class MlpModel:
@@ -436,58 +438,54 @@ def _build_linear_market(cfg: MarketConfig, agents: tuple, rng: np.random.Genera
     models = {}
 
     def broker_set(blocks: list) -> LabeledDataset:
-        # Noiseless validation samples drawn block by block, (n, truth) each, straight into one array.
-        inputs = np.empty((cfg.broker.n_samples, dim))
-        labels = np.empty(cfg.broker.n_samples)
-        lo = 0
+        # Noiseless validation samples: one design draw, its rows labelled block by block, (n, truth) each.
+        inputs = rng.standard_normal((cfg.broker.n_samples, dim))
+        labels, lo = [], 0
         for n, truth in blocks:
-            block = synthesize_task(dim, n, 0.0, truth, rng, out=inputs[lo:lo + n])
-            labels[lo:lo + n] = block.data.labels
+            labels.append(inputs[lo:lo + n] @ truth.values)
             lo += n
-        return LabeledDataset(inputs, labels)
+        return LabeledDataset(inputs, np.concatenate(labels))
 
     if cfg.endowment is None:
-        truths = {}
         for spec in agents:
             theta = theta_base
             if spec.theta_offset > 0.0:
                 direction = rng.standard_normal(dim)
                 direction /= np.linalg.norm(direction)
                 theta = theta_base + spec.theta_offset * direction
-            truths[spec.agent_id] = truth = ParameterVector(theta)
+            truth = ParameterVector(theta)
             # Each model resolves its step size before the broker set exists,
             # which keeps the Gram matrices out of the build's memory peak.
-            task = synthesize_task(dim, spec.n_samples, spec.noise_variance, truth, rng)
-            models[spec.agent_id] = LinearModel(task, spec.step_size)
+            data = synthesize_task(dim, spec.n_samples, spec.noise_variance, truth, rng)
+            models[spec.agent_id] = LinearModel(data, truth, spec.step_size)
         # The broker holds validation samples from every agent's distribution.
         per_agent, extra = divmod(cfg.broker.n_samples, len(agents))
-        broker_data = broker_set([(per_agent + (extra if i == 0 else 0), truths[spec.agent_id])
+        broker_data = broker_set([(per_agent + (extra if i == 0 else 0), models[spec.agent_id].truth)
                                   for i, spec in enumerate(agents)])
     else:
         # Each agent keeps the fraction `endowment` of one shared pool, drawn
         # without replacement; `MarketConfig` sees that the agents share n,
         # noise and the truth, so at fraction 1 they hold identical data.
         truth = ParameterVector(theta_base)
-        truths = dict.fromkeys((a.agent_id for a in agents), truth)
         pool_n = agents[0].n_samples
-        pool = synthesize_task(dim, pool_n, agents[0].noise_variance, truth, rng).data
+        pool = synthesize_task(dim, pool_n, agents[0].noise_variance, truth, rng)
         broker_data = broker_set([(cfg.broker.n_samples, truth)])
         k = max(1, int(round(cfg.endowment * pool_n)))
         for spec in agents:
             idx = np.sort(rng.choice(pool_n, size=k, replace=False))
-            task = LinearTask(LabeledDataset(pool.inputs[idx], pool.labels[idx]), truth)
-            models[spec.agent_id] = LinearModel(task, spec.step_size)
+            data = LabeledDataset(pool.inputs[idx], pool.labels[idx])
+            models[spec.agent_id] = LinearModel(data, truth, spec.step_size)
 
     # Every agent starts at zero. An error-ratio market's agents share one
     # truth (`MarketConfig` sees to it), which its broker compares merges against.
     init = ParameterVector(np.zeros(dim))
     states = tuple(AgentState(spec.agent_id, init, models[spec.agent_id]) for spec in agents)
-    truth = truths[agents[0].agent_id] if cfg.gain_kind is GainKind.ERROR_RATIO else None
+    truth = models[agents[0].agent_id].truth if cfg.gain_kind is GainKind.ERROR_RATIO else None
     fedavg = None
-    if agents[0].policy.kind is PolicyKind.FEDAVG:  # the tasks' data shares, whatever the gain kind
-        n = {u: m.task.data.n_samples for u, m in models.items()}
+    if agents[0].policy.kind is PolicyKind.FEDAVG:  # the agents' data shares, whatever the gain kind
+        n = {u: m.data.n_samples for u, m in models.items()}
         truth, fedavg = None, {(u, v): fedavg_weight(n[u], n[v]) for u in n for v in n if u != v}
-    return states, LinearBrokerEngine(broker_data, truth, truths, fedavg)
+    return states, LinearBrokerEngine(broker_data, truth, {u: m.truth for u, m in models.items()}, fedavg)
 
 
 def _build_mlp_market(cfg: MarketConfig, agents: tuple, rng: np.random.Generator):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import MarketConfig, Policy, PolicyKind, cell_config
+from .config import MarketConfig, Policy, PolicyKind, SweepSpec, cell_config
 from .engine import MarketLog, build_market, run_prepared_simulation
 
 __all__ = [
@@ -113,15 +113,17 @@ def run_sweep(
 ) -> SweepResult:
     """Run every (cell, seed) pair; rows come back ordered by cell then seed.
 
-    Each pair's market is built here, so a bad cell raises its own ConfigError
-    at any ``jobs``. At most ``jobs`` worker processes run the pairs, and never
+    No cells or ``seeds < 1`` raise ConfigError, as in a sweep file. Each
+    pair's market is built here, so a bad cell raises its own ConfigError at
+    any ``jobs``. At most ``jobs`` worker processes run the pairs, and never
     more than there are pairs or usable CPUs; with one worker the pairs run in
     this process.
     """
+    spec = SweepSpec(axis, tuple(values), seeds, base=base)
     work = [
         (cell, value, replace(cell_config(base, axis, value), seed=base.seed + seed))
-        for cell, value in enumerate(values)
-        for seed in range(seeds)
+        for cell, value in enumerate(spec.values)
+        for seed in range(spec.seeds)
     ]
     workers = min(jobs, len(work), _usable_cpus())
     if workers > 1:

@@ -5,29 +5,17 @@ noise), squared parameter-estimation error, and the largest eigenvalue of the
 Gram matrix, which sets an agent's automatic step size.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .core import LabeledDataset, ParameterVector
 
 __all__ = [
-    "LinearTask",
     "synthesize_task",
     "estimation_error",
     "gram_lambda_max",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class LinearTask:
-    """One agent's endowment: data generated as ``Y = X theta_star + noise``."""
-
-    data: LabeledDataset
-    true_params: ParameterVector
-
-    def __post_init__(self):
-        self.true_params.require_dimension(self.data.dimension, "true params vs dataset")
 
 
 def synthesize_task(
@@ -36,26 +24,23 @@ def synthesize_task(
     noise_variance: float,
     theta_star: ParameterVector,
     rng: np.random.Generator,
-    out: np.ndarray | None = None,
-) -> LinearTask:
+) -> LabeledDataset:
     """Draw an i.i.d. standard-normal design and label it with ``theta_star``.
 
     Labels are ``X theta_star`` plus zero-mean Gaussian noise of the given
     variance; with variance 0 the true parameters fit the data exactly.
-    Deterministic given the generator state. The design is drawn into
-    ``out`` (a C-contiguous n-by-dim float64 array, frozen afterwards) when
-    given; the draws are the same either way.
+    Deterministic given the generator state.
     """
     if dim < 1 or n < 1:
         raise ValueError(f"need dim >= 1 and n >= 1, got dim={dim}, n={n}")
-    if noise_variance < 0:
-        raise ValueError(f"noise variance must be non-negative, got {noise_variance}")
+    if not 0 <= noise_variance < math.inf:
+        raise ValueError(f"noise variance must be finite and >= 0, got {noise_variance}")
     theta_star.require_dimension(dim, "theta_star vs requested dim")
-    x = rng.standard_normal((n, dim), out=out)
+    x = rng.standard_normal((n, dim))
     y = x @ theta_star.values
     if noise_variance > 0:
         y = y + np.sqrt(noise_variance) * rng.standard_normal(n)
-    return LinearTask(LabeledDataset(x, y), theta_star)
+    return LabeledDataset(x, y)
 
 
 def estimation_error(params: ParameterVector, theta_star: ParameterVector) -> float:

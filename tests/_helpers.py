@@ -258,7 +258,7 @@ def post_step_losses(rounds: list, states) -> dict:
 
     Round 0 has no step: its entries are the losses at the starting parameters.
     """
-    data = {s.agent_id: s.model.task.data for s in states}
+    data = {s.agent_id: s.model.data for s in states}
     return {
         (t, u): empirical_loss(p, data[u])
         for t, dots in enumerate(rounds)

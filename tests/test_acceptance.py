@@ -218,7 +218,7 @@ def test_07_linear_decay_factor():
     states, engine = build_market(cfg)
     rounds = record_post_step_params(engine)
     log = run_prepared_simulation(cfg, states, engine)
-    rho = spectrum(states[1].model.task.data).rho
+    rho = spectrum(states[1].model.data).rho
     post_step = post_step_losses(rounds, states)
     report = geometric_decay_check(log, rho, post_step, "b", slack=1e-9)
     passed = report.applicable and not report.violations and report.rounds_checked == cfg.rounds
@@ -283,7 +283,7 @@ def test_09_assignment_matches_exhaustive_search():
 def test_10_related_task_sweep():
     spec = load_sweep(CONFIGS / "related_tasks_sweep.cfg")
     assert len(spec.values) == 10
-    result = run_sweep(spec.base, spec.axis, spec.values, seeds=20)
+    result = run_sweep(spec.base, spec.axis, spec.values, seeds=20, jobs=_usable_cpus())
     pairs = [
         (value, float(np.mean([r.improvement_error["a"] for r in rows])))
         for value, rows in result.cells()

@@ -41,9 +41,9 @@ class TestOptimizeMergeWeight:
     def test_seller_at_truth_gets_full_weight(self):
         rng = np.random.default_rng(0)
         truth = ParameterVector(rng.standard_normal(5))
-        task = synthesize_task(5, 40, 0.0, truth, rng)
+        data = synthesize_task(5, 40, 0.0, truth, rng)
         buyer = ParameterVector(truth.values + rng.standard_normal(5))
-        p = propose(buyer, truth, task.data)
+        p = propose(buyer, truth, data)
         assert p.weight == 1.0
         assert p.broker_loss_after == pytest.approx(0.0, abs=1e-18)
 
@@ -64,32 +64,32 @@ class TestOptimizeMergeWeight:
         rng = np.random.default_rng(1)
         for _ in range(25):
             truth = ParameterVector(rng.standard_normal(4))
-            task = synthesize_task(4, 30, 0.1, truth, rng)
+            data = synthesize_task(4, 30, 0.1, truth, rng)
             buyer = ParameterVector(rng.standard_normal(4))
             seller = ParameterVector(rng.standard_normal(4))
-            p = propose(buyer, seller, task.data)
+            p = propose(buyer, seller, data)
             for nu in np.arange(1e-3, 1.0 + 1e-12, 1e-3):
-                grid_loss = empirical_loss(merge(buyer, seller, float(nu)), task.data)
+                grid_loss = empirical_loss(merge(buyer, seller, float(nu)), data)
                 assert p.broker_loss_after <= grid_loss + 1e-9 * (1 + grid_loss)
 
     def test_never_worse_than_midpoint(self):
         rng = np.random.default_rng(2)
         truth = ParameterVector(rng.standard_normal(3))
-        task = synthesize_task(3, 20, 0.0, truth, rng)
+        data = synthesize_task(3, 20, 0.0, truth, rng)
         buyer = ParameterVector(rng.standard_normal(3))
         seller = ParameterVector(rng.standard_normal(3))
-        p = propose(buyer, seller, task.data)
-        assert p.broker_loss_after <= empirical_loss(merge(buyer, seller, 0.5), task.data)
+        p = propose(buyer, seller, data)
+        assert p.broker_loss_after <= empirical_loss(merge(buyer, seller, 0.5), data)
 
     def test_searched_variant_matches_quadratic_optimum(self):
         rng = np.random.default_rng(3)
         truth = ParameterVector(rng.standard_normal(3))
-        task = synthesize_task(3, 25, 0.0, truth, rng)
+        data = synthesize_task(3, 25, 0.0, truth, rng)
         buyer = ParameterVector(rng.standard_normal(3))
         seller = ParameterVector(rng.standard_normal(3))
-        closed = propose(buyer, seller, task.data)
+        closed = propose(buyer, seller, data)
         searched_w, searched_loss = optimize_merge_weight_searched(
-            lambda w: empirical_loss(merge(buyer, seller, w), task.data)
+            lambda w: empirical_loss(merge(buyer, seller, w), data)
         )
         assert searched_loss == pytest.approx(closed.broker_loss_after, rel=1e-6, abs=1e-12)
         assert searched_w == pytest.approx(closed.weight, abs=1e-4)
@@ -189,10 +189,10 @@ class TestFedavgWeight:
         rng = np.random.default_rng(5)
         for _ in range(50):
             truth = ParameterVector(rng.standard_normal(4))
-            task = synthesize_task(4, 30, 0.0, truth, rng)
+            data = synthesize_task(4, 30, 0.0, truth, rng)
             buyer = ParameterVector(rng.standard_normal(4))
             seller = ParameterVector(rng.standard_normal(4))
             w = fedavg_weight(int(rng.integers(1, 500)), int(rng.integers(1, 500)))
-            p = propose(buyer, seller, task.data)
-            fixed = empirical_loss(merge(buyer, seller, w), task.data)
+            p = propose(buyer, seller, data)
+            fixed = empirical_loss(merge(buyer, seller, w), data)
             assert p.broker_loss_after <= fixed + 1e-12 * (1 + fixed)

@@ -910,12 +910,13 @@ class TestCli:
             (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = 2\nseeds = 0\n", "[sweep] seeds:"),
             (MINIMAL + "\n[sweep]\naxis = endowment\nvalues = 0.5\n",
              "[sweep] values: cannot parse cell '0.5': [agent b] n:"),
+            (MINIMAL + "\n[sweep]\naxis = frequency\nvalues = |\n", "[sweep] values: no cells given"),
         ],
         ids=["unparsable", "non-numeric-cell", "zero-frequency", "zero-start", "zero-endowment",
              "endowment-above-one", "layers-on-linear", "layer-out-of-range", "repeated-layer-cell",
              "reordered-layer-cell", "all-as-a-list", "repeated-index-in-cell", "repeated-endowment",
              "unknown-sweep-key", "distance-on-mlp", "endowment-on-mlp", "zero-seeds",
-             "unequal-endowment-agents"],
+             "unequal-endowment-agents", "no-cells"],
     )
     def test_invalid_sweep_exit_code_and_diagnostic(self, tmp_path, text, diagnostic):
         bad = tmp_path / "bad.cfg"

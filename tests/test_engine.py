@@ -176,13 +176,13 @@ class TestRoundSemantics:
         cfg = linear_cfg(rounds=15)
         rng = np.random.default_rng(13)
         truth = ParameterVector(rng.standard_normal(12))
-        task = synthesize_task(12, 80, 0.0, truth, rng)
-        broker_task = synthesize_task(12, 600, 0.0, truth, rng)
+        data = synthesize_task(12, 80, 0.0, truth, rng)
+        broker_data = synthesize_task(12, 600, 0.0, truth, rng)
         init = ParameterVector(np.zeros(12))
-        smoothness = 2 * np.linalg.eigvalsh(task.data.inputs.T @ task.data.inputs / 80).max()
-        model = LinearModel(task, 0.9 / smoothness)
+        smoothness = 2 * np.linalg.eigvalsh(data.inputs.T @ data.inputs / 80).max()
+        model = LinearModel(data, truth, 0.9 / smoothness)
         states = tuple(AgentState(u, init, model) for u in ("a", "b"))
-        engine = LinearBrokerEngine(broker_task.data, truth, {"a": truth, "b": truth})
+        engine = LinearBrokerEngine(broker_data, truth, {"a": truth, "b": truth})
         log = run_prepared_simulation(cfg, states, engine)
         assert all(not r.indicator for r in log.trades)
         by_round = defaultdict(dict)
@@ -193,9 +193,9 @@ class TestRoundSemantics:
 
     def test_each_model_resolves_an_auto_step_size(self):
         linear, _ = build_market(linear_cfg(rounds=1))
-        task = linear[0].model.task
-        assert linear[0].model.step_size == 0.9 / (2.0 * (gram_lambda_max(task.data) / task.data.n_samples))
-        assert engine.LinearModel(task, 0.25).step_size == 0.25
+        model = linear[0].model
+        assert model.step_size == 0.9 / (2.0 * (gram_lambda_max(model.data) / model.data.n_samples))
+        assert engine.LinearModel(model.data, model.truth, 0.25).step_size == 0.25
         neural, _ = build_market(neural_cfg())
         assert [s.model.step_size for s in neural] == [0.1, 0.1]
 
@@ -241,7 +241,7 @@ class TestRoundSemantics:
         cfg = linear_cfg(rounds=1, noise_b=0.0)
         states, broker = build_market(cfg)
         b = states[1]
-        states = (states[0], dataclasses.replace(b, params=b.model.task.true_params))
+        states = (states[0], dataclasses.replace(b, params=b.model.truth))
         first = run_prepared_simulation(cfg, states, broker).trades[0]
         assert (first.buyer, first.seller, first.indicator) == ("a", "b", True)
         assert first.gain.value == float("inf") and first.gain.trade_beneficial
@@ -318,7 +318,7 @@ class TestPricingRounds:
         cfg = linear_cfg(pricing=True, noise_b=0.0, seller_pricing=rule, rounds=3)
         states, broker = build_market(cfg)
         b = states[1]
-        states = (states[0], dataclasses.replace(b, params=b.model.task.true_params))
+        states = (states[0], dataclasses.replace(b, params=b.model.truth))
         log = run_prepared_simulation(cfg, states, broker)
         first = next(r for r in log.trades if (r.round_index, r.buyer) == (1, "a"))
         assert first.seller == "b"
@@ -691,15 +691,13 @@ class TestAnalytics:
         # Swap agent b's design for an orthonormal one (rho exactly 1).
         from paramarket.core import LabeledDataset
         from paramarket.engine import LinearModel, run_prepared_simulation
-        from paramarket.linear import LinearTask
 
         b = states[1]
         q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((12, 12)))
-        truth_vec = b.model.task.true_params
+        truth_vec = b.model.truth
         data = LabeledDataset(q, q @ truth_vec.values)
-        task = LinearTask(data, truth_vec)
         # On the mean over 12 samples this is a step of 0.2 on the summed squared residuals.
-        new_b = dataclasses.replace(b, model=LinearModel(task, 0.2 * 12))
+        new_b = dataclasses.replace(b, model=LinearModel(data, truth_vec, 0.2 * 12))
         rounds = record_post_step_params(broker_engine)
         log = run_prepared_simulation(cfg, (states[0], new_b), broker_engine)
         post_step = post_step_losses(rounds, (states[0], new_b))

@@ -157,7 +157,7 @@ class TestEndowmentSweep:
         assert not twin.trades
         assert all(0 < r.merge_weight <= 1 for r in log.trades)
         if fraction == 1:
-            tasks = [s.model.task.data for s in build_market(cfg)[0]]
+            tasks = [s.model.data for s in build_market(cfg)[0]]
             for t in tasks[1:]:
                 assert np.array_equal(t.inputs, tasks[0].inputs) and np.array_equal(t.labels, tasks[0].labels)
 
@@ -170,6 +170,18 @@ class TestEndowmentSweep:
                 run_sweep(spec.base, "endowment", [0.0, 0.5], seeds=1, jobs=jobs)
             assert (err.value.section, err.value.key) == ("sweep", "values"), jobs
             assert str(err.value).startswith("[sweep] values:"), jobs
+
+    def test_a_sweep_built_in_code_needs_cells_and_seeds(self):
+        linear = load_sweep(CONFIGS / "frequency_sweep.cfg").base
+        mlp = load_sweep(CONFIGS / "mlp_subset_sweep.cfg").base
+        for key, run in (
+            ("values", lambda: run_sweep(linear, "frequency", [], 1)),
+            ("values", lambda: experiments.layer_subset_table(mlp, [], 1)),
+            ("seeds", lambda: run_sweep(linear, "frequency", [1], seeds=0)),
+        ):
+            with pytest.raises(ConfigError) as err:
+                run()
+            assert (err.value.section, err.value.key) == ("sweep", key)
 
     def test_an_axis_of_the_other_market_kind_names_the_axis(self):
         three = load_config(CONFIGS / "three_agents.cfg")

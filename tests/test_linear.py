@@ -13,35 +13,28 @@ def pv(*values):
 
 class TestSynthesizeTask:
     def test_noiseless_truth_has_zero_loss(self):
-        task = synthesize_task(4, 20, 0.0, ParameterVector(np.arange(1.0, 5.0)), np.random.default_rng(0))
-        assert empirical_loss(task.true_params, task.data) == 0.0
+        truth = ParameterVector(np.arange(1.0, 5.0))
+        data = synthesize_task(4, 20, 0.0, truth, np.random.default_rng(0))
+        assert empirical_loss(truth, data) == 0.0
 
     def test_fixed_seed_is_bitwise_reproducible(self):
         theta = pv(1.0, -1.0, 0.5)
         t1 = synthesize_task(3, 15, 0.3, theta, np.random.default_rng(42))
         t2 = synthesize_task(3, 15, 0.3, theta, np.random.default_rng(42))
-        np.testing.assert_array_equal(t1.data.inputs, t2.data.inputs)
-        np.testing.assert_array_equal(t1.data.labels, t2.data.labels)
-
-    def test_out_buffer_receives_the_same_draws(self):
-        theta = pv(1.0, -1.0, 0.5)
-        fresh = synthesize_task(3, 15, 0.3, theta, np.random.default_rng(42))
-        buffer = np.zeros((20, 3))
-        task = synthesize_task(3, 15, 0.3, theta, np.random.default_rng(42), out=buffer[5:])
-        np.testing.assert_array_equal(buffer[5:], fresh.data.inputs)
-        np.testing.assert_array_equal(task.data.labels, fresh.data.labels)
-        assert not buffer[:5].any()
+        np.testing.assert_array_equal(t1.inputs, t2.inputs)
+        np.testing.assert_array_equal(t1.labels, t2.labels)
 
     def test_endowment_shape(self):
         theta = ParameterVector(np.zeros(1000))
-        task = synthesize_task(1000, 500, 0.5, theta, np.random.default_rng(1))
-        assert task.data.inputs.shape == (500, 1000)
+        data = synthesize_task(1000, 500, 0.5, theta, np.random.default_rng(1))
+        assert data.inputs.shape == (500, 1000)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             synthesize_task(0, 5, 0.0, pv(1.0), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            synthesize_task(2, 5, -1.0, pv(1.0, 2.0), np.random.default_rng(0))
+        for noise in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"got {noise}"):
+                synthesize_task(2, 5, noise, pv(1.0, 2.0), np.random.default_rng(0))
 
 
 class TestEstimationError:
@@ -117,8 +110,8 @@ class TestLossRatioBounds:
         for _ in range(200):
             d = rng.integers(2, 7)
             theta_star = ParameterVector(rng.standard_normal(d))
-            task = synthesize_task(int(d), int(3 * d + 2), 0.0, theta_star, rng)
-            s = spectrum(task.data)
+            data = synthesize_task(int(d), int(3 * d + 2), 0.0, theta_star, rng)
+            s = spectrum(data)
             for _ in range(50):
                 a = ParameterVector(theta_star.values + rng.standard_normal(d))
                 b = ParameterVector(theta_star.values + rng.standard_normal(d))
@@ -128,8 +121,8 @@ class TestLossRatioBounds:
                 if err_after <= 1e-30:
                     continue
                 gain = err_before / err_after
-                loss_before = empirical_loss(a, task.data)
-                loss_after = empirical_loss(merged, task.data)
+                loss_before = empirical_loss(a, data)
+                loss_after = empirical_loss(merged, data)
                 lo, hi = loss_ratio_bounds(gain, s.rho, loss_before)
                 assert lo * (1 - 1e-9) <= loss_after <= hi * (1 + 1e-9)
                 trials += 1
